@@ -83,6 +83,15 @@ B2B_POOL_STRESS=1 B2B_SHARDS=4 cargo test --offline -q --test sharding
 echo "== population fixtures (Large + Huge tiers) =="
 cargo run --offline --release -q -p b2b-bench --bin experiments -- --fixtures
 
+# The hub benchmark's correctness checks on its two listed workloads: a
+# one-second run exits 1 if any pass misses a completion, reply, rule
+# run, back-end order or dead-letter check.
+echo "== hubbench (rfq_bulk, po_exchange: correctness checks) =="
+for workload in rfq_bulk po_exchange; do
+  cargo run --offline --release -q --manifest-path hubbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1
+done
+
 # Benches are not run in CI, but they must keep compiling.
 echo "== cargo bench --no-run =="
 cargo bench --offline --no-run --workspace

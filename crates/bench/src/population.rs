@@ -933,20 +933,4 @@ mod tests {
         );
         assert!(coalesced.coalesced_frames > 0, "coalesce=8 must emit multi-part frames");
     }
-
-    #[test]
-    fn flat_cost_is_flat_at_tiny_scale() {
-        let report = run_flat_cost(SizeTier::Tiny, 3, 2, 40, 24).expect("flat cost");
-        assert_eq!(report.base.active_sessions, report.grown.active_sessions);
-        assert!(
-            report.grown.idle_sessions >= report.base.idle_sessions * 5,
-            "idle population must have grown substantially ({} -> {})",
-            report.base.idle_sessions,
-            report.grown.idle_sessions
-        );
-        assert!(
-            report.max_drift() <= 0.05,
-            "settle cost must stay flat under idle growth: {report:?}"
-        );
-    }
 }

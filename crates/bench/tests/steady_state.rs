@@ -1,4 +1,13 @@
-//! Steady-state allocation regression tests.
+//! Every test that asserts on allocator counts.
+//!
+//! The counting allocator's counters are process-wide, so a measurement
+//! is only exact while nothing else in the process allocates. This
+//! binary therefore runs without the libtest harness: `main` runs the
+//! tests one at a time on its own thread, so while one test measures, no
+//! other test and no harness thread allocates — only the measured code
+//! and the worker-pool threads it starts. (A shared lock under the
+//! libtest harness would still leave the harness's own threads spawning
+//! and reporting while the next test measures.)
 //!
 //! The symbol-keyed record core's contract is that after warm-up, a
 //! repeated identical workload interns nothing new (the interner is
@@ -8,6 +17,7 @@
 //! key strings or per-apply program recompilation fails them.
 
 use b2b_bench::alloc_count;
+use b2b_bench::population::{run_flat_cost, SizeTier};
 use b2b_document::formats::sample_edi_po;
 use b2b_document::{interned_count, FormatId, FormatRegistry};
 use b2b_transform::{TransformContext, TransformRegistry};
@@ -26,7 +36,6 @@ fn pump_once(
     formats.encode(&back).expect("encode").len()
 }
 
-#[test]
 fn repeated_po_round_trips_are_allocation_steady() {
     let formats = FormatRegistry::with_builtins();
     let transforms = TransformRegistry::with_builtins();
@@ -56,7 +65,6 @@ fn repeated_po_round_trips_are_allocation_steady() {
     assert_eq!(deltas[1], deltas[2], "allocation traffic drifted between pumps 3 and 4");
 }
 
-#[test]
 fn pool_rounds_allocate_nothing_after_warm_up() {
     // The persistent worker pool's dispatch path is allocation-free: a
     // round publishes a borrowed job pointer through pre-existing shared
@@ -92,7 +100,6 @@ fn pool_rounds_allocate_nothing_after_warm_up() {
     assert_eq!(total, 3 * 64, "every index ran exactly once per round");
 }
 
-#[test]
 fn binary_decode_allocations_are_independent_of_text_payload() {
     // The zero-copy contract of the binary codec: a cache-miss decode
     // borrows every text node from the payload `Bytes`, so allocator
@@ -151,7 +158,6 @@ fn binary_decode_allocations_are_independent_of_text_payload() {
     assert!(all_text_borrowed(doc_long.body()), "long decode copied a string");
 }
 
-#[test]
 fn settle_cost_is_independent_of_idle_session_population() {
     // The touched-only settle contract at the harness level: grow the
     // idle-session population 10x and run the *identical* active burst —
@@ -159,7 +165,6 @@ fn settle_cost_is_independent_of_idle_session_population() {
     // per-document allocator traffic must not drift. Before the
     // touched-only planner, every idle instance was moved into a shard
     // slice every round, so this probe scaled linearly with idle mass.
-    use b2b_bench::population::{run_flat_cost, SizeTier};
 
     let report = run_flat_cost(SizeTier::Tiny, 5, 2, 40, 24).expect("flat-cost probe");
     assert_eq!(
@@ -191,7 +196,6 @@ fn settle_cost_is_independent_of_idle_session_population() {
     );
 }
 
-#[test]
 fn interning_the_same_names_again_allocates_nothing() {
     // Warm the interner with the vocabulary, then re-intern it: hits on
     // the read path must not touch the allocator at all.
@@ -207,4 +211,68 @@ fn interning_the_same_names_again_allocates_nothing() {
     });
     assert_eq!(interned_count(), before, "re-interning grew the table");
     assert_eq!(delta.allocations, 0, "re-interning allocated: {delta:?}");
+}
+
+fn counting_allocator_sees_a_boxed_allocation() {
+    let (_kept, delta) = alloc_count::measure(|| std::hint::black_box(vec![0u8; 4096]));
+    assert!(delta.allocations >= 1, "vec allocation not counted");
+    assert!(delta.bytes >= 4096, "vec bytes not counted: {}", delta.bytes);
+}
+
+fn flat_cost_is_flat_at_tiny_scale() {
+    let report = run_flat_cost(SizeTier::Tiny, 3, 2, 40, 24).expect("flat cost");
+    assert_eq!(report.base.active_sessions, report.grown.active_sessions);
+    assert!(
+        report.grown.idle_sessions >= report.base.idle_sessions * 5,
+        "idle population must have grown substantially ({} -> {})",
+        report.base.idle_sessions,
+        report.grown.idle_sessions
+    );
+    assert!(report.max_drift() <= 0.05, "settle cost must stay flat under idle growth: {report:?}");
+}
+
+/// Runs the tests in order on this thread; an optional first non-flag
+/// argument filters them by name. Exits non-zero if any test panicked.
+fn main() {
+    let tests: [(&str, fn()); 7] = [
+        ("counting_allocator_sees_a_boxed_allocation", counting_allocator_sees_a_boxed_allocation),
+        (
+            "repeated_po_round_trips_are_allocation_steady",
+            repeated_po_round_trips_are_allocation_steady,
+        ),
+        ("pool_rounds_allocate_nothing_after_warm_up", pool_rounds_allocate_nothing_after_warm_up),
+        (
+            "binary_decode_allocations_are_independent_of_text_payload",
+            binary_decode_allocations_are_independent_of_text_payload,
+        ),
+        (
+            "settle_cost_is_independent_of_idle_session_population",
+            settle_cost_is_independent_of_idle_session_population,
+        ),
+        ("flat_cost_is_flat_at_tiny_scale", flat_cost_is_flat_at_tiny_scale),
+        (
+            "interning_the_same_names_again_allocates_nothing",
+            interning_the_same_names_again_allocates_nothing,
+        ),
+    ];
+    let filter = std::env::args().skip(1).find(|arg| !arg.starts_with('-'));
+    let mut failed = Vec::new();
+    let mut ran = 0;
+    for (name, test) in tests {
+        if filter.as_deref().is_some_and(|f| !name.contains(f)) {
+            continue;
+        }
+        ran += 1;
+        match std::panic::catch_unwind(test) {
+            Ok(()) => println!("test {name} ... ok"),
+            Err(_) => {
+                println!("test {name} ... FAILED");
+                failed.push(name);
+            }
+        }
+    }
+    println!("\ntest result: {} passed; {} failed", ran - failed.len(), failed.len());
+    if !failed.is_empty() {
+        std::process::exit(1);
+    }
 }

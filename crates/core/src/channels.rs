@@ -6,80 +6,52 @@
 //! cross-talk even though they share type definitions.
 
 use b2b_wfms::ChannelId;
+use std::sync::LazyLock;
 
-/// Public process: inbound business message from the partner.
-pub fn wire_in() -> ChannelId {
-    ChannelId::new("wire:in")
+/// Declares one accessor per channel. Each id is built once per process
+/// and handed out by reference, so routing a document never allocates a
+/// channel name.
+macro_rules! channels {
+    ($($(#[$doc:meta])* $name:ident => $value:literal;)*) => {$(
+        $(#[$doc])*
+        pub fn $name() -> &'static ChannelId {
+            static ID: LazyLock<ChannelId> = LazyLock::new(|| ChannelId::new($value));
+            &ID
+        }
+    )*};
 }
 
-/// Public process: outbound business message to the partner.
-pub fn wire_out() -> ChannelId {
-    ChannelId::new("wire:out")
-}
-
-/// Public process → binding (connection step, Section 4.1.1).
-pub fn to_binding() -> ChannelId {
-    ChannelId::new("to-binding")
-}
-
-/// Binding → public process.
-pub fn from_binding() -> ChannelId {
-    ChannelId::new("from-binding")
-}
-
-/// Binding input from the public process.
-pub fn from_public() -> ChannelId {
-    ChannelId::new("from-public")
-}
-
-/// Binding output toward the private process.
-pub fn to_private() -> ChannelId {
-    ChannelId::new("to-private")
-}
-
-/// Binding input from the private process.
-pub fn from_private() -> ChannelId {
-    ChannelId::new("from-private")
-}
-
-/// Binding output toward the public process.
-pub fn to_public() -> ChannelId {
-    ChannelId::new("to-public")
-}
-
-/// Private process: inbound normalized document.
-pub fn private_in() -> ChannelId {
-    ChannelId::new("in")
-}
-
-/// Private process: outbound normalized document (to the wire binding).
-pub fn private_out() -> ChannelId {
-    ChannelId::new("out")
-}
-
-/// Private process → back-end binding.
-pub fn to_backend() -> ChannelId {
-    ChannelId::new("to-backend")
-}
-
-/// Back-end binding → private process.
-pub fn from_backend() -> ChannelId {
-    ChannelId::new("from-backend")
-}
-
-/// Back-end binding → application process (native document).
-pub fn to_app() -> ChannelId {
-    ChannelId::new("to-app")
-}
-
-/// Application process → back-end binding (native document).
-pub fn from_app() -> ChannelId {
-    ChannelId::new("from-app")
-}
-
-/// Back-end binding output toward the private process.
-pub fn backend_out() -> ChannelId {
-    ChannelId::new("backend-out")
+channels! {
+    /// Public process: inbound business message from the partner.
+    wire_in => "wire:in";
+    /// Public process: outbound business message to the partner.
+    wire_out => "wire:out";
+    /// Public process → binding (connection step, Section 4.1.1).
+    to_binding => "to-binding";
+    /// Binding → public process.
+    from_binding => "from-binding";
+    /// Binding input from the public process.
+    from_public => "from-public";
+    /// Binding output toward the private process.
+    to_private => "to-private";
+    /// Binding input from the private process.
+    from_private => "from-private";
+    /// Binding output toward the public process.
+    to_public => "to-public";
+    /// Private process: inbound normalized document.
+    private_in => "in";
+    /// Private process: outbound normalized document (to the wire binding).
+    private_out => "out";
+    /// Private process → back-end binding.
+    to_backend => "to-backend";
+    /// Back-end binding → private process.
+    from_backend => "from-backend";
+    /// Back-end binding → application process (native document).
+    to_app => "to-app";
+    /// Application process → back-end binding (native document).
+    from_app => "from-app";
+    /// Back-end binding output toward the private process.
+    backend_out => "backend-out";
 }
 
 #[cfg(test)]

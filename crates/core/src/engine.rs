@@ -13,9 +13,7 @@
 //! [`crate::runtime`] (edge → route → execute → emit), session state in
 //! [`crate::session`].
 
-use crate::binding::{
-    compile_backend_binding, compile_wire_binding, wire_binding_type_id, BindingRole,
-};
+use crate::binding::{compile_backend_binding, compile_wire_binding, BindingRole};
 use crate::compile::{compile_public, public_type_id};
 use crate::deadletter::{DeadLetterQueue, DeadLetterReason};
 use crate::error::{IntegrationError, Result};
@@ -29,7 +27,7 @@ use crate::private_process::{
     MAKE_QUOTE_ACTIVITY, RECORD_QUOTE_ACTIVITY,
 };
 use crate::runtime::edge::Edge;
-use crate::session::{Session, SessionTable};
+use crate::session::{NewSession, SessionTable};
 use b2b_backend::ApplicationProcess;
 use b2b_document::{CorrelationId, Document, FormatId};
 use b2b_network::{Bytes, EndpointId, MessageId, ReliableConfig, ReliableSnapshot, SimNetwork};
@@ -135,6 +133,23 @@ pub(crate) struct FrameAcc {
     pub(crate) parts: Vec<Bytes>,
 }
 
+/// The workflow types a session instantiates, resolved once when its
+/// agreement (or back end) is installed, so creating a session builds no
+/// type ids.
+pub(crate) struct BindingTypes {
+    pub(crate) responder: WorkflowTypeId,
+    pub(crate) initiator: WorkflowTypeId,
+}
+
+impl BindingTypes {
+    pub(crate) fn for_role(&self, role: BindingRole) -> &WorkflowTypeId {
+        match role {
+            BindingRole::Responder => &self.responder,
+            BindingRole::Initiator => &self.initiator,
+        }
+    }
+}
+
 /// The integration engine of one enterprise.
 pub struct IntegrationEngine {
     pub(crate) name: String,
@@ -145,10 +160,15 @@ pub struct IntegrationEngine {
     pub(crate) agreements: BTreeMap<String, TradingPartnerAgreement>,
     /// Our compiled public-process type per agreement.
     pub(crate) public_types: BTreeMap<String, WorkflowTypeId>,
+    /// Wire-binding types per wire format (deployed with the first
+    /// agreement on that format).
+    pub(crate) wire_bindings: BTreeMap<FormatId, BindingTypes>,
     /// Per-agreement wire-send deadline, derived from the public process's
     /// tightest `WaitReceipt { timeout_ms }` step.
     pub(crate) receipt_deadlines: BTreeMap<String, u64>,
     pub(crate) backends: BTreeMap<String, ApplicationProcess>,
+    /// Back-end binding types per back end.
+    pub(crate) backend_bindings: BTreeMap<String, BindingTypes>,
     pub(crate) table: SessionTable,
     /// Unacknowledged wire payloads → owning session(s). BTreeMap so the
     /// per-pump ack sweep visits entries in a deterministic order.
@@ -252,8 +272,10 @@ impl IntegrationEngine {
             partners: PartnerDirectory::new(),
             agreements: BTreeMap::new(),
             public_types: BTreeMap::new(),
+            wire_bindings: BTreeMap::new(),
             receipt_deadlines: BTreeMap::new(),
             backends: BTreeMap::new(),
+            backend_bindings: BTreeMap::new(),
             table: SessionTable::new(),
             outstanding_wire: BTreeMap::new(),
             health: PartnerHealth::default(),
@@ -450,8 +472,13 @@ impl IntegrationEngine {
     pub fn add_backend(&mut self, app: ApplicationProcess) -> Result<()> {
         let native = app.native_format();
         let name = app.name().to_string();
-        self.wf.deploy(compile_backend_binding(&name, &native, BindingRole::Responder)?);
-        self.wf.deploy(compile_backend_binding(&name, &native, BindingRole::Initiator)?);
+        let responder = compile_backend_binding(&name, &native, BindingRole::Responder)?;
+        let initiator = compile_backend_binding(&name, &native, BindingRole::Initiator)?;
+        let types =
+            BindingTypes { responder: responder.id().clone(), initiator: initiator.id().clone() };
+        self.wf.deploy(responder);
+        self.wf.deploy(initiator);
+        self.backend_bindings.insert(name.clone(), types);
         self.backends.insert(name, app);
         Ok(())
     }
@@ -477,8 +504,17 @@ impl IntegrationEngine {
             )));
         };
         self.wf.deploy(compile_public(def)?);
-        self.wf.deploy(compile_wire_binding(&agreement.format, BindingRole::Responder)?);
-        self.wf.deploy(compile_wire_binding(&agreement.format, BindingRole::Initiator)?);
+        if !self.wire_bindings.contains_key(&agreement.format) {
+            let responder = compile_wire_binding(&agreement.format, BindingRole::Responder)?;
+            let initiator = compile_wire_binding(&agreement.format, BindingRole::Initiator)?;
+            let types = BindingTypes {
+                responder: responder.id().clone(),
+                initiator: initiator.id().clone(),
+            };
+            self.wf.deploy(responder);
+            self.wf.deploy(initiator);
+            self.wire_bindings.insert(agreement.format.clone(), types);
+        }
         self.public_types.insert(agreement.id.clone(), public_type_id(&def.id));
         // A WaitReceipt step bounds how long this side is willing to wait
         // for transport acknowledgment: map the tightest one onto a
@@ -501,7 +537,7 @@ impl IntegrationEngine {
     /// Replaces the responder private process (the Section 4.5 audit-step
     /// change enters through here).
     pub fn replace_responder_private(&mut self, wf: WorkflowType) -> Result<()> {
-        if wf.id() != &responder_private_id() {
+        if wf.id() != responder_private_id() {
             return Err(IntegrationError::Config(format!(
                 "expected type `{}`, got `{}`",
                 responder_private_id(),
@@ -515,7 +551,7 @@ impl IntegrationEngine {
     /// Hash of the deployed responder private process — the change
     /// experiments compare this across configuration changes.
     pub fn responder_private_hash(&self) -> Result<u64> {
-        Ok(self.wf.db().get_type(&responder_private_id())?.definition_hash())
+        Ok(self.wf.db().get_type(responder_private_id())?.definition_hash())
     }
 
     /// Read access to a back end (assertions).
@@ -547,48 +583,40 @@ impl IntegrationEngine {
     /// the bulk-traffic shape the pool-batched emit path (PR 10) is
     /// built for.
     pub fn initiate_deferred(&mut self, agreement_id: &str, po: Document) -> Result<CorrelationId> {
+        let not_installed =
+            || IntegrationError::Config(format!("agreement `{agreement_id}` not installed"));
         let agreement = self
             .agreements
             .get(agreement_id)
-            .ok_or_else(|| IntegrationError::Config(format!("no agreement `{agreement_id}`")))?
-            .clone();
-        let partner = agreement.counterparty(&self.name)?.to_string();
-        let public_type = self
-            .public_types
-            .get(agreement_id)
-            .ok_or_else(|| {
-                IntegrationError::Config(format!("agreement `{agreement_id}` not installed"))
-            })?
-            .clone();
+            .ok_or_else(|| IntegrationError::Config(format!("no agreement `{agreement_id}`")))?;
+        let partner = agreement.counterparty(&self.name)?;
+        let public_type = self.public_types.get(agreement_id).ok_or_else(not_installed)?;
+        let binding_type = self
+            .wire_bindings
+            .get(&agreement.format)
+            .ok_or_else(not_installed)?
+            .for_role(BindingRole::Initiator);
         let correlation = po.correlation().clone();
-        let backend = self.select_backend(&partner, &po)?;
+        let backend = self.select_backend(partner, &po)?;
         let private_type = Self::initiator_private_for(po.kind())?;
 
-        let public =
-            self.wf.create_instance(&public_type, BTreeMap::new(), &partner, &self.name)?;
-        let binding = self.wf.create_instance(
-            &wire_binding_type_id(&agreement.format, BindingRole::Initiator),
-            BTreeMap::new(),
-            &partner,
-            &self.name,
-        )?;
+        let public = self.wf.create_instance(public_type, BTreeMap::new(), partner, &self.name)?;
+        let binding =
+            self.wf.create_instance(binding_type, BTreeMap::new(), partner, &self.name)?;
         let mut vars = BTreeMap::new();
         vars.insert("po".to_string(), Variable::Document(po));
-        let target = backend.clone().unwrap_or_else(|| self.name.clone());
-        let private = self.wf.create_instance(&private_type, vars, &partner, &target)?;
+        let target = backend.as_deref().unwrap_or(&self.name);
+        let private = self.wf.create_instance(private_type, vars, partner, target)?;
 
-        self.table.insert(Session {
-            correlation: correlation.as_str().into(),
-            agreement_id: agreement_id.into(),
+        self.table.insert(NewSession {
+            correlation: correlation.as_str(),
+            agreement_id,
             role: BindingRole::Initiator,
-            partner: partner.into(),
+            partner,
             public,
             binding,
             private: Some(private),
-            backend_binding: None,
-            backend: backend.map(Into::into),
-            failure: None,
-            notified: false,
+            backend: backend.as_deref(),
         });
         self.stats.sessions_started += 1;
 

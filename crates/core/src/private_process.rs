@@ -11,7 +11,7 @@ use crate::channels;
 use crate::error::Result;
 use b2b_rules::approval::CHECK_NEED_FOR_APPROVAL;
 use b2b_wfms::{Activity, ActivityContext, StepDef, WorkflowBuilder, WorkflowType, WorkflowTypeId};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Activity name of the approval step.
 pub const APPROVE_ACTIVITY: &str = "approve-po";
@@ -25,24 +25,32 @@ pub const RECORD_QUOTE_ACTIVITY: &str = "record-quote";
 pub const QUOTE_PRICE_RULE: &str = "quote-price";
 
 /// Type id of the responder (seller-side) private process.
-pub fn responder_private_id() -> WorkflowTypeId {
-    WorkflowTypeId::new("private:order-processing")
+pub fn responder_private_id() -> &'static WorkflowTypeId {
+    static ID: LazyLock<WorkflowTypeId> =
+        LazyLock::new(|| WorkflowTypeId::new("private:order-processing"));
+    &ID
 }
 
 /// Type id of the initiator (buyer-side) private process.
-pub fn initiator_private_id() -> WorkflowTypeId {
-    WorkflowTypeId::new("private:po-submission")
+pub fn initiator_private_id() -> &'static WorkflowTypeId {
+    static ID: LazyLock<WorkflowTypeId> =
+        LazyLock::new(|| WorkflowTypeId::new("private:po-submission"));
+    &ID
 }
 
 /// Type id of the responder private process for RFQs (Section 2.3's
 /// quote example).
-pub fn quote_generation_id() -> WorkflowTypeId {
-    WorkflowTypeId::new("private:quote-generation")
+pub fn quote_generation_id() -> &'static WorkflowTypeId {
+    static ID: LazyLock<WorkflowTypeId> =
+        LazyLock::new(|| WorkflowTypeId::new("private:quote-generation"));
+    &ID
 }
 
 /// Type id of the initiator private process for RFQs.
-pub fn rfq_submission_id() -> WorkflowTypeId {
-    WorkflowTypeId::new("private:rfq-submission")
+pub fn rfq_submission_id() -> &'static WorkflowTypeId {
+    static ID: LazyLock<WorkflowTypeId> =
+        LazyLock::new(|| WorkflowTypeId::new("private:rfq-submission"));
+    &ID
 }
 
 /// Builds the seller-side private process of Figure 13/14:

@@ -48,11 +48,13 @@ impl IntegrationEngine {
     /// timers (where the time went).
     pub fn pump(&mut self, net: &mut SimNetwork) -> Result<()> {
         self.profile.counters.pumps += 1;
-        // Stage 0: let protocol timers (receipt deadlines, timeouts) fire,
-        // and promote expired `Open` breakers to `HalfOpen` at a fixed
-        // point in the pipeline (never lazily mid-stage) so breaker state
-        // is a pure function of the trace.
-        self.wf.advance_time(net.now())?;
+        // Stage 0: let protocol timers (receipt deadlines, timeouts) fall
+        // due — their instances only become runnable here and execute in
+        // the sharded settle of stage 3, together with any deferred
+        // initiation wave — and promote expired `Open` breakers to
+        // `HalfOpen` at a fixed point in the pipeline (never lazily
+        // mid-stage) so breaker state is a pure function of the trace.
+        self.wf.advance_clock(net.now())?;
         self.health.advance(net.now());
 
         // Stage 1: the edge drains the wire and classifies traffic.

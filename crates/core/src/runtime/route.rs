@@ -8,7 +8,7 @@
 //! ([`b2b_wfms::Engine::schedule`]); the execute stage settles them, in
 //! parallel, afterwards.
 
-use crate::binding::{backend_binding_type_id, wire_binding_type_id, BindingRole};
+use crate::binding::BindingRole;
 use crate::channels;
 use crate::deadletter::DeadLetterReason;
 use crate::engine::{IntegrationEngine, PendingSend, WireOwners, SELECT_BACKEND_RULE};
@@ -17,7 +17,7 @@ use crate::private_process::{
     initiator_private_id, quote_generation_id, responder_private_id, rfq_submission_id,
 };
 use crate::runtime::edge::Edge;
-use crate::session::Session;
+use crate::session::NewSession;
 use b2b_document::{CorrelationId, DocKind, Document};
 use b2b_network::{Envelope, SimNetwork};
 use b2b_wfms::{ChannelId, InstanceId, WorkflowTypeId};
@@ -266,19 +266,15 @@ impl IntegrationEngine {
         self.health.record_success(&partner);
         if let Some(index) = self.table.index_of(&correlation, &partner) {
             let public = self.table.session(index).public;
-            self.wf.enqueue_to(public, &channels::wire_in(), doc)?;
+            self.wf.enqueue_to(public, channels::wire_in(), doc)?;
             self.profile.counters.routed_documents += 1;
             return Ok(());
         }
         // New inbound interaction: find the agreement for (partner, format)
         // where we respond.
-        let agreement = self
-            .agreements
-            .values()
-            .find(|a| {
-                a.format == envelope.format && a.responder == self.name && a.initiator == partner
-            })
-            .cloned();
+        let agreement = self.agreements.values().find(|a| {
+            a.format == envelope.format && a.responder == self.name && a.initiator == partner
+        });
         let Some(agreement) = agreement else {
             self.stats.unroutable += 1;
             self.quarantine(
@@ -304,32 +300,25 @@ impl IntegrationEngine {
             );
             return Ok(());
         }
-        let public_type = self.public_types[&agreement.id].clone();
-        let public =
-            self.wf.create_instance(&public_type, BTreeMap::new(), &partner, &self.name)?;
-        let binding = self.wf.create_instance(
-            &wire_binding_type_id(&agreement.format, BindingRole::Responder),
-            BTreeMap::new(),
-            &partner,
-            &self.name,
-        )?;
-        self.table.insert(Session {
-            correlation: correlation.as_str().into(),
-            agreement_id: agreement.id.as_str().into(),
+        let public_type = &self.public_types[&agreement.id];
+        let binding_type = self.wire_bindings[&agreement.format].for_role(BindingRole::Responder);
+        let public = self.wf.create_instance(public_type, BTreeMap::new(), &partner, &self.name)?;
+        let binding =
+            self.wf.create_instance(binding_type, BTreeMap::new(), &partner, &self.name)?;
+        self.table.insert(NewSession {
+            correlation: correlation.as_str(),
+            agreement_id: &agreement.id,
             role: BindingRole::Responder,
-            partner: partner.into(),
+            partner: &partner,
             public,
             binding,
             private: None,
-            backend_binding: None,
             backend: None,
-            failure: None,
-            notified: false,
         });
         self.stats.sessions_started += 1;
         self.wf.schedule(public);
         self.wf.schedule(binding);
-        self.wf.enqueue_to(public, &channels::wire_in(), doc)?;
+        self.wf.enqueue_to(public, channels::wire_in(), doc)?;
         self.profile.counters.routed_documents += 1;
         Ok(())
     }
@@ -349,7 +338,7 @@ impl IntegrationEngine {
                     self.stats.unroutable += 1;
                     continue;
                 };
-                self.wf.enqueue_to(bb, &channels::from_app(), poa)?;
+                self.wf.enqueue_to(bb, channels::from_app(), poa)?;
                 self.profile.counters.routed_documents += 1;
             }
         }
@@ -386,7 +375,7 @@ impl IntegrationEngine {
             // Public process → binding.
             "to-binding" => {
                 let binding = self.table.session(index).binding;
-                self.wf.enqueue_to(binding, &channels::from_public(), doc)?;
+                self.wf.enqueue_to(binding, channels::from_public(), doc)?;
             }
             // Public process → wire.
             "wire:out" => {
@@ -475,7 +464,7 @@ impl IntegrationEngine {
                         let target = backend.clone().unwrap_or_else(|| self.name.clone());
                         let private_type = Self::responder_private_for(doc.kind())?;
                         let id = self.wf.create_instance(
-                            &private_type,
+                            private_type,
                             BTreeMap::new(),
                             &partner,
                             &target,
@@ -485,17 +474,17 @@ impl IntegrationEngine {
                         id
                     }
                 };
-                self.wf.enqueue_to(private, &channels::private_in(), doc)?;
+                self.wf.enqueue_to(private, channels::private_in(), doc)?;
             }
             // Binding → public process.
             "to-public" => {
                 let public = self.table.session(index).public;
-                self.wf.enqueue_to(public, &channels::from_binding(), doc)?;
+                self.wf.enqueue_to(public, channels::from_binding(), doc)?;
             }
             // Private process → binding.
             "out" => {
                 let binding = self.table.session(index).binding;
-                self.wf.enqueue_to(binding, &channels::from_private(), doc)?;
+                self.wf.enqueue_to(binding, channels::from_private(), doc)?;
             }
             // Private process → back-end binding.
             "to-backend" => {
@@ -508,12 +497,16 @@ impl IntegrationEngine {
                             }
                             .into());
                         };
-                        let role = self.table.session(index).role;
-                        let partner = self.table.session(index).partner.clone();
+                        let session = self.table.session(index);
+                        let binding_type = self
+                            .backend_bindings
+                            .get(&*backend)
+                            .expect("session backend validated at selection")
+                            .for_role(session.role);
                         let id = self.wf.create_instance(
-                            &backend_binding_type_id(&backend, role),
+                            binding_type,
                             BTreeMap::new(),
-                            &partner,
+                            &session.partner,
                             &backend,
                         )?;
                         self.table.set_backend_binding(index, id);
@@ -521,7 +514,7 @@ impl IntegrationEngine {
                         id
                     }
                 };
-                self.wf.enqueue_to(bb, &channels::from_private(), doc)?;
+                self.wf.enqueue_to(bb, channels::from_private(), doc)?;
             }
             // Back-end binding → application process.
             "to-app" => {
@@ -538,7 +531,7 @@ impl IntegrationEngine {
                 let Some(private) = self.table.session(index).private else {
                     return Err(RouteError::MissingPrivate.into());
                 };
-                self.wf.enqueue_to(private, &channels::from_backend(), doc)?;
+                self.wf.enqueue_to(private, channels::from_backend(), doc)?;
             }
             other => {
                 return Err(RouteError::UnknownChannel {
@@ -638,7 +631,7 @@ impl IntegrationEngine {
         Ok(())
     }
 
-    pub(crate) fn initiator_private_for(kind: DocKind) -> Result<WorkflowTypeId> {
+    pub(crate) fn initiator_private_for(kind: DocKind) -> Result<&'static WorkflowTypeId> {
         match kind {
             DocKind::PurchaseOrder => Ok(initiator_private_id()),
             DocKind::RequestForQuote => Ok(rfq_submission_id()),
@@ -648,7 +641,7 @@ impl IntegrationEngine {
         }
     }
 
-    pub(crate) fn responder_private_for(kind: DocKind) -> Result<WorkflowTypeId> {
+    pub(crate) fn responder_private_for(kind: DocKind) -> Result<&'static WorkflowTypeId> {
         match kind {
             DocKind::PurchaseOrder => Ok(responder_private_id()),
             DocKind::RequestForQuote => Ok(quote_generation_id()),

@@ -74,6 +74,20 @@ pub(crate) struct Session {
     pub notified: bool,
 }
 
+/// A session about to be inserted, its identity strings borrowed:
+/// [`SessionTable::insert`] interns them, so creating a session allocates
+/// no string that the table already holds.
+pub(crate) struct NewSession<'a> {
+    pub correlation: &'a str,
+    pub agreement_id: &'a str,
+    pub role: BindingRole,
+    pub partner: &'a str,
+    pub public: InstanceId,
+    pub binding: InstanceId,
+    pub private: Option<InstanceId>,
+    pub backend: Option<&'a str>,
+}
+
 /// Per-correlation aggregate counters plus the member slice.
 #[derive(Debug, Default)]
 struct Group {
@@ -172,17 +186,24 @@ impl SessionTable {
 
     /// Adds a session (cached state starts `InProgress`), interning its
     /// identity strings and registering its instances; returns its index.
-    pub fn insert(&mut self, mut session: Session) -> usize {
+    pub fn insert(&mut self, new: NewSession<'_>) -> usize {
         let index = self.sessions.len();
         let slot = u32::try_from(index).expect("session table overflow");
-        let (corr_sym, corr) = self.corrs.intern(&session.correlation);
-        session.correlation = corr;
-        let (partner_sym, partner) = self.partners.intern(&session.partner);
-        session.partner = partner;
-        session.agreement_id = self.misc.intern(&session.agreement_id).1;
-        if let Some(backend) = session.backend.take() {
-            session.backend = Some(self.misc.intern(&backend).1);
-        }
+        let (corr_sym, correlation) = self.corrs.intern(new.correlation);
+        let (partner_sym, partner) = self.partners.intern(new.partner);
+        let session = Session {
+            correlation,
+            agreement_id: self.misc.intern(new.agreement_id).1,
+            role: new.role,
+            partner,
+            public: new.public,
+            binding: new.binding,
+            private: new.private,
+            backend_binding: None,
+            backend: new.backend.map(|b| self.misc.intern(b).1),
+            failure: None,
+            notified: false,
+        };
         // Streaming FNV-1a over "corr\0partner" — byte-identical to the
         // historical `checksum_of(format!(…))`, without the temporary.
         let seed = {
@@ -476,19 +497,16 @@ fn compute_state(session: &Session, wf: &WfEngine) -> SessionState {
 mod tests {
     use super::*;
 
-    fn session(corr: &str, partner: &str, first_instance: u64) -> Session {
-        Session {
-            correlation: corr.into(),
-            agreement_id: "tpa".into(),
+    fn session<'a>(corr: &'a str, partner: &'a str, first_instance: u64) -> NewSession<'a> {
+        NewSession {
+            correlation: corr,
+            agreement_id: "tpa",
             role: BindingRole::Initiator,
-            partner: partner.into(),
+            partner,
             public: InstanceId::new(first_instance),
             binding: InstanceId::new(first_instance + 1),
             private: Some(InstanceId::new(first_instance + 2)),
-            backend_binding: None,
             backend: None,
-            failure: None,
-            notified: false,
         }
     }
 

@@ -175,14 +175,4 @@ mod tests {
         let back: Symbol = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
     }
-
-    #[test]
-    fn repeat_interning_does_not_grow_table() {
-        intern("stable_key");
-        let before = interned_count();
-        for _ in 0..64 {
-            intern("stable_key");
-        }
-        assert_eq!(interned_count(), before);
-    }
 }

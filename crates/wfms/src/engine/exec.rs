@@ -1,13 +1,14 @@
 //! The shard-executable step interpreter.
 //!
 //! Workflow interpretation is split into a shared, read-only execution
-//! environment ([`ExecEnv`]: types, activities, rules, transformations)
-//! and mutable per-shard state ([`ShardSlice`]: a disjoint set of
-//! instances plus the volatile queues that feed them). Because a step
-//! only ever borrows `&WorkflowType` from the environment and `&mut`
-//! state of its own shard, independent shards execute on separate
-//! workers without synchronization; the engine merges their results
-//! deterministically afterwards.
+//! environment ([`ExecEnv`]: compiled programs, activities, rules,
+//! transformations) and mutable per-shard state ([`ShardSlice`]: a
+//! disjoint set of instances plus the volatile queues that feed them).
+//! Each instance carries an `Arc` of the [`Program`] it runs, so a step
+//! reads its definition, edge lists and receive index by ordinal and
+//! only ever mutates state of its own shard: independent shards execute
+//! on separate workers without synchronization, and the engine merges
+//! their results deterministically afterwards.
 //!
 //! Everything that crosses shard boundaries — subworkflow spawns (which
 //! need the shared instance-id counter) and parent completions (the
@@ -15,18 +16,16 @@
 //! resolved by the engine between settle rounds, in a canonical order
 //! that does not depend on how instances were partitioned.
 
-use super::instance::{EdgeState, InstanceStatus, StepState, Variable, WorkflowInstance};
+use super::instance::{EdgeState, InstanceStatus, States, StepState, Variable, WorkflowInstance};
+use super::program::{Program, StepRef};
 use super::{Activity, ActivityContext, RemoteSubRequest};
 use crate::error::{Result, WfError};
 use crate::history::{HistoryEvent, HistoryKind};
-use crate::model::{
-    ChannelId, InstanceId, StepDef, StepId, StepKind, WorkflowType, WorkflowTypeId,
-};
+use crate::model::{ChannelId, InstanceId, StepKind, WorkflowTypeId};
 use b2b_document::Document;
 use b2b_network::SimTime;
 use b2b_rules::{RuleError, RuleRegistry};
 use b2b_transform::{TransformContext, TransformRegistry};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -72,17 +71,17 @@ pub(crate) enum ExecOutcome {
 /// counter is only touched between settle rounds.
 pub(crate) struct SpawnRequest {
     pub parent: InstanceId,
-    pub step: StepId,
+    pub step: StepRef,
     pub workflow: WorkflowTypeId,
     pub vars: BTreeMap<String, Variable>,
-    pub source: String,
-    pub target: String,
+    pub source: Arc<str>,
+    pub target: Arc<str>,
 }
 
 /// A child completion whose parent was not in the executing shard.
 pub(crate) struct ParentFinish {
     pub parent: InstanceId,
-    pub step: StepId,
+    pub step: StepRef,
     pub vars: BTreeMap<String, Variable>,
     pub failure: Option<String>,
 }
@@ -90,11 +89,10 @@ pub(crate) struct ParentFinish {
 /// The shared, read-only half of the interpreter: everything a step
 /// needs that is code or configuration rather than instance state.
 pub(crate) struct ExecEnv<'a> {
-    pub types: &'a BTreeMap<WorkflowTypeId, WorkflowType>,
+    pub types: &'a BTreeMap<WorkflowTypeId, Arc<Program>>,
     pub activities: &'a BTreeMap<String, Arc<dyn Activity>>,
     pub rules: &'a RuleRegistry,
     pub transforms: &'a TransformRegistry,
-    pub carry_types: bool,
     pub now: SimTime,
 }
 
@@ -110,15 +108,19 @@ pub(crate) struct VolatileState {
     pub channel_queues: BTreeMap<ChannelId, VecDeque<Arc<Document>>>,
     /// Per-instance directed queues (session-scoped routing), grouped by
     /// receiving instance so a settle round can move one instance's whole
-    /// queue set in a single `remove`/`insert` — the population-scale
-    /// partition never clones a channel key.
+    /// queue set in a single `remove`/`insert`.
     pub directed_queues: BTreeMap<InstanceId, BTreeMap<ChannelId, VecDeque<Arc<Document>>>>,
-    /// Instances blocked on a channel, FIFO per channel.
-    pub waiters: BTreeMap<ChannelId, VecDeque<(InstanceId, StepId)>>,
+    /// Receive steps blocked on a channel, FIFO per channel. A directed
+    /// delivery leaves its receiver's entry behind (finding it would cost
+    /// a queue scan); matching skips such stale entries, and the engine
+    /// compacts them away once they are half the queue.
+    pub waiters: BTreeMap<ChannelId, VecDeque<(InstanceId, StepRef)>>,
+    /// Waiter entries whose receive no longer waits.
+    pub stale_waiters: usize,
     /// Documents emitted by send steps, drained by the host.
     pub outbox: Vec<(InstanceId, ChannelId, Arc<Document>)>,
     /// Pending timers.
-    pub timers: Vec<(SimTime, InstanceId, StepId)>,
+    pub timers: Vec<(SimTime, InstanceId, StepRef)>,
     /// Subworkflows delegated to remote engines.
     pub remote_requests: Vec<RemoteSubRequest>,
     /// Instances ready to run.
@@ -154,6 +156,15 @@ pub(crate) struct ExecCtx<'a> {
     pub vol: &'a mut VolatileState,
 }
 
+/// The parts of an instance a step body reads and writes (everything but
+/// its program and states, which the caller keeps borrowed).
+struct Local<'i> {
+    id: InstanceId,
+    vars: &'i mut BTreeMap<String, Variable>,
+    source: &'i Arc<str>,
+    target: &'i Arc<str>,
+}
+
 pub(crate) fn record(
     vol: &mut VolatileState,
     now: SimTime,
@@ -169,31 +180,6 @@ fn take_instance(
     id: InstanceId,
 ) -> Result<WorkflowInstance> {
     instances.remove(&id).ok_or(WfError::UnknownInstance { instance: id.value() })
-}
-
-fn get_instance(
-    instances: &BTreeMap<InstanceId, WorkflowInstance>,
-    id: InstanceId,
-) -> Result<&WorkflowInstance> {
-    instances.get(&id).ok_or(WfError::UnknownInstance { instance: id.value() })
-}
-
-/// Resolves the workflow type an instance executes. Borrowed straight
-/// from the environment on the common path; carried types are cloned out
-/// of the instance (carry mode is a migration ablation, and the instance
-/// is mutated while the type is held).
-pub(crate) fn type_for<'e>(
-    env: &ExecEnv<'e>,
-    inst: &WorkflowInstance,
-) -> Result<Cow<'e, WorkflowType>> {
-    if let Some(t) = &inst.carried_type {
-        Ok(Cow::Owned(t.clone()))
-    } else {
-        env.types
-            .get(&inst.type_id)
-            .map(Cow::Borrowed)
-            .ok_or_else(|| WfError::UnknownType { workflow: inst.type_id.to_string() })
-    }
 }
 
 /// Takes a document out of its `Arc`: free when the reference is unique
@@ -216,61 +202,88 @@ pub(crate) fn run_one(ctx: &mut ExecCtx<'_>, id: InstanceId) -> Result<()> {
         ctx.instances.insert(id, inst);
         return Ok(());
     }
-    let env = ctx.env;
-    let wf = match type_for(env, &inst) {
-        Ok(wf) => wf,
-        Err(e) => {
-            ctx.instances.insert(id, inst);
-            return Err(e);
-        }
+    run_steps(ctx, &mut inst);
+    if inst.status == InstanceStatus::Running && inst.all_steps_resolved() {
+        inst.status = InstanceStatus::Completed;
+        record(ctx.vol, ctx.env.now, id, HistoryKind::InstanceCompleted);
+    }
+    let parent = inst.parent;
+    // The variable snapshot is only handed to a parent on completion;
+    // every other exit keeps the (potentially large) map un-copied.
+    let finish = match (&parent, &inst.status) {
+        (Some(_), InstanceStatus::Completed) => Some((inst.vars.clone(), None)),
+        (Some(_), InstanceStatus::Failed(reason)) => Some((BTreeMap::new(), Some(reason.clone()))),
+        _ => None,
     };
+    ctx.instances.insert(id, inst);
+    if let (Some((parent_id, parent_step)), Some((vars, failure))) = (parent, finish) {
+        finish_parent(ctx, parent_id, parent_step, vars, failure)?;
+    }
+    Ok(())
+}
+
+/// Executes every ready step of a running instance until it blocks,
+/// finishes, or fails: a step is ready once all its incoming edges are
+/// resolved, and runs if one of them carried a token (dead-path
+/// elimination skips it otherwise).
+fn run_steps(ctx: &mut ExecCtx<'_>, inst: &mut WorkflowInstance) {
+    let now = ctx.env.now;
+    let WorkflowInstance { id, status, vars, program, states, source, target, .. } = inst;
+    let (id, program) = (*id, &**program);
     loop {
-        if inst.status != InstanceStatus::Running {
+        if *status != InstanceStatus::Running {
             break;
         }
         let mut progressed = false;
-        for step in wf.steps() {
-            if inst.step_state(&step.id) != StepState::Pending {
+        for ix in 0..program.step_count() {
+            if states.step(ix) != StepState::Pending {
                 continue;
             }
-            let incoming = wf.incoming(&step.id);
-            let resolved = incoming.iter().all(|i| inst.edge_states[*i] != EdgeState::Unresolved);
-            if !resolved {
-                continue;
-            }
-            let has_token = incoming.is_empty()
-                || incoming.iter().any(|i| inst.edge_states[*i] == EdgeState::Taken);
-            if !has_token {
-                // Dead path: skip and kill outgoing edges.
-                inst.step_states.insert(step.id.clone(), StepState::Skipped);
-                for i in wf.outgoing(&step.id) {
-                    inst.edge_states[i] = EdgeState::Dead;
-                }
-                record(ctx.vol, ctx.env.now, id, HistoryKind::StepSkipped(step.id.clone()));
-                progressed = true;
+            let incoming = program.incoming(ix);
+            if incoming.iter().any(|&e| states.edge(e) == EdgeState::Unresolved) {
                 continue;
             }
             progressed = true;
-            match execute_step(ctx, &mut inst, step) {
+            let step = program.step(ix);
+            let has_token =
+                incoming.is_empty() || incoming.iter().any(|&e| states.edge(e) == EdgeState::Taken);
+            if !has_token {
+                // Dead path: skip and kill outgoing edges.
+                states.set_step(ix, StepState::Skipped);
+                for &e in program.outgoing(ix) {
+                    states.set_edge(e, EdgeState::Dead);
+                }
+                record(ctx.vol, now, id, HistoryKind::StepSkipped(step.id.clone()));
+                continue;
+            }
+            let local = Local { id, vars, source, target };
+            match execute_step(ctx, local, program, ix) {
                 ExecOutcome::Completed => {
                     ctx.vol.stats.steps_executed += 1;
-                    if let Err(reason) =
-                        mark_completed(&mut inst, &wf, &step.id, &mut ctx.vol.stats)
-                    {
-                        inst.status = InstanceStatus::Failed(reason.clone());
-                        record(ctx.vol, ctx.env.now, id, HistoryKind::InstanceFailed(reason));
+                    let resolved = mark_completed(
+                        program,
+                        ix,
+                        states,
+                        vars,
+                        source,
+                        target,
+                        &mut ctx.vol.stats,
+                    );
+                    if let Err(reason) = resolved {
+                        *status = InstanceStatus::Failed(reason.clone());
+                        record(ctx.vol, now, id, HistoryKind::InstanceFailed(reason));
                         break;
                     }
-                    record(ctx.vol, ctx.env.now, id, HistoryKind::StepCompleted(step.id.clone()));
+                    record(ctx.vol, now, id, HistoryKind::StepCompleted(step.id.clone()));
                 }
                 ExecOutcome::Waiting => {
-                    inst.step_states.insert(step.id.clone(), StepState::Waiting);
-                    record(ctx.vol, ctx.env.now, id, HistoryKind::StepWaiting(step.id.clone()));
+                    states.set_step(ix, StepState::Waiting);
+                    record(ctx.vol, now, id, HistoryKind::StepWaiting(step.id.clone()));
                 }
                 ExecOutcome::Failed(reason) => {
                     let reason = format!("step `{}`: {reason}", step.id);
-                    inst.status = InstanceStatus::Failed(reason.clone());
-                    record(ctx.vol, ctx.env.now, id, HistoryKind::InstanceFailed(reason));
+                    *status = InstanceStatus::Failed(reason.clone());
+                    record(ctx.vol, now, id, HistoryKind::InstanceFailed(reason));
                     break;
                 }
             }
@@ -279,44 +292,24 @@ pub(crate) fn run_one(ctx: &mut ExecCtx<'_>, id: InstanceId) -> Result<()> {
             break;
         }
     }
-    if inst.status == InstanceStatus::Running && inst.all_steps_resolved() {
-        inst.status = InstanceStatus::Completed;
-        record(ctx.vol, ctx.env.now, id, HistoryKind::InstanceCompleted);
-    }
-    let status = inst.status.clone();
-    let parent = inst.parent.clone();
-    // The variable snapshot is only handed to a parent on completion;
-    // every other exit keeps the (potentially large) map un-copied.
-    let vars = match (&parent, &status) {
-        (Some(_), InstanceStatus::Completed) => inst.vars.clone(),
-        _ => BTreeMap::new(),
-    };
-    ctx.instances.insert(id, inst);
-    if let Some((parent_id, parent_step)) = parent {
-        match status {
-            InstanceStatus::Completed => {
-                finish_parent(ctx, parent_id, &parent_step, vars, None)?;
-            }
-            InstanceStatus::Failed(reason) => {
-                finish_parent(ctx, parent_id, &parent_step, BTreeMap::new(), Some(reason))?;
-            }
-            InstanceStatus::Running => {}
-        }
-    }
-    Ok(())
 }
 
-fn execute_step(ctx: &mut ExecCtx<'_>, inst: &mut WorkflowInstance, step: &StepDef) -> ExecOutcome {
-    match &step.kind {
+fn execute_step(
+    ctx: &mut ExecCtx<'_>,
+    inst: Local<'_>,
+    program: &Program,
+    ix: usize,
+) -> ExecOutcome {
+    match &program.step(ix).kind {
         StepKind::NoOp => ExecOutcome::Completed,
         StepKind::Activity { activity } => {
             let Some(implementation) = ctx.env.activities.get(activity).cloned() else {
                 return ExecOutcome::Failed(format!("unknown activity `{activity}`"));
             };
             let mut actx = ActivityContext {
-                vars: &mut inst.vars,
-                source: &inst.source,
-                target: &inst.target,
+                vars: inst.vars,
+                source: inst.source,
+                target: inst.target,
                 now: ctx.env.now,
             };
             match implementation.execute(&mut actx) {
@@ -330,7 +323,7 @@ fn execute_step(ctx: &mut ExecCtx<'_>, inst: &mut WorkflowInstance, step: &StepD
             // the document, so no copy is needed.
             let result = match inst.vars.get(doc_var) {
                 Some(Variable::Document(d)) => {
-                    ctx.env.rules.invoke(function, &inst.source, &inst.target, d)
+                    ctx.env.rules.invoke(function, inst.source, inst.target, d)
                 }
                 _ => {
                     return ExecOutcome::Failed(format!(
@@ -359,9 +352,9 @@ fn execute_step(ctx: &mut ExecCtx<'_>, inst: &mut WorkflowInstance, step: &StepD
                     // (rule-context target) is the wire-level sender.
                     let outbound = d.format() == &b2b_document::FormatId::NORMALIZED;
                     let (sender, receiver) = if outbound {
-                        (inst.target.as_str(), inst.source.as_str())
+                        (&**inst.target, &**inst.source)
                     } else {
-                        (inst.source.as_str(), inst.target.as_str())
+                        (&**inst.source, &**inst.target)
                     };
                     let tctx = TransformContext::new(
                         sender,
@@ -415,24 +408,24 @@ fn execute_step(ctx: &mut ExecCtx<'_>, inst: &mut WorkflowInstance, step: &StepD
                     .waiters
                     .entry(channel.clone())
                     .or_default()
-                    .push_back((inst.id, step.id.clone()));
+                    .push_back((inst.id, program.step_ref(ix)));
                 ExecOutcome::Waiting
             }
         }
         StepKind::Timer { delay_ms } => {
-            ctx.vol.timers.push((ctx.env.now + *delay_ms, inst.id, step.id.clone()));
+            ctx.vol.timers.push((ctx.env.now + *delay_ms, inst.id, program.step_ref(ix)));
             ExecOutcome::Waiting
         }
         StepKind::Subworkflow { workflow, remote } => {
             if let Some(engine) = remote {
                 ctx.vol.remote_requests.push(RemoteSubRequest {
                     parent_instance: inst.id,
-                    step: step.id.clone(),
+                    step: program.step(ix).id.clone(),
                     engine: engine.clone(),
                     workflow: workflow.clone(),
                     vars: inst.vars.clone(),
-                    source: inst.source.clone(),
-                    target: inst.target.clone(),
+                    source: inst.source.to_string(),
+                    target: inst.target.to_string(),
                 });
                 return ExecOutcome::Waiting;
             }
@@ -442,33 +435,29 @@ fn execute_step(ctx: &mut ExecCtx<'_>, inst: &mut WorkflowInstance, step: &StepD
                 // spawns between rounds in canonical order.
                 ctx.vol.spawns.push(SpawnRequest {
                     parent: inst.id,
-                    step: step.id.clone(),
+                    step: program.step_ref(ix),
                     workflow: workflow.clone(),
                     vars: inst.vars.clone(),
-                    source: inst.source.clone(),
-                    target: inst.target.clone(),
+                    source: Arc::clone(inst.source),
+                    target: Arc::clone(inst.target),
                 });
                 return ExecOutcome::Waiting;
             };
-            let sub_wf = match ctx.env.types.get(workflow) {
-                Some(wf) => wf.clone(),
-                None => {
-                    return ExecOutcome::Failed(format!(
-                        "subworkflow type `{workflow}` not in database"
-                    ))
-                }
+            let Some(sub) = ctx.env.types.get(workflow) else {
+                return ExecOutcome::Failed(format!(
+                    "subworkflow type `{workflow}` not in database"
+                ));
             };
             let child_id = InstanceId::new(*ids);
             *ids += 1;
             let mut child = WorkflowInstance::new(
                 child_id,
-                &sub_wf,
+                Arc::clone(sub),
                 inst.vars.clone(),
-                &inst.source,
-                &inst.target,
-                ctx.env.carry_types,
+                Arc::clone(inst.source),
+                Arc::clone(inst.target),
             );
-            child.parent = Some((inst.id, step.id.clone()));
+            child.parent = Some((inst.id, program.step_ref(ix)));
             ctx.instances.insert(child_id, child);
             ctx.vol.stats.instances_created += 1;
             record(ctx.vol, ctx.env.now, child_id, HistoryKind::InstanceCreated);
@@ -486,59 +475,66 @@ pub(crate) fn match_waiters(ctx: &mut ExecCtx<'_>, channel: &ChannelId) -> Resul
         if queue_len == 0 {
             return Ok(());
         }
-        let Some((inst_id, step_id)) =
-            ctx.vol.waiters.get_mut(channel).and_then(VecDeque::pop_front)
+        let Some((inst_id, step)) = ctx.vol.waiters.get_mut(channel).and_then(VecDeque::pop_front)
         else {
             return Ok(());
         };
-        // Stale waiter (instance failed or was migrated): drop it.
-        let Ok(inst) = get_instance(ctx.instances, inst_id) else { continue };
-        if inst.step_state(&step_id) != StepState::Waiting {
+        // Stale waiter (served by a directed delivery, or the instance
+        // migrated away): drop it.
+        let receive = ctx
+            .instances
+            .get(&inst_id)
+            .filter(|inst| inst.states.step(step.ix()) == StepState::Waiting)
+            .map(|inst| inst.program.step(step.ix()));
+        let Some(receive) = receive else {
+            ctx.vol.stale_waiters = ctx.vol.stale_waiters.saturating_sub(1);
             continue;
-        }
+        };
+        let (var, step_id) = match &receive.kind {
+            StepKind::Receive { var, .. } => (var.clone(), receive.id.clone()),
+            other => {
+                return Err(WfError::Channel {
+                    channel: channel.to_string(),
+                    reason: format!("waiter step `{}` is a {}", receive.id, other.kind_name()),
+                })
+            }
+        };
         let doc = ctx
             .vol
             .channel_queues
             .get_mut(channel)
             .and_then(VecDeque::pop_front)
             .expect("queue checked non-empty");
-        let var = {
-            let wf = type_for(ctx.env, get_instance(ctx.instances, inst_id)?)?;
-            match &wf.step(&step_id)?.kind {
-                StepKind::Receive { var, .. } => var.clone(),
-                other => {
-                    return Err(WfError::Channel {
-                        channel: channel.to_string(),
-                        reason: format!("waiter step `{step_id}` is a {}", other.kind_name()),
-                    })
-                }
-            }
-        };
         let mut inst = take_instance(ctx.instances, inst_id)?;
         inst.vars.insert(var, Variable::Document(unwrap_doc(doc)));
         ctx.vol.stats.receives += 1;
-        record(ctx.vol, ctx.env.now, inst_id, HistoryKind::Delivered(step_id.clone()));
-        finish_step_and_resume(ctx, inst, &step_id)?;
+        record(ctx.vol, ctx.env.now, inst_id, HistoryKind::Delivered(step_id));
+        finish_step_and_resume(ctx, inst, step.ix())?;
     }
 }
 
+/// Completes a waiting timer step (no-op if the instance is gone or the
+/// step no longer waits).
 pub(crate) fn complete_waiting_step(
     ctx: &mut ExecCtx<'_>,
     inst_id: InstanceId,
-    step_id: &StepId,
+    step: StepRef,
 ) -> Result<()> {
-    let Ok(inst) = get_instance(ctx.instances, inst_id) else { return Ok(()) };
-    if inst.step_state(step_id) != StepState::Waiting {
+    let waiting = ctx
+        .instances
+        .get(&inst_id)
+        .is_some_and(|inst| inst.states.step(step.ix()) == StepState::Waiting);
+    if !waiting {
         return Ok(());
     }
     let inst = take_instance(ctx.instances, inst_id)?;
-    finish_step_and_resume(ctx, inst, step_id)
+    finish_step_and_resume(ctx, inst, step.ix())
 }
 
 pub(crate) fn finish_parent(
     ctx: &mut ExecCtx<'_>,
     parent_id: InstanceId,
-    parent_step: &StepId,
+    parent_step: StepRef,
     child_vars: BTreeMap<String, Variable>,
     failure: Option<String>,
 ) -> Result<()> {
@@ -549,7 +545,7 @@ pub(crate) fn finish_parent(
         // rounds in canonical order.
         ctx.vol.parent_finishes.push(ParentFinish {
             parent: parent_id,
-            step: parent_step.clone(),
+            step: parent_step,
             vars: child_vars,
             failure,
         });
@@ -557,20 +553,21 @@ pub(crate) fn finish_parent(
     }
     if let Some(reason) = failure {
         let mut parent = take_instance(ctx.instances, parent_id)?;
-        let reason = format!("subworkflow at `{parent_step}` failed: {reason}");
+        let step = &parent.program.step(parent_step.ix()).id;
+        let reason = format!("subworkflow at `{step}` failed: {reason}");
         parent.status = InstanceStatus::Failed(reason.clone());
-        let grandparent = parent.parent.clone();
+        let grandparent = parent.parent;
         ctx.instances.insert(parent_id, parent);
         record(ctx.vol, ctx.env.now, parent_id, HistoryKind::InstanceFailed(reason.clone()));
         if let Some((gp_id, gp_step)) = grandparent {
-            finish_parent(ctx, gp_id, &gp_step, BTreeMap::new(), Some(reason))?;
+            finish_parent(ctx, gp_id, gp_step, BTreeMap::new(), Some(reason))?;
         }
         return Ok(());
     }
     let mut parent = take_instance(ctx.instances, parent_id)?;
     parent.vars.extend(child_vars);
     ctx.vol.stats.steps_executed += 1;
-    finish_step_and_resume(ctx, parent, parent_step)
+    finish_step_and_resume(ctx, parent, parent_step.ix())
 }
 
 /// Marks a (previously waiting) step completed on a taken-out instance,
@@ -578,23 +575,21 @@ pub(crate) fn finish_parent(
 pub(crate) fn finish_step_and_resume(
     ctx: &mut ExecCtx<'_>,
     mut inst: WorkflowInstance,
-    step_id: &StepId,
+    ix: usize,
 ) -> Result<()> {
     let id = inst.id;
-    let wf = match type_for(ctx.env, &inst) {
-        Ok(wf) => wf,
-        Err(e) => {
-            ctx.instances.insert(id, inst);
-            return Err(e);
-        }
+    let resolved = {
+        let WorkflowInstance { program, states, vars, source, target, .. } = &mut inst;
+        mark_completed(program, ix, states, vars, source, target, &mut ctx.vol.stats)
     };
-    if let Err(reason) = mark_completed(&mut inst, &wf, step_id, &mut ctx.vol.stats) {
+    if let Err(reason) = resolved {
         inst.status = InstanceStatus::Failed(reason.clone());
         ctx.instances.insert(id, inst);
         record(ctx.vol, ctx.env.now, id, HistoryKind::InstanceFailed(reason));
         return Ok(());
     }
-    record(ctx.vol, ctx.env.now, id, HistoryKind::StepCompleted(step_id.clone()));
+    let step = inst.program.step(ix).id.clone();
+    record(ctx.vol, ctx.env.now, id, HistoryKind::StepCompleted(step));
     ctx.instances.insert(id, inst);
     ctx.vol.runnable.push_back(id);
     Ok(())
@@ -605,11 +600,11 @@ pub(crate) fn finish_step_and_resume(
 pub(crate) fn fail_instance(ctx: &mut ExecCtx<'_>, id: InstanceId, reason: String) -> Result<()> {
     let mut inst = take_instance(ctx.instances, id)?;
     inst.status = InstanceStatus::Failed(reason.clone());
-    let parent = inst.parent.clone();
+    let parent = inst.parent;
     ctx.instances.insert(id, inst);
     record(ctx.vol, ctx.env.now, id, HistoryKind::InstanceFailed(reason.clone()));
     if let Some((p, s)) = parent {
-        finish_parent(ctx, p, &s, BTreeMap::new(), Some(reason))?;
+        finish_parent(ctx, p, s, BTreeMap::new(), Some(reason))?;
     }
     Ok(())
 }
@@ -622,73 +617,39 @@ pub(crate) fn deliver_to(
     channel: &ChannelId,
     doc: Arc<Document>,
 ) -> Result<()> {
-    let running =
-        ctx.instances.get(&instance).map(|i| i.status == InstanceStatus::Running).unwrap_or(false);
-    if !running {
-        return Err(WfError::Channel {
-            channel: channel.to_string(),
-            reason: format!("instance {instance} is not running"),
-        });
-    }
-    // Find whether the instance is currently waiting on this channel, and
-    // which variable its receive step fills (one type lookup for both).
-    let step_waiting = {
-        let inst = get_instance(ctx.instances, instance)?;
-        let wf = type_for(ctx.env, inst)?;
-        wf.steps()
-            .iter()
-            .find(|s| {
-                matches!(&s.kind, StepKind::Receive { channel: c, .. } if c == channel)
-                    && inst.step_state(&s.id) == StepState::Waiting
+    let waiting = match ctx.instances.get(&instance) {
+        Some(inst) if inst.status == InstanceStatus::Running => inst.waiting_receiver(channel),
+        _ => {
+            return Err(WfError::Channel {
+                channel: channel.to_string(),
+                reason: format!("instance {instance} is not running"),
             })
-            .map(|s| match &s.kind {
-                StepKind::Receive { var, .. } => (s.id.clone(), var.clone()),
-                _ => unreachable!("matched receive above"),
-            })
+        }
     };
-    match step_waiting {
-        Some((step_id, var)) => {
-            // Drop the stale global waiter entry for this instance.
-            if let Some(q) = ctx.vol.waiters.get_mut(channel) {
-                q.retain(|(i, s)| !(*i == instance && *s == step_id));
-            }
-            let mut inst = take_instance(ctx.instances, instance)?;
-            inst.vars.insert(var, Variable::Document(unwrap_doc(doc)));
-            ctx.vol.stats.receives += 1;
-            record(ctx.vol, ctx.env.now, instance, HistoryKind::Delivered(step_id.clone()));
-            finish_step_and_resume(ctx, inst, &step_id)?;
-            drain_runnable(ctx)
-        }
-        None => {
-            ctx.vol
-                .directed_queues
-                .entry(instance)
-                .or_default()
-                .entry(channel.clone())
-                .or_default()
-                .push_back(doc);
-            Ok(())
-        }
-    }
-}
-
-/// Whether `id` is currently blocked in a receive step on `channel` —
-/// i.e. a directed document would wake it right now.
-pub(crate) fn receive_waiting(
-    env: &ExecEnv<'_>,
-    instances: &BTreeMap<InstanceId, WorkflowInstance>,
-    id: InstanceId,
-    channel: &ChannelId,
-) -> bool {
-    let Some(inst) = instances.get(&id) else { return false };
-    if inst.status != InstanceStatus::Running {
-        return false;
-    }
-    let Ok(wf) = type_for(env, inst) else { return false };
-    wf.steps().iter().any(|s| {
-        matches!(&s.kind, StepKind::Receive { channel: c, .. } if c == channel)
-            && inst.step_state(&s.id) == StepState::Waiting
-    })
+    let Some(ix) = waiting else {
+        ctx.vol
+            .directed_queues
+            .entry(instance)
+            .or_default()
+            .entry(channel.clone())
+            .or_default()
+            .push_back(doc);
+        return Ok(());
+    };
+    // The receive's waiter entry stays queued (stale) until matching skips
+    // it or the engine compacts the waiter queues.
+    ctx.vol.stale_waiters += 1;
+    let mut inst = take_instance(ctx.instances, instance)?;
+    let step = inst.program.step(ix);
+    let StepKind::Receive { var, .. } = &step.kind else {
+        unreachable!("the receive index holds receive steps only")
+    };
+    let (var, step_id) = (var.clone(), step.id.clone());
+    inst.vars.insert(var, Variable::Document(unwrap_doc(doc)));
+    ctx.vol.stats.receives += 1;
+    record(ctx.vol, ctx.env.now, instance, HistoryKind::Delivered(step_id));
+    finish_step_and_resume(ctx, inst, ix)?;
+    drain_runnable(ctx)
 }
 
 /// Runs one shard to a local fixpoint: drains the runnable queue, wakes
@@ -697,82 +658,128 @@ pub(crate) fn receive_waiting(
 pub(crate) fn settle_slice(ctx: &mut ExecCtx<'_>) -> Result<()> {
     loop {
         drain_runnable(ctx)?;
-        if wake_one_directed(ctx)? {
-            continue;
-        }
-        let channels: Vec<ChannelId> = ctx
-            .vol
-            .channel_queues
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(c, _)| c.clone())
-            .collect();
-        let mut matched = false;
-        for channel in channels {
-            let before = ctx.vol.channel_queues.get(&channel).map(VecDeque::len).unwrap_or(0);
-            match_waiters(ctx, &channel)?;
-            let after = ctx.vol.channel_queues.get(&channel).map(VecDeque::len).unwrap_or(0);
-            matched |= after < before;
-        }
-        if !matched && ctx.vol.runnable.is_empty() {
+        wake_directed(ctx)?;
+        if !match_global_queues(ctx)? && ctx.vol.runnable.is_empty() {
             return Ok(());
         }
     }
 }
 
-/// Completes the first (in key order) directed delivery whose receiver
-/// is waiting; returns whether one was found.
-fn wake_one_directed(ctx: &mut ExecCtx<'_>) -> Result<bool> {
-    let key = ctx.vol.directed_queues.iter().find_map(|(id, qs)| {
+/// Completes, in `(instance, channel)` order, every directed delivery
+/// whose receiver is waiting, in one pass over the directed queues.
+///
+/// After delivering to instance X the pass resumes at X itself, never
+/// earlier. That is exactly the order of a rescan from the start after
+/// every delivery: in settle mode a delivery steps only its own instance
+/// (spawns and parent completions defer to the engine, sends go to the
+/// outbox), so every instance before X still has nothing to wake, while
+/// X may now wait on any of its channels again.
+fn wake_directed(ctx: &mut ExecCtx<'_>) -> Result<()> {
+    let mut from = InstanceId::new(0);
+    while let Some((id, channel)) = next_wakeable(ctx, from) {
+        let doc = ctx
+            .vol
+            .directed_queues
+            .get_mut(&id)
+            .and_then(|qs| qs.get_mut(&channel))
+            .and_then(VecDeque::pop_front)
+            .expect("checked non-empty");
+        deliver_to(ctx, id, &channel, doc)?;
+        from = id;
+    }
+    Ok(())
+}
+
+/// The first `(instance, channel)` at or after instance `from` with a
+/// queued directed document and a receive step waiting for it.
+fn next_wakeable(ctx: &ExecCtx<'_>, from: InstanceId) -> Option<(InstanceId, ChannelId)> {
+    ctx.vol.directed_queues.range(from..).find_map(|(id, qs)| {
+        let inst = ctx.instances.get(id).filter(|i| i.status == InstanceStatus::Running)?;
         qs.iter()
-            .find(|(chan, q)| !q.is_empty() && receive_waiting(ctx.env, ctx.instances, *id, chan))
-            .map(|(chan, _)| (*id, chan.clone()))
-    });
-    let Some((id, chan)) = key else { return Ok(false) };
-    let doc = ctx
+            .find(|(channel, q)| !q.is_empty() && inst.waiting_receiver(channel).is_some())
+            .map(|(channel, _)| (*id, channel.clone()))
+    })
+}
+
+/// Matches every non-empty global channel queue against its waiters;
+/// returns whether any document was consumed.
+fn match_global_queues(ctx: &mut ExecCtx<'_>) -> Result<bool> {
+    let channels: Vec<ChannelId> = ctx
         .vol
-        .directed_queues
-        .get_mut(&id)
-        .and_then(|qs| qs.get_mut(&chan))
-        .and_then(VecDeque::pop_front)
-        .expect("checked non-empty");
-    deliver_to(ctx, id, &chan, doc)?;
-    Ok(true)
+        .channel_queues
+        .iter()
+        .filter(|(_, q)| !q.is_empty())
+        .map(|(c, _)| c.clone())
+        .collect();
+    let mut matched = false;
+    for channel in channels {
+        let before = ctx.vol.channel_queues.get(&channel).map(VecDeque::len).unwrap_or(0);
+        match_waiters(ctx, &channel)?;
+        let after = ctx.vol.channel_queues.get(&channel).map(VecDeque::len).unwrap_or(0);
+        matched |= after < before;
+    }
+    Ok(matched)
+}
+
+/// [`settle_slice`] with the directed wake done the quadratic way:
+/// after every delivery, rescan all directed queues from the start. The
+/// differential oracle for the single-pass wake.
+#[cfg(test)]
+pub(crate) fn settle_slice_rescanning(ctx: &mut ExecCtx<'_>) -> Result<()> {
+    loop {
+        drain_runnable(ctx)?;
+        if let Some((id, channel)) = next_wakeable(ctx, InstanceId::new(0)) {
+            let doc = ctx
+                .vol
+                .directed_queues
+                .get_mut(&id)
+                .and_then(|qs| qs.get_mut(&channel))
+                .and_then(VecDeque::pop_front)
+                .expect("checked non-empty");
+            deliver_to(ctx, id, &channel, doc)?;
+            continue;
+        }
+        if !match_global_queues(ctx)? && ctx.vol.runnable.is_empty() {
+            return Ok(());
+        }
+    }
 }
 
 /// Marks a step completed and resolves its outgoing edges (guard
 /// evaluation); returns a failure reason when a guard cannot be evaluated.
-pub(crate) fn mark_completed(
-    inst: &mut WorkflowInstance,
-    wf: &WorkflowType,
-    step_id: &StepId,
+fn mark_completed(
+    program: &Program,
+    ix: usize,
+    states: &mut States,
+    vars: &BTreeMap<String, Variable>,
+    source: &str,
+    target: &str,
     stats: &mut EngineStats,
 ) -> std::result::Result<(), String> {
-    inst.step_states.insert(step_id.clone(), StepState::Completed);
-    for i in wf.outgoing(step_id) {
-        let edge = &wf.edges()[i];
+    states.set_step(ix, StepState::Completed);
+    for &e in program.outgoing(ix) {
+        let edge = &program.def().edges()[e as usize];
         let taken = match &edge.guard {
             None => true,
             Some(cond) => {
                 stats.guard_evals += 1;
-                let var = inst
-                    .vars
+                let var = vars
                     .get(&cond.var)
                     .ok_or_else(|| format!("guard variable `{}` is not set", cond.var))?;
                 // Documents evaluate in place; only plain values pay the
                 // wrapping copy guards need to address them.
                 match var {
                     Variable::Document(d) => {
-                        cond.eval(d, &inst.source, &inst.target).map_err(|e| e.to_string())?
+                        cond.eval(d, source, target).map_err(|e| e.to_string())?
                     }
                     Variable::Value(_) => {
                         let doc = var.guard_document();
-                        cond.eval(&doc, &inst.source, &inst.target).map_err(|e| e.to_string())?
+                        cond.eval(&doc, source, target).map_err(|e| e.to_string())?
                     }
                 }
             }
         };
-        inst.edge_states[i] = if taken { EdgeState::Taken } else { EdgeState::Dead };
+        states.set_edge(e, if taken { EdgeState::Taken } else { EdgeState::Dead });
     }
     Ok(())
 }

@@ -9,6 +9,7 @@
 //! threads and merges the results deterministically.
 
 pub mod instance;
+pub(crate) mod program;
 
 mod exec;
 mod pool;
@@ -25,13 +26,15 @@ use crate::db::WorkflowDatabase;
 use crate::error::{Result, WfError};
 use crate::federation::EngineId;
 use crate::history::{HistoryEvent, HistoryKind};
-use crate::model::{ChannelId, InstanceId, StepId, StepKind, WorkflowType, WorkflowTypeId};
+use crate::model::{ChannelId, InstanceId, StepId, WorkflowType, WorkflowTypeId};
 use b2b_document::Document;
 use b2b_network::SimTime;
 use b2b_rules::RuleRegistry;
 use b2b_transform::TransformRegistry;
 use exec::{ExecCtx, ExecEnv, ShardSlice, VolatileState};
-use std::collections::BTreeMap;
+use instance::InstanceRecord;
+use program::StepRef;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Settle-cost counters, read via [`Engine::settle_metrics`].
@@ -264,7 +267,8 @@ impl Engine {
     }
 
     /// Switches to carry-type-in-instance mode (Section 2.1 trade-off;
-    /// ablated by the migration bench).
+    /// ablated by the migration bench): exported instances and database
+    /// snapshots embed each instance's type definition.
     pub fn set_carry_types(&mut self, carry: bool) {
         self.carry_types = carry;
     }
@@ -330,7 +334,9 @@ impl Engine {
         &mut self.transforms
     }
 
-    /// Deploys a workflow type.
+    /// Deploys a workflow type, compiling it once into the program every
+    /// later instance of this version shares. Instances already running
+    /// keep the version they were created with.
     pub fn deploy(&mut self, wf: WorkflowType) {
         self.db.put_type(wf);
     }
@@ -343,10 +349,10 @@ impl Engine {
         source: &str,
         target: &str,
     ) -> Result<InstanceId> {
-        let wf = self.db.get_type(type_id)?.clone();
+        let program = Arc::clone(self.db.program(type_id)?);
+        let (source, target) = (self.db.intern(source), self.db.intern(target));
         let id = self.db.allocate_instance_id();
-        let inst = WorkflowInstance::new(id, &wf, vars, source, target, self.carry_types);
-        self.db.put_instance(inst);
+        self.db.put_instance(WorkflowInstance::new(id, program, vars, source, target));
         self.vol.stats.instances_created += 1;
         exec::record(&mut self.vol, self.now, id, HistoryKind::InstanceCreated);
         Ok(id)
@@ -460,24 +466,33 @@ impl Engine {
         std::mem::take(&mut self.vol.remote_requests)
     }
 
-    /// Advances logical time and fires due timers.
-    pub fn advance_time(&mut self, now: SimTime) -> Result<()> {
+    /// Advances logical time and completes the timer steps that fell due,
+    /// marking their instances runnable without running them: the next
+    /// [`Engine::settle`] (or [`Engine::run`]) executes them.
+    pub fn advance_clock(&mut self, now: SimTime) -> Result<()> {
         self.now = now;
         let mut due = Vec::new();
-        self.vol.timers.retain(|(at, inst, step)| {
-            if *at <= now {
-                due.push((*inst, step.clone()));
+        self.vol.timers.retain(|&(at, inst, step)| {
+            if at <= now {
+                due.push((inst, step));
                 false
             } else {
                 true
             }
         });
         self.with_ctx(|ctx| {
-            for (inst_id, step_id) in due {
-                exec::complete_waiting_step(ctx, inst_id, &step_id)?;
+            for (inst_id, step) in due {
+                exec::complete_waiting_step(ctx, inst_id, step)?;
             }
-            exec::drain_runnable(ctx)
+            Ok(())
         })
+    }
+
+    /// Advances logical time, fires due timers, and runs everything they
+    /// (and earlier scheduling) made runnable, sequentially.
+    pub fn advance_time(&mut self, now: SimTime) -> Result<()> {
+        self.advance_clock(now)?;
+        self.with_ctx(exec::drain_runnable)
     }
 
     /// Whether any instance is blocked (running but not finished).
@@ -488,8 +503,7 @@ impl Engine {
             .filter(|id| {
                 self.db
                     .get_instance(*id)
-                    .map(|i| i.status == InstanceStatus::Running && !i.all_steps_resolved())
-                    .unwrap_or(false)
+                    .is_ok_and(|i| i.status == InstanceStatus::Running && !i.all_steps_resolved())
             })
             .collect()
     }
@@ -527,6 +541,7 @@ impl Engine {
             }
             if !self.plan_round(shards, assign) {
                 if self.vol.spawns.is_empty() && self.vol.parent_finishes.is_empty() {
+                    self.compact_waiters();
                     return Ok(());
                 }
                 continue;
@@ -535,34 +550,47 @@ impl Engine {
         }
     }
 
+    /// Drops stale waiter entries once they make up more than half of the
+    /// waiter queues, so resident entries stay within twice the receive
+    /// steps still waiting, at amortized O(1) per delivery. Order is kept:
+    /// matching is FIFO per channel.
+    fn compact_waiters(&mut self) {
+        let entries: usize = self.vol.waiters.values().map(VecDeque::len).sum();
+        if self.vol.stale_waiters * 2 <= entries {
+            return;
+        }
+        let instances = self.db.instances();
+        self.vol.waiters.retain(|_, queue| {
+            queue.retain(|(id, step)| {
+                instances.get(id).is_some_and(|i| i.states.step(step.ix()) == StepState::Waiting)
+            });
+            !queue.is_empty()
+        });
+        self.vol.stale_waiters = 0;
+    }
+
     /// Resolves deferred subworkflow spawns and parent completions in
     /// canonical `(parent, step)` order.
     fn apply_deferred(&mut self) -> Result<()> {
         let mut spawns = std::mem::take(&mut self.vol.spawns);
         let mut finishes = std::mem::take(&mut self.vol.parent_finishes);
-        spawns.sort_by(|a, b| (a.parent, &a.step).cmp(&(b.parent, &b.step)));
-        finishes.sort_by(|a, b| (a.parent, &a.step).cmp(&(b.parent, &b.step)));
+        spawns.sort_by_key(|sp| (sp.parent, sp.step));
+        finishes.sort_by_key(|pf| (pf.parent, pf.step));
         for sp in spawns {
-            let wf = match self.db.get_type(&sp.workflow) {
-                Ok(wf) => wf.clone(),
+            let program = match self.db.program(&sp.workflow) {
+                Ok(program) => Arc::clone(program),
                 Err(_) => {
+                    let step = &self.db.get_instance(sp.parent)?.program.step(sp.step.ix()).id;
                     let reason = format!(
-                        "step `{}`: subworkflow type `{}` not in database",
-                        sp.step, sp.workflow
+                        "step `{step}`: subworkflow type `{}` not in database",
+                        sp.workflow
                     );
                     self.with_ctx(|ctx| exec::fail_instance(ctx, sp.parent, reason))?;
                     continue;
                 }
             };
             let child_id = self.db.allocate_instance_id();
-            let mut child = WorkflowInstance::new(
-                child_id,
-                &wf,
-                sp.vars,
-                &sp.source,
-                &sp.target,
-                self.carry_types,
-            );
+            let mut child = WorkflowInstance::new(child_id, program, sp.vars, sp.source, sp.target);
             child.parent = Some((sp.parent, sp.step));
             self.db.put_instance(child);
             self.vol.stats.instances_created += 1;
@@ -572,7 +600,7 @@ impl Engine {
         if !finishes.is_empty() {
             self.with_ctx(|ctx| {
                 for pf in finishes {
-                    exec::finish_parent(ctx, pf.parent, &pf.step, pf.vars, pf.failure)?;
+                    exec::finish_parent(ctx, pf.parent, pf.step, pf.vars, pf.failure)?;
                 }
                 Ok::<(), WfError>(())
             })?;
@@ -589,8 +617,7 @@ impl Engine {
                     ws.iter().any(|(inst, step)| {
                         self.db
                             .get_instance(*inst)
-                            .map(|i| i.step_state(step) == StepState::Waiting)
-                            .unwrap_or(false)
+                            .is_ok_and(|i| i.states.step(step.ix()) == StepState::Waiting)
                     })
                 })
         })
@@ -621,18 +648,9 @@ impl Engine {
             if inst.status != InstanceStatus::Running {
                 continue;
             }
-            let wf = match &inst.carried_type {
-                Some(t) => t,
-                None => match db.get_type(&inst.type_id) {
-                    Ok(wf) => wf,
-                    Err(_) => continue,
-                },
-            };
-            let waiting = wf.steps().iter().any(|s| {
-                matches!(&s.kind, StepKind::Receive { channel: c, .. }
-                    if qs.get(c).is_some_and(|q| !q.is_empty()))
-                    && inst.step_state(&s.id) == StepState::Waiting
-            });
+            let waiting = qs
+                .iter()
+                .any(|(channel, q)| !q.is_empty() && inst.waiting_receiver(channel).is_some());
             if waiting {
                 scratch.touched.push((*id, assign(*id) % shards));
             }
@@ -761,7 +779,6 @@ impl Engine {
                 activities: &self.activities,
                 rules: &self.rules,
                 transforms: &self.transforms,
-                carry_types: self.carry_types,
                 now: self.now,
             };
             let chunk = self.steal_chunk.unwrap_or(1);
@@ -797,16 +814,9 @@ impl Engine {
         slice.vol.runnable = std::mem::take(&mut self.vol.runnable);
         slice.vol.directed_queues = std::mem::take(&mut self.vol.directed_queues);
         let result = {
-            let Engine { db, activities, rules, transforms, carry_types, now, .. } = &mut *self;
+            let Engine { db, activities, rules, transforms, now, .. } = &mut *self;
             let (types, instances, _) = db.split_mut();
-            let env = ExecEnv {
-                types,
-                activities,
-                rules,
-                transforms,
-                carry_types: *carry_types,
-                now: *now,
-            };
+            let env = ExecEnv { types, activities, rules, transforms, now: *now };
             let mut ctx = ExecCtx { env: &env, instances, ids: None, vol: &mut slice.vol };
             exec::settle_slice(&mut ctx)
         };
@@ -819,7 +829,7 @@ impl Engine {
     fn merge_round(&mut self, settled: Vec<(ShardSlice, Option<Result<()>>)>) -> Result<()> {
         let mut first_err = None;
         let mut history_segment = Vec::new();
-        let mut new_waiters: BTreeMap<ChannelId, Vec<(InstanceId, StepId)>> = BTreeMap::new();
+        let mut new_waiters: BTreeMap<ChannelId, Vec<(InstanceId, StepRef)>> = BTreeMap::new();
         for (slice, result) in settled {
             let result = result.expect("pool ran every slice");
             if let Err(e) = result {
@@ -841,6 +851,7 @@ impl Engine {
             for (channel, ws) in v.waiters {
                 new_waiters.entry(channel).or_default().extend(ws);
             }
+            self.vol.stale_waiters += v.stale_waiters;
             for (channel, queue) in v.channel_queues {
                 if !queue.is_empty() {
                     self.vol.channel_queues.entry(channel).or_default().extend(queue);
@@ -868,7 +879,7 @@ impl Engine {
             ws.sort();
             self.vol.waiters.entry(channel).or_default().extend(ws);
         }
-        self.vol.timers.sort_by(|a, b| (a.0, a.1, &a.2).cmp(&(b.0, b.1, &b.2)));
+        self.vol.timers.sort();
         self.vol
             .remote_requests
             .sort_by(|a, b| (a.parent_instance, &a.step).cmp(&(b.parent_instance, &b.step)));
@@ -883,7 +894,9 @@ impl Engine {
 
     /// Serializes an instance and removes it from this engine (Figure 5(a):
     /// "stored in two different workflow engine databases at two different
-    /// points in time").
+    /// points in time"). The snapshot carries the type definition in
+    /// carry-type mode, or when the instance runs a version this engine no
+    /// longer has deployed.
     pub fn export_instance(&mut self, id: InstanceId) -> Result<String> {
         let inst = self.db.take_instance(id)?;
         if inst.parent.is_some() {
@@ -893,40 +906,35 @@ impl Engine {
             self.db.put_instance(inst);
             return Err(err);
         }
+        self.vol.stale_waiters += inst.waiting_receives().count();
         exec::record(&mut self.vol, self.now, id, HistoryKind::MigratedOut(String::new()));
-        serde_json::to_string(&inst).map_err(|e| WfError::Snapshot { reason: e.to_string() })
+        let carry = self.carry_types || !self.db.is_current(&inst);
+        let snapshot = serde_json::to_string(&inst.to_record(carry))
+            .map_err(|e| WfError::Snapshot { reason: e.to_string() });
+        self.compact_waiters();
+        snapshot
     }
 
     /// Imports a serialized instance under a fresh local id. Fails when
     /// this engine lacks the instance's workflow type (unless the instance
     /// carries its type with it).
     pub fn import_instance(&mut self, snapshot: &str) -> Result<InstanceId> {
-        let mut inst: WorkflowInstance = serde_json::from_str(snapshot)
-            .map_err(|e| WfError::Snapshot { reason: e.to_string() })?;
-        if inst.carried_type.is_none() && !self.db.has_type(&inst.type_id) {
-            return Err(WfError::UnknownType { workflow: inst.type_id.to_string() });
+        let record = parse_record(snapshot)?;
+        if record.carried_type.is_none() && !self.db.has_type(&record.type_id) {
+            return Err(WfError::UnknownType { workflow: record.type_id.to_string() });
         }
+        if record.parent.is_some() {
+            return Err(WfError::Federation {
+                reason: format!("instance {} is a subworkflow; migrate the parent", record.id),
+            });
+        }
+        let mut inst = self.db.instance_from_record(record)?;
         let id = self.db.allocate_instance_id();
         inst.id = id;
         // Re-register channel waiters for receive steps that were waiting
         // when the instance left its previous engine — waiter registrations
         // are engine-local and do not travel with the snapshot.
-        let wf = if let Some(t) = &inst.carried_type {
-            t.clone()
-        } else {
-            self.db.get_type(&inst.type_id)?.clone()
-        };
-        for step in wf.steps() {
-            if inst.step_state(&step.id) == StepState::Waiting {
-                if let StepKind::Receive { channel, .. } = &step.kind {
-                    self.vol
-                        .waiters
-                        .entry(channel.clone())
-                        .or_default()
-                        .push_back((id, step.id.clone()));
-                }
-            }
-        }
+        register_waiters(&mut self.vol, &inst);
         self.db.put_instance(inst);
         exec::record(&mut self.vol, self.now, id, HistoryKind::MigratedIn(String::new()));
         Ok(id)
@@ -939,7 +947,7 @@ impl Engine {
     /// outbox — is NOT part of the database, matching the paper's
     /// architecture where only the database survives an engine restart.
     pub fn snapshot_database(&self) -> Result<String> {
-        self.db.snapshot()
+        self.db.snapshot_with(self.carry_types)
     }
 
     /// Rebuilds an engine's database from a snapshot, re-registering
@@ -949,30 +957,16 @@ impl Engine {
     /// host (they are code, not data — exactly why the paper's engines
     /// need "all the relevant workflow step types available").
     pub fn restore_database(&mut self, snapshot: &str) -> Result<()> {
-        let db = WorkflowDatabase::restore(snapshot)?;
-        self.db = db;
+        self.db = WorkflowDatabase::restore(snapshot)?;
         self.vol.waiters.clear();
+        self.vol.stale_waiters = 0;
         self.vol.channel_queues.clear();
         self.vol.directed_queues.clear();
         self.vol.timers.clear();
-        for id in self.db.instance_ids() {
-            let inst = self.db.get_instance(id)?;
-            if inst.status != InstanceStatus::Running {
-                continue;
-            }
-            // Owned copy: the Cow would pin `&self` across the waiter
-            // mutations below (cold path, one clone per restart is fine).
-            let wf = self.type_for(inst)?.into_owned();
-            for step in wf.steps() {
-                if inst.step_state(&step.id) == StepState::Waiting {
-                    if let StepKind::Receive { channel, .. } = &step.kind {
-                        self.vol
-                            .waiters
-                            .entry(channel.clone())
-                            .or_default()
-                            .push_back((id, step.id.clone()));
-                    }
-                }
+        let Engine { db, vol, .. } = self;
+        for inst in db.instances().values() {
+            if inst.status == InstanceStatus::Running {
+                register_waiters(vol, inst);
             }
         }
         Ok(())
@@ -981,9 +975,8 @@ impl Engine {
     /// The workflow type needed to run `snapshot`, if the engine must
     /// fetch it (Figure 6, step ①).
     pub fn required_type_of(snapshot: &str) -> Result<Option<WorkflowTypeId>> {
-        let inst: WorkflowInstance = serde_json::from_str(snapshot)
-            .map_err(|e| WfError::Snapshot { reason: e.to_string() })?;
-        Ok(if inst.carried_type.is_some() { None } else { Some(inst.type_id) })
+        let record = parse_record(snapshot)?;
+        Ok(if record.carried_type.is_some() { None } else { Some(record.type_id) })
     }
 
     /// Resolves a remote subworkflow (called by federation with the
@@ -995,6 +988,13 @@ impl Engine {
         vars: BTreeMap<String, Variable>,
         failure: Option<String>,
     ) -> Result<()> {
+        let inst = self.db.get_instance(parent_instance)?;
+        let step =
+            inst.program.lookup(step).map(|ix| inst.program.step_ref(ix)).ok_or_else(|| {
+                WfError::Federation {
+                    reason: format!("instance {parent_instance} has no step `{step}`"),
+                }
+            })?;
         self.with_ctx(|ctx| {
             exec::finish_parent(ctx, parent_instance, step, vars, failure)?;
             exec::drain_runnable(ctx)
@@ -1007,33 +1007,41 @@ impl Engine {
     /// Builds a sequential execution context over disjoint borrows of the
     /// engine's fields (legacy semantics: subworkflows spawn inline).
     fn with_ctx<R>(&mut self, f: impl FnOnce(&mut ExecCtx<'_>) -> R) -> R {
-        let Engine { db, activities, rules, transforms, vol, carry_types, now, .. } = self;
-        let (types, instances, next_instance) = db.split_mut();
-        let env =
-            ExecEnv { types, activities, rules, transforms, carry_types: *carry_types, now: *now };
-        let mut ctx = ExecCtx { env: &env, instances, ids: Some(next_instance), vol };
-        f(&mut ctx)
+        let result = {
+            let Engine { db, activities, rules, transforms, vol, now, .. } = &mut *self;
+            let (types, instances, next_instance) = db.split_mut();
+            let env = ExecEnv { types, activities, rules, transforms, now: *now };
+            let mut ctx = ExecCtx { env: &env, instances, ids: Some(next_instance), vol };
+            f(&mut ctx)
+        };
+        self.compact_waiters();
+        result
     }
 
     /// Like [`Engine::with_ctx`] but in settle mode: subworkflow spawns
     /// and parent completions defer, exactly as in parallel slices, so
     /// sequential and sharded settling stay step-for-step identical.
     fn with_settle_ctx<R>(&mut self, f: impl FnOnce(&mut ExecCtx<'_>) -> R) -> R {
-        let Engine { db, activities, rules, transforms, vol, carry_types, now, .. } = self;
+        let Engine { db, activities, rules, transforms, vol, now, .. } = self;
         let (types, instances, _) = db.split_mut();
-        let env =
-            ExecEnv { types, activities, rules, transforms, carry_types: *carry_types, now: *now };
+        let env = ExecEnv { types, activities, rules, transforms, now: *now };
         let mut ctx = ExecCtx { env: &env, instances, ids: None, vol };
         f(&mut ctx)
     }
+}
 
-    /// Borrows the type from the database on the common path (see
-    /// [`exec::type_for`] for the carry-mode exception).
-    fn type_for(&self, inst: &WorkflowInstance) -> Result<std::borrow::Cow<'_, WorkflowType>> {
-        if let Some(t) = &inst.carried_type {
-            Ok(std::borrow::Cow::Owned(t.clone()))
-        } else {
-            self.db.get_type(&inst.type_id).map(std::borrow::Cow::Borrowed)
-        }
+/// Registers a waiter for every receive step `inst` is waiting in, in
+/// step order.
+fn register_waiters(vol: &mut VolatileState, inst: &WorkflowInstance) {
+    for (ix, channel) in inst.waiting_receives() {
+        vol.waiters
+            .entry(channel.clone())
+            .or_default()
+            .push_back((inst.id, inst.program.step_ref(ix)));
     }
+}
+
+/// Parses a migration snapshot.
+fn parse_record(snapshot: &str) -> Result<InstanceRecord> {
+    serde_json::from_str(snapshot).map_err(|e| WfError::Snapshot { reason: e.to_string() })
 }

@@ -625,3 +625,227 @@ fn settle_matches_run_for_any_shard_count() {
         }
     }
 }
+
+#[test]
+fn replacing_a_type_leaves_running_instances_on_their_version() {
+    let v1 = || {
+        WorkflowBuilder::new("flow")
+            .step(StepDef::receive("wait", "in", "po"))
+            .step(StepDef::noop("done"))
+            .edge("wait", "done")
+            .build()
+            .unwrap()
+    };
+    let mut e = engine();
+    e.deploy(v1());
+    let old = e.create_instance(&WorkflowTypeId::new("flow"), BTreeMap::new(), "s", "t").unwrap();
+    assert_eq!(e.run(old).unwrap(), InstanceStatus::Running);
+    let v2 = v1()
+        .with_added_step(
+            StepDef::noop("audit"),
+            vec![crate::model::Edge {
+                from: StepId::new("done"),
+                to: StepId::new("audit"),
+                guard: None,
+            }],
+        )
+        .unwrap();
+    e.deploy(v2);
+    let new = e.create_instance(&WorkflowTypeId::new("flow"), BTreeMap::new(), "s", "t").unwrap();
+    e.run(new).unwrap();
+    e.deliver_to(old, &ChannelId::new("in"), sample_po("A", 1)).unwrap();
+    e.deliver_to(new, &ChannelId::new("in"), sample_po("B", 1)).unwrap();
+    assert_eq!(e.status(old).unwrap(), InstanceStatus::Completed);
+    assert_eq!(e.status(new).unwrap(), InstanceStatus::Completed);
+    let old_inst = e.db().get_instance(old).unwrap();
+    assert_eq!(old_inst.type_version(), 1);
+    assert_eq!(old_inst.step_state(&StepId::new("audit")), StepState::Pending, "no such step");
+    let new_inst = e.db().get_instance(new).unwrap();
+    assert_eq!(new_inst.type_version(), 2);
+    assert_eq!(new_inst.step_state(&StepId::new("audit")), StepState::Completed);
+}
+
+/// Waiter entries resident in the engine, and receive steps waiting.
+fn waiter_load(e: &Engine) -> (usize, usize) {
+    let entries = e.vol.waiters.values().map(VecDeque::len).sum();
+    let waiting = e.db.instances().values().map(|i| i.waiting_receives().count()).sum();
+    (entries, waiting)
+}
+
+#[test]
+fn resident_waiters_stay_bounded_by_waiting_receives() {
+    // Directed deliveries satisfy receives without touching the global
+    // waiter queues; the stale entries they leave must not accumulate.
+    let mut e = engine();
+    e.deploy(
+        WorkflowBuilder::new("po")
+            .step(StepDef::receive("recv-po", "in", "po"))
+            .step(StepDef::send("store", "out", "po"))
+            .step(StepDef::receive("recv-ack", "ack", "ack"))
+            .edge("recv-po", "store")
+            .edge("store", "recv-ack")
+            .build()
+            .unwrap(),
+    );
+    let ids: Vec<InstanceId> = (0..50)
+        .map(|_| {
+            let id =
+                e.create_instance(&WorkflowTypeId::new("po"), BTreeMap::new(), "s", "t").unwrap();
+            e.schedule(id);
+            id
+        })
+        .collect();
+    let assign = |id: InstanceId| id.value() as usize;
+    e.settle(2, &assign).unwrap();
+    assert_eq!(waiter_load(&e), (50, 50), "every instance waits at recv-po");
+    for (channel, round) in [("in", 0), ("ack", 1)] {
+        for (i, id) in ids.iter().enumerate() {
+            e.enqueue_to(*id, &ChannelId::new(channel), sample_po(&format!("{round}-{i}"), 1))
+                .unwrap();
+            if i % 10 == 9 {
+                e.settle(2, &assign).unwrap();
+                let (entries, waiting) = waiter_load(&e);
+                assert!(entries <= 2 * waiting, "{entries} entries for {waiting} waiting receives");
+            }
+        }
+    }
+    assert!(ids.iter().all(|id| e.status(*id).unwrap() == InstanceStatus::Completed));
+    assert_eq!(waiter_load(&e), (0, 0), "no resident waiter outlives its receive");
+}
+
+mod wake_oracle {
+    //! The single-pass directed wake against the rescan-from-the-start
+    //! loop it replaced.
+
+    use super::*;
+    use proptest::prelude::*;
+
+    const CHANNELS: [&str; 4] = ["c1", "c2", "c3", "never"];
+
+    /// Three shapes with several receive steps each: a chain, a fork with
+    /// two receives on one channel, and a chain that runs a step before
+    /// its first receive. No type ever waits on `never`.
+    fn engine_with_types() -> Engine {
+        let mut e = engine();
+        e.deploy(
+            WorkflowBuilder::new("chain")
+                .step(StepDef::receive("r1", "c1", "a"))
+                .step(StepDef::receive("r2", "c2", "b"))
+                .step(StepDef::send("s", "out", "b"))
+                .step(StepDef::receive("r3", "c1", "c"))
+                .edge("r1", "r2")
+                .edge("r2", "s")
+                .edge("s", "r3")
+                .build()
+                .unwrap(),
+        );
+        e.deploy(
+            WorkflowBuilder::new("fork")
+                .step(StepDef::noop("split"))
+                .step(StepDef::receive("left", "c2", "l"))
+                .step(StepDef::receive("right", "c1", "r"))
+                .step(StepDef::receive("again", "c2", "g"))
+                .step(StepDef::send("s", "out", "g"))
+                .edge("split", "left")
+                .edge("split", "right")
+                .edge("left", "again")
+                .edge("right", "again")
+                .edge("again", "s")
+                .build()
+                .unwrap(),
+        );
+        e.deploy(
+            WorkflowBuilder::new("late")
+                .step(StepDef::noop("first"))
+                .step(StepDef::receive("r3", "c3", "x"))
+                .step(StepDef::receive("r1", "c1", "y"))
+                .edge("first", "r3")
+                .edge("r3", "r1")
+                .build()
+                .unwrap(),
+        );
+        e
+    }
+
+    /// Per instance: its type, whether it already ran to its first
+    /// receive, and the channels of the documents queued for it.
+    type Plan = Vec<(usize, bool, Vec<usize>)>;
+
+    fn build(plan: &Plan, docs: &[Arc<b2b_document::Document>]) -> Engine {
+        let mut e = engine_with_types();
+        let mut next_doc = 0;
+        for (shape, ran, queued) in plan {
+            let name = ["chain", "fork", "late"][*shape];
+            let id =
+                e.create_instance(&WorkflowTypeId::new(name), BTreeMap::new(), "s", "t").unwrap();
+            if *ran {
+                e.run(id).unwrap();
+            } else {
+                e.schedule(id);
+            }
+            for &channel in queued {
+                let doc = Arc::clone(&docs[next_doc]);
+                next_doc += 1;
+                e.enqueue_to(id, &ChannelId::new(CHANNELS[channel]), doc).unwrap();
+            }
+        }
+        e
+    }
+
+    /// Everything a settle can change, rendered comparably.
+    fn observe(e: &mut Engine) -> String {
+        let queues: Vec<(InstanceId, String, usize)> = e
+            .vol
+            .directed_queues
+            .iter()
+            .flat_map(|(id, qs)| qs.iter().map(move |(c, q)| (*id, c.to_string(), q.len())))
+            .collect();
+        let waiters: Vec<(String, Vec<(InstanceId, String)>)> = e
+            .vol
+            .waiters
+            .iter()
+            .map(|(c, ws)| {
+                let ws = ws
+                    .iter()
+                    .map(|(id, step)| {
+                        let inst = e.db.get_instance(*id).unwrap();
+                        (*id, inst.program.step(step.ix()).id.to_string())
+                    })
+                    .collect();
+                (c.to_string(), ws)
+            })
+            .collect();
+        let outbox: Vec<(InstanceId, String)> =
+            e.drain_outbox().into_iter().map(|(i, c, d)| (i, format!("{c}:{}", d.id()))).collect();
+        format!(
+            "{:?}\n{:?}\n{queues:?}\n{waiters:?}\n{}\n{outbox:?}\n{}",
+            e.history(),
+            e.stats(),
+            e.vol.stale_waiters,
+            e.snapshot_database().unwrap()
+        )
+    }
+
+    fn plans() -> impl Strategy<Value = Plan> {
+        proptest::collection::vec(
+            (0usize..3, any::<bool>(), proptest::collection::vec(0usize..4, 0..6)),
+            1..10,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn single_pass_wake_matches_the_rescanning_settle(plan in plans()) {
+            let docs: Vec<Arc<b2b_document::Document>> = (0..plan.iter().map(|p| p.2.len()).sum())
+                .map(|i| Arc::new(sample_po(&format!("D{i}"), 1)))
+                .collect();
+            let mut fast = build(&plan, &docs);
+            let mut oracle = build(&plan, &docs);
+            fast.with_settle_ctx(exec::settle_slice).unwrap();
+            oracle.with_settle_ctx(exec::settle_slice_rescanning).unwrap();
+            prop_assert_eq!(observe(&mut fast), observe(&mut oracle));
+        }
+    }
+}

@@ -22,7 +22,8 @@ pub struct Edge {
 ///
 /// Validation enforces: unique step ids, edges between existing steps, an
 /// acyclic graph (loops are modelled by re-running subworkflows at the
-/// host level), and at least one start step.
+/// host level), and at least one start step. The engine runs a deployed
+/// type as a program compiled from it, indexed by step ordinal.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkflowType {
     id: WorkflowTypeId,
@@ -114,33 +115,6 @@ impl WorkflowType {
     /// All edges.
     pub fn edges(&self) -> &[Edge] {
         &self.edges
-    }
-
-    /// A step by id.
-    pub fn step(&self, id: &StepId) -> Result<&StepDef> {
-        self.steps
-            .iter()
-            .find(|s| &s.id == id)
-            .ok_or_else(|| self.invalid(format!("no step `{id}`")))
-    }
-
-    /// Steps with no incoming edges.
-    pub fn start_steps(&self) -> Vec<&StepId> {
-        self.steps
-            .iter()
-            .map(|s| &s.id)
-            .filter(|id| !self.edges.iter().any(|e| &e.to == *id))
-            .collect()
-    }
-
-    /// Incoming edges of a step (by edge index).
-    pub fn incoming(&self, id: &StepId) -> Vec<usize> {
-        self.edges.iter().enumerate().filter(|(_, e)| &e.to == id).map(|(i, _)| i).collect()
-    }
-
-    /// Outgoing edges of a step (by edge index).
-    pub fn outgoing(&self, id: &StepId) -> Vec<usize> {
-        self.edges.iter().enumerate().filter(|(_, e)| &e.from == id).map(|(i, _)| i).collect()
     }
 
     /// Subworkflow types this type references directly.
@@ -249,9 +223,11 @@ mod tests {
     #[test]
     fn valid_graph_builds() {
         let wf = linear();
-        assert_eq!(wf.start_steps(), vec![&StepId::new("a")]);
-        assert_eq!(wf.outgoing(&StepId::new("a")).len(), 1);
-        assert_eq!(wf.incoming(&StepId::new("c")).len(), 1);
+        assert_eq!(wf.steps().len(), 3);
+        assert_eq!(
+            wf.edges()[1],
+            Edge { from: StepId::new("b"), to: StepId::new("c"), guard: None }
+        );
     }
 
     #[test]

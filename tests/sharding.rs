@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use semantic_b2b::integration::engine::{IntegrationEngine, IntegrationStats};
 use semantic_b2b::integration::metrics::{CodecCacheStats, HealthStats, StageCounters};
-use semantic_b2b::integration::scenario::TwoEnterpriseScenario;
+use semantic_b2b::integration::scenario::{ScenarioProtocol, TwoEnterpriseScenario};
 use semantic_b2b::integration::{BreakerState, PartnerPolicy, SessionState};
 use semantic_b2b::network::FaultConfig;
 use semantic_b2b::wfms::HistoryEvent;
@@ -233,6 +233,43 @@ fn flaky_broadcast_workload_is_identical_across_shard_counts() {
     assert_eq!(baseline.2, interpreted.2, "seller diverged under interpreter");
     // The run was not trivially clean: sessions really completed.
     assert!(baseline.1.completed >= 1, "at least one session completed");
+}
+
+/// A wave initiated with `initiate_deferred` runs in the pump's sharded
+/// settle, not sequentially in the pump's timer stage: the wave's
+/// instances count in the touched set of that settle, the pool runs it,
+/// and the outcome is the same at every shard count.
+#[test]
+fn deferred_wave_settles_sharded_in_the_pump() {
+    let run = |shards: usize| {
+        let mut s =
+            TwoEnterpriseScenario::with_protocol(ScenarioProtocol::Edi, FaultConfig::reliable(), 7)
+                .unwrap();
+        s.buyer.set_shards(shards);
+        s.seller.set_shards(shards);
+        let agreement = s.agreement_id.clone();
+        for i in 0..6 {
+            let po = s.po(&format!("wave-{i}"), 1_000 + i).unwrap();
+            s.buyer.initiate_deferred(&agreement, po).unwrap();
+        }
+        let rounds_before = s.buyer.pool_stats().rounds;
+        s.net.advance(10);
+        s.buyer.pump(&mut s.net).unwrap();
+        let touched = s.buyer.settle_metrics().touched_total;
+        let pool_rounds = s.buyer.pool_stats().rounds - rounds_before;
+        s.run_until_quiescent(60_000).unwrap();
+        assert_eq!(s.buyer.completed_sessions(), 6);
+        (touched, pool_rounds, fingerprint(&s.buyer), fingerprint(&s.seller))
+    };
+    let (touched, pool_rounds, buyer, seller) = run(2);
+    assert!(touched >= 18, "the wave's 18 instances settle in the pump (touched {touched})");
+    assert!(pool_rounds > 0, "the worker pool settled the wave");
+    for shards in [1, 4] {
+        let (other_touched, _, other_buyer, other_seller) = run(shards);
+        assert_eq!(other_touched, touched, "touched set at {shards} shards");
+        assert_eq!(other_buyer, buyer, "buyer at {shards} shards");
+        assert_eq!(other_seller, seller, "seller at {shards} shards");
+    }
 }
 
 #[test]
