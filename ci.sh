@@ -15,14 +15,12 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --offline --release --workspace
 
-# The experiments binary's identity assertions (E15-E22) without the
+# The experiments binary's identity assertions (E15-E21) without the
 # timing loops: compiled-vs-interpreted dispatch agreement, wire byte
 # stability, broadcast observables across dispatch mode x shard count,
 # the chaos coverage invariant with breaker states in the determinism
-# fingerprint, the Small-tier population identity + flat-cost pass
-# (touched-only vs full-partition settle, 10x idle growth), and the
-# batched-emit/coalescing differential (sequential vs pool-batched vs
-# coalesced frames, across shard counts).
+# fingerprint, and the Small-tier population identity + flat-cost pass
+# (touched-only vs full-partition settle, 10x idle growth).
 echo "== experiments --quick (identity assertions) =="
 cargo run --offline --release -q -p b2b-bench --bin experiments -- --quick
 
@@ -46,34 +44,15 @@ B2B_SHARDS=4 cargo test --offline -q --workspace
 echo "== cargo test (B2B_RULES=interpreted) =="
 B2B_RULES=interpreted cargo test --offline -q --workspace
 
-# Fourth pass at the machine's real parallelism: B2B_SHARDS=0 resolves
-# to the host core count, so the pool runs as wide as it ever will on
-# this box. Same byte-identical results required.
-echo "== cargo test (B2B_SHARDS=0, auto) =="
-B2B_SHARDS=0 cargo test --offline -q --workspace
-
-# Fifth pass on the compact binary wire format: every scenario the
+# Fourth pass on the compact binary wire format: every scenario the
 # suite builds (round trips, chaos grid, examples' plumbing) runs its
 # partners on the binary codec's zero-copy decode path instead of EDI.
 echo "== cargo test (B2B_WIRE_FORMAT=binary) =="
 B2B_WIRE_FORMAT=binary cargo test --offline -q --workspace
 
-# Sixth pass with the pool-batched emit path disabled: every outbound
-# document takes the sequential per-document encode+send path, and the
-# whole suite must agree with the batched default byte for byte (the
-# differential contract in tests/sharding.rs, run here suite-wide).
-echo "== cargo test (B2B_EMIT_BATCH=0, sequential emit) =="
-B2B_EMIT_BATCH=0 cargo test --offline -q --workspace
-
-# Seventh pass with aggressive frame coalescing: same-endpoint emit
-# batches ride the wire as multi-document checksummed frames, split and
-# acked as a unit. Business outcomes must be unchanged.
-echo "== cargo test (B2B_EMIT_COALESCE=8) =="
-B2B_EMIT_COALESCE=8 cargo test --offline -q --workspace
-
 # Pool stress: the sharding determinism properties with every settle
-# and decode round forced to steal-chunk 1 — maximum inter-thread
-# interleaving, the hardest schedule for the fingerprint contract.
+# round forced to steal-chunk 1 — maximum inter-thread interleaving, the
+# hardest schedule for the fingerprint contract.
 echo "== sharding determinism (B2B_POOL_STRESS=1, steal-chunk 1) =="
 B2B_POOL_STRESS=1 B2B_SHARDS=4 cargo test --offline -q --test sharding
 

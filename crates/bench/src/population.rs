@@ -302,16 +302,9 @@ pub struct PopulationConfig {
     pub full_partition: bool,
     /// Inject wire faults: 0.5% loss + 1% duplicates (all seeded).
     pub faults: bool,
-    /// Pool-batched outbound encode (off = the sequential emit
-    /// reference path; differential testing of PR 10).
-    pub emit_batch: bool,
-    /// Max consecutive same-partner outbound documents per wire frame
-    /// (1 = classic per-document payloads).
-    pub emit_coalesce: usize,
     /// Initiate each traffic wave with deferred settles: the whole
-    /// wave's RFQs drain through *one* settle pass — the bulk shape
-    /// that exercises the pool-batched emit and the frame coalescer.
-    /// Off = E21's classic one-settle-per-initiate traffic.
+    /// wave's RFQs drain through *one* settle pass — the bulk-traffic
+    /// shape. Off = E21's classic one-settle-per-initiate traffic.
     pub bulk_initiate: bool,
 }
 
@@ -322,8 +315,6 @@ impl Default for PopulationConfig {
             interpreted: false,
             full_partition: false,
             faults: true,
-            emit_batch: true,
-            emit_coalesce: 1,
             bulk_initiate: false,
         }
     }
@@ -357,7 +348,7 @@ impl PartnerSim {
         transforms: &TransformRegistry,
     ) -> Result<()> {
         let batch = self.endpoint.receive_classified(net)?;
-        self.duplicates += batch.duplicates.len() as u64;
+        self.duplicates += batch.duplicates;
         if self.responder {
             for env in batch.payloads {
                 self.reply_to(net, hub_ep, formats, transforms, env)?;
@@ -438,8 +429,6 @@ impl Population {
         hub.set_interpreted_transforms(cfg.interpreted);
         hub.set_interpreted_rules(cfg.interpreted);
         hub.set_full_partition_settle(cfg.full_partition);
-        hub.set_batched_emit(cfg.emit_batch);
-        hub.set_emit_coalesce(cfg.emit_coalesce);
         let mut partners = Vec::with_capacity(plan.partners.len());
         let mut agreement_ids = Vec::with_capacity(plan.partners.len());
         for (i, spec) in plan.partners.iter().enumerate() {
@@ -522,8 +511,7 @@ impl Population {
 
     /// Initiates one session toward partner `index` with the settle
     /// deferred to the next [`step`](Self::step): a wave initiated this
-    /// way drains through one emit pass, so consecutive same-partner
-    /// RFQs batch-encode on the pool and coalesce into shared frames.
+    /// way settles in one sharded pass and drains through one emit pass.
     pub fn initiate_deferred(&mut self, index: usize) -> Result<CorrelationId> {
         let rfq = self.next_rfq();
         self.hub.initiate_deferred(&self.agreement_ids[index], rfq)
@@ -597,12 +585,6 @@ pub struct PopulationReport {
     pub sim_ms: u64,
     /// Hub documents routed to sessions.
     pub routed_docs: u64,
-    /// Pool-batched outbound encode rounds the hub ran (0 when
-    /// `emit_batch` is off).
-    pub encode_batches: u64,
-    /// Multi-document wire frames the hub's emit coalescer built (0 at
-    /// `emit_coalesce` 1).
-    pub coalesced_frames: u64,
     /// Allocator traffic of the traffic phase (hub + partner sims).
     pub alloc: crate::alloc_count::AllocDelta,
     /// Hub settle counters at the end of the run.
@@ -660,16 +642,6 @@ pub fn run_population(plan: &PopulationPlan, cfg: &PopulationConfig) -> Result<P
     }
     let settle = pop.hub.settle_metrics();
     let profile = pop.hub.stage_profile();
-    // The emit-path counters deliberately differ between the batched and
-    // sequential emit modes (they *count* the batching), so the
-    // fingerprint zeroes them to stay comparable across emit
-    // configurations — E22's differential relies on this. Their own
-    // shard-invariance is pinned by the sharding proptests; here they are
-    // reported as explicit fields instead.
-    let mut stage_counters = profile.counters;
-    stage_counters.encode_batches = 0;
-    stage_counters.coalesced_frames = 0;
-    stage_counters.emit_buffer_reuses = 0;
     let fingerprint = format!(
         "stats={:?} wf={:?} completed={} replies={} dups={} stages={:?} cache={:?} \
          health={:?} breakers={:?} dead={} sim={} net={:?} settle=({},{},{})",
@@ -678,7 +650,7 @@ pub fn run_population(plan: &PopulationPlan, cfg: &PopulationConfig) -> Result<P
         pop.hub.completed_sessions(),
         pop.replies(),
         pop.duplicates_suppressed(),
-        stage_counters,
+        profile.counters,
         pop.hub.codec_cache_stats(),
         pop.hub.health_stats(),
         pop.hub.breaker_states(),
@@ -698,8 +670,6 @@ pub fn run_population(plan: &PopulationPlan, cfg: &PopulationConfig) -> Result<P
         wall_ms,
         sim_ms: pop.net.now().as_millis() - sim_start,
         routed_docs: profile.counters.routed_documents,
-        encode_batches: profile.counters.encode_batches,
-        coalesced_frames: profile.counters.coalesced_frames,
         alloc,
         settle,
         memory: pop.hub.session_memory(),
@@ -908,29 +878,19 @@ mod tests {
     }
 
     #[test]
-    fn bulk_waves_match_per_initiate_runs_and_exercise_the_batch_encoder() {
+    fn bulk_waves_match_per_initiate_runs_at_every_shard_count() {
         let plan = PopulationPlan::generate(SizeTier::Tiny, 11);
         let classic = run_population(&plan, &PopulationConfig::default()).expect("classic");
         let bulk_cfg = PopulationConfig { bulk_initiate: true, ..PopulationConfig::default() };
         let bulk = run_population(&plan, &bulk_cfg).expect("bulk");
         // Deferring a wave changes *when* first legs settle, not what the
-        // population computes: completions and replies must agree, and the
-        // single settle pass per wave must drive the pooled batch encoder.
+        // population computes: completions and replies must agree.
         assert_eq!(classic.completed, bulk.completed);
         assert_eq!(classic.replies, bulk.replies);
-        assert!(bulk.encode_batches > 0, "bulk waves must hit the batch encoder");
-        // Coalesce > 1 changes the envelope count, so on this lossy network
-        // it lawfully draws a different fault sequence than coalesce = 1;
-        // what must still hold is shard-invariance within the mode.
-        let coalesced_cfg = PopulationConfig { emit_coalesce: 8, ..bulk_cfg };
-        let coalesced = run_population(&plan, &coalesced_cfg).expect("coalesced");
-        let coalesced_sharded =
-            run_population(&plan, &PopulationConfig { shards: 4, ..coalesced_cfg })
-                .expect("coalesced/4sh");
-        assert_eq!(
-            coalesced.fingerprint, coalesced_sharded.fingerprint,
-            "coalesced run diverged across shard counts"
-        );
-        assert!(coalesced.coalesced_frames > 0, "coalesce=8 must emit multi-part frames");
+        // One settle pass per wave runs the whole wave on the pool; the
+        // shard count must stay invisible.
+        let bulk_sharded =
+            run_population(&plan, &PopulationConfig { shards: 4, ..bulk_cfg }).expect("bulk/4sh");
+        assert_eq!(bulk.fingerprint, bulk_sharded.fingerprint, "bulk run diverged at 4 shards");
     }
 }

@@ -140,10 +140,9 @@ impl DeadLetterQueue {
         self.letters.push(letter);
     }
 
-    /// Removes and returns the most recently quarantined letter (used by
-    /// replay to collapse a failed replay back into the original letter).
-    pub fn take_last(&mut self) -> Option<DeadLetter> {
-        self.letters.pop()
+    /// The sequence number the next quarantined letter will get.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
     }
 }
 

@@ -44,16 +44,10 @@ pub use crate::session::SessionState;
 pub const SELECT_BACKEND_RULE: &str = "select-backend";
 
 /// Automatic execute-stage worker count: the machine's available
-/// parallelism. `B2B_SHARDS_CAP=<n>` caps it (for shared hosts or
-/// experiments pinning a fan-out); uncapped, `B2B_SHARDS=0` respects the
-/// real core count. Results are identical at any count — the cap only
-/// changes wall-clock.
+/// parallelism. Results are identical at any count; an operator who
+/// wants fewer workers sets `B2B_SHARDS=n`.
 fn auto_shards() -> usize {
-    let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    match std::env::var("B2B_SHARDS_CAP").ok().and_then(|v| v.parse::<usize>().ok()) {
-        Some(cap) if cap > 0 => cores.min(cap),
-        _ => cores,
-    }
+    std::thread::available_parallelism().map(usize::from).unwrap_or(1)
 }
 
 /// Counters for one integration engine.
@@ -99,40 +93,6 @@ pub(crate) struct PendingSend {
     pub(crate) deadline_ms: Option<u64>,
 }
 
-/// The session(s) owning one unacknowledged wire send. Almost always a
-/// single session; a coalesced batch frame (PR 10) carries one document
-/// per owning session, in frame order, so acks and failures can be
-/// booked per session and a poisoned frame can be split back into
-/// per-document dead letters.
-#[derive(Debug, Clone)]
-pub(crate) enum WireOwners {
-    /// One payload, one owning session.
-    One(usize),
-    /// A coalesced frame: owning session of each document, in order.
-    Many(Vec<usize>),
-}
-
-impl WireOwners {
-    /// The owning sessions as a slice, regardless of arity.
-    pub(crate) fn as_slice(&self) -> &[usize] {
-        match self {
-            Self::One(index) => std::slice::from_ref(index),
-            Self::Many(indices) => indices,
-        }
-    }
-}
-
-/// One partially filled coalesced frame: documents already encoded for
-/// the wire, waiting for the emit pass to flush them as a single
-/// [`b2b_network::WireClass::Batch`] envelope.
-#[derive(Debug, Default)]
-pub(crate) struct FrameAcc {
-    /// Owning session of each part, in frame order.
-    pub(crate) owners: Vec<usize>,
-    /// Encoded wire bytes of each part, in frame order.
-    pub(crate) parts: Vec<Bytes>,
-}
-
 /// The workflow types a session instantiates, resolved once when its
 /// agreement (or back end) is installed, so creating a session builds no
 /// type ids.
@@ -170,9 +130,9 @@ pub struct IntegrationEngine {
     /// Back-end binding types per back end.
     pub(crate) backend_bindings: BTreeMap<String, BindingTypes>,
     pub(crate) table: SessionTable,
-    /// Unacknowledged wire payloads → owning session(s). BTreeMap so the
-    /// per-pump ack sweep visits entries in a deterministic order.
-    pub(crate) outstanding_wire: BTreeMap<MessageId, WireOwners>,
+    /// Unacknowledged wire payloads → owning session index. BTreeMap so
+    /// the per-pump ack sweep visits entries in a deterministic order.
+    pub(crate) outstanding_wire: BTreeMap<MessageId, usize>,
     /// Partner breakers, poison ladders, and shed counters.
     pub(crate) health: PartnerHealth,
     /// Outbound sends queued behind the pump send budget, FIFO.
@@ -184,19 +144,6 @@ pub struct IntegrationEngine {
     pub(crate) stats: IntegrationStats,
     /// Worker count for the execute stage (`B2B_SHARDS`, default 1).
     pub(crate) shards: usize,
-    /// Whether the emit stage pre-encodes outbound batches on the worker
-    /// pool (`B2B_EMIT_BATCH`, default on). Off = the sequential
-    /// reference path, byte-identical by construction.
-    pub(crate) emit_batch: bool,
-    /// Max consecutive same-partner documents coalesced into one wire
-    /// frame (`B2B_EMIT_COALESCE`, default 1 = no frames).
-    pub(crate) emit_coalesce: usize,
-    /// Partially filled coalesced frames of the current emit pass, keyed
-    /// by (endpoint, format, deadline). BTreeMap so the end-of-pass
-    /// flush walks groups in a deterministic order.
-    pub(crate) emit_frames: BTreeMap<(EndpointId, FormatId, Option<u64>), FrameAcc>,
-    /// Reused scratch for assembling batch frames.
-    pub(crate) frame_scratch: Vec<u8>,
     /// Per-pump-stage counters and timers (experiment E16).
     pub(crate) profile: StageProfile,
 }
@@ -229,7 +176,7 @@ impl IntegrationEngine {
         wf.register_activity(MAKE_QUOTE_ACTIVITY, make_quote_activity(name));
         wf.register_activity(RECORD_QUOTE_ACTIVITY, record_quote_activity());
         // `B2B_SHARDS=0` means "auto": size to the machine's real core
-        // count (cap it explicitly with `B2B_SHARDS_CAP` when needed).
+        // count.
         let shards = match std::env::var("B2B_SHARDS").ok().and_then(|v| v.parse::<usize>().ok()) {
             Some(0) => auto_shards(),
             Some(n) => n,
@@ -238,32 +185,12 @@ impl IntegrationEngine {
         // Warm the persistent worker pool now: all thread spawns happen
         // at construction, none per pump.
         wf.configure_pool(shards.saturating_sub(1));
-        // `B2B_STEAL_CHUNK=<n>` pins the pool's claim granularity for
-        // every stage (0/unset = per-stage defaults). Fingerprints are
-        // identical for any chunk; `ci.sh` runs chunk 1 as a stress mode.
-        if let Some(chunk) =
-            std::env::var("B2B_STEAL_CHUNK").ok().and_then(|v| v.parse::<usize>().ok())
-        {
-            wf.set_steal_chunk(chunk);
-        }
         // `B2B_RULES=interpreted` runs the whole suite on the rule-tree
         // interpreter instead of compiled programs (results identical; CI
         // exercises both).
         if std::env::var("B2B_RULES").is_ok_and(|v| v == "interpreted") {
             wf.rules_mut().set_interpreted(true);
         }
-        // `B2B_EMIT_BATCH=0` falls back to the sequential per-document
-        // emit path (the differential reference); default is the
-        // pool-batched path, byte-identical by construction.
-        let emit_batch = !std::env::var("B2B_EMIT_BATCH").is_ok_and(|v| v == "0" || v == "false");
-        // `B2B_EMIT_COALESCE=<n>` coalesces up to n consecutive outbound
-        // documents to the same partner into one wire frame; the default
-        // of 1 sends classic per-document payloads.
-        let emit_coalesce = std::env::var("B2B_EMIT_COALESCE")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1);
         Ok(Self {
             name: name.to_string(),
             endpoint,
@@ -283,10 +210,6 @@ impl IntegrationEngine {
             replay_origins: BTreeMap::new(),
             stats: IntegrationStats::default(),
             shards,
-            emit_batch,
-            emit_coalesce,
-            emit_frames: BTreeMap::new(),
-            frame_scratch: Vec::new(),
             profile: StageProfile::default(),
         })
     }
@@ -318,18 +241,17 @@ impl IntegrationEngine {
 
     /// Overrides the execute-stage worker count. Results are identical
     /// for every count ≥ 1 — only wall-clock changes. Passing `0` picks
-    /// an automatic count from the machine's available parallelism
-    /// (cappable via `B2B_SHARDS_CAP`; on a 1-core host this is a wash
-    /// with `1`). The persistent pool grows to match immediately, so no
-    /// later pump pays a thread spawn.
+    /// the machine's available parallelism (on a 1-core host this is a
+    /// wash with `1`). The persistent pool grows to match immediately, so
+    /// no later pump pays a thread spawn.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = if shards == 0 { auto_shards() } else { shards };
         self.wf.configure_pool(self.shards.saturating_sub(1));
     }
 
-    /// Overrides the worker pool's steal-chunk size (`0` = per-stage
-    /// defaults). Purely a scheduling knob: fingerprints are identical
-    /// for any value.
+    /// Overrides the worker pool's steal-chunk size for settle, the only
+    /// stage that runs on the pool (`0` = the default). Purely a
+    /// scheduling knob: fingerprints are identical for any value.
     pub fn set_steal_chunk(&mut self, chunk: usize) {
         self.wf.set_steal_chunk(chunk);
     }
@@ -358,24 +280,6 @@ impl IntegrationEngine {
         self.wf.set_full_partition_settle(full);
     }
 
-    /// Switches the emit stage between the pool-batched outbound encode
-    /// (default) and the sequential per-document reference path.
-    /// Differential tests prove the batched path is byte-identical to
-    /// this; production code never needs it off.
-    pub fn set_batched_emit(&mut self, batched: bool) {
-        self.emit_batch = batched;
-    }
-
-    /// Sets the max consecutive same-partner outbound documents
-    /// coalesced into one wire frame (clamped to ≥ 1; `1` = classic
-    /// per-document payloads). Coalescing changes wire-level framing and
-    /// message ids but never business outcomes: the receiving endpoint
-    /// splits an intact frame back into per-document payloads, and a
-    /// failed frame dead-letters per document.
-    pub fn set_emit_coalesce(&mut self, coalesce: usize) {
-        self.emit_coalesce = coalesce.max(1);
-    }
-
     /// Measured retained memory of the session table — the
     /// bytes-per-open-session figure the compact layout is accountable
     /// to.
@@ -389,7 +293,7 @@ impl IntegrationEngine {
         self.wf.rules_mut()
     }
 
-    /// Counters for the edge's decode memo and encode buffers.
+    /// Counters for the edge's payload decodes and encode buffers.
     pub fn codec_cache_stats(&self) -> &crate::metrics::CodecCacheStats {
         self.edge.cache_stats()
     }
@@ -578,10 +482,8 @@ impl IntegrationEngine {
     /// [`initiate`](Self::initiate) without the immediate settle pass:
     /// the session's instances are created and scheduled but nothing
     /// moves until the next [`pump`](Self::pump) (or another initiate)
-    /// settles. Initiating a whole wave this way lets one settle pass
-    /// drain every first-leg document through a single emit batch —
-    /// the bulk-traffic shape the pool-batched emit path (PR 10) is
-    /// built for.
+    /// settles. Initiating a whole wave this way lets one sharded settle
+    /// pass run the first leg of every session in the wave.
     pub fn initiate_deferred(&mut self, agreement_id: &str, po: Document) -> Result<CorrelationId> {
         let not_installed =
             || IntegrationError::Config(format!("agreement `{agreement_id}` not installed"));
@@ -675,12 +577,13 @@ impl IntegrationEngine {
         self.stats.replays += 1;
         match &letter.reason {
             DeadLetterReason::DecodeFailure(_) | DeadLetterReason::Unroutable(_) => {
-                let before = self.edge.dead_letters().len();
+                // A rejected replay quarantines its own letter first; a
+                // breaker trip it causes dead-letters the abandoned sends
+                // after it. Collapse exactly that first letter back into
+                // the original so its identity and history survive.
+                let fresh = self.edge.dead_letters().next_seq();
                 self.route_inbound(net, letter.envelope.clone())?;
-                if self.edge.dead_letters().len() > before {
-                    // Still rejected: collapse the fresh letter back into
-                    // the original so its identity and history survive.
-                    self.edge.dead_letters_mut().take_last();
+                if self.edge.dead_letters_mut().take(fresh).is_some() {
                     self.edge.dead_letters_mut().requeue(letter);
                 }
                 self.settle_and_route(net)?;
@@ -716,7 +619,7 @@ impl IntegrationEngine {
                     envelope.payload.clone(),
                     None,
                 )?;
-                self.outstanding_wire.insert(msg.clone(), WireOwners::One(index));
+                self.outstanding_wire.insert(msg.clone(), index);
                 // Remember where this message came from: if the replay
                 // fails again, the relapse letter links back to the
                 // *first* quarantine (chains collapse to the root).

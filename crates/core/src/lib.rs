@@ -31,6 +31,8 @@
 //! quantifies change impact (Sections 4.5/4.6); [`figures`] builds each of
 //! the paper's figures as an executable artifact.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod binding;
 pub mod change;

@@ -87,18 +87,18 @@ impl fmt::Display for ModelSize {
     }
 }
 
-/// Counters for the edge's codec caches (experiment E15).
+/// Counters for the edge's codec work (experiment E15).
 ///
-/// The decode memo keys on `(format, payload checksum)`: a hit means the
-/// edge skipped re-parsing bytes it had already decoded (retransmitted
-/// duplicates, dead-letter replays). The encode buffers are reused per
-/// `(format, kind)`, so after warm-up every outbound encode appends into
-/// an existing allocation.
+/// Every fresh inbound payload is parsed once; the reliable layer has
+/// already dropped duplicate deliveries, so there is no decode cache.
+/// The encode buffers are reused per `(format, kind)`, so after warm-up
+/// every outbound encode appends into an existing allocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CodecCacheStats {
-    /// Decodes answered from the memo without re-parsing.
+    /// Always 0 since the decode memo was removed; kept so existing
+    /// readers of this struct still compile.
     pub decode_hits: u64,
-    /// Decodes that had to parse the payload bytes.
+    /// Payloads parsed.
     pub decode_misses: u64,
     /// Outbound encodes that reused an existing per-(format, kind) buffer.
     pub encode_buffer_reuses: u64,
@@ -111,11 +111,8 @@ impl fmt::Display for CodecCacheStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "decode {} hit / {} miss, encode buffers {} reused / {} allocated",
-            self.decode_hits,
-            self.decode_misses,
-            self.encode_buffer_reuses,
-            self.encode_buffer_allocs
+            "{} payloads parsed, encode buffers {} reused / {} allocated",
+            self.decode_misses, self.encode_buffer_reuses, self.encode_buffer_allocs
         )
     }
 }
@@ -188,13 +185,16 @@ pub struct StageCounters {
     /// Outbox documents the emit stage routed between instances / onto
     /// the wire.
     pub emitted_documents: u64,
-    /// Emit passes whose outbound encodes ran as one pool batch (PR 10).
+    /// Always 0 since the pool-batched encode was removed: emit encodes
+    /// each wire-bound document inline. Kept so existing readers compile.
     pub encode_batches: u64,
-    /// Batch frames sent on the wire, each coalescing ≥ 2 consecutive
-    /// outbound documents to one partner (PR 10).
+    /// Always 0 since wire frame coalescing was removed: every wire send
+    /// is one envelope owned by one session. Kept so existing readers
+    /// compile.
     pub coalesced_frames: u64,
-    /// Outbound pool encodes that reused a pooled per-slot buffer instead
-    /// of growing a fresh one (PR 10).
+    /// Always 0 since the pool-batched encode was removed (inline encode
+    /// reuse is [`CodecCacheStats::encode_buffer_reuses`]). Kept so
+    /// existing readers compile.
     pub emit_buffer_reuses: u64,
 }
 
@@ -202,18 +202,14 @@ impl fmt::Display for StageCounters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} pumps, edge {}+{}n+{}d, {} routed, {} settles, {} emitted, \
-             emit {}b/{}f/{}r",
+            "{} pumps, edge {}+{}n+{}d, {} routed, {} settles, {} emitted",
             self.pumps,
             self.edge_payloads,
             self.edge_notices,
             self.edge_duplicates,
             self.routed_documents,
             self.settle_passes,
-            self.emitted_documents,
-            self.encode_batches,
-            self.coalesced_frames,
-            self.emit_buffer_reuses
+            self.emitted_documents
         )
     }
 }

@@ -18,110 +18,6 @@ use b2b_network::{
 use b2b_protocol::FailureNotice;
 use std::fmt;
 
-/// Decode-memo bound per generation: once the hot generation fills, it
-/// becomes the cold generation and a fresh hot one starts.
-const DECODE_MEMO_CAP: usize = 1024;
-
-/// Two-generation (second-chance) decode memo keyed by
-/// (declared format, payload checksum); the stored payload guards
-/// against checksum collisions.
-///
-/// Entries are inserted into the hot generation. When the hot
-/// generation reaches its cap it is demoted wholesale to cold and the
-/// previous cold generation is dropped; a hit on a cold entry promotes
-/// it back to hot. Keys that keep being looked up therefore survive
-/// eviction indefinitely, while one-shot keys age out after at most two
-/// generations — deterministic like the old wholesale clear, but
-/// without dropping the working set at the cap boundary.
-struct DecodeMemo {
-    hot: FnvMap<(FormatId, u64), (Bytes, Document)>,
-    cold: FnvMap<(FormatId, u64), (Bytes, Document)>,
-    cap: usize,
-}
-
-impl DecodeMemo {
-    fn new(cap: usize) -> Self {
-        Self { hot: FnvMap::default(), cold: FnvMap::default(), cap }
-    }
-
-    /// Looks up a memoized decode, promoting cold hits to the hot
-    /// generation. The payload must match the stored payload exactly;
-    /// a checksum collision is treated as a miss.
-    fn get(&mut self, key: &(FormatId, u64), payload: &Bytes) -> Option<&Document> {
-        if let Some((stored, _)) = self.hot.get(key) {
-            if stored == payload {
-                return self.hot.get(key).map(|(_, doc)| doc);
-            }
-            return None;
-        }
-        if let Some((stored, _)) = self.cold.get(key) {
-            if stored != payload {
-                return None;
-            }
-            let entry = self.cold.remove(key).expect("checked above");
-            self.rotate_if_full();
-            return Some(&self.hot.entry(key.clone()).or_insert(entry).1);
-        }
-        None
-    }
-
-    /// Like [`get`](Self::get) but without promotion; used for counting
-    /// suppressed duplicates without mutating generation state.
-    fn peek(&self, key: &(FormatId, u64), payload: &Bytes) -> bool {
-        self.hot
-            .get(key)
-            .or_else(|| self.cold.get(key))
-            .map(|(stored, _)| stored == payload)
-            .unwrap_or(false)
-    }
-
-    fn insert(&mut self, key: (FormatId, u64), payload: Bytes, doc: Document) {
-        self.rotate_if_full();
-        self.hot.insert(key, (payload, doc));
-    }
-
-    /// Whether a [`get`](Self::get) would hit, mirroring its quirks (a
-    /// hot entry with a mismatched payload shadows cold) but without
-    /// mutating generation state. Used by the batch-decode planner to
-    /// predict which envelopes need a parse — a wrong prediction only
-    /// costs a wasted parallel parse or an inline fallback, never a
-    /// wrong result.
-    fn predict_hit(&self, key: &(FormatId, u64), payload: &Bytes) -> bool {
-        if let Some((stored, _)) = self.hot.get(key) {
-            return stored == payload;
-        }
-        if let Some((stored, _)) = self.cold.get(key) {
-            return stored == payload;
-        }
-        false
-    }
-
-    fn rotate_if_full(&mut self) {
-        if self.hot.len() >= self.cap {
-            self.cold = std::mem::take(&mut self.hot);
-        }
-    }
-}
-
-/// One slot of batch-parse output. Sharing across pool workers is sound
-/// because the pool claims each index exactly once, so the owning task's
-/// mutable access is exclusive (same argument as the settle slices).
-struct ParseCell(std::cell::UnsafeCell<Option<b2b_document::Result<Document>>>);
-
-unsafe impl Sync for ParseCell {}
-
-/// One slot of batch-encode state: a pooled scratch buffer that survives
-/// across emit passes (so steady-state outbound encodes append into a
-/// warm allocation) and the frozen result of this pass. Safety argument
-/// as for [`ParseCell`]: the pool claims each index exactly once.
-#[derive(Default)]
-struct EncodeSlot {
-    buf: std::cell::UnsafeCell<Vec<u8>>,
-    out: std::cell::UnsafeCell<Option<Result<Bytes, b2b_document::DocumentError>>>,
-}
-
-unsafe impl Sync for EncodeSlot {}
-
 /// What the edge rejects (and quarantines) without involving routing.
 #[derive(Debug)]
 pub enum EdgeError {
@@ -148,15 +44,9 @@ pub(crate) struct Edge {
     reliable: ReliableEndpoint,
     formats: FormatRegistry,
     dead_letters: DeadLetterQueue,
-    /// Memoized decodes; retransmitted duplicates and dead-letter
-    /// replays skip re-parsing.
-    decode_memo: DecodeMemo,
     /// Reusable encode buffers, one per (format, kind): after warm-up,
     /// outbound encodes append into an existing allocation.
     encode_buffers: FnvMap<(FormatId, DocKind), Vec<u8>>,
-    /// Pooled per-index scratch buffers for the batched emit path; grows
-    /// to the largest batch seen and is reused across emit passes.
-    emit_slots: Vec<EncodeSlot>,
     /// Reused JSON scratch for failure-notice bodies.
     notice_scratch: String,
     cache_stats: CodecCacheStats,
@@ -172,9 +62,7 @@ impl Edge {
             reliable: ReliableEndpoint::new(endpoint, config, net)?,
             formats: FormatRegistry::with_builtins(),
             dead_letters: DeadLetterQueue::default(),
-            decode_memo: DecodeMemo::new(DECODE_MEMO_CAP),
             encode_buffers: FnvMap::default(),
-            emit_slots: Vec::new(),
             notice_scratch: String::new(),
             cache_stats: CodecCacheStats::default(),
         })
@@ -186,123 +74,19 @@ impl Edge {
         self.reliable.receive_classified(net)
     }
 
-    /// Decodes a payload envelope into a document, memoizing by
-    /// (format, payload checksum). Decoding is deterministic, so a memo
-    /// hit returns exactly the document a fresh parse would.
+    /// Decodes a payload envelope into a document. Every call parses;
+    /// the reliable layer suppresses duplicated deliveries before they
+    /// get here.
     pub fn decode(&mut self, envelope: &Envelope) -> Result<Document, EdgeError> {
-        let key = (envelope.format.clone(), envelope.checksum);
-        if let Some(doc) = self.decode_memo.get(&key, &envelope.payload) {
-            self.cache_stats.decode_hits += 1;
-            return Ok(doc.clone());
-        }
         let doc = self
             .formats
             .decode_bytes(&envelope.format, &envelope.payload)
             .map_err(|e| EdgeError::Decode(e.to_string()))?;
         self.cache_stats.decode_misses += 1;
-        self.decode_memo.insert(key, envelope.payload.clone(), doc.clone());
         Ok(doc)
     }
 
-    /// Decodes a batch of payload envelopes, farming the predicted memo
-    /// misses out to the worker pool. Results, counters, and memo state
-    /// are byte-identical to calling [`decode`](Self::decode) once per
-    /// envelope in order: a sequential replay over the memo is the
-    /// source of truth, and the parallel phase only pre-computes parses
-    /// the replay would have done inline. A mis-prediction (memo
-    /// rotation evicting a predicted hit, or a duplicate key parsed
-    /// twice) costs a wasted or repeated parse, never a different
-    /// outcome.
-    pub fn decode_batch(
-        &mut self,
-        envelopes: &[Envelope],
-        pool: &b2b_wfms::WorkerPool,
-        chunk: usize,
-    ) -> Vec<Result<Document, EdgeError>> {
-        if envelopes.len() <= 1 || pool.workers() == 0 {
-            return envelopes.iter().map(|e| self.decode(e)).collect();
-        }
-
-        // Phase 1: predict which envelopes miss the memo. Only the first
-        // occurrence of a (key, payload) pair parses — the replay inserts
-        // it, so later duplicates hit.
-        let mut planned: FnvMap<(FormatId, u64), &Bytes> = FnvMap::default();
-        let mut jobs: Vec<usize> = Vec::new();
-        for (i, envelope) in envelopes.iter().enumerate() {
-            let key = (envelope.format.clone(), envelope.checksum);
-            if self.decode_memo.predict_hit(&key, &envelope.payload) {
-                continue;
-            }
-            match planned.get(&key) {
-                Some(payload) if **payload == envelope.payload => {}
-                _ => {
-                    planned.insert(key, &envelope.payload);
-                    jobs.push(i);
-                }
-            }
-        }
-
-        // Phase 2: parse predicted misses in parallel. The registry is
-        // shared immutably; codecs are `Send + Sync`.
-        let parsed: Vec<ParseCell> =
-            jobs.iter().map(|_| ParseCell(std::cell::UnsafeCell::new(None))).collect();
-        if jobs.len() > 1 {
-            let formats = &self.formats;
-            pool.run(jobs.len(), chunk, &|k| {
-                let envelope = &envelopes[jobs[k]];
-                let result = formats.decode_bytes(&envelope.format, &envelope.payload);
-                unsafe { *parsed[k].0.get() = Some(result) };
-            });
-        } else if let Some(&i) = jobs.first() {
-            let envelope = &envelopes[i];
-            let result = self.formats.decode_bytes(&envelope.format, &envelope.payload);
-            unsafe { *parsed[0].0.get() = Some(result) };
-        }
-        let mut pre: FnvMap<usize, b2b_document::Result<Document>> = jobs
-            .iter()
-            .zip(parsed)
-            .map(|(&i, cell)| (i, cell.0.into_inner().expect("pool ran every parse")))
-            .collect();
-
-        // Phase 3: sequential replay against the memo, exactly the loop
-        // `decode` runs, except a pre-parsed result stands in for the
-        // inline parse when available.
-        let mut out = Vec::with_capacity(envelopes.len());
-        for (i, envelope) in envelopes.iter().enumerate() {
-            let key = (envelope.format.clone(), envelope.checksum);
-            if let Some(doc) = self.decode_memo.get(&key, &envelope.payload) {
-                self.cache_stats.decode_hits += 1;
-                out.push(Ok(doc.clone()));
-                continue;
-            }
-            let result = match pre.remove(&i) {
-                Some(result) => result,
-                None => self.formats.decode_bytes(&envelope.format, &envelope.payload),
-            };
-            match result {
-                Ok(doc) => {
-                    self.cache_stats.decode_misses += 1;
-                    self.decode_memo.insert(key, envelope.payload.clone(), doc.clone());
-                    out.push(Ok(doc));
-                }
-                Err(e) => out.push(Err(EdgeError::Decode(e.to_string()))),
-            }
-        }
-        out
-    }
-
-    /// Counts a suppressed duplicate delivery against the decode memo: a
-    /// hit means the memo would have saved a re-parse had the duplicate
-    /// been decoded. Never parses (duplicates are not routed), so a
-    /// duplicate of a payload the memo no longer holds counts nothing.
-    pub fn note_duplicate(&mut self, envelope: &Envelope) {
-        let key = (envelope.format.clone(), envelope.checksum);
-        if self.decode_memo.peek(&key, &envelope.payload) {
-            self.cache_stats.decode_hits += 1;
-        }
-    }
-
-    /// Counters for the decode memo and encode buffers.
+    /// Counters for payload decodes and the encode buffers.
     pub fn cache_stats(&self) -> &CodecCacheStats {
         &self.cache_stats
     }
@@ -338,68 +122,6 @@ impl Edge {
         }
     }
 
-    /// Encodes a batch of outbound documents, farming the work out to
-    /// the worker pool into pooled per-slot buffers (PR 10). Returns one
-    /// result per document, in order, plus how many slots arrived warm
-    /// (their scratch buffer already existed from an earlier pass).
-    ///
-    /// Unlike [`encode`](Self::encode), this does NOT touch the
-    /// per-(format, kind) buffer accounting — the sequential replay
-    /// calls [`note_precomputed_encode`](Self::note_precomputed_encode)
-    /// per document so [`CodecCacheStats`] evolves exactly as if each
-    /// document had been encoded inline, keeping fingerprints identical
-    /// across the batched and sequential paths.
-    pub fn encode_batch(
-        &mut self,
-        docs: &[&Document],
-        pool: &b2b_wfms::WorkerPool,
-        chunk: usize,
-    ) -> (Vec<Result<Bytes, b2b_document::DocumentError>>, u64) {
-        let warm = self.emit_slots.len().min(docs.len()) as u64;
-        while self.emit_slots.len() < docs.len() {
-            self.emit_slots.push(EncodeSlot::default());
-        }
-        let slots = &self.emit_slots[..docs.len()];
-        let formats = &self.formats;
-        let encode_one = |k: usize| {
-            // SAFETY: each index is claimed exactly once (by the pool or
-            // by this loop), so the slot access is exclusive.
-            let buf = unsafe { &mut *slots[k].buf.get() };
-            buf.clear();
-            let result = formats.encode_into(docs[k], buf).map(|()| Bytes::copy_from_slice(buf));
-            unsafe { *slots[k].out.get() = Some(result) };
-        };
-        if docs.len() > 1 && pool.workers() > 0 {
-            pool.run(docs.len(), chunk, &encode_one);
-        } else {
-            (0..docs.len()).for_each(encode_one);
-        }
-        let out = slots
-            .iter()
-            .map(|slot| {
-                // SAFETY: the pool has quiesced; access is exclusive again.
-                unsafe { (*slot.out.get()).take().expect("every slot was encoded") }
-            })
-            .collect();
-        (out, warm)
-    }
-
-    /// Books a pre-computed batch encode against the per-(format, kind)
-    /// buffer accounting, replicating what [`encode`](Self::encode)
-    /// would have done for this document: a reuse if the buffer exists,
-    /// otherwise an alloc plus buffer insertion. Called from the
-    /// sequential replay so cache counters are independent of which path
-    /// produced the bytes.
-    pub fn note_precomputed_encode(&mut self, doc: &Document) {
-        let key = (doc.format().clone(), doc.kind());
-        if self.encode_buffers.contains_key(&key) {
-            self.cache_stats.encode_buffer_reuses += 1;
-        } else {
-            self.cache_stats.encode_buffer_allocs += 1;
-            self.encode_buffers.insert(key, Vec::with_capacity(256));
-        }
-    }
-
     /// Serializes a failure notice through the reused JSON scratch, so
     /// steady-state notices skip the fresh per-notice string allocation
     /// of `serde_json::to_string`.
@@ -421,19 +143,6 @@ impl Edge {
             Some(ms) => self.reliable.send_with_deadline(net, to, format, bytes, Some(ms)),
             None => self.reliable.send(net, to, format, bytes),
         }
-    }
-
-    /// Sends a pre-built coalesced batch frame reliably as one unit; the
-    /// receiving endpoint splits it back into per-document payloads.
-    pub fn send_batch(
-        &mut self,
-        net: &mut SimNetwork,
-        to: &EndpointId,
-        format: FormatId,
-        frame: Bytes,
-        deadline_ms: Option<u64>,
-    ) -> b2b_network::Result<MessageId> {
-        self.reliable.send_batch(net, to, format, frame, deadline_ms)
     }
 
     /// Sends a failure notice reliably.
@@ -501,64 +210,5 @@ impl Edge {
 
     pub fn stats(&self) -> &b2b_network::ReliableStats {
         self.reliable.stats()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use b2b_document::{CorrelationId, Value};
-
-    fn doc(n: u64) -> Document {
-        Document::new(
-            DocKind::PurchaseOrder,
-            FormatId::EDI_X12,
-            CorrelationId::for_po_number(&n.to_string()),
-            Value::Int(n as i64),
-        )
-    }
-
-    fn payload(n: u64) -> Bytes {
-        Bytes::copy_from_slice(n.to_string().as_bytes())
-    }
-
-    fn key(n: u64) -> (FormatId, u64) {
-        (FormatId::EDI_X12, n)
-    }
-
-    #[test]
-    fn hot_key_survives_eviction_past_the_cap() {
-        let cap = 8;
-        let mut memo = DecodeMemo::new(cap);
-        memo.insert(key(0), payload(0), doc(0));
-        // Churn through many generations of one-shot keys, re-touching
-        // key 0 after each insert so it keeps getting promoted.
-        for n in 1..(6 * cap as u64) {
-            memo.insert(key(n), payload(n), doc(n));
-            assert!(memo.get(&key(0), &payload(0)).is_some(), "hot key lost after insert {n}");
-        }
-        assert!(memo.get(&key(0), &payload(0)).is_some());
-    }
-
-    #[test]
-    fn untouched_keys_age_out_after_two_generations() {
-        let cap = 4;
-        let mut memo = DecodeMemo::new(cap);
-        memo.insert(key(0), payload(0), doc(0));
-        // Two full generations of churn with no re-touch of key 0.
-        for n in 1..=(2 * cap as u64) {
-            memo.insert(key(n), payload(n), doc(n));
-        }
-        assert!(memo.get(&key(0), &payload(0)).is_none(), "one-shot key should age out");
-        assert!(memo.hot.len() <= cap && memo.cold.len() <= cap, "generations stay bounded");
-    }
-
-    #[test]
-    fn checksum_collision_is_a_miss_not_a_wrong_document() {
-        let mut memo = DecodeMemo::new(4);
-        memo.insert(key(7), payload(7), doc(7));
-        assert!(memo.get(&key(7), &payload(8)).is_none(), "colliding payload must miss");
-        assert!(!memo.peek(&key(7), &payload(8)));
-        assert!(memo.peek(&key(7), &payload(7)));
     }
 }

@@ -25,17 +25,12 @@ pub mod route;
 pub use edge::EdgeError;
 pub use route::RouteError;
 
-use crate::engine::{IntegrationEngine, WireOwners};
+use crate::engine::IntegrationEngine;
 use crate::error::Result;
 use crate::session::SessionState;
-use b2b_document::Document;
-use b2b_network::{
-    decode_batch_frame, DeliveryStatus, EndpointId, Envelope, MessageId, SimNetwork, WireClass,
-};
+use b2b_network::{DeliveryStatus, EndpointId, Envelope, MessageId, SimNetwork};
 use b2b_protocol::FailureNotice;
-use b2b_wfms::{ChannelId, InstanceId};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 impl IntegrationEngine {
@@ -63,7 +58,7 @@ impl IntegrationEngine {
         self.profile.timers.edge_ns += edge_started.elapsed().as_nanos() as u64;
         self.profile.counters.edge_notices += batch.notices.len() as u64;
         self.profile.counters.edge_payloads += batch.payloads.len() as u64;
-        self.profile.counters.edge_duplicates += batch.duplicates.len() as u64;
+        self.profile.counters.edge_duplicates += batch.duplicates;
 
         // Stage 2: routing — sequential, canonical. A flooding partner is
         // capped here: beyond `inbound_queue_cap` payloads per pump its
@@ -72,20 +67,10 @@ impl IntegrationEngine {
         for envelope in batch.notices {
             self.handle_notify(net, envelope)?;
         }
-        let payloads = self.cap_inbound(net, batch.payloads)?;
-        // Decode the whole batch up front — predicted memo misses parse
-        // on the worker pool — then route sequentially in arrival order.
-        // The replay inside `decode_batch` keeps results, counters, and
-        // memo state byte-identical to envelope-at-a-time decoding.
-        let chunk = self.wf.steal_chunk_or(8);
-        let decoded = self.edge.decode_batch(&payloads, self.wf.pool(), chunk);
-        for (envelope, result) in payloads.into_iter().zip(decoded) {
-            self.route_inbound_decoded(net, envelope, result)?;
-        }
-        // Suppressed duplicates are never routed; they only tell the
-        // decode memo how many re-parses it saved.
-        for envelope in &batch.duplicates {
-            self.edge.note_duplicate(envelope);
+        // Each fresh payload is decoded once, in arrival order, and routed
+        // right away; suppressed duplicates never reach this stage.
+        for envelope in self.cap_inbound(net, batch.payloads)? {
+            self.route_inbound(net, envelope)?;
         }
         self.poll_backends()?;
         self.profile.timers.route_ns += route_started.elapsed().as_nanos() as u64;
@@ -121,76 +106,31 @@ impl IntegrationEngine {
         Ok(())
     }
 
-    /// Handles one permanently failed wire envelope: every owning session
+    /// Handles one permanently failed wire envelope: its owning session
     /// fails, the envelope is quarantined (linked to its origin letter if
     /// it was a replay), and the failure feeds the partner's breaker —
     /// tripping it abandons every other outstanding send on that link.
-    ///
-    /// A failed coalesced frame is accounted per document: each owning
-    /// session fails, the frame splits into per-document dead letters,
-    /// and the breaker is fed one failure per document — the same ledger
-    /// a sequential run of per-document sends would have produced.
     fn fail_wire_delivery(&mut self, net: &mut SimNetwork, envelope: Envelope) -> Result<()> {
         let attempts = self.edge.attempts(&envelope.id);
-        if let Some(owners) = self.outstanding_wire.remove(&envelope.id) {
-            for &index in owners.as_slice() {
-                self.stats.delivery_failures += 1;
-                self.table.mark_failure(
-                    index,
-                    format!(
-                        "wire delivery of {} failed permanently after {attempts} attempts",
-                        envelope.id
-                    ),
-                    true,
-                );
-            }
+        if let Some(index) = self.outstanding_wire.remove(&envelope.id) {
+            self.stats.delivery_failures += 1;
+            self.table.mark_failure(
+                index,
+                format!(
+                    "wire delivery of {} failed permanently after {attempts} attempts",
+                    envelope.id
+                ),
+                true,
+            );
         }
         let partner = self.partners.name_of(&envelope.to).ok().map(str::to_string);
-        let letters = self.quarantine_split(net, envelope, attempts);
+        self.quarantine_delivery_failure(envelope, attempts, net.now());
         if let Some(partner) = partner {
-            for _ in 0..letters {
-                // Once a failure trips the breaker open, further calls
-                // are no-ops, so per-document accounting cannot
-                // double-trip.
-                if self.health.record_failure(&partner, net.now()) {
-                    self.trip_partner(net, &partner)?;
-                }
+            if self.health.record_failure(&partner, net.now()) {
+                self.trip_partner(net, &partner)?;
             }
         }
         Ok(())
-    }
-
-    /// Quarantines a permanently failed wire envelope, splitting a
-    /// coalesced batch frame back into per-document dead letters (each a
-    /// plain payload envelope an operator can inspect and replay
-    /// individually) so the dead-letter queue never learns about frames.
-    /// Returns how many letters were written.
-    pub(crate) fn quarantine_split(
-        &mut self,
-        net: &mut SimNetwork,
-        envelope: Envelope,
-        attempts: u32,
-    ) -> usize {
-        if envelope.class == WireClass::Batch {
-            if let Some(parts) = decode_batch_frame(&envelope.payload) {
-                let count = parts.len();
-                for part in parts {
-                    let id = net.alloc_message_id();
-                    let letter = Envelope::payload_with_id(
-                        id,
-                        envelope.from.clone(),
-                        envelope.to.clone(),
-                        envelope.format.clone(),
-                        part,
-                        envelope.sent_at,
-                    );
-                    self.quarantine_delivery_failure(letter, attempts, net.now());
-                }
-                return count;
-            }
-        }
-        self.quarantine_delivery_failure(envelope, attempts, net.now());
-        1
     }
 
     /// Sweeps the outstanding-wire ledger for acknowledged messages:
@@ -198,21 +138,17 @@ impl IntegrationEngine {
     /// and its ledger entry is reclaimed (acknowledged entries used to
     /// accumulate for the life of the engine).
     fn sweep_acknowledged(&mut self) {
-        let acked: Vec<(MessageId, WireOwners)> = self
+        let acked: Vec<(MessageId, usize)> = self
             .outstanding_wire
             .iter()
             .filter(|(id, _)| self.edge.delivery_status(id) == DeliveryStatus::Acknowledged)
-            .map(|(id, owners)| (id.clone(), owners.clone()))
+            .map(|(id, &index)| (id.clone(), index))
             .collect();
-        for (id, owners) in acked {
+        for (id, index) in acked {
             self.outstanding_wire.remove(&id);
             self.replay_origins.remove(&id);
-            // An acked frame is a delivery success per document, mirroring
-            // the per-document failures a failed frame books.
-            for &index in owners.as_slice() {
-                let partner = self.table.session(index).partner.clone();
-                self.health.record_success(&partner);
-            }
+            let partner = self.table.session(index).partner.clone();
+            self.health.record_success(&partner);
         }
     }
 
@@ -296,7 +232,7 @@ impl IntegrationEngine {
                 pending.bytes,
                 pending.deadline_ms,
             )?;
-            self.outstanding_wire.insert(msg, WireOwners::One(pending.session));
+            self.outstanding_wire.insert(msg, pending.session);
             self.stats.wire_sent += 1;
             budget -= 1;
         }
@@ -327,59 +263,14 @@ impl IntegrationEngine {
             }
             let emit_started = Instant::now();
             self.profile.counters.emitted_documents += outputs.len() as u64;
-            self.emit_outputs(net, outputs)?;
+            for (from, channel, doc) in outputs {
+                self.route_one(net, from, &channel, doc)?;
+            }
             self.profile.timers.emit_ns += emit_started.elapsed().as_nanos() as u64;
         }
         let touched = self.wf.drain_touched();
         self.table.refresh_instances(&self.wf, &touched);
         Ok(())
-    }
-
-    /// Routes one emit pass's outbox, the outbound mirror of the decode
-    /// batch (PR 10): wire-bound documents are pre-encoded as one batch
-    /// on the worker pool into pooled buffers, then every output replays
-    /// sequentially through [`route_one_pre`](Self::route_one_pre) in
-    /// canonical outbox order, so outcomes are byte-identical to the
-    /// per-document path — the parallel phase only pre-computes encodes
-    /// the replay would have done inline. Coalesced frames accumulated
-    /// during the replay are flushed at the end of the pass.
-    fn emit_outputs(
-        &mut self,
-        net: &mut SimNetwork,
-        outputs: Vec<(InstanceId, ChannelId, Arc<Document>)>,
-    ) -> Result<()> {
-        let mut pre: BTreeMap<
-            usize,
-            std::result::Result<b2b_network::Bytes, b2b_document::DocumentError>,
-        > = BTreeMap::new();
-        if self.emit_batch && outputs.len() > 1 {
-            // Pre-encode every wire-bound document with a known session.
-            // A document that the replay then sheds (breaker open, queue
-            // full) wastes its encode but books nothing — the replay only
-            // notes pre-computed encodes where the sequential path would
-            // have encoded.
-            let jobs: Vec<usize> = outputs
-                .iter()
-                .enumerate()
-                .filter(|(_, (from, channel, _))| {
-                    channel.as_str() == "wire:out" && self.table.index_of_instance(*from).is_some()
-                })
-                .map(|(i, _)| i)
-                .collect();
-            if jobs.len() > 1 {
-                let docs: Vec<&Document> = jobs.iter().map(|&i| outputs[i].2.as_ref()).collect();
-                let chunk = self.wf.steal_chunk_or(8);
-                let (results, warm) = self.edge.encode_batch(&docs, self.wf.pool(), chunk);
-                self.profile.counters.encode_batches += 1;
-                self.profile.counters.emit_buffer_reuses += warm;
-                pre = jobs.into_iter().zip(results).collect();
-            }
-        }
-        for (i, (from, channel, doc)) in outputs.into_iter().enumerate() {
-            let pre_bytes = pre.remove(&i);
-            self.route_one_pre(net, from, &channel, doc, pre_bytes)?;
-        }
-        self.flush_emit_frames(net)
     }
 
     /// Sends a failure notification for every failed, not-yet-notified

@@ -11,7 +11,7 @@
 use crate::binding::BindingRole;
 use crate::channels;
 use crate::deadletter::DeadLetterReason;
-use crate::engine::{IntegrationEngine, PendingSend, WireOwners, SELECT_BACKEND_RULE};
+use crate::engine::{IntegrationEngine, PendingSend, SELECT_BACKEND_RULE};
 use crate::error::{IntegrationError, Result};
 use crate::private_process::{
     initiator_private_id, quote_generation_id, responder_private_id, rfq_submission_id,
@@ -119,22 +119,20 @@ impl IntegrationEngine {
         let endpoint = p.endpoint.clone();
         for envelope in self.edge.abandon_to(&endpoint) {
             let attempts = self.edge.attempts(&envelope.id);
-            if let Some(owners) = self.outstanding_wire.remove(&envelope.id) {
-                for &index in owners.as_slice() {
-                    self.stats.delivery_failures += 1;
-                    self.health.stats_mut().fast_failed_sessions += 1;
-                    self.table.mark_failure(
-                        index,
-                        format!(
-                            "circuit breaker tripped for `{partner}`: {} abandoned after \
-                             {attempts} attempts",
-                            envelope.id
-                        ),
-                        true,
-                    );
-                }
+            if let Some(index) = self.outstanding_wire.remove(&envelope.id) {
+                self.stats.delivery_failures += 1;
+                self.health.stats_mut().fast_failed_sessions += 1;
+                self.table.mark_failure(
+                    index,
+                    format!(
+                        "circuit breaker tripped for `{partner}`: {} abandoned after \
+                         {attempts} attempts",
+                        envelope.id
+                    ),
+                    true,
+                );
             }
-            self.quarantine_split(net, envelope, attempts);
+            self.quarantine_delivery_failure(envelope, attempts, net.now());
         }
         Ok(())
     }
@@ -204,21 +202,7 @@ impl IntegrationEngine {
     /// when the document starts a new interaction). Only queues and
     /// schedules — the execute stage does the stepping.
     pub(crate) fn route_inbound(&mut self, net: &mut SimNetwork, envelope: Envelope) -> Result<()> {
-        let decoded = self.edge.decode(&envelope);
-        self.route_inbound_decoded(net, envelope, decoded)
-    }
-
-    /// [`route_inbound`](Self::route_inbound) with the decode already
-    /// done — the pump's batch decoder produces the results up front so
-    /// parsing can run on the worker pool, then replays them here in
-    /// arrival order.
-    pub(crate) fn route_inbound_decoded(
-        &mut self,
-        net: &mut SimNetwork,
-        envelope: Envelope,
-        decoded: std::result::Result<Document, crate::runtime::edge::EdgeError>,
-    ) -> Result<()> {
-        let doc = match decoded {
+        let doc = match self.edge.decode(&envelope) {
             Ok(doc) => doc,
             Err(e) => {
                 // Malformed content is rejected at the edge — but kept:
@@ -352,22 +336,14 @@ impl IntegrationEngine {
     ///
     /// Takes the outbox's `Arc<Document>` as-is: queueing into the next
     /// instance moves the pointer, so a document crossing all three
-    /// process layers is never deep-copied in transit.
-    ///
-    /// `pre` carries the wire encode when the emit stage's batch encoder
-    /// already produced the bytes on the worker pool; the replay here, in
-    /// canonical outbox order, is the source of truth. A pre-computed
-    /// encode stands in exactly where the sequential path would have
-    /// called [`Edge::encode`]; everywhere else (shed sends, non-wire
-    /// channels) it is simply dropped, so counters and outcomes are
-    /// independent of which path ran.
-    pub(crate) fn route_one_pre(
+    /// process layers is never deep-copied in transit. A wire-bound
+    /// document is encoded here, only once no shed can discard it.
+    pub(crate) fn route_one(
         &mut self,
         net: &mut SimNetwork,
         from: InstanceId,
         channel: &ChannelId,
         doc: Arc<Document>,
-        pre: Option<std::result::Result<b2b_network::Bytes, b2b_document::DocumentError>>,
     ) -> Result<()> {
         let index =
             self.table.index_of_instance(from).ok_or(RouteError::NoSession { instance: from })?;
@@ -405,25 +381,10 @@ impl IntegrationEngine {
                 {
                     // Unbounded budget: send directly, exactly as before
                     // the health subsystem existed.
-                    let bytes = self.wire_bytes(&doc, pre)?;
-                    if self.emit_batch && self.emit_coalesce > 1 {
-                        // Coalescing on: the document joins its partner's
-                        // frame instead of going out alone. Only this
-                        // fast path coalesces — bounded-budget sends keep
-                        // their per-document queue semantics.
-                        self.queue_frame_doc(
-                            net,
-                            index,
-                            partner_endpoint,
-                            format,
-                            deadline,
-                            bytes,
-                        )?;
-                        return Ok(());
-                    }
+                    let bytes = self.edge.encode(&doc)?;
                     let msg =
                         self.edge.send_payload(net, &partner_endpoint, format, bytes, deadline)?;
-                    self.outstanding_wire.insert(msg, WireOwners::One(index));
+                    self.outstanding_wire.insert(msg, index);
                     self.stats.wire_sent += 1;
                     return Ok(());
                 }
@@ -442,7 +403,7 @@ impl IntegrationEngine {
                     );
                     return Ok(());
                 }
-                let bytes = self.wire_bytes(&doc, pre)?;
+                let bytes = self.edge.encode(&doc)?;
                 self.pending_sends.push_back(PendingSend {
                     session: index,
                     partner: partner_name,
@@ -540,93 +501,6 @@ impl IntegrationEngine {
                 }
                 .into())
             }
-        }
-        Ok(())
-    }
-
-    /// The wire bytes for one outbound document: the pre-computed batch
-    /// encode when one exists, otherwise the inline per-document encode.
-    /// A pre-computed result books the same per-(format, kind) buffer
-    /// accounting the inline encode would have, so [`CodecCacheStats`]
-    /// cannot tell the paths apart.
-    ///
-    /// [`CodecCacheStats`]: crate::metrics::CodecCacheStats
-    fn wire_bytes(
-        &mut self,
-        doc: &Document,
-        pre: Option<std::result::Result<b2b_network::Bytes, b2b_document::DocumentError>>,
-    ) -> std::result::Result<b2b_network::Bytes, b2b_document::DocumentError> {
-        match pre {
-            Some(Ok(bytes)) => {
-                self.edge.note_precomputed_encode(doc);
-                Ok(bytes)
-            }
-            Some(Err(e)) => Err(e),
-            None => self.edge.encode(doc),
-        }
-    }
-
-    /// Adds one encoded outbound document to its partner's pending
-    /// coalesced frame, flushing the frame as soon as it reaches the
-    /// configured size. Frames still open when the emit pass ends are
-    /// flushed by [`flush_emit_frames`](Self::flush_emit_frames).
-    fn queue_frame_doc(
-        &mut self,
-        net: &mut SimNetwork,
-        index: usize,
-        endpoint: b2b_network::EndpointId,
-        format: b2b_document::FormatId,
-        deadline: Option<u64>,
-        bytes: b2b_network::Bytes,
-    ) -> Result<()> {
-        let key = (endpoint, format, deadline);
-        let acc = self.emit_frames.entry(key.clone()).or_default();
-        acc.owners.push(index);
-        acc.parts.push(bytes);
-        if acc.parts.len() >= self.emit_coalesce {
-            let acc = self.emit_frames.remove(&key).expect("entry just filled");
-            self.flush_frame(net, key, acc)?;
-        }
-        Ok(())
-    }
-
-    /// Sends one accumulated frame: a single-document frame degenerates
-    /// to a plain payload send (identical to the uncoalesced path); a
-    /// multi-document frame goes out as one checksummed `Batch` envelope
-    /// owned by every contributing session.
-    fn flush_frame(
-        &mut self,
-        net: &mut SimNetwork,
-        key: (b2b_network::EndpointId, b2b_document::FormatId, Option<u64>),
-        acc: crate::engine::FrameAcc,
-    ) -> Result<()> {
-        let (endpoint, format, deadline) = key;
-        if acc.parts.len() == 1 {
-            let bytes = acc.parts.into_iter().next().expect("checked length");
-            let msg = self.edge.send_payload(net, &endpoint, format, bytes, deadline)?;
-            self.outstanding_wire.insert(msg, WireOwners::One(acc.owners[0]));
-            self.stats.wire_sent += 1;
-            return Ok(());
-        }
-        self.frame_scratch.clear();
-        b2b_network::encode_batch_frame(&acc.parts, &mut self.frame_scratch);
-        let frame = b2b_network::Bytes::copy_from_slice(&self.frame_scratch);
-        let msg = self.edge.send_batch(net, &endpoint, format, frame, deadline)?;
-        // `wire_sent` counts documents, not envelopes, so the stat is
-        // coalescing-invariant.
-        self.stats.wire_sent += acc.parts.len() as u64;
-        self.profile.counters.coalesced_frames += 1;
-        self.outstanding_wire.insert(msg, WireOwners::Many(acc.owners));
-        Ok(())
-    }
-
-    /// Flushes every frame still open at the end of an emit pass, in
-    /// (endpoint, format, deadline) order — deterministic because the
-    /// map is ordered and its content is a pure function of the
-    /// canonical outbox.
-    pub(crate) fn flush_emit_frames(&mut self, net: &mut SimNetwork) -> Result<()> {
-        while let Some((key, acc)) = self.emit_frames.pop_first() {
-            self.flush_frame(net, key, acc)?;
         }
         Ok(())
     }

@@ -367,20 +367,17 @@ fn truncated_binary_payload_feeds_the_poison_ladder() {
     assert_eq!(seller.breaker_state(BUYER), BreakerState::Open);
 }
 
-/// A poisoned coalesced frame splits back into per-document letters: when
-/// the emit coalescer packs two sessions' replies into one batch frame and
-/// that frame misses its receipt deadline, each owning session fails and
-/// each document gets its *own* dead letter (payload class, distinct ids)
-/// — the frame is an envelope optimization, never a failure domain.
+/// Two replies that miss their receipt deadline fail as two sends: each
+/// owning session fails, each counterparty session is notified, and each
+/// reply gets its own payload dead letter.
 #[test]
-fn failed_batch_frame_splits_into_per_document_dead_letters() {
+fn failed_replies_dead_letter_one_payload_each() {
     use b2b_network::WireClass;
 
     // Fixed 6 s one-way latency: both POs (no deadline on the plain buyer
     // process) arrive at the seller in the same pump window, so the
-    // seller's two replies share one emit pass and coalesce; the replies
-    // *do* carry the 5 s receipt deadline, which a 12 s ack round trip
-    // can never meet.
+    // seller's two replies share one emit pass; the replies carry the 5 s
+    // receipt deadline, which a 12 s ack round trip can never meet.
     let faults =
         FaultConfig { min_delay_ms: 6_000, max_delay_ms: 6_000, ..FaultConfig::reliable() };
     let mut net = SimNetwork::new(faults, 29);
@@ -396,12 +393,8 @@ fn failed_batch_frame_splits_into_per_document_dead_letters() {
         .add_backend(ApplicationProcess::new(Box::new(SapSystem::new(AckPolicy::AcceptAll))))
         .unwrap();
     seller_rules(&mut seller).unwrap();
-    // Pin the emit mode explicitly: coalescing requires the batched
-    // path, and the suite also runs under B2B_EMIT_BATCH=0.
-    seller.set_batched_emit(true);
-    seller.set_emit_coalesce(8);
     // Mirror of the receipt-timeout setup: only the *seller* models
-    // WaitReceipt, so only its reply frame carries the deadline.
+    // WaitReceipt, so only its replies carry the deadline.
     let (init_def, _) = pip3a4_processes().unwrap();
     let (_, resp_def) = pip3a4_with_explicit_acks().unwrap();
     let agreement =
@@ -412,7 +405,7 @@ fn failed_batch_frame_splits_into_per_document_dead_letters() {
 
     let template = TwoEnterpriseScenario::new(FaultConfig::reliable(), 1).unwrap();
     let mut correlations = Vec::new();
-    for (name, amount) in [("frame-a", 1_000), ("frame-b", 2_000)] {
+    for (name, amount) in [("late-a", 1_000), ("late-b", 2_000)] {
         let po = template.po(name, amount).unwrap();
         correlations.push(buyer.initiate(&mut net, "pip3a4-acks", po).unwrap());
     }
@@ -425,33 +418,108 @@ fn failed_batch_frame_splits_into_per_document_dead_letters() {
         }
     }
 
-    // The replies really did travel as one coalesced frame...
-    assert!(
-        seller.stage_profile().counters.coalesced_frames >= 1,
-        "seller never coalesced a frame: {:?}",
-        seller.stage_profile().counters
-    );
-    // ...and its failure was booked per owning session, not per envelope.
     for c in &correlations {
         assert!(
             matches!(seller.session_state(c), SessionState::Failed(_)),
             "session {c} should fail at the receipt deadline"
         );
     }
-    assert_eq!(seller.stats().delivery_failures, 2, "one failure per owning session");
+    assert_eq!(seller.stats().delivery_failures, 2, "one failure per reply");
     assert_eq!(seller.stats().notifications_sent, 2, "each counterparty session notified");
     let letters: Vec<_> = seller
         .dead_letters()
         .iter()
         .filter(|l| matches!(l.reason, DeadLetterReason::DeliveryFailure { .. }))
         .collect();
-    assert_eq!(letters.len(), 2, "the poisoned frame split into per-document letters");
+    assert_eq!(letters.len(), 2, "one letter per failed reply");
     for letter in &letters {
-        assert_eq!(
-            letter.envelope.class,
-            WireClass::Payload,
-            "each split letter holds one document, not the frame"
-        );
+        assert_eq!(letter.envelope.class, WireClass::Payload, "each letter holds one document");
     }
-    assert_ne!(letters[0].envelope.id, letters[1].envelope.id, "split letters get fresh ids");
+    assert_ne!(letters[0].envelope.id, letters[1].envelope.id, "distinct sends, distinct ids");
+}
+
+/// A replayed decode failure that trips the partner's breaker collapses
+/// back into its own letter. The trip abandons the partner's outstanding
+/// sends and dead-letters them after the replay's letter; none of those
+/// letters may be lost to the collapse.
+#[test]
+fn replay_that_trips_the_breaker_keeps_the_abandoned_sends_letters() {
+    use b2b_core::{BreakerState, PartnerPolicy};
+    use b2b_network::{Bytes, EndpointId, Envelope};
+
+    let mut s = TwoEnterpriseScenario::new(FaultConfig::reliable(), 37).unwrap();
+    let policy =
+        PartnerPolicy { poison_threshold: 3, open_ms: 10_000, ..PartnerPolicy::permissive() };
+    s.seller.set_partner_policy(policy);
+    let po = s.po("unacked", 1_000).unwrap();
+    s.submit(po).unwrap();
+    // Run both sides until the seller has replied, then stop pumping the
+    // buyer: the reply stays unacknowledged in the seller's reliable layer.
+    for _ in 0..500 {
+        if s.seller.stats().wire_sent > 0 {
+            break;
+        }
+        s.net.advance(10);
+        s.buyer.pump(&mut s.net).unwrap();
+        s.seller.pump(&mut s.net).unwrap();
+    }
+    assert_eq!(s.seller.stats().wire_sent, 1, "the seller replied");
+    assert_eq!(s.seller.wire_outstanding(), 1, "the reply is unacknowledged");
+
+    // Two forged poison payloads from TP1's endpoint: validly checksummed
+    // bytes that decode to nothing, two rungs up the poison ladder.
+    let from = EndpointId::new(format!("ep:{BUYER}"));
+    let to = EndpointId::new(format!("ep:{SELLER}"));
+    let poison = Bytes::from_static(b"this will never parse as any wire format");
+    for _ in 0..2 {
+        let id = s.net.alloc_message_id();
+        let now = s.net.now();
+        let forged = Envelope::payload_with_id(
+            id,
+            from.clone(),
+            to.clone(),
+            b2b_document::FormatId::EDI_X12,
+            poison.clone(),
+            now,
+        );
+        s.net.send(forged).unwrap();
+    }
+    for _ in 0..5 {
+        s.net.advance(10);
+        s.seller.pump(&mut s.net).unwrap();
+    }
+    assert_eq!(s.seller.stats().decode_failures, 2);
+    assert_eq!(s.seller.breaker_state(BUYER), BreakerState::Closed);
+
+    // Replaying one of them is the third identical failure: the ladder
+    // tops out and the trip abandons the unacknowledged reply.
+    let seq = s
+        .seller
+        .dead_letters()
+        .iter()
+        .find(|l| matches!(l.reason, DeadLetterReason::DecodeFailure(_)))
+        .unwrap()
+        .seq;
+    s.seller.replay_dead_letter(&mut s.net, seq).unwrap();
+    assert_eq!(s.seller.breaker_state(BUYER), BreakerState::Open);
+    assert_eq!(s.seller.stats().delivery_failures, 1, "the trip abandoned the reply");
+
+    let letters = |decode: bool| {
+        s.seller
+            .dead_letters()
+            .iter()
+            .filter(|l| match l.reason {
+                DeadLetterReason::DecodeFailure(_) => decode,
+                DeadLetterReason::DeliveryFailure { .. } => !decode,
+                DeadLetterReason::Unroutable(_) => false,
+            })
+            .count() as u64
+    };
+    assert_eq!(letters(true), 2, "the replay collapsed back into its own letter");
+    assert_eq!(
+        letters(false),
+        s.seller.stats().delivery_failures,
+        "every abandoned send is dead-lettered"
+    );
+    assert_eq!(s.seller.dead_letters().get(seq).map(|l| l.replays), Some(1));
 }

@@ -11,9 +11,9 @@
 //!
 //! Ownership rule: a shared `Str` keeps the *entire* payload allocation
 //! alive (it holds the payload's `Arc`). That is free at the edge — the
-//! decode memo retains the payload anyway — but long-lived stores that
-//! outlive the payload should call [`Str::promote`] / [`Str::into_owned`]
-//! to detach.
+//! envelope holds the payload while its document is routed — but
+//! long-lived stores that outlive the payload should call
+//! [`Str::promote`] / [`Str::into_owned`] to detach.
 
 use bytes::Bytes;
 use serde::{Content, Deserialize, Error, Serialize};

@@ -31,9 +31,7 @@ pub use clock::SimTime;
 pub use error::{NetworkError, Result};
 pub use fault::{FaultConfig, FaultPhase, FaultSchedule};
 pub use fnv::{Fnv1a, FnvBuildHasher, FnvMap, FnvSet};
-pub use message::{
-    checksum_of, decode_batch_frame, encode_batch_frame, EndpointId, Envelope, MessageId, WireClass,
-};
+pub use message::{checksum_of, EndpointId, Envelope, MessageId, WireClass};
 pub use reliable::{
     BackoffPolicy, DeliveryStatus, InboundBatch, ReliableConfig, ReliableEndpoint,
     ReliableSnapshot, ReliableStats,

@@ -78,54 +78,6 @@ pub enum WireClass {
     /// and the receiver must terminate its half. Travels reliably, like a
     /// payload: checksummed, acknowledged, and deduplicated.
     Notify,
-    /// A coalesced frame of several encoded documents to the same
-    /// receiver, framed by [`encode_batch_frame`]. Travels reliably as a
-    /// unit (one checksum, one ack, one dedup id); the *receiving*
-    /// endpoint splits an intact frame back into per-document
-    /// [`WireClass::Payload`] envelopes before anything above the
-    /// reliable layer sees it.
-    Batch,
-}
-
-/// Builds a batch frame from encoded document payloads, appending to
-/// `out` (reusable across frames): a little-endian `u32` count, then
-/// each payload as `u32` length + bytes.
-pub fn encode_batch_frame(parts: &[Bytes], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(parts.len() as u32).to_le_bytes());
-    for part in parts {
-        out.extend_from_slice(&(part.len() as u32).to_le_bytes());
-        out.extend_from_slice(part);
-    }
-}
-
-/// Splits a batch frame into its per-document payloads as zero-copy
-/// slices of the frame bytes. Returns `None` when the frame is
-/// structurally malformed (truncated header, length running past the
-/// end, trailing garbage) — every read is bounds-checked, so corrupt
-/// frames can never panic or over-allocate.
-pub fn decode_batch_frame(payload: &Bytes) -> Option<Vec<Bytes>> {
-    let bytes: &[u8] = payload;
-    let count = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
-    // Each entry needs at least its 4-byte length prefix; this bounds the
-    // preallocation by the frame size before trusting the count.
-    if count > bytes.len().saturating_sub(4) / 4 {
-        return None;
-    }
-    let mut parts = Vec::with_capacity(count);
-    let mut at = 4usize;
-    for _ in 0..count {
-        let len = u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?) as usize;
-        at += 4;
-        if at.checked_add(len)? > bytes.len() {
-            return None;
-        }
-        parts.push(payload.slice(at..at + len));
-        at += len;
-    }
-    if at != bytes.len() {
-        return None; // trailing garbage: reject the whole frame
-    }
-    Some(parts)
 }
 
 /// One message on the wire: routing, framing, and opaque payload bytes.
@@ -289,31 +241,6 @@ impl Envelope {
         Self::notify_with_id(MessageId::fresh(), from, to, format, payload, sent_at)
     }
 
-    /// Builds a batch-frame envelope with an explicit (network-allocated)
-    /// id. The payload must be a frame built by [`encode_batch_frame`];
-    /// `format` is the (shared) format of every document inside.
-    pub fn batch_with_id(
-        id: MessageId,
-        from: EndpointId,
-        to: EndpointId,
-        format: FormatId,
-        frame: Bytes,
-        sent_at: SimTime,
-    ) -> Self {
-        let checksum = checksum_of(&frame);
-        Self {
-            id,
-            from,
-            to,
-            format,
-            class: WireClass::Batch,
-            ref_id: None,
-            payload: frame,
-            sent_at,
-            checksum,
-        }
-    }
-
     /// Whether the payload still matches the checksum sealed at
     /// construction.
     pub fn verify_integrity(&self) -> bool {
@@ -381,61 +308,6 @@ mod tests {
         assert_eq!(nack.class, WireClass::Nack);
         assert_eq!(nack.ref_id.as_ref(), Some(&msg.id));
         assert!(nack.verify_integrity(), "empty body checksums cleanly");
-    }
-
-    #[test]
-    fn batch_frame_roundtrips_zero_copy() {
-        let parts = vec![
-            Bytes::from_static(b"ISA*00*first"),
-            Bytes::from_static(b""),
-            Bytes::from_static(b"ISA*00*third-and-longer"),
-        ];
-        let mut frame = Vec::new();
-        encode_batch_frame(&parts, &mut frame);
-        let frame = Bytes::from(frame);
-        let back = decode_batch_frame(&frame).expect("well-formed frame");
-        assert_eq!(back, parts);
-        // Zero-copy: every part aliases the frame allocation.
-        assert_eq!(back[0].as_ptr(), frame[8..].as_ptr());
-    }
-
-    #[test]
-    fn malformed_batch_frames_are_rejected_not_panicked() {
-        let parts = vec![Bytes::from_static(b"one"), Bytes::from_static(b"two")];
-        let mut frame = Vec::new();
-        encode_batch_frame(&parts, &mut frame);
-        // Truncations at every length never panic; only the full frame
-        // (and the degenerate empty-count prefix) decode.
-        for cut in 0..frame.len() {
-            let truncated = Bytes::copy_from_slice(&frame[..cut]);
-            assert!(decode_batch_frame(&truncated).is_none(), "cut at {cut} must reject");
-        }
-        // Trailing garbage is rejected too.
-        let mut padded = frame.clone();
-        padded.push(0);
-        assert!(decode_batch_frame(&Bytes::from(padded)).is_none());
-        // A count claiming more entries than the bytes could hold is
-        // rejected before any allocation trusts it.
-        let mut lying = frame.clone();
-        lying[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_batch_frame(&Bytes::from(lying)).is_none());
-        assert!(decode_batch_frame(&Bytes::from(frame)).is_some());
-    }
-
-    #[test]
-    fn batch_envelope_seals_the_frame_checksum() {
-        let mut frame = Vec::new();
-        encode_batch_frame(&[Bytes::from_static(b"doc")], &mut frame);
-        let env = Envelope::batch_with_id(
-            MessageId::from_raw(9),
-            EndpointId::new("acme"),
-            EndpointId::new("gadget"),
-            FormatId::EDI_X12,
-            Bytes::from(frame),
-            SimTime::ZERO,
-        );
-        assert_eq!(env.class, WireClass::Batch);
-        assert!(env.verify_integrity());
     }
 
     #[test]

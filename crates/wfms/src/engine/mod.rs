@@ -175,8 +175,8 @@ pub struct Engine {
     /// Persistent settle workers; empty until the first multi-shard
     /// settle (or an explicit [`Engine::configure_pool`]) warms it up.
     pool: WorkerPool,
-    /// Steal-chunk override (`None` = per-stage defaults: 1 for settle
-    /// slices, 8 for decode batches).
+    /// Steal-chunk override for settle rounds (`None` = the default of
+    /// 1 slice per claim).
     steal_chunk: Option<usize>,
     /// Settle-cost counters (see [`SettleMetrics`]).
     settle_counters: SettleMetrics,
@@ -235,30 +235,19 @@ impl Engine {
         self.pool.ensure_workers(workers);
     }
 
-    /// The settle worker pool (hosts reuse it for other index-parallel
-    /// stages, e.g. batched edge decode).
-    pub fn pool(&self) -> &WorkerPool {
-        &self.pool
-    }
-
     /// Pool utilization counters. Scheduling-dependent fields — keep out
     /// of determinism fingerprints (see [`PoolStats`]).
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
 
-    /// Overrides the work-stealing chunk size for every pool dispatch;
-    /// `0` restores the per-stage defaults. The fingerprint is identical
-    /// for any chunk size — this knob trades scheduling granularity
-    /// against claim traffic, and doubles as the `B2B_POOL_STRESS`
-    /// interleaving maximizer (chunk 1).
+    /// Overrides the work-stealing chunk size of settle rounds, the only
+    /// pool dispatch; `0` restores the default. The fingerprint is
+    /// identical for any chunk size — this knob trades scheduling
+    /// granularity against claim traffic, and doubles as the
+    /// `B2B_POOL_STRESS` interleaving maximizer (chunk 1).
     pub fn set_steal_chunk(&mut self, chunk: usize) {
         self.steal_chunk = if chunk == 0 { None } else { Some(chunk) };
-    }
-
-    /// The effective steal chunk for a stage whose default is `default`.
-    pub fn steal_chunk_or(&self, default: usize) -> usize {
-        self.steal_chunk.unwrap_or(default)
     }
 
     /// Engine id.

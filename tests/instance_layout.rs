@@ -207,8 +207,6 @@ fn po_scenario_digest(faults: FaultConfig, seed: u64, shards: usize) -> u64 {
     for engine in [&mut s.buyer, &mut s.seller] {
         engine.set_shards(shards);
         engine.set_steal_chunk(0);
-        engine.set_batched_emit(true);
-        engine.set_emit_coalesce(1);
         engine.set_interpreted_rules(false);
         engine.set_interpreted_transforms(false);
     }

@@ -275,9 +275,8 @@ fn deferred_wave_settles_sharded_in_the_pump() {
 #[test]
 fn zero_shards_means_auto_and_is_identical_to_sequential() {
     // `set_shards(0)` (and `B2B_SHARDS=0`) resolves to the machine's
-    // real available parallelism, capped only by `B2B_SHARDS_CAP` when
-    // that is set. Whatever it resolves to, the run must stay
-    // byte-identical to shards = 1.
+    // real available parallelism. Whatever it resolves to, the run must
+    // stay byte-identical to shards = 1.
     let mut probe = TwoEnterpriseScenario::new(FaultConfig::reliable(), 1).unwrap();
     probe.buyer.set_shards(0);
     let auto = probe.buyer.shards();
@@ -494,193 +493,21 @@ proptest! {
     }
 }
 
-/// [`run_settle`], with the emit path selectable: `batched` toggles the
-/// pool-batched outbound encode, `coalesce` the per-partner frame
-/// coalescing cap (1 = one document per envelope).
-#[allow(clippy::too_many_arguments)]
-fn run_emit(
-    protocol: semantic_b2b::integration::scenario::ScenarioProtocol,
-    faults: FaultConfig,
-    seed: u64,
-    pos: usize,
-    shards: usize,
-    interpreted: bool,
-    batched: bool,
-    coalesce: usize,
-) -> (u64, Fingerprint, Fingerprint) {
-    let mut s = TwoEnterpriseScenario::with_protocol(protocol, faults, seed).unwrap();
-    s.buyer.set_shards(shards);
-    s.seller.set_shards(shards);
-    s.buyer.set_interpreted_transforms(interpreted);
-    s.seller.set_interpreted_transforms(interpreted);
-    s.buyer.set_interpreted_rules(interpreted);
-    s.seller.set_interpreted_rules(interpreted);
-    s.buyer.set_batched_emit(batched);
-    s.seller.set_batched_emit(batched);
-    s.buyer.set_emit_coalesce(coalesce);
-    s.seller.set_emit_coalesce(coalesce);
-    s.buyer.set_partner_policy(PartnerPolicy::permissive());
-    s.seller.set_partner_policy(PartnerPolicy::permissive());
-    for i in 0..pos {
-        let po = s.po(&format!("po-{i}"), 1_000 + i as i64).unwrap();
-        s.submit(po).unwrap();
-    }
-    let elapsed = s.run_until_quiescent(240_000).unwrap();
-    (elapsed, fingerprint(&s.buyer), fingerprint(&s.seller))
-}
-
-/// Zeroes the counters that deliberately distinguish the batched emit
-/// path from the sequential one (`encode_batches`, `coalesced_frames`,
-/// `emit_buffer_reuses`). Everything else in the fingerprint — wire
-/// bytes are covered transitively by the stats, states, dead letters,
-/// and audit history they produce — must be byte-identical.
-fn mask_emit_counters(fp: &mut Fingerprint) {
-    fp.stages.encode_batches = 0;
-    fp.stages.coalesced_frames = 0;
-    fp.stages.emit_buffer_reuses = 0;
-}
-
-proptest! {
-    // Each case is ten full scenario runs (2 protocols x 5 emit
-    // configurations); fewer cases keep the matrix affordable.
-    #![proptest_config(ProptestConfig::with_cases(5))]
-
-    /// The pool-batched emit path is an optimization, not a semantics:
-    /// at coalesce = 1 it must be byte-identical to the sequential
-    /// per-document path (the only permitted difference is the three
-    /// counters that *count* the batching itself), across shard counts
-    /// {1, 4}, both dispatch modes, and both a text (EDI) and the binary
-    /// wire protocol. At coalesce = 8 the wire framing genuinely changes
-    /// (fewer envelopes, different message ids), so the bar there is
-    /// shard-invariance: a coalesced run must be byte-identical to
-    /// itself across shard counts.
-    #[test]
-    fn batched_emit_matches_sequential_reference(
-        loss in 0.0f64..0.35,
-        duplicate in 0.0f64..0.25,
-        seed in any::<u64>(),
-        pos in 1usize..5,
-        interpreted in any::<bool>(),
-    ) {
-        use semantic_b2b::integration::scenario::ScenarioProtocol;
-        let faults = FaultConfig {
-            loss, duplicate, corrupt: 0.0, min_delay_ms: 1, max_delay_ms: 40,
-        };
-        for protocol in [ScenarioProtocol::Edi, ScenarioProtocol::Binary] {
-            let (seq_elapsed, mut seq_buyer, mut seq_seller) =
-                run_emit(protocol, faults.clone(), seed, pos, 1, interpreted, false, 1);
-            // The reference must not itself have batched: sequential
-            // mode books no batch counters.
-            prop_assert_eq!(seq_buyer.stages.encode_batches, 0);
-            prop_assert_eq!(seq_buyer.stages.coalesced_frames, 0);
-            mask_emit_counters(&mut seq_buyer);
-            mask_emit_counters(&mut seq_seller);
-
-            for shards in [1usize, 4] {
-                let (elapsed, mut buyer, mut seller) =
-                    run_emit(protocol, faults.clone(), seed, pos, shards, interpreted, true, 1);
-                prop_assert_eq!(buyer.stages.coalesced_frames, 0,
-                    "{:?}: coalesce=1 must never build a batch frame", protocol);
-                mask_emit_counters(&mut buyer);
-                mask_emit_counters(&mut seller);
-                prop_assert_eq!(
-                    &seq_elapsed, &elapsed,
-                    "{:?}: elapsed diverged under batched emit at {} shards", protocol, shards
-                );
-                prop_assert_eq!(
-                    &seq_buyer, &buyer,
-                    "{:?}: buyer diverged under batched emit at {} shards", protocol, shards
-                );
-                prop_assert_eq!(
-                    &seq_seller, &seller,
-                    "{:?}: seller diverged under batched emit at {} shards", protocol, shards
-                );
-            }
-
-            let coalesced =
-                run_emit(protocol, faults.clone(), seed, pos, 1, interpreted, true, 8);
-            let coalesced_4 =
-                run_emit(protocol, faults.clone(), seed, pos, 4, interpreted, true, 8);
-            prop_assert_eq!(
-                &coalesced.0, &coalesced_4.0,
-                "{:?}: elapsed diverged across shards at coalesce 8", protocol
-            );
-            prop_assert_eq!(
-                &coalesced.1, &coalesced_4.1,
-                "{:?}: buyer diverged across shards at coalesce 8", protocol
-            );
-            prop_assert_eq!(
-                &coalesced.2, &coalesced_4.2,
-                "{:?}: seller diverged across shards at coalesce 8", protocol
-            );
-        }
-    }
-}
-
 #[test]
-fn coalesced_emit_preserves_business_outcomes() {
-    // Coalescing changes the wire framing, not the business: on a clean
-    // network (no loss, so the per-message fault draws cannot diverge
-    // into different retransmit histories) a coalesce = 8 run must reach
-    // the same session states, completions, and document-level
-    // integration stats as the sequential per-document path.
-    use semantic_b2b::integration::scenario::ScenarioProtocol;
-    for protocol in [ScenarioProtocol::Edi, ScenarioProtocol::Binary] {
-        let (_, seq_buyer, seq_seller) =
-            run_emit(protocol, FaultConfig::reliable(), 19, 6, 1, false, false, 1);
-        let (_, buyer, seller) =
-            run_emit(protocol, FaultConfig::reliable(), 19, 6, 4, false, true, 8);
-        // Each `submit` routes its PO in its own settle pass, so the
-        // buyer's requests go out one at a time; it is the responder —
-        // whose replies to same-window arrivals share an emit pass —
-        // that exercises the coalescer.
-        assert!(
-            buyer.stages.coalesced_frames + seller.stages.coalesced_frames > 0,
-            "{protocol:?}: a six-session clean run must actually coalesce frames \
-             (buyer {:?}, seller {:?})",
-            buyer.stages,
-            seller.stages
-        );
-        for (who, seq, coalesced) in
-            [("buyer", &seq_buyer, &buyer), ("seller", &seq_seller, &seller)]
-        {
-            assert_eq!(seq.stats, coalesced.stats, "{protocol:?}: {who} stats diverged");
-            assert_eq!(seq.states, coalesced.states, "{protocol:?}: {who} states diverged");
-            assert_eq!(
-                seq.completed, coalesced.completed,
-                "{protocol:?}: {who} completions diverged"
-            );
-            assert_eq!(
-                seq.dead_letters.len(),
-                coalesced.dead_letters.len(),
-                "{protocol:?}: {who} dead-letter count diverged"
-            );
-        }
-        assert!(seq_buyer.completed >= 1, "{protocol:?}: at least one session completed");
-    }
-}
-
-#[test]
-fn decode_memo_hits_track_duplication() {
-    // Every duplicated delivery the reliable layer suppresses is counted
-    // against the decode memo: the original decode populated the memo, so
-    // the duplicate registers as a hit (a re-parse the memo saved).
+fn duplicates_are_never_parsed() {
+    // The reliable layer suppresses a duplicated delivery before the edge
+    // sees it, so the edge parses each routed payload exactly once: with
+    // heavy duplication and nothing corrupt, payloads parsed equal
+    // payloads received, on both engines.
     let dup_heavy =
         FaultConfig { loss: 0.0, duplicate: 0.6, corrupt: 0.0, min_delay_ms: 1, max_delay_ms: 40 };
     let (_, buyer, seller) = run(dup_heavy, 11, 4, 1, false);
-    assert!(
-        buyer.cache.decode_hits + seller.cache.decode_hits > 0,
-        "duplication-heavy run produced no decode-memo hits: buyer {:?}, seller {:?}",
-        buyer.cache,
-        seller.cache
-    );
-
-    // With duplication disabled (and nothing lost, so nothing is ever
-    // retransmitted) every payload is decoded exactly once and the memo
-    // never hits — but real decodes still happened.
-    let (_, buyer, seller) = run(FaultConfig::reliable(), 11, 4, 1, false);
-    assert_eq!(buyer.cache.decode_hits, 0, "clean run must not hit the decode memo");
-    assert_eq!(seller.cache.decode_hits, 0, "clean run must not hit the decode memo");
-    assert!(buyer.cache.decode_misses > 0, "documents were decoded at the buyer edge");
-    assert!(seller.cache.decode_misses > 0, "documents were decoded at the seller edge");
+    for (who, fp) in [("buyer", &buyer), ("seller", &seller)] {
+        assert!(fp.stages.edge_duplicates > 0, "{who}: the run suppressed no duplicates");
+        assert_eq!(
+            fp.cache.decode_misses, fp.stats.wire_received,
+            "{who}: a duplicate was parsed ({:?}, {:?})",
+            fp.cache, fp.stats
+        );
+    }
 }
