@@ -16,11 +16,11 @@ echo "== cargo build --release =="
 cargo build --offline --release --workspace
 
 # The experiments binary's identity assertions (E15-E21) without the
-# timing loops: compiled-vs-interpreted dispatch agreement, wire byte
-# stability, broadcast observables across dispatch mode x shard count,
-# the chaos coverage invariant with breaker states in the determinism
-# fingerprint, and the Small-tier population identity + flat-cost pass
-# (touched-only vs full-partition settle, 10x idle growth).
+# timing loops: compiled dispatch agreeing with the transform and rule
+# interpreters, wire byte stability, broadcast observables at 1 and 4
+# shards, the chaos coverage invariant with breaker states in the
+# determinism fingerprint, and the Small-tier population identity at 1
+# and 4 shards plus the flat-cost pass (10x idle growth).
 echo "== experiments --quick (identity assertions) =="
 cargo run --offline --release -q -p b2b-bench --bin experiments -- --quick
 
@@ -38,23 +38,11 @@ B2B_SHARDS=1 cargo test --offline -q --workspace
 echo "== cargo test (B2B_SHARDS=4) =="
 B2B_SHARDS=4 cargo test --offline -q --workspace
 
-# Third pass on the rule-tree interpreter: every engine the suite builds
-# dispatches business rules interpreted instead of compiled. Identical
-# results are the contract (see tests/properties.rs and tests/sharding.rs).
-echo "== cargo test (B2B_RULES=interpreted) =="
-B2B_RULES=interpreted cargo test --offline -q --workspace
-
-# Fourth pass on the compact binary wire format: every scenario the
+# Third pass on the compact binary wire format: every scenario the
 # suite builds (round trips, chaos grid, examples' plumbing) runs its
 # partners on the binary codec's zero-copy decode path instead of EDI.
 echo "== cargo test (B2B_WIRE_FORMAT=binary) =="
 B2B_WIRE_FORMAT=binary cargo test --offline -q --workspace
-
-# Pool stress: the sharding determinism properties with every settle
-# round forced to steal-chunk 1 — maximum inter-thread interleaving, the
-# hardest schedule for the fingerprint contract.
-echo "== sharding determinism (B2B_POOL_STRESS=1, steal-chunk 1) =="
-B2B_POOL_STRESS=1 B2B_SHARDS=4 cargo test --offline -q --test sharding
 
 # The big population fixtures (Large and Huge tiers, up to a million
 # sessions) are generated to disk once; later E21 runs load them

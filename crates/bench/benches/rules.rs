@@ -70,35 +70,24 @@ fn bench_inlined_guard(c: &mut Criterion) {
 }
 
 fn bench_dispatch_modes(c: &mut Criterion) {
-    // The registry's two dispatch modes on the same function: the rule-tree
-    // interpreter vs the lowered instruction programs (E16's
-    // microbenchmark, under criterion's statistics).
+    // The rule-tree interpreter (`RuleFunction::invoke`) vs the registry's
+    // compiled dispatch on the same function (E16's microbenchmark, under
+    // criterion's statistics).
     let mut group = c.benchmark_group("rule-dispatch");
     let doc = sample_po("r", 42_000);
     for partners in [2usize, 8, 32] {
         let f = check_need_for_approval(&thresholds(partners)).unwrap();
-        let name = f.name.clone();
         let last = format!("TP{partners}");
-        let mut interpreted = RuleRegistry::new();
-        interpreted.register(f.clone());
-        interpreted.set_interpreted(true);
-        let compiled = {
-            let mut reg = RuleRegistry::new();
-            reg.register(f);
-            reg
-        };
-        group.bench_with_input(
-            BenchmarkId::new("interpreted", partners),
-            &interpreted,
-            |bencher, reg| {
-                bencher.iter(|| black_box(reg.invoke(&name, &last, "Oracle", &doc).unwrap()))
-            },
-        );
+        let mut compiled = RuleRegistry::new();
+        compiled.register(f.clone());
+        group.bench_with_input(BenchmarkId::new("interpreted", partners), &f, |bencher, f| {
+            bencher.iter(|| black_box(f.invoke(&RuleContext::new(&last, "Oracle", &doc)).unwrap()))
+        });
         group.bench_with_input(
             BenchmarkId::new("compiled", partners),
             &compiled,
             |bencher, reg| {
-                bencher.iter(|| black_box(reg.invoke(&name, &last, "Oracle", &doc).unwrap()))
+                bencher.iter(|| black_box(reg.invoke(&f.name, &last, "Oracle", &doc).unwrap()))
             },
         );
     }

@@ -3,7 +3,7 @@
 
 use b2b_document::formats::sample_edi_po;
 use b2b_document::normalized::sample_po;
-use b2b_document::{FormatId, FormatRegistry};
+use b2b_document::{DocKind, FormatId, FormatRegistry};
 use b2b_transform::{TransformContext, TransformRegistry};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -64,25 +64,33 @@ fn bench_full_binding_path(c: &mut Criterion) {
 }
 
 fn bench_dispatch_modes(c: &mut Criterion) {
-    // The tree-walking interpreter against the compiled instruction
-    // stream on the same EDI → normalized → EDI round trip that E15
-    // measures; the two must produce identical documents, so the only
-    // difference on the wire is latency.
+    // The tree-walking interpreter (`TransformProgram::apply`) against the
+    // registry's compiled dispatch on the same EDI → normalized → EDI
+    // round trip that E15 measures; the two must produce identical
+    // documents, so the only difference on the wire is latency.
     let ctx = TransformContext::new("ACME", "GADGET", "000000001", "i-1");
     let po = sample_edi_po("4711", 7);
+    let transforms = TransformRegistry::with_builtins();
+    let to_norm = transforms
+        .program(&FormatId::EDI_X12, &FormatId::NORMALIZED, DocKind::PurchaseOrder)
+        .unwrap();
+    let to_edi = transforms
+        .program(&FormatId::NORMALIZED, &FormatId::EDI_X12, DocKind::PurchaseOrder)
+        .unwrap();
     let mut group = c.benchmark_group("dispatch");
     group.throughput(Throughput::Elements(1));
-    for interpreted in [true, false] {
-        let mut transforms = TransformRegistry::with_builtins();
-        transforms.set_interpreted(interpreted);
-        let name = if interpreted { "edi-roundtrip/interpreted" } else { "edi-roundtrip/compiled" };
-        group.bench_function(name, |bencher| {
-            bencher.iter(|| {
-                let norm = transforms.transform(&po, &FormatId::NORMALIZED, &ctx).unwrap();
-                black_box(transforms.transform(&norm, &FormatId::EDI_X12, &ctx).unwrap())
-            })
-        });
-    }
+    group.bench_function("edi-roundtrip/interpreted", |bencher| {
+        bencher.iter(|| {
+            let norm = to_norm.apply(&po, &ctx).unwrap();
+            black_box(to_edi.apply(&norm, &ctx).unwrap())
+        })
+    });
+    group.bench_function("edi-roundtrip/compiled", |bencher| {
+        bencher.iter(|| {
+            let norm = transforms.transform(&po, &FormatId::NORMALIZED, &ctx).unwrap();
+            black_box(transforms.transform(&norm, &FormatId::EDI_X12, &ctx).unwrap())
+        })
+    });
     group.finish();
 }
 

@@ -5,8 +5,8 @@
 //! the hub with undecodable bytes, or floods it. Every fault decision
 //! comes from the seeded simulation ([`SimNetwork`]'s RNG plus per-link
 //! [`FaultSchedule`]s), so a chaos run is a pure function of
-//! ([`ChaosConfig`], seed) — byte-identical across shard counts and
-//! dispatch modes, which E18 asserts via [`ChaosReport::fingerprint`].
+//! ([`ChaosConfig`], seed) — byte-identical across shard counts, which
+//! E18 asserts via [`ChaosReport::fingerprint`].
 
 use b2b_backend::{AckPolicy, ApplicationProcess, SapSystem};
 use b2b_core::engine::IntegrationEngine;
@@ -80,8 +80,6 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// Hub worker shards for the execute stage.
     pub shards: usize,
-    /// Run transforms and rules on the tree interpreters.
-    pub interpreted: bool,
     /// Hard cap on the drain phase after the last wave, simulated ms.
     pub drain_ms: u64,
 }
@@ -100,7 +98,6 @@ impl ChaosConfig {
             policy,
             seed,
             shards: 1,
-            interpreted: false,
             drain_ms: 60_000,
         }
     }
@@ -179,8 +176,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport> {
     let mut hub = IntegrationEngine::with_reliable_config(HUB, &mut net, retry.clone())?;
     hub.set_partner_policy(cfg.policy.clone());
     hub.set_shards(cfg.shards);
-    hub.set_interpreted_transforms(cfg.interpreted);
-    hub.set_interpreted_rules(cfg.interpreted);
     hub.add_backend(ApplicationProcess::new(Box::new(SapSystem::new(AckPolicy::AcceptAll))))?;
 
     // The harness runs on the suite-wide default wire format, so a
@@ -423,9 +418,7 @@ mod tests {
             3,
         );
         let one = run_chaos(&base).unwrap();
-        let four = run_chaos(&ChaosConfig { shards: 4, ..base.clone() }).unwrap();
+        let four = run_chaos(&ChaosConfig { shards: 4, ..base }).unwrap();
         assert_eq!(one.fingerprint, four.fingerprint, "shard count leaked into observables");
-        let interp = run_chaos(&ChaosConfig { shards: 4, interpreted: true, ..base }).unwrap();
-        assert_eq!(one.fingerprint, interp.fingerprint, "dispatch mode leaked into observables");
     }
 }

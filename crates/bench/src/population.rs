@@ -11,9 +11,8 @@
 //! (RosettaNet text and the compact binary codec), and the network can
 //! inject duplicates and loss. Everything derives from
 //! ([`SizeTier`], seed), so a population run is byte-identical across
-//! shard counts, dispatch modes, and the touched-only vs
-//! full-partition settle paths — which E21 and the differential
-//! proptests assert via [`PopulationReport::fingerprint`].
+//! shard counts — which E21 and the differential proptests assert via
+//! [`PopulationReport::fingerprint`].
 
 use b2b_core::engine::IntegrationEngine;
 use b2b_core::error::{IntegrationError, Result};
@@ -295,11 +294,6 @@ impl PopulationPlan {
 pub struct PopulationConfig {
     /// Hub worker shards for the execute stage.
     pub shards: usize,
-    /// Run transforms and rules on the tree interpreters.
-    pub interpreted: bool,
-    /// Use the full-partition settle reference path (differential
-    /// testing of the touched-only optimization).
-    pub full_partition: bool,
     /// Inject wire faults: 0.5% loss + 1% duplicates (all seeded).
     pub faults: bool,
     /// Initiate each traffic wave with deferred settles: the whole
@@ -310,13 +304,7 @@ pub struct PopulationConfig {
 
 impl Default for PopulationConfig {
     fn default() -> Self {
-        Self {
-            shards: 1,
-            interpreted: false,
-            full_partition: false,
-            faults: true,
-            bulk_initiate: false,
-        }
+        Self { shards: 1, faults: true, bulk_initiate: false }
     }
 }
 
@@ -426,9 +414,6 @@ impl Population {
         let mut net = SimNetwork::new(faults, plan.seed);
         let mut hub = IntegrationEngine::new(HUB, &mut net)?;
         hub.set_shards(cfg.shards);
-        hub.set_interpreted_transforms(cfg.interpreted);
-        hub.set_interpreted_rules(cfg.interpreted);
-        hub.set_full_partition_settle(cfg.full_partition);
         let mut partners = Vec::with_capacity(plan.partners.len());
         let mut agreement_ids = Vec::with_capacity(plan.partners.len());
         for (i, spec) in plan.partners.iter().enumerate() {
@@ -858,22 +843,13 @@ mod tests {
     }
 
     #[test]
-    fn population_runs_are_identical_across_shards_and_settle_paths() {
+    fn population_runs_are_identical_across_shards() {
         let plan = PopulationPlan::generate(SizeTier::Tiny, 11);
         let base = run_population(&plan, &PopulationConfig::default()).expect("shards=1");
-        for (label, cfg) in [
-            ("shards=4", PopulationConfig { shards: 4, ..PopulationConfig::default() }),
-            (
-                "full-partition/4",
-                PopulationConfig { shards: 4, full_partition: true, ..PopulationConfig::default() },
-            ),
-            (
-                "interpreted/2",
-                PopulationConfig { shards: 2, interpreted: true, ..PopulationConfig::default() },
-            ),
-        ] {
-            let other = run_population(&plan, &cfg).expect(label);
-            assert_eq!(base.fingerprint, other.fingerprint, "{label} diverged");
+        for shards in [2, 4] {
+            let other = run_population(&plan, &PopulationConfig { shards, ..Default::default() })
+                .expect("sharded run");
+            assert_eq!(base.fingerprint, other.fingerprint, "shards={shards} diverged");
         }
     }
 

@@ -70,7 +70,7 @@ fn pool_rounds_allocate_nothing_after_warm_up() {
     // round publishes a borrowed job pointer through pre-existing shared
     // state, workers self-schedule with atomic fetch-adds, and the
     // barrier is a condvar wait. After the workers are spawned, settle
-    // rounds ask the allocator for nothing — at any steal-chunk size.
+    // rounds ask the allocator for nothing.
     use std::sync::atomic::{AtomicU64, Ordering};
 
     let mut pool = b2b_wfms::WorkerPool::default();
@@ -81,16 +81,13 @@ fn pool_rounds_allocate_nothing_after_warm_up() {
     };
 
     // Warm round: first dispatch wakes every parked worker once.
-    pool.run(slots.len(), 8, &job);
+    pool.run(slots.len(), &job);
     let spawned = pool.stats().threads_spawned;
     assert_eq!(spawned, 3, "pool spawned exactly the requested workers");
 
-    for chunk in [1usize, 8] {
-        let (_, delta) = alloc_count::measure(|| pool.run(slots.len(), chunk, &job));
-        assert_eq!(
-            delta.allocations, 0,
-            "steady-state pool round (chunk {chunk}) allocated: {delta:?}"
-        );
+    for round in 0..2 {
+        let (_, delta) = alloc_count::measure(|| pool.run(slots.len(), &job));
+        assert_eq!(delta.allocations, 0, "steady-state pool round {round} allocated: {delta:?}");
     }
 
     let stats = pool.stats();

@@ -185,12 +185,6 @@ impl IntegrationEngine {
         // Warm the persistent worker pool now: all thread spawns happen
         // at construction, none per pump.
         wf.configure_pool(shards.saturating_sub(1));
-        // `B2B_RULES=interpreted` runs the whole suite on the rule-tree
-        // interpreter instead of compiled programs (results identical; CI
-        // exercises both).
-        if std::env::var("B2B_RULES").is_ok_and(|v| v == "interpreted") {
-            wf.rules_mut().set_interpreted(true);
-        }
         Ok(Self {
             name: name.to_string(),
             endpoint,
@@ -249,13 +243,6 @@ impl IntegrationEngine {
         self.wf.configure_pool(self.shards.saturating_sub(1));
     }
 
-    /// Overrides the worker pool's steal-chunk size for settle, the only
-    /// stage that runs on the pool (`0` = the default). Purely a
-    /// scheduling knob: fingerprints are identical for any value.
-    pub fn set_steal_chunk(&mut self, chunk: usize) {
-        self.wf.set_steal_chunk(chunk);
-    }
-
     /// Worker-pool utilization counters (also embedded in
     /// [`stage_profile`](Self::stage_profile) after each pump).
     pub fn pool_stats(&self) -> b2b_wfms::PoolStats {
@@ -270,14 +257,6 @@ impl IntegrationEngine {
     /// on the shard layout (see [`b2b_wfms::SettleMetrics`]).
     pub fn settle_metrics(&self) -> b2b_wfms::SettleMetrics {
         self.wf.settle_metrics()
-    }
-
-    /// Switches the workflow engine's multi-shard settle rounds to the
-    /// full-partition reference path (every busy shard's instances move
-    /// every round). Differential tests prove touched-only settle is
-    /// byte-identical to this; production code never needs it.
-    pub fn set_full_partition_settle(&mut self, full: bool) {
-        self.wf.set_full_partition_settle(full);
     }
 
     /// Measured retained memory of the session table — the
@@ -296,22 +275,6 @@ impl IntegrationEngine {
     /// Counters for the edge's payload decodes and encode buffers.
     pub fn codec_cache_stats(&self) -> &crate::metrics::CodecCacheStats {
         self.edge.cache_stats()
-    }
-
-    /// Switches the transform registry between the compiled executor
-    /// (default) and the rule-tree interpreter. The two are observably
-    /// identical; experiments toggle this to measure the difference.
-    pub fn set_interpreted_transforms(&mut self, interpret: bool) {
-        self.wf.transforms_mut().set_interpreted(interpret);
-    }
-
-    /// Switches the rule registry between compiled programs (default) and
-    /// the tree interpreter — same contract as
-    /// [`set_interpreted_transforms`](Self::set_interpreted_transforms):
-    /// observably identical, toggled by experiments (and by
-    /// `B2B_RULES=interpreted` at construction).
-    pub fn set_interpreted_rules(&mut self, interpret: bool) {
-        self.wf.rules_mut().set_interpreted(interpret);
     }
 
     /// Per-pump-stage counters and timers: what the edge, route, execute,

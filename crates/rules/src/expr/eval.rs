@@ -105,8 +105,8 @@ fn eval_binary(op: BinOp, lhs: &Expr, rhs: &Expr, ctx: &RuleContext<'_>) -> Resu
 
 /// Compares two values, coercing `Int` to whole currency units when the
 /// other side is `Money` (so `document.amount >= 55000` works as in the
-/// paper). Shared with the compiled evaluator so the two dispatch modes
-/// cannot drift on coercion semantics.
+/// paper). Shared with the compiled evaluator so the interpreter and the
+/// compiled programs cannot drift on coercion semantics.
 pub(crate) fn compare(l: &Value, r: &Value) -> Result<Ordering> {
     match (l, r) {
         (Value::Int(a), Value::Int(b)) => Ok(a.cmp(b)),

@@ -4,12 +4,12 @@
 //! of indirection that keeps workflow types free of trading-partner
 //! specifics (Section 4.3).
 //!
-//! Dispatch runs compiled programs ([`CompiledFunction`]) by default,
-//! lowering each function lazily on first invocation and caching the
-//! result; [`set_interpreted`](RuleRegistry::set_interpreted) switches
-//! back to the tree interpreter (the two are observably identical — the
-//! flag exists so experiments can measure the difference). Lookups borrow
-//! the name end to end: the miss path is the only place a `String` is
+//! Dispatch runs compiled programs ([`CompiledFunction`]), lowering each
+//! function lazily on first invocation and caching the result. The tree
+//! interpreter ([`RuleFunction::invoke`]) stays the reference the compiled
+//! form is tested against; reach it through
+//! [`function`](RuleRegistry::function). Lookups borrow the name end to
+//! end: the miss path is the only place a `String` is
 //! allocated, and callers that merely probe should use
 //! [`function_exists`](RuleRegistry::function_exists) instead.
 
@@ -31,7 +31,6 @@ pub struct RuleRegistry {
     /// across worker threads. Compilation is deterministic, so which
     /// thread compiles first never changes the result.
     compiled: RwLock<BTreeMap<String, Arc<CompiledFunction>>>,
-    interpret: bool,
 }
 
 impl Clone for RuleRegistry {
@@ -39,7 +38,6 @@ impl Clone for RuleRegistry {
         Self {
             functions: self.functions.clone(),
             compiled: RwLock::new(self.compiled_cache().clone()),
-            interpret: self.interpret,
         }
     }
 }
@@ -48,7 +46,7 @@ impl PartialEq for RuleRegistry {
     fn eq(&self, other: &Self) -> bool {
         // The compile cache is derived state; two registries with the same
         // functions are the same registry.
-        self.functions == other.functions && self.interpret == other.interpret
+        self.functions == other.functions
     }
 }
 
@@ -63,17 +61,6 @@ impl RuleRegistry {
     pub fn register(&mut self, function: RuleFunction) {
         self.compiled_cache_mut().remove(function.name.as_str());
         self.functions.insert(function.name.clone(), function);
-    }
-
-    /// Switches dispatch between compiled programs (default, `false`) and
-    /// the tree interpreter. Results are identical either way.
-    pub fn set_interpreted(&mut self, interpret: bool) {
-        self.interpret = interpret;
-    }
-
-    /// Whether dispatch currently interprets rule trees.
-    pub fn is_interpreted(&self) -> bool {
-        self.interpret
     }
 
     /// Whether a function is registered — the allocation-free probe for
@@ -120,12 +107,7 @@ impl RuleRegistry {
         target: &str,
         document: &Document,
     ) -> Result<Value> {
-        let ctx = RuleContext::new(source, target, document);
-        if self.interpret {
-            self.function(name)?.invoke(&ctx)
-        } else {
-            self.compiled(name)?.invoke(&ctx)
-        }
+        self.compiled(name)?.invoke(&RuleContext::new(source, target, document))
     }
 
     /// Names of all registered functions (sorted).
@@ -257,15 +239,10 @@ mod tests {
             BusinessRule::parse("r1", "source == \"TP1\"", "document.amount >= 55000").unwrap(),
         ));
         let doc = sample_po("1", 60_000);
-        let compiled = reg.invoke("approval", "TP1", "SAP", &doc);
-        reg.set_interpreted(true);
-        let interpreted = reg.invoke("approval", "TP1", "SAP", &doc);
-        assert_eq!(compiled, interpreted);
-        let compiled_err = {
-            reg.set_interpreted(false);
-            reg.invoke("approval", "TP9", "SAP", &doc)
-        };
-        reg.set_interpreted(true);
-        assert_eq!(compiled_err, reg.invoke("approval", "TP9", "SAP", &doc));
+        for source in ["TP1", "TP9"] {
+            let interpreted =
+                reg.function("approval").unwrap().invoke(&RuleContext::new(source, "SAP", &doc));
+            assert_eq!(reg.invoke("approval", source, "SAP", &doc), interpreted, "{source}");
+        }
     }
 }

@@ -63,11 +63,11 @@ impl Ord for dyn LookupKey + '_ {
 /// Registry of transformation programs keyed by
 /// (source format, target format, document kind).
 ///
-/// Dispatch runs compiled programs ([`CompiledProgram`]) by default,
-/// lowering each program lazily on first use and caching the result;
-/// [`set_interpreted`](Self::set_interpreted) switches back to the
-/// rule-tree interpreter (the two are observably identical — the flag
-/// exists so experiments can measure the difference).
+/// Dispatch runs compiled programs ([`CompiledProgram`]), lowering each
+/// program lazily on first use and caching the result. The rule-tree
+/// interpreter ([`TransformProgram::apply`]) stays the reference the
+/// compiled form is tested against; reach it through
+/// [`program`](Self::program).
 #[derive(Debug, Default)]
 pub struct TransformRegistry {
     programs: BTreeMap<Key, TransformProgram>,
@@ -81,7 +81,6 @@ pub struct TransformRegistry {
     /// deterministic, so which thread compiles first never changes the
     /// result.
     compiled: RwLock<Vec<(Key, Arc<CompiledProgram>)>>,
-    interpret: bool,
 }
 
 /// Dispatch order of the compiled slice: kind first (one byte decides),
@@ -98,7 +97,6 @@ impl Clone for TransformRegistry {
         Self {
             programs: self.programs.clone(),
             compiled: RwLock::new(self.compiled_cache().clone()),
-            interpret: self.interpret,
         }
     }
 }
@@ -107,7 +105,7 @@ impl PartialEq for TransformRegistry {
     fn eq(&self, other: &Self) -> bool {
         // The compile cache is derived state; two registries with the same
         // programs are the same registry.
-        self.programs == other.programs && self.interpret == other.interpret
+        self.programs == other.programs
     }
 }
 
@@ -137,17 +135,6 @@ impl TransformRegistry {
         }
         drop(cache);
         self.programs.insert(key, program);
-    }
-
-    /// Switches dispatch between the compiled executor (default, `false`)
-    /// and the rule-tree interpreter. Results are identical either way.
-    pub fn set_interpreted(&mut self, interpret: bool) {
-        self.interpret = interpret;
-    }
-
-    /// Whether dispatch currently interprets rule trees.
-    pub fn is_interpreted(&self) -> bool {
-        self.interpret
     }
 
     /// Looks up the program for a conversion (borrowed key: no clones).
@@ -200,9 +187,6 @@ impl TransformRegistry {
         target: &FormatId,
         ctx: &TransformContext,
     ) -> Result<Document> {
-        if self.interpret {
-            return self.program(doc.format(), target, doc.kind())?.apply(doc, ctx);
-        }
         // Steady-state dispatch: run the program while holding the read
         // guard — no `Arc` refcount traffic, no key clones. Writers only
         // appear on first-use compilation and re-registration.
@@ -325,13 +309,15 @@ mod tests {
 
     #[test]
     fn interpreted_and_compiled_dispatch_agree() {
-        let mut reg = TransformRegistry::with_builtins();
+        let reg = TransformRegistry::with_builtins();
         let doc = sample_edi_po("4", 7);
         let ctx = TransformContext::new("A", "B", "000000001", "i-1");
         let compiled = reg.transform(&doc, &FormatId::NORMALIZED, &ctx).unwrap();
-        reg.set_interpreted(true);
-        let interpreted = reg.transform(&doc, &FormatId::NORMALIZED, &ctx).unwrap();
-        assert_eq!(compiled.body(), interpreted.body());
-        assert_eq!(compiled.format(), interpreted.format());
+        let interpreted = reg
+            .program(&FormatId::EDI_X12, &FormatId::NORMALIZED, DocKind::PurchaseOrder)
+            .unwrap()
+            .apply(&doc, &ctx)
+            .unwrap();
+        assert_eq!(compiled, interpreted);
     }
 }

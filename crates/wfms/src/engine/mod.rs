@@ -40,8 +40,8 @@ use std::sync::Arc;
 /// Settle-cost counters, read via [`Engine::settle_metrics`].
 ///
 /// `rounds`, `touched_*`, and `instances_resident` are pure functions of
-/// the interaction trace — identical at any shard count or dispatch mode,
-/// so they may join determinism fingerprints. `moved_*` counts instances
+/// the interaction trace — identical at any shard count, so they may
+/// join determinism fingerprints. `moved_*` counts instances
 /// physically moved into shard slices, which is `0` for in-place rounds
 /// (one shard) and shard-layout-dependent otherwise: measurement only,
 /// keep it out of fingerprints (the struct is deliberately not `Eq`,
@@ -175,17 +175,10 @@ pub struct Engine {
     /// Persistent settle workers; empty until the first multi-shard
     /// settle (or an explicit [`Engine::configure_pool`]) warms it up.
     pool: WorkerPool,
-    /// Steal-chunk override for settle rounds (`None` = the default of
-    /// 1 slice per claim).
-    steal_chunk: Option<usize>,
     /// Settle-cost counters (see [`SettleMetrics`]).
     settle_counters: SettleMetrics,
     /// Reusable round-planning buffers.
     scratch: SettleScratch,
-    /// Differential-testing reference: partition every instance of a busy
-    /// shard per round (the pre-touched-set behaviour) instead of only
-    /// the touched ones. Byte-identical results, O(live instances) cost.
-    full_partition: bool,
 }
 
 impl Engine {
@@ -201,10 +194,8 @@ impl Engine {
             carry_types: false,
             vol: VolatileState::default(),
             pool: WorkerPool::default(),
-            steal_chunk: None,
             settle_counters: SettleMetrics::default(),
             scratch: SettleScratch::default(),
-            full_partition: false,
         }
     }
 
@@ -219,15 +210,6 @@ impl Engine {
         }
     }
 
-    /// Switches multi-shard settle rounds back to full-partition mode:
-    /// every instance of a busy shard moves into its slice each round,
-    /// exactly as before the touched-set optimization. Results are
-    /// byte-identical either way — this exists so differential tests can
-    /// prove that, and costs O(live instances) per round.
-    pub fn set_full_partition_settle(&mut self, full: bool) {
-        self.full_partition = full;
-    }
-
     /// Pre-spawns pool workers so the first settle does not pay spawn
     /// cost. `settle` also grows the pool lazily; this merely front-loads
     /// the warm-up. Grow-only.
@@ -239,15 +221,6 @@ impl Engine {
     /// of determinism fingerprints (see [`PoolStats`]).
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
-    }
-
-    /// Overrides the work-stealing chunk size of settle rounds, the only
-    /// pool dispatch; `0` restores the default. The fingerprint is
-    /// identical for any chunk size — this knob trades scheduling
-    /// granularity against claim traffic, and doubles as the
-    /// `B2B_POOL_STRESS` interleaving maximizer (chunk 1).
-    pub fn set_steal_chunk(&mut self, chunk: usize) {
-        self.steal_chunk = if chunk == 0 { None } else { Some(chunk) };
     }
 
     /// Engine id.
@@ -315,12 +288,6 @@ impl Engine {
     /// The transformation registry.
     pub fn transforms(&self) -> &TransformRegistry {
         &self.transforms
-    }
-
-    /// Mutable transformation registry (dispatch-mode toggles, hot
-    /// re-registration).
-    pub fn transforms_mut(&mut self) -> &mut TransformRegistry {
-        &mut self.transforms
     }
 
     /// Deploys a workflow type, compiling it once into the program every
@@ -535,7 +502,7 @@ impl Engine {
                 }
                 continue;
             }
-            self.settle_round(shards, assign)?;
+            self.settle_round(shards)?;
         }
     }
 
@@ -679,11 +646,7 @@ impl Engine {
     /// its directed queues — in place is invisible to the merge. That is
     /// what makes a round's cost proportional to busy work instead of
     /// the live population.
-    fn settle_round(
-        &mut self,
-        shards: usize,
-        assign: &(dyn Fn(InstanceId) -> usize + Sync),
-    ) -> Result<()> {
+    fn settle_round(&mut self, shards: usize) -> Result<()> {
         if shards == 1 {
             // The single slice would be the entire database: settle it in
             // place instead of moving every instance out and back. Same
@@ -700,48 +663,19 @@ impl Engine {
         let mut slices: Vec<ShardSlice> =
             (0..self.scratch.slices).map(|_| ShardSlice::default()).collect();
 
+        // Lift exactly the planned instances, each with its whole
+        // directed-queue set — a runnable instance may reach a receive
+        // mid-round and must see documents queued before it.
         let mut moved = 0u64;
-        if self.full_partition {
-            // Reference mode: the pre-touched-set partition. Every
-            // instance and directed queue of a busy shard moves into its
-            // slice, everything else is reinserted — O(live instances).
-            let (_, instances, _) = self.db.split_mut();
-            let all = std::mem::take(instances);
-            for (id, inst) in all {
-                match slice_of_shard[assign(id) % shards] {
-                    usize::MAX => {
-                        instances.insert(id, inst);
-                    }
-                    k => {
-                        slices[k].instances.insert(id, inst);
-                        moved += 1;
-                    }
-                }
+        let (_, instances, _) = self.db.split_mut();
+        for &(id, shard) in &touched {
+            let k = slice_of_shard[shard];
+            if let Some(inst) = instances.remove(&id) {
+                slices[k].instances.insert(id, inst);
+                moved += 1;
             }
-            for (id, qs) in std::mem::take(&mut self.vol.directed_queues) {
-                match slice_of_shard[assign(id) % shards] {
-                    usize::MAX => {
-                        self.vol.directed_queues.insert(id, qs);
-                    }
-                    k => {
-                        slices[k].vol.directed_queues.insert(id, qs);
-                    }
-                }
-            }
-        } else {
-            // Touched-only: lift exactly the planned instances, each with
-            // its whole directed-queue set — a runnable instance may reach
-            // a receive mid-round and must see documents queued before it.
-            let (_, instances, _) = self.db.split_mut();
-            for &(id, shard) in &touched {
-                let k = slice_of_shard[shard];
-                if let Some(inst) = instances.remove(&id) {
-                    slices[k].instances.insert(id, inst);
-                    moved += 1;
-                }
-                if let Some(qs) = self.vol.directed_queues.remove(&id) {
-                    slices[k].vol.directed_queues.insert(id, qs);
-                }
+            if let Some(qs) = self.vol.directed_queues.remove(&id) {
+                slices[k].vol.directed_queues.insert(id, qs);
             }
         }
         self.settle_counters.moved_last_round = moved;
@@ -770,8 +704,7 @@ impl Engine {
                 transforms: &self.transforms,
                 now: self.now,
             };
-            let chunk = self.steal_chunk.unwrap_or(1);
-            self.pool.run(cells.len(), chunk, &|k| {
+            self.pool.run(cells.len(), &|k| {
                 // SAFETY: the pool claims each index exactly once, so
                 // this &mut access to cell `k` is exclusive.
                 let (slice, result) = unsafe { &mut *cells[k].0.get() };

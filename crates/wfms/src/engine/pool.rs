@@ -1,21 +1,23 @@
-//! Persistent worker pool with chunked work-stealing.
+//! Persistent worker pool with self-scheduled work-stealing.
 //!
 //! The sharded settle used to fork a fresh `std::thread::scope` every
 //! round and join at a barrier — BENCH_sharding showed the spawn/join
 //! cost eating the parallel win. The [`WorkerPool`] here is spawned once
 //! and parked on a condvar between rounds; a round publishes one
 //! type-erased job (`Fn(index)`) plus a shared atomic cursor, and every
-//! thread — the dispatcher included — claims chunks of indices with a
+//! thread — the dispatcher included — claims one index at a time with a
 //! `fetch_add` until the cursor passes the end. That self-scheduling
-//! claim IS the work-stealing: a fast thread simply claims more chunks,
-//! no per-thread deques or balance pass needed.
+//! claim IS the work-stealing: a fast thread simply claims more indices,
+//! no per-thread deques or balance pass needed. Settle, the only caller,
+//! publishes at most one task per busy shard, so a round never has more
+//! tasks than threads and a larger claim size would buy nothing.
 //!
 //! Determinism contract: the pool only decides *which thread* runs index
 //! `i`; each index is claimed exactly once, the job must write results
 //! into per-index slots, and the caller merges those slots in index
-//! order. Nothing observable depends on thread identity, chunk size, or
-//! claim interleaving — the sharding fingerprint tests pin this across
-//! pool sizes and steal chunks.
+//! order. Nothing observable depends on thread identity or claim
+//! interleaving — the sharding fingerprint tests pin this across pool
+//! sizes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -39,9 +41,9 @@ pub struct PoolStats {
     pub rounds: u64,
     /// Rounds run inline on the dispatcher (no workers, or ≤ 1 task).
     pub inline_rounds: u64,
-    /// Total chunk claims across all threads.
+    /// Total index claims across all threads in parallel rounds.
     pub chunks: u64,
-    /// Chunk claims by pool workers (the dispatcher's own claims are
+    /// Claims by pool workers (the dispatcher's own claims are
     /// `chunks - steals`). Scheduling-dependent — measurement only.
     pub steals: u64,
     /// Individual task executions (Σ round lengths).
@@ -66,7 +68,6 @@ unsafe impl Sync for RawJob {}
 struct Round {
     job: RawJob,
     len: usize,
-    chunk: usize,
 }
 
 #[derive(Default)]
@@ -95,24 +96,21 @@ struct Shared {
     idle_wakeups: AtomicU64,
 }
 
-/// Claims chunks off the shared cursor and runs the job on each index.
-/// Returns the number of chunks this thread claimed. Panics are caught
+/// Claims indices off the shared cursor and runs the job on each.
+/// Returns the number of indices this thread claimed. Panics are caught
 /// per task and latched into `shared.panicked` so a poisoned task never
 /// tears down a pool thread or skips the round's barrier.
 fn claim_and_run(shared: &Shared, round: &Round) -> u64 {
     let job = unsafe { &*round.job.0 };
     let mut claimed = 0u64;
     loop {
-        let start = shared.cursor.fetch_add(round.chunk, Ordering::Relaxed);
-        if start >= round.len {
+        let index = shared.cursor.fetch_add(1, Ordering::Relaxed);
+        if index >= round.len {
             break;
         }
         claimed += 1;
-        let end = (start + round.chunk).min(round.len);
-        for index in start..end {
-            if catch_unwind(AssertUnwindSafe(|| job(index))).is_err() {
-                shared.panicked.store(true, Ordering::SeqCst);
-            }
+        if catch_unwind(AssertUnwindSafe(|| job(index))).is_err() {
+            shared.panicked.store(true, Ordering::SeqCst);
         }
     }
     claimed
@@ -196,14 +194,13 @@ impl WorkerPool {
     }
 
     /// Runs `job` once for every index in `0..len`, fanning indices out
-    /// across the pool in chunks of `chunk`; the dispatching thread
-    /// participates. Blocks until every index has run. With no workers
+    /// across the pool; the dispatching thread participates. Blocks until every index has run. With no workers
     /// (or `len <= 1`) the job runs inline in index order — the
     /// sequential baseline the fingerprint tests compare against.
     ///
     /// Each index is claimed by exactly one thread, so a job writing to
     /// disjoint per-index slots needs no further synchronization.
-    pub fn run(&self, len: usize, chunk: usize, job: &(dyn Fn(usize) + Sync)) {
+    pub fn run(&self, len: usize, job: &(dyn Fn(usize) + Sync)) {
         self.tasks.fetch_add(len as u64, Ordering::Relaxed);
         if self.handles.is_empty() || len <= 1 {
             self.inline_rounds.fetch_add(1, Ordering::Relaxed);
@@ -213,7 +210,6 @@ impl WorkerPool {
             return;
         }
         self.rounds.fetch_add(1, Ordering::Relaxed);
-        let chunk = chunk.max(1);
         self.shared.cursor.store(0, Ordering::SeqCst);
         // SAFETY: `run` does not return until the round is fully drained
         // (the `active == 0` wait below), so erasing the job's lifetime
@@ -223,12 +219,12 @@ impl WorkerPool {
         });
         {
             let mut state = self.shared.state.lock().expect("pool lock");
-            state.round = Some(Round { job: raw, len, chunk });
+            state.round = Some(Round { job: raw, len });
             state.epoch += 1;
             state.active = self.handles.len();
         }
         self.shared.work.notify_all();
-        let round = Round { job: raw, len, chunk };
+        let round = Round { job: raw, len };
         let claimed = claim_and_run(&self.shared, &round);
         self.dispatcher_chunks.fetch_add(claimed, Ordering::Relaxed);
         let mut state = self.shared.state.lock().expect("pool lock");
@@ -281,7 +277,7 @@ mod tests {
     fn empty_pool_runs_inline_in_order() {
         let pool = WorkerPool::default();
         let order = Mutex::new(Vec::new());
-        pool.run(5, 2, &|i| order.lock().unwrap().push(i));
+        pool.run(5, &|i| order.lock().unwrap().push(i));
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3, 4]);
         let stats = pool.stats();
         assert_eq!(stats.threads_spawned, 0);
@@ -294,8 +290,8 @@ mod tests {
         let mut pool = WorkerPool::default();
         pool.ensure_workers(3);
         let counts: Vec<AtomicUsize> = (0..97).map(|_| AtomicUsize::new(0)).collect();
-        for chunk in [1, 8] {
-            pool.run(counts.len(), chunk, &|i| {
+        for _ in 0..2 {
+            pool.run(counts.len(), &|i| {
                 counts[i].fetch_add(1, Ordering::Relaxed);
             });
         }
@@ -326,7 +322,7 @@ mod tests {
         pool.ensure_workers(2);
         let ran = AtomicUsize::new(0);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run(8, 1, &|i| {
+            pool.run(8, &|i| {
                 ran.fetch_add(1, Ordering::Relaxed);
                 if i == 3 {
                     panic!("boom");
@@ -336,6 +332,6 @@ mod tests {
         assert!(result.is_err(), "panic must propagate to the dispatcher");
         assert_eq!(ran.load(Ordering::Relaxed), 8, "other tasks still ran");
         // The pool survives: the next round is clean.
-        pool.run(4, 1, &|_| {});
+        pool.run(4, &|_| {});
     }
 }

@@ -206,9 +206,6 @@ fn po_scenario_digest(faults: FaultConfig, seed: u64, shards: usize) -> u64 {
     let mut s = TwoEnterpriseScenario::with_protocol(ScenarioProtocol::Edi, faults, seed).unwrap();
     for engine in [&mut s.buyer, &mut s.seller] {
         engine.set_shards(shards);
-        engine.set_steal_chunk(0);
-        engine.set_interpreted_rules(false);
-        engine.set_interpreted_transforms(false);
     }
     for i in 0..8 {
         let amount = if i % 3 == 0 { 60_000 + i } else { 1_000 + 7 * i };

@@ -1,15 +1,16 @@
 //! Population-scale differential tests: a hub trading with a seeded
 //! partner population (mixed wire formats, Zipf-skewed traffic, lurker
 //! partners that leave sessions idle forever) must be byte-identical
-//! across shard counts, dispatch modes, and the touched-only vs
-//! full-partition settle paths — the population-scale complement to the
+//! across shard counts. One shard settles every resident instance in
+//! place, so it is the reference touched-only settle at 2 and 4 shards
+//! is compared against — the population-scale complement to the
 //! two-enterprise matrix in `tests/sharding.rs`.
 
 use b2b_bench::population::{run_population, PopulationConfig, PopulationPlan, SizeTier};
 use proptest::prelude::*;
 
 proptest! {
-    // Each case is four full population runs over a 8-partner / 64-session
+    // Each case is three full population runs over a 8-partner / 64-session
     // population; a handful of cases samples the seed space.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -17,34 +18,18 @@ proptest! {
     /// responder/lurker splits, and Zipf traffic shapes), the run
     /// fingerprint — session outcomes, every engine counter, the settle
     /// planner's rounds/touched, the network's delivery counters — is
-    /// independent of shard count, dispatch mode, and settle path.
+    /// independent of shard count.
     #[test]
     fn population_runs_are_settle_path_invariant(seed in any::<u64>()) {
         let plan = PopulationPlan::generate(SizeTier::Tiny, seed);
         let base = run_population(&plan, &PopulationConfig::default()).unwrap();
-        for (label, cfg) in [
-            ("shards=4", PopulationConfig { shards: 4, ..PopulationConfig::default() }),
-            (
-                "full-partition/4",
-                PopulationConfig {
-                    shards: 4,
-                    full_partition: true,
-                    ..PopulationConfig::default()
-                },
-            ),
-            (
-                "interpreted/2",
-                PopulationConfig {
-                    shards: 2,
-                    interpreted: true,
-                    ..PopulationConfig::default()
-                },
-            ),
-        ] {
-            let other = run_population(&plan, &cfg).unwrap();
+        for shards in [2, 4] {
+            let other =
+                run_population(&plan, &PopulationConfig { shards, ..PopulationConfig::default() })
+                    .unwrap();
             prop_assert_eq!(
                 &base.fingerprint, &other.fingerprint,
-                "{} diverged for seed {}", label, seed
+                "shards={} diverged for seed {}", shards, seed
             );
         }
     }
@@ -55,8 +40,9 @@ fn mostly_idle_population_is_settle_path_invariant() {
     // The hostile case for the touched-only planner: ~90% of traffic is
     // aimed at lurker partners, so almost every session goes idle and
     // stays resident. The idle mass must be invisible — same outcomes,
-    // same planner counters — whether idle instances stay shard-resident
-    // (touched-only) or are moved every round (full partition).
+    // same planner counters — whether one shard settles every resident
+    // instance in place or touched-only rounds leave idle instances
+    // shard-resident at 2 and 4 shards.
     let mut plan = PopulationPlan::generate(SizeTier::Tiny, 97);
     let lurkers: Vec<u32> = plan
         .partners
@@ -92,14 +78,13 @@ fn mostly_idle_population_is_settle_path_invariant() {
         3 * plan.traffic.len(),
         "each session keeps its public, binding, and private instances resident"
     );
-    for (label, cfg) in [
-        ("shards=4", PopulationConfig { shards: 4, ..PopulationConfig::default() }),
-        (
-            "full-partition/4",
-            PopulationConfig { shards: 4, full_partition: true, ..PopulationConfig::default() },
-        ),
-    ] {
-        let other = run_population(&plan, &cfg).unwrap();
-        assert_eq!(base.fingerprint, other.fingerprint, "{label} diverged on the idle-heavy mix");
+    for shards in [2, 4] {
+        let other =
+            run_population(&plan, &PopulationConfig { shards, ..PopulationConfig::default() })
+                .unwrap();
+        assert_eq!(
+            base.fingerprint, other.fingerprint,
+            "shards={shards} diverged on the idle-heavy mix"
+        );
     }
 }

@@ -2,11 +2,17 @@
 //! document/transformation pipeline.
 
 use proptest::prelude::*;
-use semantic_b2b::document::normalized::{build_poa, check_total_consistency, PoBuilder};
+use semantic_b2b::document::normalized::{
+    build_poa, check_total_consistency, sample_po, PoBuilder,
+};
 use semantic_b2b::document::Value;
 use semantic_b2b::document::{
-    Currency, Date, DocKind, Document, FieldPath, FormatId, FormatRegistry, Money,
+    record, CorrelationId, Currency, Date, DocKind, Document, FieldPath, FormatId, FormatRegistry,
+    Money,
 };
+use semantic_b2b::integration::engine::IntegrationEngine;
+use semantic_b2b::integration::private_process::QUOTE_PRICE_RULE;
+use semantic_b2b::integration::scenario::{seller_rules, BUYER, BUYER2, BUYER3};
 use semantic_b2b::network::{
     Bytes, EndpointId, FaultConfig, ReliableConfig, ReliableEndpoint, SimNetwork,
 };
@@ -51,6 +57,54 @@ prop_compose! {
         }
         b.build().unwrap()
     }
+}
+
+/// A normalized request for quote.
+fn rfq_document(rfq_number: &str, buyer: &str, item: &str, quantity: i64, by: Date) -> Document {
+    Document::new(
+        DocKind::RequestForQuote,
+        FormatId::NORMALIZED,
+        CorrelationId::for_rfq_number(rfq_number),
+        record! {
+            "header" => record! {
+                "rfq_number" => Value::text(rfq_number),
+                "buyer" => Value::text(buyer),
+                "item" => Value::text(item),
+                "quantity" => Value::Int(quantity),
+                "respond_by" => Value::Date(by),
+            },
+        },
+    )
+}
+
+prop_compose! {
+    fn normalized_rfq()(
+        rfq_number in "[A-Z0-9]{1,12}",
+        buyer in "[A-Za-z][A-Za-z ]{0,20}",
+        item in "[A-Z]{2,8}-[0-9]{1,4}",
+        quantity in 1i64..10_000,
+        respond_by in date(),
+    ) -> Document {
+        rfq_document(&rfq_number, buyer.trim(), &item, quantity, respond_by)
+    }
+}
+
+/// The seller's normalized quote for `rfq` at `unit_price`.
+fn normalized_quote(rfq: &Document, unit_price: Money) -> Document {
+    let header = |field: &str| rfq.get(&format!("header.{field}")).unwrap().clone();
+    let respond_by = header("respond_by").as_date("respond_by").unwrap();
+    rfq.reply(
+        DocKind::Quote,
+        FormatId::NORMALIZED,
+        record! {
+            "header" => record! {
+                "rfq_number" => header("rfq_number"),
+                "seller" => Value::text("GADGET"),
+                "unit_price" => Value::Money(unit_price),
+                "valid_until" => Value::Date(respond_by.plus_days(30)),
+            },
+        },
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -265,17 +319,59 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
+    /// Registry dispatch runs compiled programs; the tree interpreter
+    /// (`TransformProgram::apply`) is their reference. Every builtin
+    /// program — each wire and back-end format to and from the
+    /// normalized format, for POs, POAs, RFQs and quotes — must agree
+    /// with it on whole results: outbound from the normalized document,
+    /// then inbound on what the outbound leg produced.
     #[test]
-    fn registry_dispatch_modes_agree_on_builtins(po in normalized_po()) {
-        let mut reg = TransformRegistry::with_builtins();
+    fn registry_dispatch_matches_the_interpreter_on_every_builtin(
+        po in normalized_po(),
+        ack in date(),
+        rfq in normalized_rfq(),
+        cents in 1i64..5_000_000,
+        cur in currency(),
+    ) {
+        let reg = TransformRegistry::with_builtins();
         let ctx = TransformContext::new("ACME", "GADGET", "000000007", "i-d");
-        for format in [FormatId::EDI_X12, FormatId::ROSETTANET, FormatId::SAP_IDOC] {
-            reg.set_interpreted(false);
-            let compiled = reg.transform(&po, &format, &ctx).unwrap();
-            reg.set_interpreted(true);
-            let interpreted = reg.transform(&po, &format, &ctx).unwrap();
-            prop_assert_eq!(&compiled, &interpreted, "{}", format);
+        let poa = build_poa(&po, "accepted", ack).unwrap();
+        let quote = normalized_quote(&rfq, Money::from_cents(cents, cur));
+        let order_formats = [
+            FormatId::EDI_X12,
+            FormatId::ROSETTANET,
+            FormatId::OAGIS,
+            FormatId::SAP_IDOC,
+            FormatId::ORACLE_APPS,
+            FormatId::BINARY,
+        ];
+        let quote_formats = [FormatId::ROSETTANET, FormatId::BINARY];
+        let mut checked = BTreeSet::new();
+        for (doc, formats) in [
+            (&po, &order_formats[..]),
+            (&poa, &order_formats[..]),
+            (&rfq, &quote_formats[..]),
+            (&quote, &quote_formats[..]),
+        ] {
+            let kind = doc.kind();
+            for format in formats {
+                let outbound =
+                    reg.program(&FormatId::NORMALIZED, format, kind).unwrap().apply(doc, &ctx);
+                prop_assert_eq!(
+                    &reg.transform(doc, format, &ctx), &outbound,
+                    "normalized -> {} {}", format, kind
+                );
+                let wire = outbound.unwrap();
+                let inbound =
+                    reg.program(format, &FormatId::NORMALIZED, kind).unwrap().apply(&wire, &ctx);
+                prop_assert_eq!(
+                    &reg.transform(&wire, &FormatId::NORMALIZED, &ctx), &inbound,
+                    "{} -> normalized {}", format, kind
+                );
+                checked.insert((format.clone(), kind));
+            }
         }
+        prop_assert_eq!(2 * checked.len(), reg.len(), "a builtin program went unchecked");
     }
 }
 
@@ -406,12 +502,51 @@ proptest! {
                 body: body.clone(),
             })
             .with_rule(BusinessRule { name: "r2".into(), guard: body, body: guard });
+        let interpreted = function.invoke(&RuleContext::new(&source, "SAP", &po));
         let mut reg = RuleRegistry::new();
         reg.register(function);
-        let compiled = reg.invoke("prop", &source, "SAP", &po);
-        reg.set_interpreted(true);
-        let interpreted = reg.invoke("prop", &source, "SAP", &po);
-        prop_assert_eq!(compiled, interpreted);
+        prop_assert_eq!(reg.invoke("prop", &source, "SAP", &po), interpreted);
+    }
+}
+
+/// The rule functions the scenarios install — the seller's approval
+/// thresholds and back-end selection, and a quote-price rule — dispatch
+/// through the registry exactly as the tree interpreter
+/// (`RuleFunction::invoke`) evaluates them: for partners whose rules
+/// match, a known partner with no matching rule, and an unknown partner,
+/// on orders either side of every approval threshold and on an RFQ.
+#[test]
+fn registry_dispatch_matches_the_interpreter_on_scenario_rules() {
+    let mut net = SimNetwork::new(FaultConfig::reliable(), 1);
+    let mut seller = IntegrationEngine::new("GADGET", &mut net).unwrap();
+    seller_rules(&mut seller).unwrap();
+    let reg = seller.rules_mut();
+    reg.register(
+        RuleFunction::new(QUOTE_PRICE_RULE)
+            .with_rule(BusinessRule::parse("flat", "true", "money(\"899.50 USD\")").unwrap()),
+    );
+    let mut docs: Vec<Document> = [1_000, 39_999, 40_000, 54_999, 55_000, 120_000]
+        .into_iter()
+        .map(|amount| sample_po(&format!("po-{amount}"), amount))
+        .collect();
+    docs.push(rfq_document("RFQ-1", BUYER, "LAPTOP-T23", 100, Date::new(2001, 10, 1).unwrap()));
+    let names = reg.function_names();
+    assert_eq!(names.len(), 3, "approval, select-backend and quote-price: {names:?}");
+    for name in names {
+        let function = reg.function(name).unwrap();
+        for source in [BUYER, BUYER2, BUYER3, "TP999"] {
+            for target in ["SAP", "Oracle"] {
+                for doc in &docs {
+                    let interpreted = function.invoke(&RuleContext::new(source, target, doc));
+                    assert_eq!(
+                        reg.invoke(name, source, target, doc),
+                        interpreted,
+                        "{name} ({source} -> {target}) on {}",
+                        doc.correlation()
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -52,43 +52,32 @@ fn fingerprint(engine: &IntegrationEngine) -> Fingerprint {
     }
 }
 
-/// Runs the two-enterprise scenario with the given worker count and
-/// dispatch mode (`interpreted` switches *both* the transform executor
-/// and the rule programs to their tree interpreters), returning
-/// (elapsed ms, buyer fingerprint, seller fingerprint).
-fn run(
-    faults: FaultConfig,
-    seed: u64,
-    pos: usize,
-    shards: usize,
-    interpreted: bool,
-) -> (u64, Fingerprint, Fingerprint) {
-    run_with_policy(faults, seed, pos, shards, interpreted, PartnerPolicy::permissive())
+/// What one two-enterprise run leaves behind.
+#[derive(Debug, PartialEq)]
+struct Run {
+    /// Simulated milliseconds until both engines were quiescent.
+    elapsed: u64,
+    buyer: Fingerprint,
+    seller: Fingerprint,
+    /// Settle planner counters (rounds, touched) of buyer and seller.
+    /// Slices settle to quiescence independently inside a round, so how
+    /// the touched set is split across shards cannot change them.
+    planner: [(u64, u64); 2],
 }
 
-/// [`run`], with a partner containment policy installed on both engines.
-fn run_with_policy(
+/// Runs the two-enterprise scenario: `pos` purchase orders over
+/// `protocol`, both engines at `shards` workers under `policy`.
+fn run(
+    protocol: ScenarioProtocol,
     faults: FaultConfig,
     seed: u64,
     pos: usize,
     shards: usize,
-    interpreted: bool,
     policy: PartnerPolicy,
-) -> (u64, Fingerprint, Fingerprint) {
-    let mut s = TwoEnterpriseScenario::new(faults, seed).unwrap();
+) -> Run {
+    let mut s = TwoEnterpriseScenario::with_protocol(protocol, faults, seed).unwrap();
     s.buyer.set_shards(shards);
     s.seller.set_shards(shards);
-    // Under `B2B_POOL_STRESS=1` (CI's second pass) every pool round runs
-    // at steal-chunk 1 — maximum inter-thread interleaving, the hardest
-    // schedule for the determinism bar.
-    if std::env::var("B2B_POOL_STRESS").as_deref() == Ok("1") {
-        s.buyer.set_steal_chunk(1);
-        s.seller.set_steal_chunk(1);
-    }
-    s.buyer.set_interpreted_transforms(interpreted);
-    s.seller.set_interpreted_transforms(interpreted);
-    s.buyer.set_interpreted_rules(interpreted);
-    s.seller.set_interpreted_rules(interpreted);
     s.buyer.set_partner_policy(policy.clone());
     s.seller.set_partner_policy(policy);
     for i in 0..pos {
@@ -96,31 +85,21 @@ fn run_with_policy(
         s.submit(po).unwrap();
     }
     let elapsed = s.run_until_quiescent(240_000).unwrap();
-    (elapsed, fingerprint(&s.buyer), fingerprint(&s.seller))
+    let planner = [&s.buyer, &s.seller].map(|e| {
+        let m = e.settle_metrics();
+        (m.rounds, m.touched_total)
+    });
+    Run { elapsed, buyer: fingerprint(&s.buyer), seller: fingerprint(&s.seller), planner }
 }
 
-/// [`run`], with an explicit steal-chunk override on both engines
-/// (`0` restores the per-stage defaults).
-fn run_with_chunk(
-    faults: FaultConfig,
-    seed: u64,
-    pos: usize,
-    shards: usize,
-    chunk: usize,
-) -> (u64, Fingerprint, Fingerprint) {
-    let mut s = TwoEnterpriseScenario::new(faults, seed).unwrap();
-    s.buyer.set_shards(shards);
-    s.seller.set_shards(shards);
-    s.buyer.set_steal_chunk(chunk);
-    s.seller.set_steal_chunk(chunk);
-    s.buyer.set_partner_policy(PartnerPolicy::permissive());
-    s.seller.set_partner_policy(PartnerPolicy::permissive());
-    for i in 0..pos {
-        let po = s.po(&format!("po-{i}"), 1_000 + i as i64).unwrap();
-        s.submit(po).unwrap();
-    }
-    let elapsed = s.run_until_quiescent(240_000).unwrap();
-    (elapsed, fingerprint(&s.buyer), fingerprint(&s.seller))
+/// Asserts two runs observably identical, one part at a time so a
+/// failure names what diverged.
+fn same(label: &str, base: &Run, other: &Run) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&base.elapsed, &other.elapsed, "{}: elapsed simulated time diverged", label);
+    prop_assert_eq!(&base.buyer, &other.buyer, "{}: buyer observables diverged", label);
+    prop_assert_eq!(&base.seller, &other.seller, "{}: seller observables diverged", label);
+    prop_assert_eq!(&base.planner, &other.planner, "{}: settle planner counters diverged", label);
+    Ok(())
 }
 
 proptest! {
@@ -136,19 +115,11 @@ proptest! {
         shards in 2usize..=4,
     ) {
         let faults = FaultConfig { loss, duplicate, corrupt, min_delay_ms: 1, max_delay_ms: 40 };
-        let sequential = run(faults.clone(), seed, pos, 1, false);
-        let sharded = run(faults.clone(), seed, pos, shards, false);
-        prop_assert_eq!(&sequential.0, &sharded.0, "elapsed simulated time diverged");
-        prop_assert_eq!(&sequential.1, &sharded.1, "buyer observables diverged");
-        prop_assert_eq!(&sequential.2, &sharded.2, "seller observables diverged");
-        // Compiled transform and rule dispatch are the default above; the
-        // same run on the tree-walking interpreters must be observably
-        // identical, down to the codec cache and stage counters in the
-        // fingerprint.
-        let interpreted = run(faults, seed, pos, shards, true);
-        prop_assert_eq!(&sequential.0, &interpreted.0, "elapsed diverged under interpreter");
-        prop_assert_eq!(&sequential.1, &interpreted.1, "buyer diverged under interpreter");
-        prop_assert_eq!(&sequential.2, &interpreted.2, "seller diverged under interpreter");
+        let protocol = ScenarioProtocol::from_env();
+        let policy = PartnerPolicy::permissive();
+        let sequential = run(protocol, faults.clone(), seed, pos, 1, policy.clone());
+        let sharded = run(protocol, faults, seed, pos, shards, policy);
+        same(&format!("{shards} shards"), &sequential, &sharded)?;
     }
 
     /// The same identity with the containment subsystem fully armed: a
@@ -164,28 +135,24 @@ proptest! {
         pos in 1usize..5,
     ) {
         let faults = FaultConfig { loss, duplicate, corrupt, min_delay_ms: 1, max_delay_ms: 40 };
+        let protocol = ScenarioProtocol::from_env();
         let policy = PartnerPolicy { pump_send_budget: 4, ..PartnerPolicy::guarded() };
-        let sequential =
-            run_with_policy(faults.clone(), seed, pos, 1, false, policy.clone());
-        let sharded = run_with_policy(faults, seed, pos, 4, false, policy);
-        prop_assert_eq!(&sequential.0, &sharded.0, "elapsed simulated time diverged");
-        prop_assert_eq!(&sequential.1, &sharded.1, "buyer observables diverged");
-        prop_assert_eq!(&sequential.2, &sharded.2, "seller observables diverged");
+        let sequential = run(protocol, faults.clone(), seed, pos, 1, policy.clone());
+        let sharded = run(protocol, faults, seed, pos, 4, policy);
+        same("4 shards", &sequential, &sharded)?;
     }
 }
 
 proptest! {
-    // Each case is seven full scenario runs; fewer cases keep the matrix
+    // Each case is four full scenario runs; fewer cases keep the matrix
     // affordable while still sampling the fault space.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Pool shape is invisible: for pool sizes 1, 2, and 4 workers
-    /// (shards = workers + 1) crossed with steal chunks 1 and 8, every
-    /// fingerprint is byte-identical to the sequential run. Chunk 1
-    /// maximizes inter-thread interleaving; chunk 8 gives one worker
-    /// long uncontended runs — opposite extremes of the steal schedule.
+    /// (shards = workers + 1) every fingerprint is byte-identical to the
+    /// sequential run.
     #[test]
-    fn pool_size_and_steal_chunk_are_invisible(
+    fn pool_size_is_invisible(
         loss in 0.0f64..0.35,
         duplicate in 0.0f64..0.25,
         seed in any::<u64>(),
@@ -194,23 +161,12 @@ proptest! {
         let faults = FaultConfig {
             loss, duplicate, corrupt: 0.0, min_delay_ms: 1, max_delay_ms: 40,
         };
-        let sequential = run(faults.clone(), seed, pos, 1, false);
+        let protocol = ScenarioProtocol::from_env();
+        let policy = PartnerPolicy::permissive();
+        let sequential = run(protocol, faults.clone(), seed, pos, 1, policy.clone());
         for workers in [1usize, 2, 4] {
-            for chunk in [1usize, 8] {
-                let pooled = run_with_chunk(faults.clone(), seed, pos, workers + 1, chunk);
-                prop_assert_eq!(
-                    &sequential.0, &pooled.0,
-                    "elapsed diverged at {} workers, chunk {}", workers, chunk
-                );
-                prop_assert_eq!(
-                    &sequential.1, &pooled.1,
-                    "buyer diverged at {} workers, chunk {}", workers, chunk
-                );
-                prop_assert_eq!(
-                    &sequential.2, &pooled.2,
-                    "seller diverged at {} workers, chunk {}", workers, chunk
-                );
-            }
+            let pooled = run(protocol, faults.clone(), seed, pos, workers + 1, policy.clone());
+            same(&format!("{workers} workers"), &sequential, &pooled)?;
         }
     }
 }
@@ -219,20 +175,15 @@ proptest! {
 fn flaky_broadcast_workload_is_identical_across_shard_counts() {
     // A deterministic anchor alongside the property: a lossy multi-session
     // run compared across 1, 2, 4, and 8 workers.
-    let baseline = run(FaultConfig::flaky(0.3), 7, 8, 1, false);
+    let protocol = ScenarioProtocol::from_env();
+    let policy = PartnerPolicy::permissive();
+    let baseline = run(protocol, FaultConfig::flaky(0.3), 7, 8, 1, policy.clone());
     for shards in [2, 4, 8] {
-        let parallel = run(FaultConfig::flaky(0.3), 7, 8, shards, false);
-        assert_eq!(baseline.0, parallel.0, "elapsed diverged at {shards} shards");
-        assert_eq!(baseline.1, parallel.1, "buyer diverged at {shards} shards");
-        assert_eq!(baseline.2, parallel.2, "seller diverged at {shards} shards");
+        let parallel = run(protocol, FaultConfig::flaky(0.3), 7, 8, shards, policy.clone());
+        same(&format!("{shards} shards"), &baseline, &parallel).unwrap();
     }
-    // Dispatch mode must be as invisible as the shard count.
-    let interpreted = run(FaultConfig::flaky(0.3), 7, 8, 4, true);
-    assert_eq!(baseline.0, interpreted.0, "elapsed diverged under interpreter");
-    assert_eq!(baseline.1, interpreted.1, "buyer diverged under interpreter");
-    assert_eq!(baseline.2, interpreted.2, "seller diverged under interpreter");
     // The run was not trivially clean: sessions really completed.
-    assert!(baseline.1.completed >= 1, "at least one session completed");
+    assert!(baseline.buyer.completed >= 1, "at least one session completed");
 }
 
 /// A wave initiated with `initiate_deferred` runs in the pump's sharded
@@ -284,11 +235,11 @@ fn zero_shards_means_auto_and_is_identical_to_sequential() {
     assert!(auto >= 1, "auto shard count must be positive: {auto}");
     assert!(auto <= cores, "auto shard count {auto} exceeds host parallelism {cores}");
 
-    let baseline = run(FaultConfig::flaky(0.3), 13, 4, 1, false);
-    let auto_run = run(FaultConfig::flaky(0.3), 13, 4, 0, false);
-    assert_eq!(baseline.0, auto_run.0, "elapsed diverged under auto shards");
-    assert_eq!(baseline.1, auto_run.1, "buyer diverged under auto shards");
-    assert_eq!(baseline.2, auto_run.2, "seller diverged under auto shards");
+    let protocol = ScenarioProtocol::from_env();
+    let policy = PartnerPolicy::permissive();
+    let baseline = run(protocol, FaultConfig::flaky(0.3), 13, 4, 1, policy.clone());
+    let auto_run = run(protocol, FaultConfig::flaky(0.3), 13, 4, 0, policy);
+    same("auto shards", &baseline, &auto_run).unwrap();
 }
 
 #[test]
@@ -340,154 +291,44 @@ fn binary_protocol_fingerprints_are_identical_across_shards() {
     // The zero-copy decode path must be as deterministic as the text
     // codecs: with both partners on the compact binary wire format
     // (documents full of borrowed `Str`s at the edge), a lossy run's
-    // fingerprint is byte-identical across shard counts and dispatch
-    // modes. Text ownership — borrowed slices of the payload `Bytes`
-    // versus owned strings after a transform — must be invisible to
-    // every counter, state, and audit record.
-    use semantic_b2b::integration::scenario::ScenarioProtocol;
-
-    let run_binary = |shards: usize, interpreted: bool| {
-        let mut s = TwoEnterpriseScenario::with_protocol(
-            ScenarioProtocol::Binary,
-            FaultConfig::flaky(0.3),
-            23,
-        )
-        .unwrap();
-        s.buyer.set_shards(shards);
-        s.seller.set_shards(shards);
-        s.buyer.set_interpreted_transforms(interpreted);
-        s.seller.set_interpreted_transforms(interpreted);
-        s.buyer.set_interpreted_rules(interpreted);
-        s.seller.set_interpreted_rules(interpreted);
-        s.buyer.set_partner_policy(PartnerPolicy::permissive());
-        s.seller.set_partner_policy(PartnerPolicy::permissive());
-        for i in 0..6 {
-            let po = s.po(&format!("po-bin-{i}"), 1_000 + i).unwrap();
-            s.submit(po).unwrap();
-        }
-        let elapsed = s.run_until_quiescent(240_000).unwrap();
-        (elapsed, fingerprint(&s.buyer), fingerprint(&s.seller))
-    };
-
-    let baseline = run_binary(1, false);
-    assert!(baseline.1.completed >= 1, "at least one binary session completed");
-    for (shards, interpreted) in [(4, false), (1, true), (4, true)] {
-        let other = run_binary(shards, interpreted);
-        assert_eq!(
-            baseline.0, other.0,
-            "elapsed diverged at {shards} shards (interpreted: {interpreted})"
-        );
-        assert_eq!(
-            baseline.1, other.1,
-            "buyer diverged at {shards} shards (interpreted: {interpreted})"
-        );
-        assert_eq!(
-            baseline.2, other.2,
-            "seller diverged at {shards} shards (interpreted: {interpreted})"
-        );
-    }
-}
-
-/// [`run`], with a scenario wire protocol and the settle reference path
-/// selectable. Returns the fingerprints plus both engines' settle
-/// planner counters (rounds / touched), which are part of the
-/// determinism bar for the touched-only path.
-fn run_settle(
-    protocol: semantic_b2b::integration::scenario::ScenarioProtocol,
-    faults: FaultConfig,
-    seed: u64,
-    pos: usize,
-    shards: usize,
-    interpreted: bool,
-    full_partition: bool,
-) -> (u64, Fingerprint, Fingerprint, [(u64, u64); 2]) {
-    let mut s = TwoEnterpriseScenario::with_protocol(protocol, faults, seed).unwrap();
-    s.buyer.set_shards(shards);
-    s.seller.set_shards(shards);
-    s.buyer.set_interpreted_transforms(interpreted);
-    s.seller.set_interpreted_transforms(interpreted);
-    s.buyer.set_interpreted_rules(interpreted);
-    s.seller.set_interpreted_rules(interpreted);
-    s.buyer.set_full_partition_settle(full_partition);
-    s.seller.set_full_partition_settle(full_partition);
-    s.buyer.set_partner_policy(PartnerPolicy::permissive());
-    s.seller.set_partner_policy(PartnerPolicy::permissive());
-    for i in 0..pos {
-        let po = s.po(&format!("po-{i}"), 1_000 + i as i64).unwrap();
-        s.submit(po).unwrap();
-    }
-    let elapsed = s.run_until_quiescent(240_000).unwrap();
-    let planner = [&s.buyer, &s.seller].map(|e| {
-        let m = e.settle_metrics();
-        (m.rounds, m.touched_total)
-    });
-    (elapsed, fingerprint(&s.buyer), fingerprint(&s.seller), planner)
+    // fingerprint is byte-identical across shard counts. Text ownership
+    // — borrowed slices of the payload `Bytes` versus owned strings after
+    // a transform — must be invisible to every counter, state, and audit
+    // record.
+    let policy = PartnerPolicy::permissive();
+    let baseline = run(ScenarioProtocol::Binary, FaultConfig::flaky(0.3), 23, 6, 1, policy.clone());
+    assert!(baseline.buyer.completed >= 1, "at least one binary session completed");
+    let sharded = run(ScenarioProtocol::Binary, FaultConfig::flaky(0.3), 23, 6, 4, policy);
+    same("4 shards", &baseline, &sharded).unwrap();
 }
 
 proptest! {
-    // Each case is ten full scenario runs (2 protocols x 5 settle
-    // configurations); fewer cases keep the matrix affordable.
+    // Each case is six full scenario runs (2 protocols x 3 shard
+    // counts); fewer cases keep the matrix affordable.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The touched-only settle planner is an optimization, not a
-    /// semantics: against the full-partition reference path (every
-    /// resident instance moved into a shard slice every round) the run
-    /// must be byte-identical, across shard counts {1, 2, 4}, both
-    /// dispatch modes, and both a text (EDI) and the binary wire
-    /// protocol. The planner's own counters (rounds, touched) must also
-    /// be shard-count- and dispatch-invariant: slices settle to
-    /// quiescence independently inside a round, so how the touched set
-    /// is split cannot change what was touched.
+    /// semantics. One shard settles every resident instance in place, so
+    /// it is the reference: at 2 and 4 shards, where rounds move only the
+    /// touched instances into shard slices, the run must be
+    /// byte-identical to it — planner counters (rounds, touched)
+    /// included — on both a text (EDI) and the binary wire protocol.
     #[test]
-    fn touched_only_settle_matches_full_partition_reference(
+    fn touched_only_settle_matches_one_shard_reference(
         loss in 0.0f64..0.35,
         duplicate in 0.0f64..0.25,
         seed in any::<u64>(),
         pos in 1usize..5,
-        interpreted in any::<bool>(),
     ) {
-        use semantic_b2b::integration::scenario::ScenarioProtocol;
         let faults = FaultConfig {
             loss, duplicate, corrupt: 0.0, min_delay_ms: 1, max_delay_ms: 40,
         };
+        let policy = PartnerPolicy::permissive();
         for protocol in [ScenarioProtocol::Edi, ScenarioProtocol::Binary] {
-            let touched =
-                run_settle(protocol, faults.clone(), seed, pos, 1, interpreted, false);
+            let reference = run(protocol, faults.clone(), seed, pos, 1, policy.clone());
             for shards in [2usize, 4] {
-                let sharded =
-                    run_settle(protocol, faults.clone(), seed, pos, shards, interpreted, false);
-                prop_assert_eq!(
-                    &touched.0, &sharded.0,
-                    "{:?}: elapsed diverged at {} shards", protocol, shards
-                );
-                prop_assert_eq!(
-                    &touched.1, &sharded.1,
-                    "{:?}: buyer diverged at {} shards", protocol, shards
-                );
-                prop_assert_eq!(
-                    &touched.2, &sharded.2,
-                    "{:?}: seller diverged at {} shards", protocol, shards
-                );
-                prop_assert_eq!(
-                    &touched.3, &sharded.3,
-                    "{:?}: settle planner counters diverged at {} shards", protocol, shards
-                );
-            }
-            for shards in [1usize, 4] {
-                let full =
-                    run_settle(protocol, faults.clone(), seed, pos, shards, interpreted, true);
-                prop_assert_eq!(
-                    &touched.0, &full.0,
-                    "{:?}: elapsed diverged vs full partition at {} shards", protocol, shards
-                );
-                prop_assert_eq!(
-                    &touched.1, &full.1,
-                    "{:?}: buyer diverged vs full partition at {} shards", protocol, shards
-                );
-                prop_assert_eq!(
-                    &touched.2, &full.2,
-                    "{:?}: seller diverged vs full partition at {} shards", protocol, shards
-                );
+                let sharded = run(protocol, faults.clone(), seed, pos, shards, policy.clone());
+                same(&format!("{protocol:?} at {shards} shards"), &reference, &sharded)?;
             }
         }
     }
@@ -501,8 +342,8 @@ fn duplicates_are_never_parsed() {
     // payloads received, on both engines.
     let dup_heavy =
         FaultConfig { loss: 0.0, duplicate: 0.6, corrupt: 0.0, min_delay_ms: 1, max_delay_ms: 40 };
-    let (_, buyer, seller) = run(dup_heavy, 11, 4, 1, false);
-    for (who, fp) in [("buyer", &buyer), ("seller", &seller)] {
+    let r = run(ScenarioProtocol::from_env(), dup_heavy, 11, 4, 1, PartnerPolicy::permissive());
+    for (who, fp) in [("buyer", &r.buyer), ("seller", &r.seller)] {
         assert!(fp.stages.edge_duplicates > 0, "{who}: the run suppressed no duplicates");
         assert_eq!(
             fp.cache.decode_misses, fp.stats.wire_received,
