@@ -10,6 +10,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Doc comments name items by link; a link to a deleted or private item
+# fails here instead of rotting silently.
+echo "== cargo doc (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 # The release profile (thin/fat LTO, single codegen unit) is what the
 # experiments and benches run under; make sure it keeps building.
 echo "== cargo build --release =="

@@ -238,7 +238,7 @@ pub fn run_distributed_roundtrip(amount_units: i64) -> Result<DistributedOutcome
         .map(|(_, _, d)| d)
         .ok_or_else(|| crate::error::IntegrationError::Config("no PO on the wire".into()))?;
     let id_at_seller = fed.migrate_instance(&buyer_id, &seller_id, id)?;
-    fed.engine_mut(&seller_id)?.deliver(&ChannelId::new("wire"), wire_po)?;
+    fed.engine_mut(&seller_id)?.deliver_to(id_at_seller, &ChannelId::new("wire"), wire_po)?;
 
     // Blocked at `receive-poa`; migrate back with the POA.
     let outbox = fed.engine_mut(&seller_id)?.drain_outbox();
@@ -248,7 +248,7 @@ pub fn run_distributed_roundtrip(amount_units: i64) -> Result<DistributedOutcome
         .map(|(_, _, d)| d)
         .ok_or_else(|| crate::error::IntegrationError::Config("no POA on the wire".into()))?;
     let id_back = fed.migrate_instance(&seller_id, &buyer_id, id_at_seller)?;
-    fed.engine_mut(&buyer_id)?.deliver(&ChannelId::new("wire-back"), wire_poa)?;
+    fed.engine_mut(&buyer_id)?.deliver_to(id_back, &ChannelId::new("wire-back"), wire_poa)?;
 
     let completed = fed.engine(&buyer_id)?.status(id_back)? == InstanceStatus::Completed;
     Ok(DistributedOutcome {
@@ -315,7 +315,7 @@ mod tests {
                 .find(|(_, c, _)| c.as_str() == channel_out)
                 .map(|(_, _, d)| d)
                 .expect("wire document present");
-            engine.deliver(&ChannelId::new(channel_in), doc).unwrap();
+            engine.deliver_to(id, &ChannelId::new(channel_in), doc).unwrap();
         }
         assert_eq!(engine.status(id).unwrap(), InstanceStatus::Completed);
         assert_eq!(engine.variable(id, "poa_stored").unwrap(), Variable::Value(Value::Bool(true)));
@@ -359,7 +359,7 @@ mod tests {
             .find(|(_, c, _)| c.as_str() == "wire")
             .map(|(_, _, d)| d)
             .expect("PO on the wire");
-        engine.deliver(&ChannelId::new("wire"), doc).unwrap();
+        engine.deliver_to(id, &ChannelId::new("wire"), doc).unwrap();
         assert_eq!(engine.status(id).unwrap(), InstanceStatus::Completed);
     }
 

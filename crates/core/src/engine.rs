@@ -494,7 +494,7 @@ impl IntegrationEngine {
     /// State of the session(s) for a correlation id. With several
     /// sessions under one correlation (broadcast), the aggregate is
     /// Completed only when all are, and Failed when any is. O(1) in the
-    /// number of sessions (cached in the [`SessionTable`]).
+    /// number of sessions (cached in the session table).
     pub fn session_state(&self, correlation: &CorrelationId) -> SessionState {
         self.table.aggregate_state(correlation)
     }
@@ -513,7 +513,7 @@ impl IntegrationEngine {
     }
 
     /// Number of completed sessions. O(1): maintained incrementally by
-    /// the [`SessionTable`].
+    /// the session table.
     pub fn completed_sessions(&self) -> usize {
         self.table.completed_sessions()
     }

@@ -109,14 +109,14 @@ pub fn run_figure8_roundtrip(amount_units: i64) -> Result<bool> {
         .find(|(_, c, _)| c == &ChannelId::new("wire"))
         .map(|(_, _, d)| d)
         .ok_or_else(|| crate::error::IntegrationError::Config("no PO emitted".into()))?;
-    seller.deliver(&ChannelId::new("wire"), po_wire)?;
+    seller.deliver_to(seller_inst, &ChannelId::new("wire"), po_wire)?;
     let poa_wire = seller
         .drain_outbox()
         .into_iter()
         .find(|(_, c, _)| c == &ChannelId::new("wire-back"))
         .map(|(_, _, d)| d)
         .ok_or_else(|| crate::error::IntegrationError::Config("no POA emitted".into()))?;
-    buyer.deliver(&ChannelId::new("wire-back"), poa_wire)?;
+    buyer.deliver_to(buyer_inst, &ChannelId::new("wire-back"), poa_wire)?;
 
     Ok(buyer.status(buyer_inst)? == InstanceStatus::Completed
         && seller.status(seller_inst)? == InstanceStatus::Completed)

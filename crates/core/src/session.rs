@@ -2,7 +2,7 @@
 //!
 //! A *session* is one business interaction: the public, binding, private,
 //! and (optionally) back-end binding instances an enterprise runs for one
-//! `(correlation, counterparty)` pair. The [`SessionTable`] owns every
+//! `(correlation, counterparty)` pair. The `SessionTable` owns every
 //! session plus the indexes the runtime routes through — all O(1):
 //!
 //! * `(correlation, partner)` → session (wire routing key; a broadcast RFQ
@@ -14,7 +14,7 @@
 //! completion counters, so `session_state`, `session_state_with`, and
 //! `completed_sessions` never scan the table. Callers mutate failure
 //! markers only through table methods, which keep the caches coherent;
-//! after the engine settles, [`SessionTable::refresh_instances`] folds the
+//! after the engine settles, `SessionTable::refresh_instances` folds the
 //! touched instances back into the caches.
 //!
 //! Layout: the table is sized for millions of open sessions. Correlation
@@ -23,7 +23,7 @@
 //! the `(correlation, partner)` routing key is an FNV-hashed `(u32, u32)`
 //! map, the instance index is a dense slot array (the WFMS allocates
 //! instance ids contiguously from 1), and per-correlation groups are
-//! slot-id slices sorted by construction. [`SessionTable::memory_footprint`]
+//! slot-id slices sorted by construction. `SessionTable::memory_footprint`
 //! reports the measured bytes-per-open-session this buys.
 //!
 //! The table also fixes each session's *shard seed* — an FNV-1a hash of

@@ -1,6 +1,6 @@
 //! Compiled rule programs: flat instruction streams for the decision layer.
 //!
-//! The tree interpreter in [`expr::eval`](crate::expr::eval) clones a
+//! The tree interpreter in `expr::eval` clones a
 //! [`Value`] per AST node it touches — every `document.amount` lookup
 //! copies the amount, every literal copies itself. This module lowers an
 //! [`Expr`] once into a postorder instruction program that evaluates on a
@@ -11,7 +11,7 @@
 //! process-global interned [`Symbol`]s (the same symbols that key every
 //! record), literal-only subtrees are constant-folded at compile
 //! time — including subtrees that always *fail*, which lower to an
-//! in-place [`Op::Fail`] so error order is preserved — and `and`/`or`
+//! in-place `Op::Fail` so error order is preserved — and `and`/`or`
 //! short-circuit via skip offsets patched into the stream.
 //!
 //! The contract with the interpreter is strict observational equality:

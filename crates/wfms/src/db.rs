@@ -15,7 +15,7 @@ use std::sync::Arc;
 /// reproducing the architecture the paper describes: "the workflow engine
 /// retrieves the state of the workflow instance in question, advances the
 /// workflow instance and stores the advanced state … back into the
-/// database". Types are stored compiled ([`Program`]), once per deployed
+/// database". Types are stored compiled into programs, once per deployed
 /// version; every instance shares the program it was created with.
 #[derive(Debug, Default)]
 pub struct WorkflowDatabase {
@@ -118,16 +118,6 @@ impl WorkflowDatabase {
         self.instances.keys().copied().collect()
     }
 
-    /// The program map (read-only; shard workers share it by reference).
-    pub(crate) fn types_map(&self) -> &BTreeMap<WorkflowTypeId, Arc<Program>> {
-        &self.types
-    }
-
-    /// The instance map (read-only).
-    pub(crate) fn instances(&self) -> &BTreeMap<InstanceId, WorkflowInstance> {
-        &self.instances
-    }
-
     /// Whether `inst` runs the currently deployed version of its type.
     /// Instances on a superseded (or foreign, carried-in) program export
     /// their definition with them: nothing else could run them.
@@ -135,18 +125,10 @@ impl WorkflowDatabase {
         self.types.get(inst.type_id()).is_some_and(|p| Arc::ptr_eq(p, &inst.program))
     }
 
-    /// Splits the database into disjoint borrows: shared programs, mutable
-    /// instances, and the mutable id counter. The execution layer needs
-    /// all three at once (programs are read by every step, instances are
-    /// the per-shard mutable state, the counter gates spawns).
-    pub(crate) fn split_mut(
-        &mut self,
-    ) -> (
-        &BTreeMap<WorkflowTypeId, Arc<Program>>,
-        &mut BTreeMap<InstanceId, WorkflowInstance>,
-        &mut u64,
-    ) {
-        (&self.types, &mut self.instances, &mut self.next_instance)
+    /// The instance map, for the executor: instances are the mutable
+    /// state every step works on.
+    pub(crate) fn instances_mut(&mut self) -> &mut BTreeMap<InstanceId, WorkflowInstance> {
+        &mut self.instances
     }
 
     /// The compiled program an instance record runs on: its own carried

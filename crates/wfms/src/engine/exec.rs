@@ -10,11 +10,13 @@
 //! on separate workers without synchronization, and the engine merges
 //! their results deterministically afterwards.
 //!
-//! Everything that crosses shard boundaries — subworkflow spawns (which
-//! need the shared instance-id counter) and parent completions (the
-//! parent may live in another shard) — is *deferred* into the slice and
-//! resolved by the engine between settle rounds, in a canonical order
-//! that does not depend on how instances were partitioned.
+//! Everything that crosses instance boundaries — subworkflow spawns
+//! (which need the shared instance-id counter) and parent completions
+//! (the parent may live in another shard) — is *deferred* into the slice
+//! and resolved by the engine between settle rounds, in a canonical order
+//! that does not depend on how instances were partitioned. Documents
+//! reach an instance only through its own directed queues, so a step
+//! never reads or writes another instance's state.
 
 use super::instance::{EdgeState, InstanceStatus, States, StepState, Variable, WorkflowInstance};
 use super::program::{Program, StepRef};
@@ -78,7 +80,8 @@ pub(crate) struct SpawnRequest {
     pub target: Arc<str>,
 }
 
-/// A child completion whose parent was not in the executing shard.
+/// A subworkflow's completion (or failure), handed to its parent step
+/// between settle rounds.
 pub(crate) struct ParentFinish {
     pub parent: InstanceId,
     pub step: StepRef,
@@ -89,34 +92,24 @@ pub(crate) struct ParentFinish {
 /// The shared, read-only half of the interpreter: everything a step
 /// needs that is code or configuration rather than instance state.
 pub(crate) struct ExecEnv<'a> {
-    pub types: &'a BTreeMap<WorkflowTypeId, Arc<Program>>,
     pub activities: &'a BTreeMap<String, Arc<dyn Activity>>,
     pub rules: &'a RuleRegistry,
     pub transforms: &'a TransformRegistry,
     pub now: SimTime,
 }
 
-/// Volatile (non-persisted) engine state: queues, waiters, timers, the
-/// outbox, audit history, and counters. One resident copy lives in the
-/// engine; settle rounds carve per-shard copies out of it.
+/// Volatile (non-persisted) engine state: queues, timers, the outbox,
+/// audit history, and counters. One resident copy lives in the engine;
+/// settle rounds carve per-shard copies out of it.
 #[derive(Default)]
 pub(crate) struct VolatileState {
-    /// Global channel queues (documents waiting for *any* receiver).
-    /// Documents travel by `Arc` end to end: routing hands off a pointer,
-    /// and the receive step unwraps it (free while the reference is
-    /// unique, copy-on-write otherwise).
-    pub channel_queues: BTreeMap<ChannelId, VecDeque<Arc<Document>>>,
     /// Per-instance directed queues (session-scoped routing), grouped by
     /// receiving instance so a settle round can move one instance's whole
-    /// queue set in a single `remove`/`insert`.
+    /// queue set in a single `remove`/`insert`. Documents travel by `Arc`
+    /// end to end: routing hands off a pointer, and the receive step
+    /// unwraps it (free while the reference is unique, copy-on-write
+    /// otherwise).
     pub directed_queues: BTreeMap<InstanceId, BTreeMap<ChannelId, VecDeque<Arc<Document>>>>,
-    /// Receive steps blocked on a channel, FIFO per channel. A directed
-    /// delivery leaves its receiver's entry behind (finding it would cost
-    /// a queue scan); matching skips such stale entries, and the engine
-    /// compacts them away once they are half the queue.
-    pub waiters: BTreeMap<ChannelId, VecDeque<(InstanceId, StepRef)>>,
-    /// Waiter entries whose receive no longer waits.
-    pub stale_waiters: usize,
     /// Documents emitted by send steps, drained by the host.
     pub outbox: Vec<(InstanceId, ChannelId, Arc<Document>)>,
     /// Pending timers.
@@ -131,9 +124,9 @@ pub(crate) struct VolatileState {
     pub stats: EngineStats,
     /// Instances whose state changed since the last `drain_touched`.
     pub touched: BTreeSet<InstanceId>,
-    /// Deferred local subworkflow spawns (settle mode only).
+    /// Deferred local subworkflow spawns.
     pub spawns: Vec<SpawnRequest>,
-    /// Deferred cross-shard parent completions (settle mode only).
+    /// Deferred parent completions.
     pub parent_finishes: Vec<ParentFinish>,
 }
 
@@ -145,14 +138,10 @@ pub(crate) struct ShardSlice {
     pub vol: VolatileState,
 }
 
-/// Everything one interpretation call may touch. `ids` is `Some` in
-/// legacy sequential mode (subworkflows spawn inline, exactly as before)
-/// and `None` in settle mode (spawns defer so results are independent of
-/// the shard count).
+/// Everything one interpretation call may touch.
 pub(crate) struct ExecCtx<'a> {
     pub env: &'a ExecEnv<'a>,
     pub instances: &'a mut BTreeMap<InstanceId, WorkflowInstance>,
-    pub ids: Option<&'a mut u64>,
     pub vol: &'a mut VolatileState,
 }
 
@@ -207,18 +196,21 @@ pub(crate) fn run_one(ctx: &mut ExecCtx<'_>, id: InstanceId) -> Result<()> {
         inst.status = InstanceStatus::Completed;
         record(ctx.vol, ctx.env.now, id, HistoryKind::InstanceCompleted);
     }
-    let parent = inst.parent;
-    // The variable snapshot is only handed to a parent on completion;
-    // every other exit keeps the (potentially large) map un-copied.
-    let finish = match (&parent, &inst.status) {
-        (Some(_), InstanceStatus::Completed) => Some((inst.vars.clone(), None)),
-        (Some(_), InstanceStatus::Failed(reason)) => Some((BTreeMap::new(), Some(reason.clone()))),
-        _ => None,
-    };
-    ctx.instances.insert(id, inst);
-    if let (Some((parent_id, parent_step)), Some((vars, failure))) = (parent, finish) {
-        finish_parent(ctx, parent_id, parent_step, vars, failure)?;
+    // A finished child defers its parent's completion: the parent may
+    // live in another shard, and the engine resolves it between rounds.
+    // The variable snapshot is only taken on completion; every other
+    // exit keeps the (potentially large) map un-copied.
+    if let Some((parent, step)) = inst.parent {
+        let finish = match &inst.status {
+            InstanceStatus::Completed => Some((inst.vars.clone(), None)),
+            InstanceStatus::Failed(reason) => Some((BTreeMap::new(), Some(reason.clone()))),
+            InstanceStatus::Running => None,
+        };
+        if let Some((vars, failure)) = finish {
+            ctx.vol.parent_finishes.push(ParentFinish { parent, step, vars, failure });
+        }
     }
+    ctx.instances.insert(id, inst);
     Ok(())
 }
 
@@ -397,20 +389,10 @@ fn execute_step(
                 .get_mut(&inst.id)
                 .and_then(|qs| qs.get_mut(channel))
                 .and_then(VecDeque::pop_front);
-            if let Some(doc) = directed
-                .or_else(|| ctx.vol.channel_queues.get_mut(channel).and_then(VecDeque::pop_front))
-            {
-                ctx.vol.stats.receives += 1;
-                inst.vars.insert(var.clone(), Variable::Document(unwrap_doc(doc)));
-                ExecOutcome::Completed
-            } else {
-                ctx.vol
-                    .waiters
-                    .entry(channel.clone())
-                    .or_default()
-                    .push_back((inst.id, program.step_ref(ix)));
-                ExecOutcome::Waiting
-            }
+            let Some(doc) = directed else { return ExecOutcome::Waiting };
+            ctx.vol.stats.receives += 1;
+            inst.vars.insert(var.clone(), Variable::Document(unwrap_doc(doc)));
+            ExecOutcome::Completed
         }
         StepKind::Timer { delay_ms } => {
             ctx.vol.timers.push((ctx.env.now + *delay_ms, inst.id, program.step_ref(ix)));
@@ -429,87 +411,20 @@ fn execute_step(
                 });
                 return ExecOutcome::Waiting;
             }
-            let Some(ids) = ctx.ids.as_deref_mut() else {
-                // Settle mode: allocating an id here would make results
-                // depend on shard scheduling. Defer to the engine, which
-                // spawns between rounds in canonical order.
-                ctx.vol.spawns.push(SpawnRequest {
-                    parent: inst.id,
-                    step: program.step_ref(ix),
-                    workflow: workflow.clone(),
-                    vars: inst.vars.clone(),
-                    source: Arc::clone(inst.source),
-                    target: Arc::clone(inst.target),
-                });
-                return ExecOutcome::Waiting;
-            };
-            let Some(sub) = ctx.env.types.get(workflow) else {
-                return ExecOutcome::Failed(format!(
-                    "subworkflow type `{workflow}` not in database"
-                ));
-            };
-            let child_id = InstanceId::new(*ids);
-            *ids += 1;
-            let mut child = WorkflowInstance::new(
-                child_id,
-                Arc::clone(sub),
-                inst.vars.clone(),
-                Arc::clone(inst.source),
-                Arc::clone(inst.target),
-            );
-            child.parent = Some((inst.id, program.step_ref(ix)));
-            ctx.instances.insert(child_id, child);
-            ctx.vol.stats.instances_created += 1;
-            record(ctx.vol, ctx.env.now, child_id, HistoryKind::InstanceCreated);
-            ctx.vol.runnable.push_back(child_id);
-            // Subworkflows return control ONLY on completion
-            // (Section 3.1) — the parent step waits.
+            // Allocating the child's id here would make results depend on
+            // shard scheduling: the engine spawns it between rounds, in
+            // canonical order. Subworkflows return control ONLY on
+            // completion (Section 3.1) — the parent step waits.
+            ctx.vol.spawns.push(SpawnRequest {
+                parent: inst.id,
+                step: program.step_ref(ix),
+                workflow: workflow.clone(),
+                vars: inst.vars.clone(),
+                source: Arc::clone(inst.source),
+                target: Arc::clone(inst.target),
+            });
             ExecOutcome::Waiting
         }
-    }
-}
-
-pub(crate) fn match_waiters(ctx: &mut ExecCtx<'_>, channel: &ChannelId) -> Result<()> {
-    loop {
-        let queue_len = ctx.vol.channel_queues.get(channel).map(VecDeque::len).unwrap_or(0);
-        if queue_len == 0 {
-            return Ok(());
-        }
-        let Some((inst_id, step)) = ctx.vol.waiters.get_mut(channel).and_then(VecDeque::pop_front)
-        else {
-            return Ok(());
-        };
-        // Stale waiter (served by a directed delivery, or the instance
-        // migrated away): drop it.
-        let receive = ctx
-            .instances
-            .get(&inst_id)
-            .filter(|inst| inst.states.step(step.ix()) == StepState::Waiting)
-            .map(|inst| inst.program.step(step.ix()));
-        let Some(receive) = receive else {
-            ctx.vol.stale_waiters = ctx.vol.stale_waiters.saturating_sub(1);
-            continue;
-        };
-        let (var, step_id) = match &receive.kind {
-            StepKind::Receive { var, .. } => (var.clone(), receive.id.clone()),
-            other => {
-                return Err(WfError::Channel {
-                    channel: channel.to_string(),
-                    reason: format!("waiter step `{}` is a {}", receive.id, other.kind_name()),
-                })
-            }
-        };
-        let doc = ctx
-            .vol
-            .channel_queues
-            .get_mut(channel)
-            .and_then(VecDeque::pop_front)
-            .expect("queue checked non-empty");
-        let mut inst = take_instance(ctx.instances, inst_id)?;
-        inst.vars.insert(var, Variable::Document(unwrap_doc(doc)));
-        ctx.vol.stats.receives += 1;
-        record(ctx.vol, ctx.env.now, inst_id, HistoryKind::Delivered(step_id));
-        finish_step_and_resume(ctx, inst, step.ix())?;
     }
 }
 
@@ -531,6 +446,9 @@ pub(crate) fn complete_waiting_step(
     finish_step_and_resume(ctx, inst, step.ix())
 }
 
+/// Resolves a parent's subworkflow step with its child's outcome: a
+/// completion merges the child's variables and resumes the parent, a
+/// failure fails the parent and propagates up to the grandparent.
 pub(crate) fn finish_parent(
     ctx: &mut ExecCtx<'_>,
     parent_id: InstanceId,
@@ -538,19 +456,6 @@ pub(crate) fn finish_parent(
     child_vars: BTreeMap<String, Variable>,
     failure: Option<String>,
 ) -> Result<()> {
-    if ctx.ids.is_none() {
-        // Settle mode: the parent may live in another shard, and even when
-        // it does not, resolving inline would make history order depend on
-        // the partitioning. Defer uniformly; the engine resolves between
-        // rounds in canonical order.
-        ctx.vol.parent_finishes.push(ParentFinish {
-            parent: parent_id,
-            step: parent_step,
-            vars: child_vars,
-            failure,
-        });
-        return Ok(());
-    }
     if let Some(reason) = failure {
         let mut parent = take_instance(ctx.instances, parent_id)?;
         let step = &parent.program.step(parent_step.ix()).id;
@@ -609,37 +514,10 @@ pub(crate) fn fail_instance(ctx: &mut ExecCtx<'_>, id: InstanceId, reason: Strin
     Ok(())
 }
 
-/// Delivers a document to one specific instance's receive step on
-/// `channel`, stepping the instance if it is already waiting there.
-pub(crate) fn deliver_to(
-    ctx: &mut ExecCtx<'_>,
-    instance: InstanceId,
-    channel: &ChannelId,
-    doc: Arc<Document>,
-) -> Result<()> {
-    let waiting = match ctx.instances.get(&instance) {
-        Some(inst) if inst.status == InstanceStatus::Running => inst.waiting_receiver(channel),
-        _ => {
-            return Err(WfError::Channel {
-                channel: channel.to_string(),
-                reason: format!("instance {instance} is not running"),
-            })
-        }
-    };
-    let Some(ix) = waiting else {
-        ctx.vol
-            .directed_queues
-            .entry(instance)
-            .or_default()
-            .entry(channel.clone())
-            .or_default()
-            .push_back(doc);
-        return Ok(());
-    };
-    // The receive's waiter entry stays queued (stale) until matching skips
-    // it or the engine compacts the waiter queues.
-    ctx.vol.stale_waiters += 1;
-    let mut inst = take_instance(ctx.instances, instance)?;
+/// Hands a directed document to instance `id`'s waiting receive step
+/// `ix` and runs the instance until it blocks again.
+fn receive(ctx: &mut ExecCtx<'_>, id: InstanceId, ix: usize, doc: Arc<Document>) -> Result<()> {
+    let mut inst = take_instance(ctx.instances, id)?;
     let step = inst.program.step(ix);
     let StepKind::Receive { var, .. } = &step.kind else {
         unreachable!("the receive index holds receive steps only")
@@ -647,22 +525,17 @@ pub(crate) fn deliver_to(
     let (var, step_id) = (var.clone(), step.id.clone());
     inst.vars.insert(var, Variable::Document(unwrap_doc(doc)));
     ctx.vol.stats.receives += 1;
-    record(ctx.vol, ctx.env.now, instance, HistoryKind::Delivered(step_id));
+    record(ctx.vol, ctx.env.now, id, HistoryKind::Delivered(step_id));
     finish_step_and_resume(ctx, inst, ix)?;
     drain_runnable(ctx)
 }
 
-/// Runs one shard to a local fixpoint: drains the runnable queue, wakes
-/// every directed delivery whose receiver is waiting, and matches global
-/// channel queues against waiters, until nothing changes.
+/// Runs one shard to a local fixpoint: drains the runnable queue, then
+/// wakes every directed delivery whose receiver is waiting. Each wake
+/// drains the runnable queue again, so nothing is left runnable after.
 pub(crate) fn settle_slice(ctx: &mut ExecCtx<'_>) -> Result<()> {
-    loop {
-        drain_runnable(ctx)?;
-        wake_directed(ctx)?;
-        if !match_global_queues(ctx)? && ctx.vol.runnable.is_empty() {
-            return Ok(());
-        }
-    }
+    drain_runnable(ctx)?;
+    wake_directed(ctx)
 }
 
 /// Completes, in `(instance, channel)` order, every directed delivery
@@ -670,55 +543,34 @@ pub(crate) fn settle_slice(ctx: &mut ExecCtx<'_>) -> Result<()> {
 ///
 /// After delivering to instance X the pass resumes at X itself, never
 /// earlier. That is exactly the order of a rescan from the start after
-/// every delivery: in settle mode a delivery steps only its own instance
-/// (spawns and parent completions defer to the engine, sends go to the
-/// outbox), so every instance before X still has nothing to wake, while
-/// X may now wait on any of its channels again.
+/// every delivery: a delivery steps only its own instance (spawns and
+/// parent completions defer to the engine, sends go to the outbox), so
+/// every instance before X still has nothing to wake, while X may now
+/// wait on any of its channels again.
 fn wake_directed(ctx: &mut ExecCtx<'_>) -> Result<()> {
     let mut from = InstanceId::new(0);
-    while let Some((id, channel)) = next_wakeable(ctx, from) {
-        let doc = ctx
-            .vol
-            .directed_queues
-            .get_mut(&id)
-            .and_then(|qs| qs.get_mut(&channel))
-            .and_then(VecDeque::pop_front)
-            .expect("checked non-empty");
-        deliver_to(ctx, id, &channel, doc)?;
+    while let Some((id, ix, doc)) = next_wakeable(ctx, from) {
+        receive(ctx, id, ix, doc)?;
         from = id;
     }
     Ok(())
 }
 
-/// The first `(instance, channel)` at or after instance `from` with a
-/// queued directed document and a receive step waiting for it.
-fn next_wakeable(ctx: &ExecCtx<'_>, from: InstanceId) -> Option<(InstanceId, ChannelId)> {
-    ctx.vol.directed_queues.range(from..).find_map(|(id, qs)| {
-        let inst = ctx.instances.get(id).filter(|i| i.status == InstanceStatus::Running)?;
-        qs.iter()
-            .find(|(channel, q)| !q.is_empty() && inst.waiting_receiver(channel).is_some())
-            .map(|(channel, _)| (*id, channel.clone()))
+/// Pops the first directed document, at or after instance `from` and in
+/// `(instance, channel)` order, whose receive step is waiting; returns it
+/// with its receiver.
+fn next_wakeable(
+    ctx: &mut ExecCtx<'_>,
+    from: InstanceId,
+) -> Option<(InstanceId, usize, Arc<Document>)> {
+    let instances = &*ctx.instances;
+    ctx.vol.directed_queues.range_mut(from..).find_map(|(id, qs)| {
+        let inst = instances.get(id).filter(|i| i.status == InstanceStatus::Running)?;
+        qs.iter_mut().find_map(|(channel, q)| {
+            let ix = inst.waiting_receiver(channel)?;
+            q.pop_front().map(|doc| (*id, ix, doc))
+        })
     })
-}
-
-/// Matches every non-empty global channel queue against its waiters;
-/// returns whether any document was consumed.
-fn match_global_queues(ctx: &mut ExecCtx<'_>) -> Result<bool> {
-    let channels: Vec<ChannelId> = ctx
-        .vol
-        .channel_queues
-        .iter()
-        .filter(|(_, q)| !q.is_empty())
-        .map(|(c, _)| c.clone())
-        .collect();
-    let mut matched = false;
-    for channel in channels {
-        let before = ctx.vol.channel_queues.get(&channel).map(VecDeque::len).unwrap_or(0);
-        match_waiters(ctx, &channel)?;
-        let after = ctx.vol.channel_queues.get(&channel).map(VecDeque::len).unwrap_or(0);
-        matched |= after < before;
-    }
-    Ok(matched)
 }
 
 /// [`settle_slice`] with the directed wake done the quadratic way:
@@ -726,23 +578,11 @@ fn match_global_queues(ctx: &mut ExecCtx<'_>) -> Result<bool> {
 /// differential oracle for the single-pass wake.
 #[cfg(test)]
 pub(crate) fn settle_slice_rescanning(ctx: &mut ExecCtx<'_>) -> Result<()> {
-    loop {
-        drain_runnable(ctx)?;
-        if let Some((id, channel)) = next_wakeable(ctx, InstanceId::new(0)) {
-            let doc = ctx
-                .vol
-                .directed_queues
-                .get_mut(&id)
-                .and_then(|qs| qs.get_mut(&channel))
-                .and_then(VecDeque::pop_front)
-                .expect("checked non-empty");
-            deliver_to(ctx, id, &channel, doc)?;
-            continue;
-        }
-        if !match_global_queues(ctx)? && ctx.vol.runnable.is_empty() {
-            return Ok(());
-        }
+    drain_runnable(ctx)?;
+    while let Some((id, ix, doc)) = next_wakeable(ctx, InstanceId::new(0)) {
+        receive(ctx, id, ix, doc)?;
     }
+    Ok(())
 }
 
 /// Marks a step completed and resolves its outgoing edges (guard

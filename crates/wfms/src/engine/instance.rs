@@ -2,7 +2,7 @@
 
 use super::program::{Program, StepRef};
 use crate::error::{Result, WfError};
-use crate::model::{ChannelId, InstanceId, StepId, StepKind, WorkflowType, WorkflowTypeId};
+use crate::model::{ChannelId, InstanceId, StepId, WorkflowType, WorkflowTypeId};
 use b2b_document::{record, CorrelationId, DocKind, Document, FormatId, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -126,11 +126,11 @@ impl States {
 }
 
 /// One workflow instance, laid out densely: it shares the compiled
-/// [`Program`] of its type (the version it was created with), keeps step
+/// program of its type (the version it was created with), keeps step
 /// and edge states in one ordinal-indexed byte vector, and interns its
 /// rule-context names.
 ///
-/// Instances serialize through [`InstanceRecord`], the string-keyed shape
+/// Instances serialize through an instance record, the string-keyed shape
 /// of migration exports (Section 2.1's "at any point in time a workflow
 /// instance is either persisted in the database or in state transition
 /// in the workflow engine") and database snapshots.
@@ -198,16 +198,6 @@ impl WorkflowInstance {
     /// Whether every step is completed or skipped.
     pub fn all_steps_resolved(&self) -> bool {
         self.states.steps().all(|s| matches!(s, StepState::Completed | StepState::Skipped))
-    }
-
-    /// Receive steps currently waiting, in definition order.
-    pub(crate) fn waiting_receives(&self) -> impl Iterator<Item = (usize, &ChannelId)> + '_ {
-        self.program.def().steps().iter().enumerate().filter_map(|(ix, step)| match &step.kind {
-            StepKind::Receive { channel, .. } if self.states.step(ix) == StepState::Waiting => {
-                Some((ix, channel))
-            }
-            _ => None,
-        })
     }
 
     /// The first receive step on `channel` that is waiting right now.

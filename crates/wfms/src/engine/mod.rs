@@ -1,12 +1,15 @@
 //! The workflow engine: an interpreter for workflow instances.
 //!
-//! Interpretation itself lives in [`exec`] as free functions over an
-//! [`exec::ExecCtx`] — a shared read-only environment plus mutable
-//! instance/queue state. The `Engine` here owns the database and the
-//! volatile state, exposes the sequential API (`run`, `deliver`,
-//! `deliver_to`, `advance_time`), and adds [`Engine::settle`]: a
-//! shard-parallel fixpoint that partitions instances across scoped
-//! threads and merges the results deterministically.
+//! Interpretation itself lives in the private `exec` module as free
+//! functions over an execution context: a shared read-only environment
+//! plus mutable instance and queue state. The `Engine` here owns the
+//! database and the volatile state and executes through one path,
+//! [`Engine::settle`]: a shard-parallel fixpoint that partitions the
+//! instances with work across the persistent worker pool and merges the
+//! results deterministically. Documents reach an instance only through
+//! its own directed queues. The sequential API (`run`, `deliver_to`,
+//! `advance_time`, `resolve_remote`) queues its work and settles it on
+//! one shard.
 
 pub mod instance;
 pub(crate) mod program;
@@ -26,15 +29,14 @@ use crate::db::WorkflowDatabase;
 use crate::error::{Result, WfError};
 use crate::federation::EngineId;
 use crate::history::{HistoryEvent, HistoryKind};
-use crate::model::{ChannelId, InstanceId, StepId, WorkflowType, WorkflowTypeId};
+use crate::model::{ChannelId, InstanceId, StepId, StepKind, WorkflowType, WorkflowTypeId};
 use b2b_document::Document;
 use b2b_network::SimTime;
 use b2b_rules::RuleRegistry;
 use b2b_transform::TransformRegistry;
-use exec::{ExecCtx, ExecEnv, ShardSlice, VolatileState};
+use exec::{ExecCtx, ExecEnv, ParentFinish, ShardSlice, VolatileState};
 use instance::InstanceRecord;
-use program::StepRef;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Settle-cost counters, read via [`Engine::settle_metrics`].
@@ -315,10 +317,11 @@ impl Engine {
     }
 
     /// Runs an instance (and everything it makes runnable) until blocked,
-    /// completed, or failed.
+    /// completed, or failed: [`Engine::schedule`], then a one-shard
+    /// [`Engine::settle`].
     pub fn run(&mut self, id: InstanceId) -> Result<InstanceStatus> {
-        self.vol.runnable.push_back(id);
-        self.with_ctx(exec::drain_runnable)?;
+        self.schedule(id);
+        self.settle_on_one_shard()?;
         self.status(id)
     }
 
@@ -332,37 +335,27 @@ impl Engine {
         Ok(self.db.get_instance(id)?.var(var)?.clone())
     }
 
-    /// Delivers a document to a channel; a waiting receive step consumes
-    /// it (FIFO), otherwise it queues until one does.
-    pub fn deliver(&mut self, channel: &ChannelId, doc: impl Into<Arc<Document>>) -> Result<()> {
-        self.vol.channel_queues.entry(channel.clone()).or_default().push_back(doc.into());
-        self.with_ctx(|ctx| {
-            exec::match_waiters(ctx, channel)?;
-            exec::drain_runnable(ctx)
-        })
-    }
-
     /// Delivers a document to one specific instance's receive step on
-    /// `channel` (hosts use this for session-scoped routing between
-    /// public processes, bindings, and private processes). If the
-    /// instance is not yet waiting there, the document queues until its
-    /// receive step executes.
+    /// `channel` and settles: [`Engine::enqueue_to`], then a one-shard
+    /// [`Engine::settle`]. If the instance is not yet waiting there, the
+    /// document queues until its receive step executes.
     pub fn deliver_to(
         &mut self,
         instance: InstanceId,
         channel: &ChannelId,
         doc: impl Into<Arc<Document>>,
     ) -> Result<()> {
-        let doc = doc.into();
-        self.with_ctx(|ctx| exec::deliver_to(ctx, instance, channel, doc))
+        self.enqueue_to(instance, channel, doc)?;
+        self.settle_on_one_shard()
     }
 
     /// Queues a document on an instance's directed channel WITHOUT
-    /// stepping the instance. Staged hosts use this to decouple routing
-    /// (single-threaded) from execution ([`Engine::settle`], sharded);
-    /// the queued document wakes its receiver in the next settle.
-    /// Documents move by `Arc`, so re-queueing what [`drain_outbox`]
-    /// (Self::drain_outbox) returned is pointer-cheap.
+    /// stepping the instance: the one way a document reaches an instance.
+    /// Staged hosts use this to decouple routing (single-threaded) from
+    /// execution ([`Engine::settle`], sharded); the queued document wakes
+    /// its receiver in the next settle. Documents move by `Arc`, so
+    /// re-queueing what [`Engine::drain_outbox`] returned is
+    /// pointer-cheap.
     pub fn enqueue_to(
         &mut self,
         instance: InstanceId,
@@ -391,7 +384,7 @@ impl Engine {
     }
 
     /// Marks an instance runnable without stepping it; the next
-    /// [`Engine::settle`] (or `run`) executes it.
+    /// [`Engine::settle`] executes it.
     pub fn schedule(&mut self, id: InstanceId) {
         self.vol.runnable.push_back(id);
     }
@@ -424,7 +417,7 @@ impl Engine {
 
     /// Advances logical time and completes the timer steps that fell due,
     /// marking their instances runnable without running them: the next
-    /// [`Engine::settle`] (or [`Engine::run`]) executes them.
+    /// [`Engine::settle`] executes them.
     pub fn advance_clock(&mut self, now: SimTime) -> Result<()> {
         self.now = now;
         let mut due = Vec::new();
@@ -444,11 +437,11 @@ impl Engine {
         })
     }
 
-    /// Advances logical time, fires due timers, and runs everything they
-    /// (and earlier scheduling) made runnable, sequentially.
+    /// Advances logical time, fires due timers, and settles everything
+    /// they (and earlier scheduling) made runnable on one shard.
     pub fn advance_time(&mut self, now: SimTime) -> Result<()> {
         self.advance_clock(now)?;
-        self.with_ctx(exec::drain_runnable)
+        self.settle_on_one_shard()
     }
 
     /// Whether any instance is blocked (running but not finished).
@@ -468,13 +461,14 @@ impl Engine {
     // Shard-parallel settling.
 
     /// Runs every pending piece of work — runnable instances, directed
-    /// deliveries whose receiver is waiting, matchable channel queues,
-    /// deferred subworkflow spawns — to a global fixpoint, partitioning
-    /// instances across up to `shards` scoped worker threads by `assign`.
+    /// deliveries whose receiver is waiting, deferred subworkflow spawns
+    /// and parent completions — to a global fixpoint, partitioning
+    /// instances across up to `shards` workers of the persistent pool by
+    /// `assign`. This is the engine's only executor.
     ///
     /// The result is byte-identical for every shard count (including 1):
-    /// cross-shard effects (spawns, parent completions) are deferred and
-    /// resolved between rounds in canonical order, and every merged
+    /// cross-instance effects (spawns, parent completions) are deferred
+    /// and resolved between rounds in canonical order, and every merged
     /// collection is canonically sorted. `assign` must be a pure function
     /// of the instance id.
     pub fn settle(
@@ -489,44 +483,20 @@ impl Engine {
         self.pool.ensure_workers(shards.saturating_sub(1));
         loop {
             self.apply_deferred()?;
-            if self.global_match_possible() {
-                // Global channel queues are engine-wide FIFO state: match
-                // them sequentially (legacy semantics) before sharding.
-                self.with_settle_ctx(exec::settle_slice)?;
-                continue;
-            }
             if !self.plan_round(shards, assign) {
-                if self.vol.spawns.is_empty() && self.vol.parent_finishes.is_empty() {
-                    self.compact_waiters();
-                    return Ok(());
-                }
-                continue;
+                return Ok(());
             }
             self.settle_round(shards)?;
         }
     }
 
-    /// Drops stale waiter entries once they make up more than half of the
-    /// waiter queues, so resident entries stay within twice the receive
-    /// steps still waiting, at amortized O(1) per delivery. Order is kept:
-    /// matching is FIFO per channel.
-    fn compact_waiters(&mut self) {
-        let entries: usize = self.vol.waiters.values().map(VecDeque::len).sum();
-        if self.vol.stale_waiters * 2 <= entries {
-            return;
-        }
-        let instances = self.db.instances();
-        self.vol.waiters.retain(|_, queue| {
-            queue.retain(|(id, step)| {
-                instances.get(id).is_some_and(|i| i.states.step(step.ix()) == StepState::Waiting)
-            });
-            !queue.is_empty()
-        });
-        self.vol.stale_waiters = 0;
+    /// The sequential API's settle: every instance on one shard.
+    fn settle_on_one_shard(&mut self) -> Result<()> {
+        self.settle(1, &|_| 0)
     }
 
     /// Resolves deferred subworkflow spawns and parent completions in
-    /// canonical `(parent, step)` order.
+    /// canonical `(parent, step)` order; nothing it does defers again.
     fn apply_deferred(&mut self) -> Result<()> {
         let mut spawns = std::mem::take(&mut self.vol.spawns);
         let mut finishes = std::mem::take(&mut self.vol.parent_finishes);
@@ -562,21 +532,6 @@ impl Engine {
             })?;
         }
         Ok(())
-    }
-
-    /// Whether any global channel queue holds a document a live waiter
-    /// could consume.
-    fn global_match_possible(&self) -> bool {
-        self.vol.channel_queues.iter().any(|(channel, queue)| {
-            !queue.is_empty()
-                && self.vol.waiters.get(channel).is_some_and(|ws| {
-                    ws.iter().any(|(inst, step)| {
-                        self.db
-                            .get_instance(*inst)
-                            .is_ok_and(|i| i.states.step(step.ix()) == StepState::Waiting)
-                    })
-                })
-        })
     }
 
     /// Plans one settle round in a single pass over the wakeable work:
@@ -641,11 +596,10 @@ impl Engine {
     ///
     /// Idle instances stay shard-resident: an instance outside the
     /// touched set cannot execute this round (it is not runnable, no
-    /// directed document can wake it, global channels match between
-    /// rounds, and spawns/parent completions defer), so leaving it — and
-    /// its directed queues — in place is invisible to the merge. That is
-    /// what makes a round's cost proportional to busy work instead of
-    /// the live population.
+    /// directed document can wake it, and spawns/parent completions
+    /// defer), so leaving it — and its directed queues — in place is
+    /// invisible to the merge. That is what makes a round's cost
+    /// proportional to busy work instead of the live population.
     fn settle_round(&mut self, shards: usize) -> Result<()> {
         if shards == 1 {
             // The single slice would be the entire database: settle it in
@@ -667,7 +621,7 @@ impl Engine {
         // directed-queue set — a runnable instance may reach a receive
         // mid-round and must see documents queued before it.
         let mut moved = 0u64;
-        let (_, instances, _) = self.db.split_mut();
+        let instances = self.db.instances_mut();
         for &(id, shard) in &touched {
             let k = slice_of_shard[shard];
             if let Some(inst) = instances.remove(&id) {
@@ -698,7 +652,6 @@ impl Engine {
             slices.into_iter().map(|s| SliceCell(std::cell::UnsafeCell::new((s, None)))).collect();
         {
             let env = ExecEnv {
-                types: self.db.types_map(),
                 activities: &self.activities,
                 rules: &self.rules,
                 transforms: &self.transforms,
@@ -708,12 +661,8 @@ impl Engine {
                 // SAFETY: the pool claims each index exactly once, so
                 // this &mut access to cell `k` is exclusive.
                 let (slice, result) = unsafe { &mut *cells[k].0.get() };
-                let mut ctx = ExecCtx {
-                    env: &env,
-                    instances: &mut slice.instances,
-                    ids: None,
-                    vol: &mut slice.vol,
-                };
+                let mut ctx =
+                    ExecCtx { env: &env, instances: &mut slice.instances, vol: &mut slice.vol };
                 *result = Some(exec::settle_slice(&mut ctx));
             });
         }
@@ -737,9 +686,8 @@ impl Engine {
         slice.vol.directed_queues = std::mem::take(&mut self.vol.directed_queues);
         let result = {
             let Engine { db, activities, rules, transforms, now, .. } = &mut *self;
-            let (types, instances, _) = db.split_mut();
-            let env = ExecEnv { types, activities, rules, transforms, now: *now };
-            let mut ctx = ExecCtx { env: &env, instances, ids: None, vol: &mut slice.vol };
+            let env = ExecEnv { activities, rules, transforms, now: *now };
+            let mut ctx = ExecCtx { env: &env, instances: db.instances_mut(), vol: &mut slice.vol };
             exec::settle_slice(&mut ctx)
         };
         self.merge_round(vec![(slice, Some(result))])
@@ -751,7 +699,6 @@ impl Engine {
     fn merge_round(&mut self, settled: Vec<(ShardSlice, Option<Result<()>>)>) -> Result<()> {
         let mut first_err = None;
         let mut history_segment = Vec::new();
-        let mut new_waiters: BTreeMap<ChannelId, Vec<(InstanceId, StepRef)>> = BTreeMap::new();
         for (slice, result) in settled {
             let result = result.expect("pool ran every slice");
             if let Err(e) = result {
@@ -770,15 +717,6 @@ impl Engine {
                     self.vol.directed_queues.insert(id, qs);
                 }
             }
-            for (channel, ws) in v.waiters {
-                new_waiters.entry(channel).or_default().extend(ws);
-            }
-            self.vol.stale_waiters += v.stale_waiters;
-            for (channel, queue) in v.channel_queues {
-                if !queue.is_empty() {
-                    self.vol.channel_queues.entry(channel).or_default().extend(queue);
-                }
-            }
             self.vol.outbox.extend(v.outbox);
             self.vol.timers.extend(v.timers);
             self.vol.remote_requests.extend(v.remote_requests);
@@ -794,13 +732,6 @@ impl Engine {
         // a canonical cross-instance order.
         history_segment.sort_by_key(|e| (e.at, e.instance));
         self.vol.history.extend(history_segment);
-        // New waiter registrations: each receive step registers at most
-        // once, so the set is partition-independent; sorting makes the
-        // order canonical too.
-        for (channel, mut ws) in new_waiters {
-            ws.sort();
-            self.vol.waiters.entry(channel).or_default().extend(ws);
-        }
         self.vol.timers.sort();
         self.vol
             .remote_requests
@@ -819,22 +750,44 @@ impl Engine {
     /// points in time"). The snapshot carries the type definition in
     /// carry-type mode, or when the instance runs a version this engine no
     /// longer has deployed.
+    ///
+    /// A snapshot carries persisted state only, so an instance that still
+    /// depends on work this engine holds is refused with
+    /// [`WfError::Federation`] and stays in place: a subworkflow (its
+    /// parent waits here), an instance scheduled to run or with directed
+    /// documents queued, and one waiting at a step other than a receive
+    /// (a pending timer, a local subworkflow child, a remote request).
     pub fn export_instance(&mut self, id: InstanceId) -> Result<String> {
-        let inst = self.db.take_instance(id)?;
-        if inst.parent.is_some() {
-            let err = WfError::Federation {
-                reason: format!("instance {id} is a subworkflow; migrate the parent"),
-            };
-            self.db.put_instance(inst);
-            return Err(err);
+        if let Some(why) = self.pinned_here(self.db.get_instance(id)?) {
+            return Err(WfError::Federation { reason: format!("instance {id} {why}") });
         }
-        self.vol.stale_waiters += inst.waiting_receives().count();
+        let inst = self.db.take_instance(id)?;
         exec::record(&mut self.vol, self.now, id, HistoryKind::MigratedOut(String::new()));
         let carry = self.carry_types || !self.db.is_current(&inst);
-        let snapshot = serde_json::to_string(&inst.to_record(carry))
-            .map_err(|e| WfError::Snapshot { reason: e.to_string() });
-        self.compact_waiters();
-        snapshot
+        serde_json::to_string(&inst.to_record(carry))
+            .map_err(|e| WfError::Snapshot { reason: e.to_string() })
+    }
+
+    /// Why `inst` cannot leave this engine, if something it depends on
+    /// would stay behind.
+    fn pinned_here(&self, inst: &WorkflowInstance) -> Option<String> {
+        if inst.parent.is_some() {
+            return Some("is a subworkflow; migrate the parent".into());
+        }
+        if self.vol.runnable.contains(&inst.id) {
+            return Some("is scheduled to run on this engine".into());
+        }
+        let queued = self.vol.directed_queues.get(&inst.id);
+        if queued.is_some_and(|qs| qs.values().any(|q| !q.is_empty())) {
+            return Some("has documents queued on this engine".into());
+        }
+        let program = &inst.program;
+        (0..program.step_count())
+            .find(|&ix| {
+                inst.states.step(ix) == StepState::Waiting
+                    && !matches!(program.step(ix).kind, StepKind::Receive { .. })
+            })
+            .map(|ix| format!("waits at `{}`, which only this engine resumes", program.step(ix).id))
     }
 
     /// Imports a serialized instance under a fresh local id. Fails when
@@ -853,10 +806,6 @@ impl Engine {
         let mut inst = self.db.instance_from_record(record)?;
         let id = self.db.allocate_instance_id();
         inst.id = id;
-        // Re-register channel waiters for receive steps that were waiting
-        // when the instance left its previous engine — waiter registrations
-        // are engine-local and do not travel with the snapshot.
-        register_waiters(&mut self.vol, &inst);
         self.db.put_instance(inst);
         exec::record(&mut self.vol, self.now, id, HistoryKind::MigratedIn(String::new()));
         Ok(id)
@@ -865,32 +814,23 @@ impl Engine {
     /// Serializes the whole workflow database (crash-recovery point:
     /// "at any point in time a workflow instance is either persisted in
     /// the database or in state transition in the workflow engine",
-    /// Section 2.1). Volatile engine state — channel queues, timers,
+    /// Section 2.1). Volatile engine state — directed queues, timers,
     /// outbox — is NOT part of the database, matching the paper's
     /// architecture where only the database survives an engine restart.
     pub fn snapshot_database(&self) -> Result<String> {
         self.db.snapshot_with(self.carry_types)
     }
 
-    /// Rebuilds an engine's database from a snapshot, re-registering
-    /// channel waiters for every receive step that was waiting when the
-    /// snapshot was taken, so deliveries resume after a restart.
-    /// Activities, rules, and transformations must be re-installed by the
-    /// host (they are code, not data — exactly why the paper's engines
-    /// need "all the relevant workflow step types available").
+    /// Rebuilds an engine's database from a snapshot. Receive steps that
+    /// were waiting when the snapshot was taken are persisted as waiting,
+    /// so directed deliveries resume after a restart. Activities, rules,
+    /// and transformations must be re-installed by the host (they are
+    /// code, not data — exactly why the paper's engines need "all the
+    /// relevant workflow step types available").
     pub fn restore_database(&mut self, snapshot: &str) -> Result<()> {
         self.db = WorkflowDatabase::restore(snapshot)?;
-        self.vol.waiters.clear();
-        self.vol.stale_waiters = 0;
-        self.vol.channel_queues.clear();
         self.vol.directed_queues.clear();
         self.vol.timers.clear();
-        let Engine { db, vol, .. } = self;
-        for inst in db.instances().values() {
-            if inst.status == InstanceStatus::Running {
-                register_waiters(vol, inst);
-            }
-        }
         Ok(())
     }
 
@@ -902,7 +842,8 @@ impl Engine {
     }
 
     /// Resolves a remote subworkflow (called by federation with the
-    /// results from the remote engine).
+    /// results from the remote engine): queues the parent's completion,
+    /// then settles on one shard.
     pub fn resolve_remote(
         &mut self,
         parent_instance: InstanceId,
@@ -917,49 +858,25 @@ impl Engine {
                     reason: format!("instance {parent_instance} has no step `{step}`"),
                 }
             })?;
-        self.with_ctx(|ctx| {
-            exec::finish_parent(ctx, parent_instance, step, vars, failure)?;
-            exec::drain_runnable(ctx)
-        })
+        self.vol.parent_finishes.push(ParentFinish {
+            parent: parent_instance,
+            step,
+            vars,
+            failure,
+        });
+        self.settle_on_one_shard()
     }
 
     // ------------------------------------------------------------------
     // Internals.
 
-    /// Builds a sequential execution context over disjoint borrows of the
-    /// engine's fields (legacy semantics: subworkflows spawn inline).
+    /// Builds an execution context over disjoint borrows of the engine's
+    /// fields, for work the engine does between settle rounds.
     fn with_ctx<R>(&mut self, f: impl FnOnce(&mut ExecCtx<'_>) -> R) -> R {
-        let result = {
-            let Engine { db, activities, rules, transforms, vol, now, .. } = &mut *self;
-            let (types, instances, next_instance) = db.split_mut();
-            let env = ExecEnv { types, activities, rules, transforms, now: *now };
-            let mut ctx = ExecCtx { env: &env, instances, ids: Some(next_instance), vol };
-            f(&mut ctx)
-        };
-        self.compact_waiters();
-        result
-    }
-
-    /// Like [`Engine::with_ctx`] but in settle mode: subworkflow spawns
-    /// and parent completions defer, exactly as in parallel slices, so
-    /// sequential and sharded settling stay step-for-step identical.
-    fn with_settle_ctx<R>(&mut self, f: impl FnOnce(&mut ExecCtx<'_>) -> R) -> R {
         let Engine { db, activities, rules, transforms, vol, now, .. } = self;
-        let (types, instances, _) = db.split_mut();
-        let env = ExecEnv { types, activities, rules, transforms, now: *now };
-        let mut ctx = ExecCtx { env: &env, instances, ids: None, vol };
+        let env = ExecEnv { activities, rules, transforms, now: *now };
+        let mut ctx = ExecCtx { env: &env, instances: db.instances_mut(), vol };
         f(&mut ctx)
-    }
-}
-
-/// Registers a waiter for every receive step `inst` is waiting in, in
-/// step order.
-fn register_waiters(vol: &mut VolatileState, inst: &WorkflowInstance) {
-    for (ix, channel) in inst.waiting_receives() {
-        vol.waiters
-            .entry(channel.clone())
-            .or_default()
-            .push_back((inst.id, inst.program.step_ref(ix)));
     }
 }
 

@@ -119,21 +119,10 @@ fn receive_blocks_until_delivery() {
     let id = e.create_instance(&WorkflowTypeId::new("recv"), BTreeMap::new(), "s", "t").unwrap();
     assert_eq!(e.run(id).unwrap(), InstanceStatus::Running);
     assert_eq!(e.blocked_instances(), vec![id]);
-    e.deliver(&ChannelId::new("in"), sample_po("9", 10)).unwrap();
+    e.deliver_to(id, &ChannelId::new("in"), sample_po("9", 10)).unwrap();
     assert_eq!(e.status(id).unwrap(), InstanceStatus::Completed);
     let po = e.variable(id, "po").unwrap();
     assert!(matches!(po, Variable::Document(_)));
-}
-
-#[test]
-fn early_message_is_queued_for_a_later_receive() {
-    let mut e = engine();
-    e.deploy(
-        WorkflowBuilder::new("recv").step(StepDef::receive("wait", "in", "po")).build().unwrap(),
-    );
-    e.deliver(&ChannelId::new("in"), sample_po("9", 10)).unwrap();
-    let id = e.create_instance(&WorkflowTypeId::new("recv"), BTreeMap::new(), "s", "t").unwrap();
-    assert_eq!(e.run(id).unwrap(), InstanceStatus::Completed, "queued message consumed");
 }
 
 #[test]
@@ -299,7 +288,10 @@ fn subworkflow_cannot_return_control_midway() {
     assert_eq!(e.run(id).unwrap(), InstanceStatus::Running, "blocked inside the subworkflow");
     // Super has NOT regained control while the subworkflow waits.
     assert!(e.variable(id, "got-control").is_err());
-    e.deliver(&ChannelId::new("from-partner"), sample_po("1", 5)).unwrap();
+    // The receive waits in the child, spawned right after its parent.
+    let child = InstanceId::new(id.value() + 1);
+    assert_eq!(e.db().get_instance(child).unwrap().parent().map(|(p, _)| p), Some(id));
+    e.deliver_to(child, &ChannelId::new("from-partner"), sample_po("1", 5)).unwrap();
     // Now the subworkflow ran to completion: the send already happened...
     let sent = e.drain_outbox();
     assert_eq!(sent.len(), 1, "POA left before the superworkflow saw the PO");
@@ -363,24 +355,6 @@ fn history_records_the_execution() {
 }
 
 #[test]
-fn two_instances_on_one_channel_are_served_fifo() {
-    let mut e = engine();
-    e.deploy(
-        WorkflowBuilder::new("recv").step(StepDef::receive("wait", "in", "po")).build().unwrap(),
-    );
-    let first = e.create_instance(&WorkflowTypeId::new("recv"), BTreeMap::new(), "s", "t").unwrap();
-    let second =
-        e.create_instance(&WorkflowTypeId::new("recv"), BTreeMap::new(), "s", "t").unwrap();
-    e.run(first).unwrap();
-    e.run(second).unwrap();
-    e.deliver(&ChannelId::new("in"), sample_po("A", 1)).unwrap();
-    assert_eq!(e.status(first).unwrap(), InstanceStatus::Completed, "first waiter first");
-    assert_eq!(e.status(second).unwrap(), InstanceStatus::Running);
-    e.deliver(&ChannelId::new("in"), sample_po("B", 1)).unwrap();
-    assert_eq!(e.status(second).unwrap(), InstanceStatus::Completed);
-}
-
-#[test]
 fn deliver_to_targets_one_instance_among_waiters() {
     let mut e = engine();
     e.deploy(
@@ -391,7 +365,7 @@ fn deliver_to_targets_one_instance_among_waiters() {
         e.create_instance(&WorkflowTypeId::new("recv"), BTreeMap::new(), "s", "t").unwrap();
     e.run(first).unwrap();
     e.run(second).unwrap();
-    // Directed delivery skips the FIFO: the SECOND instance completes.
+    // Delivery is directed: the SECOND instance completes.
     e.deliver_to(second, &ChannelId::new("in"), sample_po("B", 1)).unwrap();
     assert_eq!(e.status(second).unwrap(), InstanceStatus::Completed);
     assert_eq!(e.status(first).unwrap(), InstanceStatus::Running);
@@ -528,9 +502,101 @@ fn engine_recovers_from_a_database_snapshot() {
         }),
     );
     assert_eq!(revived.status(id).unwrap(), InstanceStatus::Running);
-    revived.deliver(&ChannelId::new("in"), sample_po("9", 10)).unwrap();
+    revived.deliver_to(id, &ChannelId::new("in"), sample_po("9", 10)).unwrap();
     assert_eq!(revived.status(id).unwrap(), InstanceStatus::Completed);
     assert_eq!(revived.variable(id, "done").unwrap(), Variable::Value(Value::Bool(true)));
+}
+
+/// Asserts that exporting `id` is refused as a federation error and
+/// leaves the instance running in place.
+fn assert_export_refused(e: &mut Engine, id: InstanceId, why: &str) {
+    match e.export_instance(id) {
+        Err(WfError::Federation { reason }) => assert!(reason.contains(why), "{reason}"),
+        other => panic!("export must be refused: {other:?}"),
+    }
+    assert_eq!(e.status(id).unwrap(), InstanceStatus::Running, "the instance stays in place");
+}
+
+#[test]
+fn export_refuses_an_instance_with_queued_documents() {
+    // A snapshot carries persisted state only: a document queued before
+    // its receive runs would stay on this engine forever.
+    let mut e = engine();
+    e.deploy(
+        WorkflowBuilder::new("two")
+            .step(StepDef::receive("first", "a", "x"))
+            .step(StepDef::receive("second", "b", "y"))
+            .edge("first", "second")
+            .build()
+            .unwrap(),
+    );
+    let id = e.create_instance(&WorkflowTypeId::new("two"), BTreeMap::new(), "s", "t").unwrap();
+    e.run(id).unwrap();
+    e.deliver_to(id, &ChannelId::new("b"), sample_po("early", 1)).unwrap();
+    assert_export_refused(&mut e, id, "queued");
+    e.deliver_to(id, &ChannelId::new("a"), sample_po("A", 1)).unwrap();
+    assert_eq!(e.status(id).unwrap(), InstanceStatus::Completed, "the queued document is consumed");
+}
+
+#[test]
+fn export_refuses_an_instance_waiting_on_a_timer() {
+    // Timers are engine state: an exported instance's timer never fires.
+    let mut e = engine();
+    e.deploy(
+        WorkflowBuilder::new("timer")
+            .step(StepDef::timer("pause", 100))
+            .step(StepDef::noop("done"))
+            .edge("pause", "done")
+            .build()
+            .unwrap(),
+    );
+    let id = e.create_instance(&WorkflowTypeId::new("timer"), BTreeMap::new(), "s", "t").unwrap();
+    e.run(id).unwrap();
+    assert_export_refused(&mut e, id, "pause");
+    e.advance_time(SimTime::from_millis(100)).unwrap();
+    assert_eq!(e.status(id).unwrap(), InstanceStatus::Completed);
+}
+
+#[test]
+fn export_refuses_a_parent_whose_local_subworkflow_waits() {
+    // The child stays on this engine and would finish into a parent that
+    // is no longer here.
+    let mut e = engine();
+    e.deploy(
+        WorkflowBuilder::new("child").step(StepDef::receive("wait", "in", "po")).build().unwrap(),
+    );
+    e.deploy(
+        WorkflowBuilder::new("parent")
+            .step(StepDef::subworkflow("call", &WorkflowTypeId::new("child")))
+            .build()
+            .unwrap(),
+    );
+    let id = e.create_instance(&WorkflowTypeId::new("parent"), BTreeMap::new(), "s", "t").unwrap();
+    assert_eq!(e.run(id).unwrap(), InstanceStatus::Running);
+    assert_export_refused(&mut e, id, "call");
+    let child = InstanceId::new(id.value() + 1);
+    assert_export_refused(&mut e, child, "subworkflow");
+    e.deliver_to(child, &ChannelId::new("in"), sample_po("1", 1)).unwrap();
+    assert_eq!(e.status(id).unwrap(), InstanceStatus::Completed);
+}
+
+#[test]
+fn export_refuses_a_scheduled_instance_and_allows_an_idle_receive() {
+    let mut e = engine();
+    e.deploy(
+        WorkflowBuilder::new("recv").step(StepDef::receive("wait", "in", "po")).build().unwrap(),
+    );
+    let id = e.create_instance(&WorkflowTypeId::new("recv"), BTreeMap::new(), "s", "t").unwrap();
+    e.schedule(id);
+    assert_export_refused(&mut e, id, "scheduled");
+    assert_eq!(e.run(id).unwrap(), InstanceStatus::Running);
+    // Waiting at a receive with nothing queued: everything it depends on
+    // is in its record.
+    let snapshot = e.export_instance(id).unwrap();
+    assert!(e.status(id).is_err(), "the instance left");
+    let back = e.import_instance(&snapshot).unwrap();
+    e.deliver_to(back, &ChannelId::new("in"), sample_po("1", 1)).unwrap();
+    assert_eq!(e.status(back).unwrap(), InstanceStatus::Completed);
 }
 
 #[test]
@@ -585,43 +651,146 @@ fn drain_outbox_is_canonically_sorted() {
     assert_eq!(amounts.len(), 6);
 }
 
+/// Three instances of noop → send.
+fn sends(e: &mut Engine, settle: &dyn Fn(&mut Engine)) {
+    e.deploy(
+        WorkflowBuilder::new("flow")
+            .step(StepDef::noop("start"))
+            .step(StepDef::send("emit", "out", "po"))
+            .edge("start", "emit")
+            .build()
+            .unwrap(),
+    );
+    for i in 0..3 {
+        let id =
+            e.create_instance(&WorkflowTypeId::new("flow"), doc_vars(10 + i), "s", "t").unwrap();
+        e.schedule(id);
+    }
+    settle(e);
+}
+
+/// Parents that call a completing subworkflow, wait on a timer, then call
+/// a subworkflow whose receive is fed by `enqueue_to`.
+fn subworkflows(e: &mut Engine, settle: &dyn Fn(&mut Engine)) {
+    e.deploy(WorkflowBuilder::new("done").step(StepDef::activity("work", "mark")).build().unwrap());
+    e.deploy(
+        WorkflowBuilder::new("fed")
+            .step(StepDef::receive("wait", "in", "got"))
+            .step(StepDef::send("echo", "out", "got"))
+            .edge("wait", "echo")
+            .build()
+            .unwrap(),
+    );
+    e.deploy(
+        WorkflowBuilder::new("calls")
+            .step(StepDef::subworkflow("first", &WorkflowTypeId::new("done")))
+            .step(StepDef::timer("pause", 10))
+            .step(StepDef::subworkflow("second", &WorkflowTypeId::new("fed")))
+            .step(StepDef::noop("end"))
+            .edge("first", "pause")
+            .edge("pause", "second")
+            .edge("second", "end")
+            .build()
+            .unwrap(),
+    );
+    e.register_activity(
+        "mark",
+        Arc::new(|ctx: &mut ActivityContext<'_>| {
+            ctx.set_value("marked", Value::Bool(true));
+            Ok(())
+        }),
+    );
+    let parents: Vec<InstanceId> = (0..3)
+        .map(|_| {
+            let id = e
+                .create_instance(&WorkflowTypeId::new("calls"), BTreeMap::new(), "s", "t")
+                .unwrap();
+            e.schedule(id);
+            id
+        })
+        .collect();
+    settle(e);
+    e.advance_clock(SimTime::from_millis(10)).unwrap();
+    settle(e);
+    let fed: Vec<InstanceId> = e
+        .db()
+        .instance_ids()
+        .into_iter()
+        .filter(|id| e.db().get_instance(*id).unwrap().type_id() == &WorkflowTypeId::new("fed"))
+        .collect();
+    assert_eq!(fed.len(), parents.len(), "one receiving child per parent");
+    for (i, child) in fed.into_iter().enumerate() {
+        e.enqueue_to(child, &ChannelId::new("in"), sample_po(&format!("F{i}"), 1)).unwrap();
+    }
+    settle(e);
+    for id in parents {
+        assert_eq!(e.status(id).unwrap(), InstanceStatus::Completed);
+        assert_eq!(e.variable(id, "marked").unwrap(), Variable::Value(Value::Bool(true)));
+    }
+}
+
+/// Parents whose subworkflow fails.
+fn failing_subworkflow(e: &mut Engine, settle: &dyn Fn(&mut Engine)) {
+    e.deploy(
+        WorkflowBuilder::new("boom").step(StepDef::activity("boom", "explode")).build().unwrap(),
+    );
+    e.deploy(
+        WorkflowBuilder::new("calls-boom")
+            .step(StepDef::noop("before"))
+            .step(StepDef::subworkflow("call", &WorkflowTypeId::new("boom")))
+            .step(StepDef::noop("after"))
+            .edge("before", "call")
+            .edge("call", "after")
+            .build()
+            .unwrap(),
+    );
+    e.register_activity(
+        "explode",
+        Arc::new(|_: &mut ActivityContext<'_>| Err("kaboom".to_string())),
+    );
+    let parents: Vec<InstanceId> = (0..2)
+        .map(|_| {
+            let id = e
+                .create_instance(&WorkflowTypeId::new("calls-boom"), BTreeMap::new(), "s", "t")
+                .unwrap();
+            e.schedule(id);
+            id
+        })
+        .collect();
+    settle(e);
+    for id in parents {
+        match e.status(id).unwrap() {
+            InstanceStatus::Failed(reason) => assert!(reason.contains("kaboom"), "{reason}"),
+            other => panic!("{other:?}"),
+        }
+    }
+}
+
 #[test]
-fn settle_matches_run_for_any_shard_count() {
-    // The same three-instance workload settled with 1, 2, and 5 workers
-    // produces identical stats, history, and outbox.
-    let build = || {
-        let mut e = engine();
-        e.deploy(
-            WorkflowBuilder::new("flow")
-                .step(StepDef::noop("start"))
-                .step(StepDef::send("emit", "out", "po"))
-                .edge("start", "emit")
-                .build()
-                .unwrap(),
-        );
-        let ids: Vec<InstanceId> = (0..3)
-            .map(|i| {
-                let id = e
-                    .create_instance(&WorkflowTypeId::new("flow"), doc_vars(10 + i), "s", "t")
-                    .unwrap();
-                e.schedule(id);
-                id
-            })
-            .collect();
-        (e, ids)
-    };
-    let (mut base, _) = build();
-    base.settle(1, &|id| id.value() as usize).unwrap();
-    let base_out = base.drain_outbox();
-    for shards in [2, 5] {
-        let (mut e, _) = build();
-        e.settle(shards, &|id| id.value() as usize).unwrap();
-        assert_eq!(e.stats(), base.stats(), "{shards} shards");
-        assert_eq!(e.history(), base.history(), "{shards} shards");
-        let out = e.drain_outbox();
-        assert_eq!(out.len(), base_out.len(), "{shards} shards");
-        for (a, b) in out.iter().zip(base_out.iter()) {
-            assert_eq!((a.0, &a.1), (b.0, &b.1), "{shards} shards");
+fn settle_is_identical_at_every_shard_count() {
+    // Each input settled with 1, 2, and 5 workers produces identical
+    // history, stats, outbox, and instance statuses.
+    type Input = fn(&mut Engine, &dyn Fn(&mut Engine));
+    let inputs: [(&str, Input); 3] =
+        [("sends", sends), ("subworkflows", subworkflows), ("failing", failing_subworkflow)];
+    for (name, input) in inputs {
+        let observe = |shards: usize| {
+            let mut e = engine();
+            input(&mut e, &|e: &mut Engine| e.settle(shards, &|id| id.value() as usize).unwrap());
+            // Document ids come from a process-wide counter; the PO
+            // number identifies what was sent.
+            let outbox: Vec<(InstanceId, ChannelId, String)> = e
+                .drain_outbox()
+                .into_iter()
+                .map(|(i, c, d)| (i, c, format!("{:?}", d.get("header.po_number"))))
+                .collect();
+            let statuses: Vec<(InstanceId, InstanceStatus)> =
+                e.db().instance_ids().into_iter().map(|id| (id, e.status(id).unwrap())).collect();
+            format!("{:?}\n{:?}\n{outbox:?}\n{statuses:?}", e.history(), e.stats())
+        };
+        let base = observe(1);
+        for shards in [2, 5] {
+            assert_eq!(observe(shards), base, "{name} at {shards} shards");
         }
     }
 }
@@ -663,54 +832,6 @@ fn replacing_a_type_leaves_running_instances_on_their_version() {
     let new_inst = e.db().get_instance(new).unwrap();
     assert_eq!(new_inst.type_version(), 2);
     assert_eq!(new_inst.step_state(&StepId::new("audit")), StepState::Completed);
-}
-
-/// Waiter entries resident in the engine, and receive steps waiting.
-fn waiter_load(e: &Engine) -> (usize, usize) {
-    let entries = e.vol.waiters.values().map(VecDeque::len).sum();
-    let waiting = e.db.instances().values().map(|i| i.waiting_receives().count()).sum();
-    (entries, waiting)
-}
-
-#[test]
-fn resident_waiters_stay_bounded_by_waiting_receives() {
-    // Directed deliveries satisfy receives without touching the global
-    // waiter queues; the stale entries they leave must not accumulate.
-    let mut e = engine();
-    e.deploy(
-        WorkflowBuilder::new("po")
-            .step(StepDef::receive("recv-po", "in", "po"))
-            .step(StepDef::send("store", "out", "po"))
-            .step(StepDef::receive("recv-ack", "ack", "ack"))
-            .edge("recv-po", "store")
-            .edge("store", "recv-ack")
-            .build()
-            .unwrap(),
-    );
-    let ids: Vec<InstanceId> = (0..50)
-        .map(|_| {
-            let id =
-                e.create_instance(&WorkflowTypeId::new("po"), BTreeMap::new(), "s", "t").unwrap();
-            e.schedule(id);
-            id
-        })
-        .collect();
-    let assign = |id: InstanceId| id.value() as usize;
-    e.settle(2, &assign).unwrap();
-    assert_eq!(waiter_load(&e), (50, 50), "every instance waits at recv-po");
-    for (channel, round) in [("in", 0), ("ack", 1)] {
-        for (i, id) in ids.iter().enumerate() {
-            e.enqueue_to(*id, &ChannelId::new(channel), sample_po(&format!("{round}-{i}"), 1))
-                .unwrap();
-            if i % 10 == 9 {
-                e.settle(2, &assign).unwrap();
-                let (entries, waiting) = waiter_load(&e);
-                assert!(entries <= 2 * waiting, "{entries} entries for {waiting} waiting receives");
-            }
-        }
-    }
-    assert!(ids.iter().all(|id| e.status(*id).unwrap() == InstanceStatus::Completed));
-    assert_eq!(waiter_load(&e), (0, 0), "no resident waiter outlives its receive");
 }
 
 mod wake_oracle {
@@ -778,10 +899,9 @@ mod wake_oracle {
             let name = ["chain", "fork", "late"][*shape];
             let id =
                 e.create_instance(&WorkflowTypeId::new(name), BTreeMap::new(), "s", "t").unwrap();
+            e.schedule(id);
             if *ran {
-                e.run(id).unwrap();
-            } else {
-                e.schedule(id);
+                e.with_ctx(exec::drain_runnable).unwrap();
             }
             for &channel in queued {
                 let doc = Arc::clone(&docs[next_doc]);
@@ -800,28 +920,12 @@ mod wake_oracle {
             .iter()
             .flat_map(|(id, qs)| qs.iter().map(move |(c, q)| (*id, c.to_string(), q.len())))
             .collect();
-        let waiters: Vec<(String, Vec<(InstanceId, String)>)> = e
-            .vol
-            .waiters
-            .iter()
-            .map(|(c, ws)| {
-                let ws = ws
-                    .iter()
-                    .map(|(id, step)| {
-                        let inst = e.db.get_instance(*id).unwrap();
-                        (*id, inst.program.step(step.ix()).id.to_string())
-                    })
-                    .collect();
-                (c.to_string(), ws)
-            })
-            .collect();
         let outbox: Vec<(InstanceId, String)> =
             e.drain_outbox().into_iter().map(|(i, c, d)| (i, format!("{c}:{}", d.id()))).collect();
         format!(
-            "{:?}\n{:?}\n{queues:?}\n{waiters:?}\n{}\n{outbox:?}\n{}",
+            "{:?}\n{:?}\n{queues:?}\n{outbox:?}\n{}",
             e.history(),
             e.stats(),
-            e.vol.stale_waiters,
             e.snapshot_database().unwrap()
         )
     }
@@ -843,8 +947,8 @@ mod wake_oracle {
                 .collect();
             let mut fast = build(&plan, &docs);
             let mut oracle = build(&plan, &docs);
-            fast.with_settle_ctx(exec::settle_slice).unwrap();
-            oracle.with_settle_ctx(exec::settle_slice_rescanning).unwrap();
+            fast.with_ctx(exec::settle_slice).unwrap();
+            oracle.with_ctx(exec::settle_slice_rescanning).unwrap();
             prop_assert_eq!(observe(&mut fast), observe(&mut oracle));
         }
     }

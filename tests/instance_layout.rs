@@ -143,7 +143,7 @@ fn pre_dense_snapshot_restores_byte_identically() {
     assert_eq!(e.snapshot_database().unwrap(), SNAPSHOT, "snapshot bytes changed on restore");
     // The restored waiters resume: the approved order completes on its ack.
     let first = InstanceId::new(1);
-    e.deliver(&ChannelId::new("ack"), sample_po("ack", 1)).unwrap();
+    e.deliver_to(first, &ChannelId::new("ack"), sample_po("ack", 1)).unwrap();
     assert_eq!(e.status(first).unwrap(), InstanceStatus::Completed);
     assert_eq!(e.variable(first, "approved").unwrap(), Variable::Value(Value::Bool(true)));
 }
