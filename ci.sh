@@ -22,10 +22,10 @@ cargo build --offline --release --workspace
 
 # The experiments binary's identity assertions (E15-E21) without the
 # timing loops: compiled dispatch agreeing with the transform and rule
-# interpreters, wire byte stability, broadcast observables at 1 and 4
-# shards, the chaos coverage invariant with breaker states in the
-# determinism fingerprint, and the Small-tier population identity at 1
-# and 4 shards plus the flat-cost pass (10x idle growth).
+# interpreters, wire byte stability, broadcast observables across two
+# runs, the chaos coverage invariant with breaker states in the
+# determinism fingerprint, and the Small-tier population run plus the
+# flat-cost pass (10x idle growth).
 echo "== experiments --quick (identity assertions) =="
 cargo run --offline --release -q -p b2b-bench --bin experiments -- --quick
 
@@ -34,16 +34,10 @@ cargo run --offline --release -q -p b2b-bench --bin experiments -- --quick
 echo "== experiments --quick (fixed chaos seed) =="
 B2B_CHAOS_SEED=20010917 cargo run --offline --release -q -p b2b-bench --bin experiments -- --quick
 
-# The suite runs twice: once sequential, once with the execute stage
-# sharded across 4 workers, so the parallel path is exercised on every
-# commit. Results must be identical (see tests/sharding.rs).
-echo "== cargo test (B2B_SHARDS=1) =="
-B2B_SHARDS=1 cargo test --offline -q --workspace
+echo "== cargo test =="
+cargo test --offline -q --workspace
 
-echo "== cargo test (B2B_SHARDS=4) =="
-B2B_SHARDS=4 cargo test --offline -q --workspace
-
-# Third pass on the compact binary wire format: every scenario the
+# Second pass on the compact binary wire format: every scenario the
 # suite builds (round trips, chaos grid, examples' plumbing) runs its
 # partners on the binary codec's zero-copy decode path instead of EDI.
 echo "== cargo test (B2B_WIRE_FORMAT=binary) =="

@@ -8,6 +8,8 @@
 //! rows — plus the application processes ("Store SAP PO", "Extract SAP
 //! POA" in Figure 14) that connect them to bindings.
 
+#![forbid(unsafe_code)]
+
 pub mod adapter;
 pub mod erp;
 pub mod error;

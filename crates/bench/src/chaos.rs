@@ -5,8 +5,8 @@
 //! the hub with undecodable bytes, or floods it. Every fault decision
 //! comes from the seeded simulation ([`SimNetwork`]'s RNG plus per-link
 //! [`FaultSchedule`]s), so a chaos run is a pure function of
-//! ([`ChaosConfig`], seed) — byte-identical across shard counts, which
-//! E18 asserts via [`ChaosReport::fingerprint`].
+//! ([`ChaosConfig`], seed) — two runs are byte-identical, which E18
+//! asserts via [`ChaosReport::fingerprint`].
 
 use b2b_backend::{AckPolicy, ApplicationProcess, SapSystem};
 use b2b_core::engine::IntegrationEngine;
@@ -78,8 +78,6 @@ pub struct ChaosConfig {
     pub policy: PartnerPolicy,
     /// Simulation seed (see [`chaos_seed`]).
     pub seed: u64,
-    /// Hub worker shards for the execute stage.
-    pub shards: usize,
     /// Hard cap on the drain phase after the last wave, simulated ms.
     pub drain_ms: u64,
 }
@@ -90,16 +88,7 @@ impl ChaosConfig {
     /// (a black-holed send fails permanently after ~300 ms under the
     /// harness retry budget, so the third failure lands around wave 4).
     pub fn cell(fault: ChaosFault, policy: PartnerPolicy, seed: u64) -> Self {
-        Self {
-            partners: 3,
-            waves: 6,
-            wave_gap_ms: 150,
-            fault,
-            policy,
-            seed,
-            shards: 1,
-            drain_ms: 60_000,
-        }
+        Self { partners: 3, waves: 6, wave_gap_ms: 150, fault, policy, seed, drain_ms: 60_000 }
     }
 }
 
@@ -175,7 +164,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport> {
     let retry = ReliableConfig::fixed(100, 2);
     let mut hub = IntegrationEngine::with_reliable_config(HUB, &mut net, retry.clone())?;
     hub.set_partner_policy(cfg.policy.clone());
-    hub.set_shards(cfg.shards);
     hub.add_backend(ApplicationProcess::new(Box::new(SapSystem::new(AckPolicy::AcceptAll))))?;
 
     // The harness runs on the suite-wide default wire format, so a
@@ -411,14 +399,14 @@ mod tests {
     }
 
     #[test]
-    fn chaos_runs_are_deterministic_across_shards() {
-        let base = ChaosConfig::cell(
+    fn chaos_runs_are_deterministic() {
+        let cfg = ChaosConfig::cell(
             ChaosFault::Flap { up_ms: 200, down_ms: 200 },
             PartnerPolicy::guarded(),
             3,
         );
-        let one = run_chaos(&base).unwrap();
-        let four = run_chaos(&ChaosConfig { shards: 4, ..base }).unwrap();
-        assert_eq!(one.fingerprint, four.fingerprint, "shard count leaked into observables");
+        let first = run_chaos(&cfg).unwrap();
+        let second = run_chaos(&cfg).unwrap();
+        assert_eq!(first.fingerprint, second.fingerprint, "two identical runs diverged");
     }
 }

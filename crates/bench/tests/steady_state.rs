@@ -4,10 +4,10 @@
 //! is only exact while nothing else in the process allocates. This
 //! binary therefore runs without the libtest harness: `main` runs the
 //! tests one at a time on its own thread, so while one test measures, no
-//! other test and no harness thread allocates — only the measured code
-//! and the worker-pool threads it starts. (A shared lock under the
-//! libtest harness would still leave the harness's own threads spawning
-//! and reporting while the next test measures.)
+//! other test and no harness thread allocates — only the measured code.
+//! (A shared lock under the libtest harness would still leave the
+//! harness's own threads spawning and reporting while the next test
+//! measures.)
 //!
 //! The symbol-keyed record core's contract is that after warm-up, a
 //! repeated identical workload interns nothing new (the interner is
@@ -63,38 +63,6 @@ fn repeated_po_round_trips_are_allocation_steady() {
     // work asks the allocator for the same calls and bytes every time.
     assert_eq!(deltas[0], deltas[1], "allocation traffic drifted between pumps 2 and 3");
     assert_eq!(deltas[1], deltas[2], "allocation traffic drifted between pumps 3 and 4");
-}
-
-fn pool_rounds_allocate_nothing_after_warm_up() {
-    // The persistent worker pool's dispatch path is allocation-free: a
-    // round publishes a borrowed job pointer through pre-existing shared
-    // state, workers self-schedule with atomic fetch-adds, and the
-    // barrier is a condvar wait. After the workers are spawned, settle
-    // rounds ask the allocator for nothing.
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let mut pool = b2b_wfms::WorkerPool::default();
-    pool.ensure_workers(3);
-    let slots: Vec<AtomicU64> = (0..64).map(|_| AtomicU64::new(0)).collect();
-    let job = |k: usize| {
-        slots[k].fetch_add(1, Ordering::Relaxed);
-    };
-
-    // Warm round: first dispatch wakes every parked worker once.
-    pool.run(slots.len(), &job);
-    let spawned = pool.stats().threads_spawned;
-    assert_eq!(spawned, 3, "pool spawned exactly the requested workers");
-
-    for round in 0..2 {
-        let (_, delta) = alloc_count::measure(|| pool.run(slots.len(), &job));
-        assert_eq!(delta.allocations, 0, "steady-state pool round {round} allocated: {delta:?}");
-    }
-
-    let stats = pool.stats();
-    assert_eq!(stats.threads_spawned, spawned, "steady rounds spawned threads");
-    assert_eq!(stats.rounds, 3, "all three rounds dispatched to the pool");
-    let total: u64 = slots.iter().map(|s| s.load(Ordering::Relaxed)).sum();
-    assert_eq!(total, 3 * 64, "every index ran exactly once per round");
 }
 
 fn binary_decode_allocations_are_independent_of_text_payload() {
@@ -158,12 +126,10 @@ fn binary_decode_allocations_are_independent_of_text_payload() {
 fn settle_cost_is_independent_of_idle_session_population() {
     // The touched-only settle contract at the harness level: grow the
     // idle-session population 10x and run the *identical* active burst —
-    // per-round planner work (instances moved into shard slices) and
-    // per-document allocator traffic must not drift. Before the
-    // touched-only planner, every idle instance was moved into a shard
-    // slice every round, so this probe scaled linearly with idle mass.
+    // the settle rounds, their touched sets and per-document allocator
+    // traffic must not drift.
 
-    let report = run_flat_cost(SizeTier::Tiny, 5, 2, 40, 24).expect("flat-cost probe");
+    let report = run_flat_cost(SizeTier::Tiny, 5, 40, 24).expect("flat-cost probe");
     assert_eq!(
         report.base.active_sessions, report.grown.active_sessions,
         "both phases ran the same burst"
@@ -179,16 +145,14 @@ fn settle_cost_is_independent_of_idle_session_population() {
         "resident instances must have grown with the idle sessions"
     );
     // The planner's touched set is exactly the active traffic, so the
-    // identical burst touches (and moves) the identical instances — the
-    // counters match exactly, not just within a tolerance.
+    // identical burst touches the identical instances — the counters
+    // match exactly, not just within a tolerance.
     assert_eq!(report.base.rounds, report.grown.rounds, "settle rounds drifted");
-    assert_eq!(report.base.moved, report.grown.moved, "instances moved drifted");
     assert_eq!(report.base.touched, report.grown.touched, "touched set drifted");
     // Allocator traffic per routed document may wobble with BTreeMap
-    // depth and pool-thread timing, but must stay within the 5% band the
-    // experiment asserts.
+    // depth, but must stay within the 5% band the experiment asserts.
     assert!(
-        report.max_drift() <= 0.05,
+        report.drift() <= 0.05,
         "per-document allocation cost drifted under idle growth: {report:?}"
     );
 }
@@ -217,7 +181,7 @@ fn counting_allocator_sees_a_boxed_allocation() {
 }
 
 fn flat_cost_is_flat_at_tiny_scale() {
-    let report = run_flat_cost(SizeTier::Tiny, 3, 2, 40, 24).expect("flat cost");
+    let report = run_flat_cost(SizeTier::Tiny, 3, 40, 24).expect("flat cost");
     assert_eq!(report.base.active_sessions, report.grown.active_sessions);
     assert!(
         report.grown.idle_sessions >= report.base.idle_sessions * 5,
@@ -225,19 +189,18 @@ fn flat_cost_is_flat_at_tiny_scale() {
         report.base.idle_sessions,
         report.grown.idle_sessions
     );
-    assert!(report.max_drift() <= 0.05, "settle cost must stay flat under idle growth: {report:?}");
+    assert!(report.drift() <= 0.05, "settle cost must stay flat under idle growth: {report:?}");
 }
 
 /// Runs the tests in order on this thread; an optional first non-flag
 /// argument filters them by name. Exits non-zero if any test panicked.
 fn main() {
-    let tests: [(&str, fn()); 7] = [
+    let tests: [(&str, fn()); 6] = [
         ("counting_allocator_sees_a_boxed_allocation", counting_allocator_sees_a_boxed_allocation),
         (
             "repeated_po_round_trips_are_allocation_steady",
             repeated_po_round_trips_are_allocation_steady,
         ),
-        ("pool_rounds_allocate_nothing_after_warm_up", pool_rounds_allocate_nothing_after_warm_up),
         (
             "binary_decode_allocations_are_independent_of_text_payload",
             binary_decode_allocations_are_independent_of_text_payload,

@@ -43,13 +43,6 @@ pub use crate::session::SessionState;
 /// registered back end is used.
 pub const SELECT_BACKEND_RULE: &str = "select-backend";
 
-/// Automatic execute-stage worker count: the machine's available
-/// parallelism. Results are identical at any count; an operator who
-/// wants fewer workers sets `B2B_SHARDS=n`.
-fn auto_shards() -> usize {
-    std::thread::available_parallelism().map(usize::from).unwrap_or(1)
-}
-
 /// Counters for one integration engine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IntegrationStats {
@@ -142,8 +135,6 @@ pub struct IntegrationEngine {
     /// again so the relapse letter keeps its provenance.
     pub(crate) replay_origins: BTreeMap<MessageId, (u64, u32)>,
     pub(crate) stats: IntegrationStats,
-    /// Worker count for the execute stage (`B2B_SHARDS`, default 1).
-    pub(crate) shards: usize,
     /// Per-pump-stage counters and timers (experiment E16).
     pub(crate) profile: StageProfile,
 }
@@ -151,8 +142,7 @@ pub struct IntegrationEngine {
 impl IntegrationEngine {
     /// Creates an engine for enterprise `name`, registering its endpoint
     /// (`ep:<name>`) on the network and deploying the default private
-    /// processes and activities. The execute stage's worker count comes
-    /// from `B2B_SHARDS` (default 1); results are identical either way.
+    /// processes and activities.
     pub fn new(name: &str, net: &mut SimNetwork) -> Result<Self> {
         Self::with_reliable_config(name, net, ReliableConfig::default())
     }
@@ -175,16 +165,6 @@ impl IntegrationEngine {
         wf.register_activity(AUDIT_ACTIVITY, audit_activity());
         wf.register_activity(MAKE_QUOTE_ACTIVITY, make_quote_activity(name));
         wf.register_activity(RECORD_QUOTE_ACTIVITY, record_quote_activity());
-        // `B2B_SHARDS=0` means "auto": size to the machine's real core
-        // count.
-        let shards = match std::env::var("B2B_SHARDS").ok().and_then(|v| v.parse::<usize>().ok()) {
-            Some(0) => auto_shards(),
-            Some(n) => n,
-            None => 1,
-        };
-        // Warm the persistent worker pool now: all thread spawns happen
-        // at construction, none per pump.
-        wf.configure_pool(shards.saturating_sub(1));
         Ok(Self {
             name: name.to_string(),
             endpoint,
@@ -203,7 +183,6 @@ impl IntegrationEngine {
             pending_sends: VecDeque::new(),
             replay_origins: BTreeMap::new(),
             stats: IntegrationStats::default(),
-            shards,
             profile: StageProfile::default(),
         })
     }
@@ -228,33 +207,19 @@ impl IntegrationEngine {
         &self.wf
     }
 
-    /// Worker count of the execute stage.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
+    /// Inert: the execute stage always settles on the calling thread.
+    /// Kept because the hub benchmark still calls it.
+    pub fn set_shards(&mut self, _: usize) {}
 
-    /// Overrides the execute-stage worker count. Results are identical
-    /// for every count ≥ 1 — only wall-clock changes. Passing `0` picks
-    /// the machine's available parallelism (on a 1-core host this is a
-    /// wash with `1`). The persistent pool grows to match immediately, so
-    /// no later pump pays a thread spawn.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = if shards == 0 { auto_shards() } else { shards };
-        self.wf.configure_pool(self.shards.saturating_sub(1));
-    }
-
-    /// Worker-pool utilization counters (also embedded in
-    /// [`stage_profile`](Self::stage_profile) after each pump).
-    pub fn pool_stats(&self) -> b2b_wfms::PoolStats {
-        self.wf.pool_stats()
+    /// Inert: always zeros, since there is no worker pool. Kept because
+    /// the hub benchmark still reads it.
+    pub fn pool_stats(&self) -> crate::metrics::PoolStats {
+        crate::metrics::PoolStats::default()
     }
 
     /// Settle-cost counters of the workflow engine: instances resident,
-    /// the last round's touched set, instances physically moved into
-    /// shard slices (also embedded in
-    /// [`stage_profile`](Self::stage_profile) after each pump). The
-    /// touched/round members are deterministic; the moved counts depend
-    /// on the shard layout (see [`b2b_wfms::SettleMetrics`]).
+    /// rounds, and touched sets (also embedded in
+    /// [`stage_profile`](Self::stage_profile) after each pump).
     pub fn settle_metrics(&self) -> b2b_wfms::SettleMetrics {
         self.wf.settle_metrics()
     }
@@ -445,8 +410,8 @@ impl IntegrationEngine {
     /// [`initiate`](Self::initiate) without the immediate settle pass:
     /// the session's instances are created and scheduled but nothing
     /// moves until the next [`pump`](Self::pump) (or another initiate)
-    /// settles. Initiating a whole wave this way lets one sharded settle
-    /// pass run the first leg of every session in the wave.
+    /// settles. Initiating a whole wave this way lets one settle pass run
+    /// the first leg of every session in the wave.
     pub fn initiate_deferred(&mut self, agreement_id: &str, po: Document) -> Result<CorrelationId> {
         let not_installed =
             || IntegrationError::Config(format!("agreement `{agreement_id}` not installed"));

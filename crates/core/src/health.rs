@@ -12,8 +12,7 @@
 //! Everything here is a pure function of the interaction trace and
 //! simulated time: the breaker state machine is driven by explicit
 //! [`PartnerHealth::advance`] calls at pump boundaries (never by
-//! wall-clock), so breaker states can join the sharding determinism
-//! fingerprint.
+//! wall-clock), so breaker states can join the determinism fingerprint.
 
 use crate::metrics::HealthStats;
 use b2b_network::SimTime;

@@ -120,10 +120,10 @@ impl fmt::Display for CodecCacheStats {
 /// Counters for the partner-health subsystem (experiment E18).
 ///
 /// Every field is a pure function of the interaction trace and simulated
-/// time, so these counters join the sharding determinism fingerprint
-/// alongside [`StageCounters`]. The shed counters extend the delivery
-/// invariant: every payload handed to the engine is *delivered,
-/// dead-lettered, or shed* — never silently dropped.
+/// time, so these counters join the determinism fingerprint alongside
+/// [`StageCounters`]. The shed counters extend the delivery invariant:
+/// every payload handed to the engine is *delivered, dead-lettered, or
+/// shed* — never silently dropped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthStats {
     /// Circuit-breaker trips (`Closed/HalfOpen → Open`), poison
@@ -163,9 +163,8 @@ impl fmt::Display for HealthStats {
 /// E16).
 ///
 /// Every field is a pure function of the interaction trace — never of
-/// wall-clock, thread scheduling, or the shard count — so fingerprint
-/// tests can assert byte-identity across runs. Wall-clock lives in
-/// [`StageTimers`].
+/// wall-clock — so fingerprint tests can assert byte-identity across
+/// runs. Wall-clock lives in [`StageTimers`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageCounters {
     /// Pipeline passes ([`crate::engine::IntegrationEngine`]::pump calls).
@@ -214,18 +213,30 @@ impl fmt::Display for StageCounters {
     }
 }
 
+/// Always zeros since the settle worker pool was removed: settle runs on
+/// the calling thread. Kept because the hub benchmark still reads it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Always 0.
+    pub rounds: u64,
+    /// Always 0.
+    pub steals: u64,
+    /// Always 0.
+    pub idle_wakeups: u64,
+}
+
 /// Wall-clock spent per pump stage, in nanoseconds.
 ///
-/// Timers are measurement, not state: they vary run to run and across
-/// shard counts, so they are deliberately *not* `Eq` and must stay out of
-/// determinism fingerprints. Use [`StageCounters`] there instead.
+/// Timers are measurement, not state: they vary run to run, so they are
+/// deliberately *not* `Eq` and must stay out of determinism
+/// fingerprints. Use [`StageCounters`] there instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimers {
     /// Draining and decoding at the reliable edge.
     pub edge_ns: u64,
-    /// Sequential routing (session lookup/creation, queueing).
+    /// Routing (session lookup/creation, queueing).
     pub route_ns: u64,
-    /// Sharded execution (settling instances to quiescence).
+    /// Execution (settling instances to quiescence).
     pub execute_ns: u64,
     /// Emitting the sorted outbox (wire sends, hand-offs).
     pub emit_ns: u64,
@@ -279,21 +290,15 @@ impl fmt::Display for SessionMemory {
 }
 
 /// Per-stage pipeline profile: deterministic counters plus wall-clock
-/// timers, pool utilization, and settle-cost counters, kept separate so
-/// tests can fingerprint the counters without the measurements.
+/// timers and settle-cost counters, kept separate so tests can
+/// fingerprint the counters without the measurements.
 ///
-/// Only `counters` belongs in determinism fingerprints wholesale:
-/// `timers` is wall-clock, `pool` includes scheduling-dependent steal
-/// counts (see [`b2b_wfms::PoolStats`]), and `settle` mixes deterministic
-/// members (rounds, touched sets, resident instances) with the
-/// shard-layout-dependent moved counts (see [`b2b_wfms::SettleMetrics`]).
+/// `counters` and `settle` are deterministic; `timers` is wall-clock.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageProfile {
     pub counters: StageCounters,
     pub timers: StageTimers,
-    /// Worker-pool utilization: rounds, chunk claims, steals, spawns.
-    pub pool: b2b_wfms::PoolStats,
-    /// Settle-cost counters: resident instances, touched sets, moves.
+    /// Settle-cost counters: resident instances, rounds, touched sets.
     pub settle: b2b_wfms::SettleMetrics,
 }
 
@@ -301,16 +306,8 @@ impl fmt::Display for StageProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} | {} | pool {}w {}r {}c ({} stolen) | settle {} resident, {} touched, {} moved",
-            self.counters,
-            self.timers,
-            self.pool.workers,
-            self.pool.rounds,
-            self.pool.chunks,
-            self.pool.steals,
-            self.settle.instances_resident,
-            self.settle.touched_total,
-            self.settle.moved_total
+            "{} | {} | settle {} resident, {} touched",
+            self.counters, self.timers, self.settle.instances_resident, self.settle.touched_total
         )
     }
 }

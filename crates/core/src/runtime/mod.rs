@@ -5,19 +5,17 @@
 //! 1. **edge** — drain the reliable endpoint; decode/verify bytes;
 //!    quarantine rejects ([`edge`]).
 //! 2. **route** — map documents to sessions; create responder sessions;
-//!    queue documents into instances ([`route`]). Single-threaded: owns
-//!    session creation and the instance-id allocator.
-//! 3. **execute** — settle all runnable instances to quiescence,
-//!    sharded across workers by session identity
-//!    ([`b2b_wfms::Engine::settle`]).
+//!    queue documents into instances ([`route`]). Owns session creation
+//!    and the instance-id allocator.
+//! 3. **execute** — settle all runnable instances to quiescence on the
+//!    calling thread ([`b2b_wfms::Engine::settle`]).
 //! 4. **emit** — drain the canonically sorted outbox; wire sends and
 //!    cross-instance hand-offs happen here, in deterministic order.
 //!
 //! Stages 3 and 4 alternate until the outbox stays empty, then failure
 //! containment runs (retransmission deadlines, dead-lettering, failure
-//! notifications). Because routing is sequential, the outbox order is
-//! canonical, and shard assignment is a pure function of session
-//! identity, a run with `shards = N` is byte-identical to `shards = 1`.
+//! notifications). Every stage visits its work in a canonical order, so
+//! two runs with the same inputs are byte-identical.
 
 pub mod edge;
 pub mod route;
@@ -45,10 +43,10 @@ impl IntegrationEngine {
         self.profile.counters.pumps += 1;
         // Stage 0: let protocol timers (receipt deadlines, timeouts) fall
         // due — their instances only become runnable here and execute in
-        // the sharded settle of stage 3, together with any deferred
-        // initiation wave — and promote expired `Open` breakers to
-        // `HalfOpen` at a fixed point in the pipeline (never lazily
-        // mid-stage) so breaker state is a pure function of the trace.
+        // the settle of stage 3, together with any deferred initiation
+        // wave — and promote expired `Open` breakers to `HalfOpen` at a
+        // fixed point in the pipeline (never lazily mid-stage) so breaker
+        // state is a pure function of the trace.
         self.wf.advance_clock(net.now())?;
         self.health.advance(net.now());
 
@@ -60,7 +58,7 @@ impl IntegrationEngine {
         self.profile.counters.edge_payloads += batch.payloads.len() as u64;
         self.profile.counters.edge_duplicates += batch.duplicates;
 
-        // Stage 2: routing — sequential, canonical. A flooding partner is
+        // Stage 2: routing, in canonical order. A flooding partner is
         // capped here: beyond `inbound_queue_cap` payloads per pump its
         // excess is shed (with one overload notice), not queued to OOM.
         let route_started = Instant::now();
@@ -75,8 +73,7 @@ impl IntegrationEngine {
         self.poll_backends()?;
         self.profile.timers.route_ns += route_started.elapsed().as_nanos() as u64;
 
-        // Stages 3+4: execute (sharded) and emit, alternating to a
-        // fixpoint.
+        // Stages 3+4: execute and emit, alternating to a fixpoint.
         self.settle_and_route(net)?;
 
         // Stage 5: wire health. Retransmissions run under the pump send
@@ -98,10 +95,6 @@ impl IntegrationEngine {
         // sessions that died on our side.
         self.notify_failed_sessions(net)?;
 
-        // Snapshot pool counters (wall-clock-ish diagnostics, never part
-        // of the deterministic fingerprint) and settle-cost counters
-        // (deterministic except for the shard-layout-dependent moves).
-        self.profile.pool = self.wf.pool_stats();
         self.profile.settle = self.wf.settle_metrics();
         Ok(())
     }
@@ -241,22 +234,14 @@ impl IntegrationEngine {
 
     /// Alternates the execute and emit stages until quiescent, then
     /// refreshes the session table from the instances that ran.
-    ///
-    /// Execution is sharded: each session's instances are pinned to a
-    /// worker chosen by a hash of `(correlation, partner)`, so every
-    /// instance of one session always settles on the same worker
-    /// regardless of the shard count.
     pub(crate) fn settle_and_route(&mut self, net: &mut SimNetwork) -> Result<()> {
         loop {
             let execute_started = Instant::now();
-            {
-                let table = &self.table;
-                self.wf.settle(self.shards, &|id| table.shard_of_instance(id) as usize)?;
-            }
+            self.wf.settle()?;
             self.profile.timers.execute_ns += execute_started.elapsed().as_nanos() as u64;
             self.profile.counters.settle_passes += 1;
             // The outbox is sorted by (instance, channel): emission order
-            // is a function of what ran, not of which worker ran it.
+            // is a function of what ran, not of the order it ran in.
             let outputs = self.wf.drain_outbox();
             if outputs.is_empty() {
                 break;

@@ -1,12 +1,11 @@
 //! Stage 2 of the pump: routing.
 //!
-//! Routing is single-threaded by design: it owns the session table and
-//! the instance-id allocator (session creation), both of which must stay
-//! canonical for the sharded execute stage to be deterministic. Routing
-//! never *steps* an instance — it only queues documents
-//! ([`b2b_wfms::Engine::enqueue_to`]) and marks instances runnable
-//! ([`b2b_wfms::Engine::schedule`]); the execute stage settles them, in
-//! parallel, afterwards.
+//! Routing owns the session table and the instance-id allocator (session
+//! creation), and visits documents in canonical order, so a run is a
+//! function of its inputs. Routing never *steps* an instance — it only
+//! queues documents ([`b2b_wfms::Engine::enqueue_to`]) and marks
+//! instances runnable ([`b2b_wfms::Engine::schedule`]); the execute stage
+//! settles them afterwards.
 
 use crate::binding::BindingRole;
 use crate::channels;
@@ -20,7 +19,7 @@ use crate::runtime::edge::Edge;
 use crate::session::NewSession;
 use b2b_document::{CorrelationId, DocKind, Document};
 use b2b_network::{Envelope, SimNetwork};
-use b2b_wfms::{ChannelId, InstanceId, WorkflowTypeId};
+use b2b_wfms::{ChannelId, InstanceId, InstanceStatus, WorkflowTypeId};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -250,6 +249,22 @@ impl IntegrationEngine {
         self.health.record_success(&partner);
         if let Some(index) = self.table.index_of(&correlation, &partner) {
             let public = self.table.session(index).public;
+            if !matches!(self.wf.status(public), Ok(InstanceStatus::Running)) {
+                // A late or repeated document for a finished session has
+                // nowhere to go. It is dead-lettered like a document for
+                // an unknown session, and the rest of the batch, already
+                // acknowledged, routes on.
+                self.stats.unroutable += 1;
+                self.quarantine(
+                    DeadLetterReason::Unroutable(format!(
+                        "{} from `{partner}` for finished session {correlation}",
+                        doc.kind()
+                    )),
+                    envelope,
+                    net.now(),
+                );
+                return Ok(());
+            }
             self.wf.enqueue_to(public, channels::wire_in(), doc)?;
             self.profile.counters.routed_documents += 1;
             return Ok(());
@@ -331,8 +346,8 @@ impl IntegrationEngine {
 
     /// Routes one emitted document to its peer — queueing, never stepping.
     /// Wire sends happen here, in the canonical order of the sorted
-    /// outbox, so the network's fault-decision stream is independent of
-    /// the shard count.
+    /// outbox, so the network's fault-decision stream is a function of
+    /// what ran.
     ///
     /// Takes the outbox's `Arc<Document>` as-is: queueing into the next
     /// instance moves the pointer, so a document crossing all three

@@ -25,18 +25,12 @@
 //! instance ids contiguously from 1), and per-correlation groups are
 //! slot-id slices sorted by construction. `SessionTable::memory_footprint`
 //! reports the measured bytes-per-open-session this buys.
-//!
-//! The table also fixes each session's *shard seed* — an FNV-1a hash of
-//! `(correlation, partner)` — at insertion. The sharded runtime partitions
-//! work by this seed, so every instance of a session lands on the same
-//! worker and the assignment is a pure function of session identity.
 
 use crate::binding::BindingRole;
 use b2b_document::CorrelationId;
-use b2b_network::fnv::{Fnv1a, FnvMap};
+use b2b_network::fnv::FnvMap;
 use b2b_wfms::{Engine as WfEngine, InstanceId, InstanceStatus};
 use std::collections::BTreeSet;
-use std::hash::Hasher;
 use std::sync::Arc;
 
 /// Externally visible state of one business interaction.
@@ -150,8 +144,6 @@ pub(crate) struct SessionTable {
     sessions: Vec<Session>,
     /// Cached state per session, refreshed from touched instances.
     states: Vec<SessionState>,
-    /// FNV-1a of (correlation, partner): the shard assignment key.
-    shard_seeds: Vec<u64>,
     /// Interned correlation symbol per session (parallel to `sessions`).
     corr_syms: Vec<u32>,
     /// Correlation strings, interned once per correlation.
@@ -204,15 +196,6 @@ impl SessionTable {
             failure: None,
             notified: false,
         };
-        // Streaming FNV-1a over "corr\0partner" — byte-identical to the
-        // historical `checksum_of(format!(…))`, without the temporary.
-        let seed = {
-            let mut h = Fnv1a::default();
-            h.write(session.correlation.as_bytes());
-            h.write(&[0]);
-            h.write(session.partner.as_bytes());
-            h.finish()
-        };
         self.by_corr_partner.insert((corr_sym, partner_sym), slot);
         self.set_instance(session.public, slot);
         self.set_instance(session.binding, slot);
@@ -231,7 +214,6 @@ impl SessionTable {
         group.members.push(slot);
         self.sessions.push(session);
         self.states.push(SessionState::InProgress);
-        self.shard_seeds.push(seed);
         self.corr_syms.push(corr_sym);
         index
     }
@@ -311,16 +293,6 @@ impl SessionTable {
     /// Number of sessions whose correlation aggregate is Completed (O(1)).
     pub fn completed_sessions(&self) -> usize {
         self.completed_total
-    }
-
-    /// The shard seed of the session owning `id` (0 for foreign
-    /// instances). A pure function of session identity, so the shard
-    /// assignment never depends on execution order.
-    pub fn shard_of_instance(&self, id: InstanceId) -> u64 {
-        match self.by_instance.get(id.value() as usize) {
-            Some(&slot) if slot != NO_SESSION => self.shard_seeds[slot as usize],
-            _ => 0,
-        }
     }
 
     /// Attaches a lazily created private process to a session.
@@ -410,7 +382,6 @@ impl SessionTable {
             + failure_bytes
             + self.states.capacity() * size_of::<SessionState>()
             + state_bytes
-            + self.shard_seeds.capacity() * size_of::<u64>()
             + self.corr_syms.capacity() * size_of::<u32>()
             + self.corrs.retained_bytes()
             + self.partners.retained_bytes()
@@ -587,27 +558,6 @@ mod tests {
         // Re-failing an already-notified session does not re-arm it...
         table.mark_failure(a, "boom again".into(), true);
         assert_eq!(table.pending_failed().count(), 0);
-    }
-
-    #[test]
-    fn shard_seeds_are_stable_per_session_identity() {
-        let mut t1 = SessionTable::new();
-        let mut t2 = SessionTable::new();
-        t1.insert(session("c-1", "TP1", 10));
-        t2.insert(session("c-2", "TP9", 1));
-        t2.insert(session("c-1", "TP1", 50));
-        // Same (correlation, partner) → same seed, regardless of insertion
-        // order or instance ids.
-        assert_eq!(
-            t1.shard_of_instance(InstanceId::new(10)),
-            t2.shard_of_instance(InstanceId::new(50))
-        );
-        assert_eq!(t1.shard_of_instance(InstanceId::new(999)), 0, "foreign instances default");
-        // And the streaming seed matches the historical formula exactly.
-        assert_eq!(
-            t1.shard_of_instance(InstanceId::new(10)),
-            b2b_network::checksum_of("c-1\u{0}TP1".as_bytes())
-        );
     }
 
     #[test]

@@ -523,3 +523,120 @@ fn replay_that_trips_the_breaker_keeps_the_abandoned_sends_letters() {
     );
     assert_eq!(s.seller.dead_letters().get(seq).map(|l| l.replays), Some(1));
 }
+
+/// A late document for a session that already finished — here a quote
+/// the partner sends again under a new message id — is dead-lettered as
+/// unroutable. It must not abort the pump: the rest of its batch was
+/// already acknowledged to the partner and has to reach its sessions.
+#[test]
+fn late_document_for_a_finished_session_does_not_lose_its_batch() {
+    use b2b_document::{
+        record, CorrelationId, Currency, Date, DocKind, Document, FormatId, FormatRegistry, Money,
+        Value,
+    };
+    use b2b_network::{Bytes, EndpointId, ReliableEndpoint};
+    use b2b_protocol::MessageExchangePattern;
+    use b2b_transform::{TransformContext, TransformRegistry};
+
+    const HUB: &str = "ACME";
+    const PARTNER: &str = "Quoter";
+    let mut net = SimNetwork::new(FaultConfig::reliable(), 43);
+    let mut hub = IntegrationEngine::new(HUB, &mut net).unwrap();
+    hub.add_partner(TradingPartner::new(PARTNER));
+    let (init, resp) = MessageExchangePattern::RequestReply {
+        request: DocKind::RequestForQuote,
+        reply: DocKind::Quote,
+    }
+    .role_processes("rfq-quoter", FormatId::ROSETTANET)
+    .unwrap();
+    let agreement =
+        TradingPartnerAgreement::between("rfq-quoter", HUB, PARTNER, &init, &resp, true).unwrap();
+    hub.install_agreement(agreement.clone(), &init, &resp).unwrap();
+
+    // The partner is a raw reliable endpoint that answers an RFQ with the
+    // quote a seller's binding would put on the wire.
+    let hub_ep = EndpointId::new(format!("ep:{HUB}"));
+    let partner_ep = EndpointId::new(format!("ep:{PARTNER}"));
+    let mut partner =
+        ReliableEndpoint::new(partner_ep, ReliableConfig::default(), &mut net).unwrap();
+    let formats = FormatRegistry::with_builtins();
+    let transforms = TransformRegistry::with_builtins();
+    let ctx = TransformContext::new(PARTNER, HUB, "000000001", "i-quoter");
+    let quote_for = |payload: &Bytes| -> (CorrelationId, Bytes) {
+        let wire = formats.decode_bytes(&FormatId::ROSETTANET, payload).unwrap();
+        let rfq = transforms.transform(&wire, &FormatId::NORMALIZED, &ctx).unwrap();
+        let number = rfq.get("header.rfq_number").unwrap().as_text("rfq_number").unwrap();
+        let body = record! {
+            "header" => record! {
+                "rfq_number" => Value::text(number),
+                "seller" => Value::text(PARTNER),
+                "unit_price" => Value::Money(Money::from_units(900, Currency::Usd)),
+                "valid_until" => Value::Date(Date::new(2001, 11, 1).unwrap()),
+            },
+        };
+        let quote = rfq.reply(DocKind::Quote, FormatId::NORMALIZED, body);
+        let wire = transforms.transform(&quote, &FormatId::ROSETTANET, &ctx).unwrap();
+        (rfq.correlation().clone(), Bytes::from(formats.encode(&wire).unwrap()))
+    };
+    let rfq = |number: &str| {
+        Document::new(
+            DocKind::RequestForQuote,
+            FormatId::NORMALIZED,
+            CorrelationId::for_rfq_number(number),
+            record! {
+                "header" => record! {
+                    "rfq_number" => Value::text(number),
+                    "buyer" => Value::text(HUB),
+                    "item" => Value::text("LAPTOP-T23"),
+                    "quantity" => Value::Int(100),
+                    "respond_by" => Value::Date(Date::new(2001, 10, 1).unwrap()),
+                },
+            },
+        )
+    };
+
+    let s1 = hub.initiate(&mut net, &agreement.id, rfq("S1")).unwrap();
+    let s2 = hub.initiate(&mut net, &agreement.id, rfq("S2")).unwrap();
+    let mut quotes = Vec::new();
+    for _ in 0..20 {
+        net.advance(10);
+        quotes.extend(partner.receive(&mut net).unwrap().iter().map(|e| quote_for(&e.payload)));
+        hub.pump(&mut net).unwrap();
+        if quotes.len() == 2 {
+            break;
+        }
+    }
+    let quote = |c: &CorrelationId| quotes.iter().find(|(q, _)| q == c).unwrap().1.clone();
+    let (quote1, quote2) = (quote(&s1), quote(&s2));
+
+    // S1 completes on its quote.
+    partner.send(&mut net, &hub_ep, FormatId::ROSETTANET, quote1.clone()).unwrap();
+    for _ in 0..20 {
+        net.advance(10);
+        hub.pump(&mut net).unwrap();
+        partner.receive(&mut net).unwrap();
+    }
+    assert_eq!(hub.session_state(&s1), SessionState::Completed);
+    assert_eq!(hub.session_state(&s2), SessionState::InProgress);
+
+    // S1's quote again, then S2's: both arrive in one pump's batch.
+    partner.send(&mut net, &hub_ep, FormatId::ROSETTANET, quote1).unwrap();
+    partner.send(&mut net, &hub_ep, FormatId::ROSETTANET, quote2).unwrap();
+    net.advance(10);
+    hub.pump(&mut net).unwrap();
+    net.advance(10);
+    partner.receive(&mut net).unwrap();
+    assert_eq!(partner.outstanding_count(), 0, "the hub acknowledged both quotes");
+    for _ in 0..20 {
+        net.advance(10);
+        hub.pump(&mut net).unwrap();
+        partner.receive(&mut net).unwrap();
+    }
+
+    assert_eq!(hub.session_state(&s2), SessionState::Completed, "S2's quote was routed");
+    assert_eq!(hub.session_state(&s1), SessionState::Completed);
+    assert_eq!(hub.stats().unroutable, 1, "the late quote is counted");
+    let letters: Vec<_> = hub.dead_letters().iter().collect();
+    assert_eq!(letters.len(), 1, "the late quote is dead-lettered: {letters:?}");
+    assert!(matches!(letters[0].reason, DeadLetterReason::Unroutable(_)), "{letters:?}");
+}

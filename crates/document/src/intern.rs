@@ -10,8 +10,8 @@
 //! run, so nothing observable may depend on it. All ordering and hashing of
 //! symbols goes through the string content ([`Symbol::as_str`]); `Ord` on
 //! `Symbol` is exactly `Ord` on the underlying string, which is what keeps
-//! record field order, serialized snapshots, and sharding fingerprints
-//! byte-identical across runs and thread interleavings.
+//! record field order, serialized snapshots, and determinism
+//! fingerprints byte-identical across runs and thread interleavings.
 
 use serde::{Content, Deserialize, Serialize};
 use std::cmp::Ordering;

@@ -6,8 +6,8 @@
 //! the inbound payload instead of copying each one onto the heap. All
 //! observable behaviour — equality, ordering, hashing, `Debug`/`Display`,
 //! serialization — is content-based and byte-identical between the two
-//! representations, so fingerprints, snapshots, and sharding identity
-//! never depend on where a string's bytes happen to live.
+//! representations, so fingerprints and snapshots never depend on where
+//! a string's bytes happen to live.
 //!
 //! Ownership rule: a shared `Str` keeps the *entire* payload allocation
 //! alive (it holds the payload's `Arc`). That is free at the edge — the

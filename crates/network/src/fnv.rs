@@ -1,6 +1,6 @@
 //! FNV-1a hashing for hot runtime maps.
 //!
-//! The runtime already derives shard seeds from FNV-1a
+//! The network checksum is FNV-1a
 //! ([`checksum_of`](crate::checksum_of)); this module wraps the same
 //! function (same offset basis and prime) in a [`std::hash::Hasher`] so
 //! the session table and other hot maps can use one deterministic hash

@@ -16,6 +16,8 @@
 //! * [`rng`] / [`clock`] — deterministic randomness and logical time, so
 //!   every test and benchmark is reproducible from a seed.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod error;
 pub mod fault;

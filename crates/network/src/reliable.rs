@@ -561,7 +561,7 @@ impl ReliableEndpoint {
 
     /// Like [`receive`](Self::receive), but classifies the fresh
     /// envelopes by wire class on the way out. Staged hosts use this to
-    /// hand payload batches to shard routing and notices to edge failure
+    /// hand payload batches to session routing and notices to edge failure
     /// handling in one pass.
     pub fn receive_classified(&mut self, net: &mut SimNetwork) -> Result<InboundBatch> {
         let mut batch = InboundBatch::default();

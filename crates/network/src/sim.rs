@@ -94,8 +94,8 @@ impl SimNetwork {
     /// Allocates the next network-scoped message id. Unlike
     /// [`MessageId::fresh`], the result is a pure function of this
     /// network's traffic so far, so two runs with the same seed produce
-    /// the same ids — the property the sharded runtime's byte-identity
-    /// checks rest on.
+    /// the same ids — the property the runtime's determinism checks rest
+    /// on.
     pub fn alloc_message_id(&mut self) -> MessageId {
         let id = MessageId::from_raw(self.next_msg);
         self.next_msg += 1;

@@ -23,6 +23,8 @@
 //! * [`notification`] — the PIP-0A1-style failure notification exchanged
 //!   when one side of a running interaction fails permanently.
 
+#![forbid(unsafe_code)]
+
 pub mod agreement;
 pub mod binary_roundtrip;
 pub mod bpss;

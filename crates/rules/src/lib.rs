@@ -16,6 +16,8 @@
 //! * [`registry`] — the per-enterprise rule registry keyed by function name,
 //! * [`approval`] — the paper's `check-need-for-approval` rule family.
 
+#![forbid(unsafe_code)]
+
 pub mod approval;
 pub mod compiled;
 pub mod error;

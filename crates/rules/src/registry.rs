@@ -27,9 +27,9 @@ pub struct RuleRegistry {
     functions: BTreeMap<String, RuleFunction>,
     /// Lazily compiled functions. Interior mutability keeps compilation an
     /// implementation detail of `&self` dispatch; a `RwLock` (not a
-    /// `RefCell`) because the sharded execute stage shares the registry
-    /// across worker threads. Compilation is deterministic, so which
-    /// thread compiles first never changes the result.
+    /// `RefCell`) keeps the registry `Sync`, so threads can share it.
+    /// Compilation is deterministic, so which thread compiles first never
+    /// changes the result.
     compiled: RwLock<BTreeMap<String, Arc<CompiledFunction>>>,
 }
 

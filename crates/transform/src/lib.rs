@@ -22,6 +22,8 @@
 //! documents this as the paper's "domain expert defines the mapping"
 //! reality. Round-trip tests pin down exactly which fields survive.
 
+#![forbid(unsafe_code)]
+
 pub mod builtin;
 pub mod compiled;
 pub mod context;

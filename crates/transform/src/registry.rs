@@ -76,10 +76,9 @@ pub struct TransformRegistry {
     /// most probes before any format string is compared, and dispatch is
     /// one binary search with no per-comparison indirection. Interior
     /// mutability keeps compilation an implementation detail of `&self`
-    /// dispatch; a `RwLock` (not a `RefCell`) because the sharded execute
-    /// stage shares the registry across worker threads. Compilation is
-    /// deterministic, so which thread compiles first never changes the
-    /// result.
+    /// dispatch; a `RwLock` (not a `RefCell`) keeps the registry `Sync`,
+    /// so threads can share it. Compilation is deterministic, so which
+    /// thread compiles first never changes the result.
     compiled: RwLock<Vec<(Key, Arc<CompiledProgram>)>>,
 }
 

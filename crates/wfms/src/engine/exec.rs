@@ -1,22 +1,20 @@
-//! The shard-executable step interpreter.
+//! The step interpreter.
 //!
 //! Workflow interpretation is split into a shared, read-only execution
-//! environment ([`ExecEnv`]: compiled programs, activities, rules,
-//! transformations) and mutable per-shard state ([`ShardSlice`]: a
-//! disjoint set of instances plus the volatile queues that feed them).
-//! Each instance carries an `Arc` of the [`Program`] it runs, so a step
-//! reads its definition, edge lists and receive index by ordinal and
-//! only ever mutates state of its own shard: independent shards execute
-//! on separate workers without synchronization, and the engine merges
-//! their results deterministically afterwards.
+//! environment ([`ExecEnv`]: activities, rules, transformations) and the
+//! mutable state a settle round advances ([`ExecCtx`]: the database's
+//! instance map plus the engine's [`VolatileState`]). Each instance
+//! carries an `Arc` of the [`Program`] it runs, so a step reads its
+//! definition, edge lists and receive index by ordinal and only ever
+//! mutates its own instance.
 //!
 //! Everything that crosses instance boundaries — subworkflow spawns
-//! (which need the shared instance-id counter) and parent completions
-//! (the parent may live in another shard) — is *deferred* into the slice
-//! and resolved by the engine between settle rounds, in a canonical order
-//! that does not depend on how instances were partitioned. Documents
-//! reach an instance only through its own directed queues, so a step
-//! never reads or writes another instance's state.
+//! (which need the shared instance-id counter) and parent completions —
+//! is *deferred* into the volatile state and resolved by the engine
+//! between settle rounds, in canonical `(parent, step)` order. That fixes
+//! the history order the recorded fingerprints hash. Documents reach an
+//! instance only through its own directed queues, so a step never reads
+//! or writes another instance's state.
 
 use super::instance::{EdgeState, InstanceStatus, States, StepState, Variable, WorkflowInstance};
 use super::program::{Program, StepRef};
@@ -48,19 +46,6 @@ pub struct EngineStats {
     pub transforms: u64,
     /// Edge-guard expressions evaluated while resolving control flow.
     pub guard_evals: u64,
-}
-
-impl EngineStats {
-    /// Adds another counter set onto this one (shard merge).
-    pub(crate) fn absorb(&mut self, other: &EngineStats) {
-        self.instances_created += other.instances_created;
-        self.steps_executed += other.steps_executed;
-        self.sends += other.sends;
-        self.receives += other.receives;
-        self.rule_invocations += other.rule_invocations;
-        self.transforms += other.transforms;
-        self.guard_evals += other.guard_evals;
-    }
 }
 
 pub(crate) enum ExecOutcome {
@@ -99,16 +84,15 @@ pub(crate) struct ExecEnv<'a> {
 }
 
 /// Volatile (non-persisted) engine state: queues, timers, the outbox,
-/// audit history, and counters. One resident copy lives in the engine;
-/// settle rounds carve per-shard copies out of it.
+/// audit history, and counters. One resident copy lives in the engine,
+/// and settle rounds append to it directly.
 #[derive(Default)]
 pub(crate) struct VolatileState {
     /// Per-instance directed queues (session-scoped routing), grouped by
-    /// receiving instance so a settle round can move one instance's whole
-    /// queue set in a single `remove`/`insert`. Documents travel by `Arc`
-    /// end to end: routing hands off a pointer, and the receive step
-    /// unwraps it (free while the reference is unique, copy-on-write
-    /// otherwise).
+    /// receiving instance so a settle round finds an instance's queues in
+    /// one lookup. Documents travel by `Arc` end to end: routing hands off
+    /// a pointer, and the receive step unwraps it (free while the
+    /// reference is unique, copy-on-write otherwise).
     pub directed_queues: BTreeMap<InstanceId, BTreeMap<ChannelId, VecDeque<Arc<Document>>>>,
     /// Documents emitted by send steps, drained by the host.
     pub outbox: Vec<(InstanceId, ChannelId, Arc<Document>)>,
@@ -128,14 +112,6 @@ pub(crate) struct VolatileState {
     pub spawns: Vec<SpawnRequest>,
     /// Deferred parent completions.
     pub parent_finishes: Vec<ParentFinish>,
-}
-
-/// One shard's mutable world during a settle round: a disjoint slice of
-/// the instance database plus its own volatile state.
-#[derive(Default)]
-pub(crate) struct ShardSlice {
-    pub instances: BTreeMap<InstanceId, WorkflowInstance>,
-    pub vol: VolatileState,
 }
 
 /// Everything one interpretation call may touch.
@@ -196,8 +172,8 @@ pub(crate) fn run_one(ctx: &mut ExecCtx<'_>, id: InstanceId) -> Result<()> {
         inst.status = InstanceStatus::Completed;
         record(ctx.vol, ctx.env.now, id, HistoryKind::InstanceCompleted);
     }
-    // A finished child defers its parent's completion: the parent may
-    // live in another shard, and the engine resolves it between rounds.
+    // A finished child defers its parent's completion, which the engine
+    // resolves between rounds in canonical order.
     // The variable snapshot is only taken on completion; every other
     // exit keeps the (potentially large) map un-copied.
     if let Some((parent, step)) = inst.parent {
@@ -411,9 +387,8 @@ fn execute_step(
                 });
                 return ExecOutcome::Waiting;
             }
-            // Allocating the child's id here would make results depend on
-            // shard scheduling: the engine spawns it between rounds, in
-            // canonical order. Subworkflows return control ONLY on
+            // The engine allocates the child's id and spawns it between
+            // rounds, in canonical order. Subworkflows return control ONLY on
             // completion (Section 3.1) — the parent step waits.
             ctx.vol.spawns.push(SpawnRequest {
                 parent: inst.id,
@@ -530,7 +505,7 @@ fn receive(ctx: &mut ExecCtx<'_>, id: InstanceId, ix: usize, doc: Arc<Document>)
     drain_runnable(ctx)
 }
 
-/// Runs one shard to a local fixpoint: drains the runnable queue, then
+/// Runs one settle round to a fixpoint: drains the runnable queue, then
 /// wakes every directed delivery whose receiver is waiting. Each wake
 /// drains the runnable queue again, so nothing is left runnable after.
 pub(crate) fn settle_slice(ctx: &mut ExecCtx<'_>) -> Result<()> {

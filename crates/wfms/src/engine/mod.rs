@@ -4,25 +4,23 @@
 //! functions over an execution context: a shared read-only environment
 //! plus mutable instance and queue state. The `Engine` here owns the
 //! database and the volatile state and executes through one path,
-//! [`Engine::settle`]: a shard-parallel fixpoint that partitions the
-//! instances with work across the persistent worker pool and merges the
-//! results deterministically. Documents reach an instance only through
-//! its own directed queues. The sequential API (`run`, `deliver_to`,
-//! `advance_time`, `resolve_remote`) queues its work and settles it on
-//! one shard.
+//! [`Engine::settle`]: a fixpoint of rounds on the calling thread, each
+//! advancing the instances with work in place in the database and
+//! appending its effects to the engine's volatile state in canonical
+//! order. Documents reach an instance only through its own directed
+//! queues. The sequential API (`run`, `deliver_to`, `advance_time`,
+//! `resolve_remote`) queues its work and settles it.
 
 pub mod instance;
 pub(crate) mod program;
 
 mod exec;
-mod pool;
 
 #[cfg(test)]
 mod tests;
 
 pub use exec::EngineStats;
 pub use instance::{EdgeState, InstanceStatus, StepState, Variable, WorkflowInstance};
-pub use pool::{PoolStats, WorkerPool};
 // `SettleMetrics` is defined below and re-exported from the crate root.
 
 use crate::db::WorkflowDatabase;
@@ -34,7 +32,7 @@ use b2b_document::Document;
 use b2b_network::SimTime;
 use b2b_rules::RuleRegistry;
 use b2b_transform::TransformRegistry;
-use exec::{ExecCtx, ExecEnv, ParentFinish, ShardSlice, VolatileState};
+use exec::{ExecCtx, ExecEnv, ParentFinish, VolatileState};
 use instance::InstanceRecord;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -42,54 +40,22 @@ use std::sync::Arc;
 /// Settle-cost counters, read via [`Engine::settle_metrics`].
 ///
 /// `rounds`, `touched_*`, and `instances_resident` are pure functions of
-/// the interaction trace — identical at any shard count, so they may
-/// join determinism fingerprints. `moved_*` counts instances
-/// physically moved into shard slices, which is `0` for in-place rounds
-/// (one shard) and shard-layout-dependent otherwise: measurement only,
-/// keep it out of fingerprints (the struct is deliberately not `Eq`,
-/// like [`PoolStats`]).
+/// the interaction trace, so they may join determinism fingerprints.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SettleMetrics {
     /// Instances resident in the workflow database right now.
     pub instances_resident: u64,
-    /// Settle rounds executed (whole-engine and sharded).
+    /// Settle rounds executed.
     pub rounds: u64,
     /// Touched-set size of the last round: instances that were runnable
     /// or had a directed document their receive step was waiting on.
     pub touched_last_round: u64,
     /// Cumulative touched-set sizes across all rounds.
     pub touched_total: u64,
-    /// Instances moved into shard slices by the last round (`0` when the
-    /// round settled in place).
-    pub moved_last_round: u64,
-    /// Cumulative instances moved into shard slices.
+    /// Inert: always 0, since rounds advance instances in place. Kept
+    /// because the hub benchmark still reads it.
     pub moved_total: u64,
 }
-
-/// Round-scoped partition scratch, reused across rounds so steady-state
-/// planning allocates nothing: the buffers keep their capacity between
-/// rounds and between settle calls.
-#[derive(Default)]
-struct SettleScratch {
-    /// The round's touched set as sorted, deduped `(instance, shard)`
-    /// pairs — one `assign` evaluation per instance per round, and the
-    /// only id→shard map the round needs (runnable ids resolve their
-    /// shard by binary search instead of re-hashing).
-    touched: Vec<(InstanceId, usize)>,
-    /// shard → slice position for this round (`usize::MAX` = shard idle).
-    slice_of_shard: Vec<usize>,
-    /// Busy slices laid out this round.
-    slices: usize,
-}
-
-/// One shard slice plus its settle result. During a round the pool
-/// claims each cell's index exactly once, so exactly one thread holds a
-/// `&mut` into it; after the round the dispatcher owns them all again.
-struct SliceCell(std::cell::UnsafeCell<(ShardSlice, Option<Result<()>>)>);
-
-// SAFETY: the pool's claim protocol (one `fetch_add` winner per index)
-// makes access to each cell exclusive within a round.
-unsafe impl Sync for SliceCell {}
 
 /// Context handed to an [`Activity`] implementation.
 pub struct ActivityContext<'a> {
@@ -174,13 +140,11 @@ pub struct Engine {
     transforms: TransformRegistry,
     carry_types: bool,
     vol: VolatileState,
-    /// Persistent settle workers; empty until the first multi-shard
-    /// settle (or an explicit [`Engine::configure_pool`]) warms it up.
-    pool: WorkerPool,
     /// Settle-cost counters (see [`SettleMetrics`]).
     settle_counters: SettleMetrics,
-    /// Reusable round-planning buffers.
-    scratch: SettleScratch,
+    /// The current round's touched set, sorted and deduped. Kept between
+    /// rounds so a steady-state round plans without allocating.
+    round_touched: Vec<InstanceId>,
 }
 
 impl Engine {
@@ -195,34 +159,18 @@ impl Engine {
             transforms: TransformRegistry::new(),
             carry_types: false,
             vol: VolatileState::default(),
-            pool: WorkerPool::default(),
             settle_counters: SettleMetrics::default(),
-            scratch: SettleScratch::default(),
+            round_touched: Vec::new(),
         }
     }
 
-    /// Settle-cost counters: instances resident, the last round's touched
-    /// set, and how many instances rounds physically moved. The
-    /// `touched`/`rounds` members are deterministic; `moved_*` depends on
-    /// the shard layout (see [`SettleMetrics`]).
+    /// Settle-cost counters: instances resident, rounds, and the touched
+    /// sets of the last round and of all rounds.
     pub fn settle_metrics(&self) -> SettleMetrics {
         SettleMetrics {
             instances_resident: self.db.instance_count() as u64,
             ..self.settle_counters
         }
-    }
-
-    /// Pre-spawns pool workers so the first settle does not pay spawn
-    /// cost. `settle` also grows the pool lazily; this merely front-loads
-    /// the warm-up. Grow-only.
-    pub fn configure_pool(&mut self, workers: usize) {
-        self.pool.ensure_workers(workers);
-    }
-
-    /// Pool utilization counters. Scheduling-dependent fields — keep out
-    /// of determinism fingerprints (see [`PoolStats`]).
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
     }
 
     /// Engine id.
@@ -317,11 +265,10 @@ impl Engine {
     }
 
     /// Runs an instance (and everything it makes runnable) until blocked,
-    /// completed, or failed: [`Engine::schedule`], then a one-shard
-    /// [`Engine::settle`].
+    /// completed, or failed: [`Engine::schedule`], then [`Engine::settle`].
     pub fn run(&mut self, id: InstanceId) -> Result<InstanceStatus> {
         self.schedule(id);
-        self.settle_on_one_shard()?;
+        self.settle()?;
         self.status(id)
     }
 
@@ -336,7 +283,7 @@ impl Engine {
     }
 
     /// Delivers a document to one specific instance's receive step on
-    /// `channel` and settles: [`Engine::enqueue_to`], then a one-shard
+    /// `channel` and settles: [`Engine::enqueue_to`], then
     /// [`Engine::settle`]. If the instance is not yet waiting there, the
     /// document queues until its receive step executes.
     pub fn deliver_to(
@@ -346,16 +293,15 @@ impl Engine {
         doc: impl Into<Arc<Document>>,
     ) -> Result<()> {
         self.enqueue_to(instance, channel, doc)?;
-        self.settle_on_one_shard()
+        self.settle()
     }
 
     /// Queues a document on an instance's directed channel WITHOUT
     /// stepping the instance: the one way a document reaches an instance.
-    /// Staged hosts use this to decouple routing (single-threaded) from
-    /// execution ([`Engine::settle`], sharded); the queued document wakes
-    /// its receiver in the next settle. Documents move by `Arc`, so
-    /// re-queueing what [`Engine::drain_outbox`] returned is
-    /// pointer-cheap.
+    /// Staged hosts use this to decouple routing from execution
+    /// ([`Engine::settle`]); the queued document wakes its receiver in the
+    /// next settle. Documents move by `Arc`, so re-queueing what
+    /// [`Engine::drain_outbox`] returned is pointer-cheap.
     pub fn enqueue_to(
         &mut self,
         instance: InstanceId,
@@ -400,7 +346,7 @@ impl Engine {
     /// instance so hosts can route per session. Sorted by
     /// `(InstanceId, ChannelId)` — per-instance emission order is
     /// preserved (the sort is stable), and the overall order is canonical
-    /// regardless of how instances were partitioned across shards.
+    /// regardless of the order instances ran in.
     /// Documents come out as `Arc`s: hosts that re-queue them into
     /// another instance ([`Engine::enqueue_to`]) move a pointer, not a
     /// document tree.
@@ -438,10 +384,10 @@ impl Engine {
     }
 
     /// Advances logical time, fires due timers, and settles everything
-    /// they (and earlier scheduling) made runnable on one shard.
+    /// they (and earlier scheduling) made runnable.
     pub fn advance_time(&mut self, now: SimTime) -> Result<()> {
         self.advance_clock(now)?;
-        self.settle_on_one_shard()
+        self.settle()
     }
 
     /// Whether any instance is blocked (running but not finished).
@@ -458,41 +404,35 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Shard-parallel settling.
+    // Settling.
 
     /// Runs every pending piece of work — runnable instances, directed
     /// deliveries whose receiver is waiting, deferred subworkflow spawns
-    /// and parent completions — to a global fixpoint, partitioning
-    /// instances across up to `shards` workers of the persistent pool by
-    /// `assign`. This is the engine's only executor.
+    /// and parent completions — to a fixpoint on the calling thread. This
+    /// is the engine's only executor.
     ///
-    /// The result is byte-identical for every shard count (including 1):
-    /// cross-instance effects (spawns, parent completions) are deferred
-    /// and resolved between rounds in canonical order, and every merged
-    /// collection is canonically sorted. `assign` must be a pure function
-    /// of the instance id.
-    pub fn settle(
-        &mut self,
-        shards: usize,
-        assign: &(dyn Fn(InstanceId) -> usize + Sync),
-    ) -> Result<()> {
-        let shards = shards.max(1);
-        // Warm the persistent pool once: the dispatching thread works
-        // too, so `shards` ways of parallelism need `shards - 1` helpers.
-        // After this, no settle round ever spawns a thread.
-        self.pool.ensure_workers(shards.saturating_sub(1));
+    /// Each round first resolves the deferred spawns and parent
+    /// completions in canonical order, then advances the touched
+    /// instances in place in the database, appending their effects to the
+    /// volatile state, then puts what the round appended in canonical
+    /// order — also when a step errors, so the engine's state stays
+    /// canonical.
+    ///
+    /// An instance outside the touched set cannot execute in a round (it
+    /// is not runnable, no directed document can wake it, and spawns and
+    /// parent completions defer), so a round's cost follows the busy
+    /// work, not the resident population.
+    pub fn settle(&mut self) -> Result<()> {
         loop {
             self.apply_deferred()?;
-            if !self.plan_round(shards, assign) {
+            if !self.plan_round() {
                 return Ok(());
             }
-            self.settle_round(shards)?;
+            let history_start = self.vol.history.len();
+            let result = self.with_ctx(exec::settle_slice);
+            self.canonicalize_round(history_start);
+            result?;
         }
-    }
-
-    /// The sequential API's settle: every instance on one shard.
-    fn settle_on_one_shard(&mut self) -> Result<()> {
-        self.settle(1, &|_| 0)
     }
 
     /// Resolves deferred subworkflow spawns and parent completions in
@@ -534,26 +474,15 @@ impl Engine {
         Ok(())
     }
 
-    /// Plans one settle round in a single pass over the wakeable work:
-    /// collects the touched set — instances that are runnable, or have a
-    /// non-empty directed queue their receive step is waiting on — as
-    /// sorted `(instance, shard)` pairs, and lays out one slice per busy
-    /// shard in ascending shard order (the canonical merge order).
-    /// Everything lands in reusable scratch buffers, so a steady-state
-    /// round plans without touching the allocator. Returns whether the
+    /// Plans one round: collects the touched set — instances that are
+    /// runnable, or have a non-empty directed queue their receive step is
+    /// waiting on — sorted and deduped into a reused buffer, so a
+    /// steady-state round plans without allocating. Returns whether the
     /// round has any work.
-    ///
-    /// This is the one place `assign` runs: the partition, the runnable
-    /// distribution, and the queue moves in [`Engine::settle_round`] all
-    /// resolve shards from the scratch instead of re-hashing (the old
-    /// code rebuilt a `slice_index` map and re-ran `assign` three times
-    /// per round).
-    fn plan_round(&mut self, shards: usize, assign: &dyn Fn(InstanceId) -> usize) -> bool {
-        let Engine { db, vol, scratch, settle_counters, .. } = self;
-        scratch.touched.clear();
-        for id in &vol.runnable {
-            scratch.touched.push((*id, assign(*id) % shards));
-        }
+    fn plan_round(&mut self) -> bool {
+        let Engine { db, vol, round_touched: touched, settle_counters, .. } = self;
+        touched.clear();
+        touched.extend(vol.runnable.iter().copied());
         for (id, qs) in &vol.directed_queues {
             let Ok(inst) = db.get_instance(*id) else { continue };
             if inst.status != InstanceStatus::Running {
@@ -563,183 +492,38 @@ impl Engine {
                 .iter()
                 .any(|(channel, q)| !q.is_empty() && inst.waiting_receiver(channel).is_some());
             if waiting {
-                scratch.touched.push((*id, assign(*id) % shards));
+                touched.push(*id);
             }
         }
-        scratch.touched.sort_unstable();
-        scratch.touched.dedup();
-        if scratch.touched.is_empty() {
+        touched.sort_unstable();
+        touched.dedup();
+        if touched.is_empty() {
             return false;
         }
-        scratch.slice_of_shard.clear();
-        scratch.slice_of_shard.resize(shards, usize::MAX);
-        for &(_, shard) in &scratch.touched {
-            scratch.slice_of_shard[shard] = 0;
-        }
-        let mut slices = 0;
-        for entry in scratch.slice_of_shard.iter_mut() {
-            if *entry != usize::MAX {
-                *entry = slices;
-                slices += 1;
-            }
-        }
-        scratch.slices = slices;
-        settle_counters.touched_last_round = scratch.touched.len() as u64;
-        settle_counters.touched_total += scratch.touched.len() as u64;
+        settle_counters.rounds += 1;
+        settle_counters.touched_last_round = touched.len() as u64;
+        settle_counters.touched_total += touched.len() as u64;
         true
     }
 
-    /// One parallel round: move the planned touched set — and nothing
-    /// else — into per-busy-shard slices, settle each slice (on the
-    /// persistent pool when more than one), and merge everything back
-    /// canonically.
-    ///
-    /// Idle instances stay shard-resident: an instance outside the
-    /// touched set cannot execute this round (it is not runnable, no
-    /// directed document can wake it, and spawns/parent completions
-    /// defer), so leaving it — and its directed queues — in place is
-    /// invisible to the merge. That is what makes a round's cost
-    /// proportional to busy work instead of the live population.
-    fn settle_round(&mut self, shards: usize) -> Result<()> {
-        if shards == 1 {
-            // The single slice would be the entire database: settle it in
-            // place instead of moving every instance out and back. Same
-            // fresh volatile state, same canonical merge — only the move
-            // of touched instances out of and back into the database
-            // disappears.
-            return self.settle_whole_engine_round();
-        }
-        // The scratch buffers leave `self` for the duration of the round
-        // (the partition needs them alongside `&mut self.db`) and return
-        // at the end, keeping their capacity for the next round.
-        let touched = std::mem::take(&mut self.scratch.touched);
-        let slice_of_shard = std::mem::take(&mut self.scratch.slice_of_shard);
-        let mut slices: Vec<ShardSlice> =
-            (0..self.scratch.slices).map(|_| ShardSlice::default()).collect();
-
-        // Lift exactly the planned instances, each with its whole
-        // directed-queue set — a runnable instance may reach a receive
-        // mid-round and must see documents queued before it.
-        let mut moved = 0u64;
-        let instances = self.db.instances_mut();
-        for &(id, shard) in &touched {
-            let k = slice_of_shard[shard];
-            if let Some(inst) = instances.remove(&id) {
-                slices[k].instances.insert(id, inst);
-                moved += 1;
-            }
-            if let Some(qs) = self.vol.directed_queues.remove(&id) {
-                slices[k].vol.directed_queues.insert(id, qs);
-            }
-        }
-        self.settle_counters.moved_last_round = moved;
-        self.settle_counters.moved_total += moved;
-        self.settle_counters.rounds += 1;
-        for id in std::mem::take(&mut self.vol.runnable) {
-            // Every runnable id is in the touched set by construction
-            // (stale ids included — their slice yields the UnknownInstance
-            // error exactly as the unsharded engine would).
-            let at = touched.partition_point(|&(i, _)| i < id);
-            let k = slice_of_shard[touched[at].1];
-            slices[k].vol.runnable.push_back(id);
-        }
-
-        // Execute on the persistent pool: each slice is one task, claimed
-        // by exactly one thread (the dispatcher participates), results
-        // written into its own cell. Which thread ran a slice is
-        // invisible after the merge below.
-        let cells: Vec<SliceCell> =
-            slices.into_iter().map(|s| SliceCell(std::cell::UnsafeCell::new((s, None)))).collect();
-        {
-            let env = ExecEnv {
-                activities: &self.activities,
-                rules: &self.rules,
-                transforms: &self.transforms,
-                now: self.now,
-            };
-            self.pool.run(cells.len(), &|k| {
-                // SAFETY: the pool claims each index exactly once, so
-                // this &mut access to cell `k` is exclusive.
-                let (slice, result) = unsafe { &mut *cells[k].0.get() };
-                let mut ctx =
-                    ExecCtx { env: &env, instances: &mut slice.instances, vol: &mut slice.vol };
-                *result = Some(exec::settle_slice(&mut ctx));
-            });
-        }
-
-        let merged = self.merge_round(cells.into_iter().map(|cell| cell.0.into_inner()).collect());
-        self.scratch.touched = touched;
-        self.scratch.slice_of_shard = slice_of_shard;
-        merged
-    }
-
-    /// Settles the degenerate one-shard round without partitioning: the
-    /// executor borrows the database's instance map directly and writes
-    /// into a fresh [`VolatileState`], so the byte-for-byte computation is
-    /// identical to a one-slice [`Engine::settle_round`] minus the move of
-    /// every live instance out of and back into the database.
-    fn settle_whole_engine_round(&mut self) -> Result<()> {
-        self.settle_counters.moved_last_round = 0;
-        self.settle_counters.rounds += 1;
-        let mut slice = ShardSlice::default();
-        slice.vol.runnable = std::mem::take(&mut self.vol.runnable);
-        slice.vol.directed_queues = std::mem::take(&mut self.vol.directed_queues);
-        let result = {
-            let Engine { db, activities, rules, transforms, now, .. } = &mut *self;
-            let env = ExecEnv { activities, rules, transforms, now: *now };
-            let mut ctx = ExecCtx { env: &env, instances: db.instances_mut(), vol: &mut slice.vol };
-            exec::settle_slice(&mut ctx)
-        };
-        self.merge_round(vec![(slice, Some(result))])
-    }
-
-    /// Merge canonically — in slice (shard) order, never claim order: the
-    /// merged state must not depend on how instances were partitioned or
-    /// which thread settled them.
-    fn merge_round(&mut self, settled: Vec<(ShardSlice, Option<Result<()>>)>) -> Result<()> {
-        let mut first_err = None;
-        let mut history_segment = Vec::new();
-        for (slice, result) in settled {
-            let result = result.expect("pool ran every slice");
-            if let Err(e) = result {
-                first_err.get_or_insert(e);
-            }
-            for (_, inst) in slice.instances {
-                self.db.put_instance(inst);
-            }
-            let v = slice.vol;
-            for (id, mut qs) in v.directed_queues {
-                // Drained queues die here, so the resident map holds only
-                // instances with documents actually pending — the next
-                // round's plan scans pending work, not history.
-                qs.retain(|_, queue| !queue.is_empty());
-                if !qs.is_empty() {
-                    self.vol.directed_queues.insert(id, qs);
-                }
-            }
-            self.vol.outbox.extend(v.outbox);
-            self.vol.timers.extend(v.timers);
-            self.vol.remote_requests.extend(v.remote_requests);
-            self.vol.runnable.extend(v.runnable);
-            self.vol.spawns.extend(v.spawns);
-            self.vol.parent_finishes.extend(v.parent_finishes);
-            self.vol.stats.absorb(&v.stats);
-            self.vol.touched.extend(v.touched);
-            history_segment.extend(v.history);
-        }
-        // Instances live wholly in one slice, so a stable sort by
-        // (time, instance) preserves per-instance causality while fixing
-        // a canonical cross-instance order.
-        history_segment.sort_by_key(|e| (e.at, e.instance));
-        self.vol.history.extend(history_segment);
-        self.vol.timers.sort();
-        self.vol
-            .remote_requests
+    /// Puts what a round appended to the volatile state in canonical
+    /// order; the round's history starts at `history_start`.
+    fn canonicalize_round(&mut self, history_start: usize) {
+        let vol = &mut self.vol;
+        // A stable sort by (time, instance) keeps each instance's own
+        // order and groups the round's events by instance: the order the
+        // recorded histories and their pinned digests hash.
+        vol.history[history_start..].sort_by_key(|e| (e.at, e.instance));
+        vol.timers.sort();
+        vol.remote_requests
             .sort_by(|a, b| (a.parent_instance, &a.step).cmp(&(b.parent_instance, &b.step)));
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        // Drained queues die here, so the resident map holds only
+        // instances with documents actually pending — the next round's
+        // plan scans pending work, not history.
+        vol.directed_queues.retain(|_, qs| {
+            qs.retain(|_, queue| !queue.is_empty());
+            !qs.is_empty()
+        });
     }
 
     // ------------------------------------------------------------------
@@ -843,7 +627,7 @@ impl Engine {
 
     /// Resolves a remote subworkflow (called by federation with the
     /// results from the remote engine): queues the parent's completion,
-    /// then settles on one shard.
+    /// then settles.
     pub fn resolve_remote(
         &mut self,
         parent_instance: InstanceId,
@@ -864,7 +648,7 @@ impl Engine {
             vars,
             failure,
         });
-        self.settle_on_one_shard()
+        self.settle()
     }
 
     // ------------------------------------------------------------------

@@ -607,10 +607,9 @@ fn restore_rejects_garbage() {
 
 #[test]
 fn drain_outbox_is_canonically_sorted() {
-    // Emission order across instances depends on execution order (and,
-    // under sharding, on which worker ran what) — the drained outbox must
-    // not: it comes out sorted by (instance, channel), with per-instance
-    // emission order preserved within a channel.
+    // Emission order across instances depends on execution order — the
+    // drained outbox must not: it comes out sorted by (instance, channel),
+    // with per-instance emission order preserved within a channel.
     let mut e = engine();
     e.deploy(
         WorkflowBuilder::new("multi-send")
@@ -649,150 +648,6 @@ fn drain_outbox_is_canonically_sorted() {
         .map(|(_, _, d)| d.get("header.po_number").unwrap().as_text("po").unwrap().to_string())
         .collect();
     assert_eq!(amounts.len(), 6);
-}
-
-/// Three instances of noop → send.
-fn sends(e: &mut Engine, settle: &dyn Fn(&mut Engine)) {
-    e.deploy(
-        WorkflowBuilder::new("flow")
-            .step(StepDef::noop("start"))
-            .step(StepDef::send("emit", "out", "po"))
-            .edge("start", "emit")
-            .build()
-            .unwrap(),
-    );
-    for i in 0..3 {
-        let id =
-            e.create_instance(&WorkflowTypeId::new("flow"), doc_vars(10 + i), "s", "t").unwrap();
-        e.schedule(id);
-    }
-    settle(e);
-}
-
-/// Parents that call a completing subworkflow, wait on a timer, then call
-/// a subworkflow whose receive is fed by `enqueue_to`.
-fn subworkflows(e: &mut Engine, settle: &dyn Fn(&mut Engine)) {
-    e.deploy(WorkflowBuilder::new("done").step(StepDef::activity("work", "mark")).build().unwrap());
-    e.deploy(
-        WorkflowBuilder::new("fed")
-            .step(StepDef::receive("wait", "in", "got"))
-            .step(StepDef::send("echo", "out", "got"))
-            .edge("wait", "echo")
-            .build()
-            .unwrap(),
-    );
-    e.deploy(
-        WorkflowBuilder::new("calls")
-            .step(StepDef::subworkflow("first", &WorkflowTypeId::new("done")))
-            .step(StepDef::timer("pause", 10))
-            .step(StepDef::subworkflow("second", &WorkflowTypeId::new("fed")))
-            .step(StepDef::noop("end"))
-            .edge("first", "pause")
-            .edge("pause", "second")
-            .edge("second", "end")
-            .build()
-            .unwrap(),
-    );
-    e.register_activity(
-        "mark",
-        Arc::new(|ctx: &mut ActivityContext<'_>| {
-            ctx.set_value("marked", Value::Bool(true));
-            Ok(())
-        }),
-    );
-    let parents: Vec<InstanceId> = (0..3)
-        .map(|_| {
-            let id = e
-                .create_instance(&WorkflowTypeId::new("calls"), BTreeMap::new(), "s", "t")
-                .unwrap();
-            e.schedule(id);
-            id
-        })
-        .collect();
-    settle(e);
-    e.advance_clock(SimTime::from_millis(10)).unwrap();
-    settle(e);
-    let fed: Vec<InstanceId> = e
-        .db()
-        .instance_ids()
-        .into_iter()
-        .filter(|id| e.db().get_instance(*id).unwrap().type_id() == &WorkflowTypeId::new("fed"))
-        .collect();
-    assert_eq!(fed.len(), parents.len(), "one receiving child per parent");
-    for (i, child) in fed.into_iter().enumerate() {
-        e.enqueue_to(child, &ChannelId::new("in"), sample_po(&format!("F{i}"), 1)).unwrap();
-    }
-    settle(e);
-    for id in parents {
-        assert_eq!(e.status(id).unwrap(), InstanceStatus::Completed);
-        assert_eq!(e.variable(id, "marked").unwrap(), Variable::Value(Value::Bool(true)));
-    }
-}
-
-/// Parents whose subworkflow fails.
-fn failing_subworkflow(e: &mut Engine, settle: &dyn Fn(&mut Engine)) {
-    e.deploy(
-        WorkflowBuilder::new("boom").step(StepDef::activity("boom", "explode")).build().unwrap(),
-    );
-    e.deploy(
-        WorkflowBuilder::new("calls-boom")
-            .step(StepDef::noop("before"))
-            .step(StepDef::subworkflow("call", &WorkflowTypeId::new("boom")))
-            .step(StepDef::noop("after"))
-            .edge("before", "call")
-            .edge("call", "after")
-            .build()
-            .unwrap(),
-    );
-    e.register_activity(
-        "explode",
-        Arc::new(|_: &mut ActivityContext<'_>| Err("kaboom".to_string())),
-    );
-    let parents: Vec<InstanceId> = (0..2)
-        .map(|_| {
-            let id = e
-                .create_instance(&WorkflowTypeId::new("calls-boom"), BTreeMap::new(), "s", "t")
-                .unwrap();
-            e.schedule(id);
-            id
-        })
-        .collect();
-    settle(e);
-    for id in parents {
-        match e.status(id).unwrap() {
-            InstanceStatus::Failed(reason) => assert!(reason.contains("kaboom"), "{reason}"),
-            other => panic!("{other:?}"),
-        }
-    }
-}
-
-#[test]
-fn settle_is_identical_at_every_shard_count() {
-    // Each input settled with 1, 2, and 5 workers produces identical
-    // history, stats, outbox, and instance statuses.
-    type Input = fn(&mut Engine, &dyn Fn(&mut Engine));
-    let inputs: [(&str, Input); 3] =
-        [("sends", sends), ("subworkflows", subworkflows), ("failing", failing_subworkflow)];
-    for (name, input) in inputs {
-        let observe = |shards: usize| {
-            let mut e = engine();
-            input(&mut e, &|e: &mut Engine| e.settle(shards, &|id| id.value() as usize).unwrap());
-            // Document ids come from a process-wide counter; the PO
-            // number identifies what was sent.
-            let outbox: Vec<(InstanceId, ChannelId, String)> = e
-                .drain_outbox()
-                .into_iter()
-                .map(|(i, c, d)| (i, c, format!("{:?}", d.get("header.po_number"))))
-                .collect();
-            let statuses: Vec<(InstanceId, InstanceStatus)> =
-                e.db().instance_ids().into_iter().map(|id| (id, e.status(id).unwrap())).collect();
-            format!("{:?}\n{:?}\n{outbox:?}\n{statuses:?}", e.history(), e.stats())
-        };
-        let base = observe(1);
-        for shards in [2, 5] {
-            assert_eq!(observe(shards), base, "{name} at {shards} shards");
-        }
-    }
 }
 
 #[test]

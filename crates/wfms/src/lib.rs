@@ -26,6 +26,8 @@
 //!   transformations are looked up by name at runtime from registries the
 //!   host installs, so workflow types stay free of partner specifics.
 
+#![forbid(unsafe_code)]
+
 pub mod db;
 pub mod engine;
 pub mod error;
@@ -35,8 +37,7 @@ pub mod model;
 
 pub use db::WorkflowDatabase;
 pub use engine::{
-    Activity, ActivityContext, Engine, EngineStats, InstanceStatus, PoolStats, SettleMetrics,
-    Variable, WorkerPool,
+    Activity, ActivityContext, Engine, EngineStats, InstanceStatus, SettleMetrics, Variable,
 };
 pub use error::{Result, WfError};
 pub use federation::{EngineId, Federation, FederationStats, SharedArtifact};

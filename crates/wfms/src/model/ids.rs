@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Declares a string identifier backed by a shared `Arc<str>`: clones
-/// (history events, outbox entries, shard-local copies) bump a reference
+/// (history events, outbox entries, queued copies) bump a reference
 /// count instead of copying the name. It serializes as a plain string,
 /// exactly like the `String` newtype it replaced.
 macro_rules! shared_name {

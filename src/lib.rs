@@ -20,6 +20,8 @@
 //! * [`backend`] — SAP-like and Oracle-like ERP simulators
 //! * [`integration`] — the paper's architecture and its baselines
 
+#![forbid(unsafe_code)]
+
 pub use b2b_backend as backend;
 pub use b2b_core as integration;
 pub use b2b_document as document;

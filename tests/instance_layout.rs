@@ -9,7 +9,7 @@
 //! * The digest covers everything the two-enterprise PO scenario lets an
 //!   observer see on both engines: the audit history rendered as
 //!   (time, instance, event, step), the WFMS and integration counters,
-//!   and the session states, at three fault mixes and shards 1 and 4.
+//!   and the session states, at three fault mixes.
 
 use semantic_b2b::document::normalized::sample_po;
 use semantic_b2b::document::Value;
@@ -202,11 +202,8 @@ fn engine_digest(hash: &mut u64, engine: &IntegrationEngine) {
 
 /// Runs eight POs (three above the 55,000 approval threshold) through
 /// buyer and seller; returns the digest of both engines.
-fn po_scenario_digest(faults: FaultConfig, seed: u64, shards: usize) -> u64 {
+fn po_scenario_digest(faults: FaultConfig, seed: u64) -> u64 {
     let mut s = TwoEnterpriseScenario::with_protocol(ScenarioProtocol::Edi, faults, seed).unwrap();
-    for engine in [&mut s.buyer, &mut s.seller] {
-        engine.set_shards(shards);
-    }
     for i in 0..8 {
         let amount = if i % 3 == 0 { 60_000 + i } else { 1_000 + 7 * i };
         let po = s.po(&format!("pin-{i}"), amount).unwrap();
@@ -241,13 +238,7 @@ fn po_scenario_digest_matches_the_pre_dense_engine() {
         ),
     ];
     for (name, faults, pinned) in mixes {
-        for shards in [1, 4] {
-            let digest = po_scenario_digest(faults.clone(), 20_010_917, shards);
-            assert_eq!(
-                format!("{digest:#018x}"),
-                format!("{pinned:#018x}"),
-                "{name} at shards {shards}"
-            );
-        }
+        let digest = po_scenario_digest(faults, 20_010_917);
+        assert_eq!(format!("{digest:#018x}"), format!("{pinned:#018x}"), "{name}");
     }
 }

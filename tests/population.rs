@@ -1,37 +1,31 @@
-//! Population-scale differential tests: a hub trading with a seeded
-//! partner population (mixed wire formats, Zipf-skewed traffic, lurker
-//! partners that leave sessions idle forever) must be byte-identical
-//! across shard counts. One shard settles every resident instance in
-//! place, so it is the reference touched-only settle at 2 and 4 shards
-//! is compared against — the population-scale complement to the
-//! two-enterprise matrix in `tests/sharding.rs`.
+//! Population-scale determinism tests: two runs of a hub trading with a
+//! seeded partner population (mixed wire formats, Zipf-skewed traffic,
+//! lurker partners that leave sessions idle forever) must be
+//! byte-identical — the population-scale complement to the
+//! two-enterprise matrix in `tests/determinism.rs`.
 
 use b2b_bench::population::{run_population, PopulationConfig, PopulationPlan, SizeTier};
 use proptest::prelude::*;
 
 proptest! {
-    // Each case is three full population runs over a 8-partner / 64-session
+    // Each case is two full population runs over a 8-partner / 64-session
     // population; a handful of cases samples the seed space.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// For arbitrary population seeds (arbitrary wire-format mixes,
     /// responder/lurker splits, and Zipf traffic shapes), the run
     /// fingerprint — session outcomes, every engine counter, the settle
-    /// planner's rounds/touched, the network's delivery counters — is
-    /// independent of shard count.
+    /// planner's rounds/touched, the network's delivery counters — is the
+    /// same on a second run.
     #[test]
     fn population_runs_are_settle_path_invariant(seed in any::<u64>()) {
         let plan = PopulationPlan::generate(SizeTier::Tiny, seed);
-        let base = run_population(&plan, &PopulationConfig::default()).unwrap();
-        for shards in [2, 4] {
-            let other =
-                run_population(&plan, &PopulationConfig { shards, ..PopulationConfig::default() })
-                    .unwrap();
-            prop_assert_eq!(
-                &base.fingerprint, &other.fingerprint,
-                "shards={} diverged for seed {}", shards, seed
-            );
-        }
+        let first = run_population(&plan, &PopulationConfig::default()).unwrap();
+        let second = run_population(&plan, &PopulationConfig::default()).unwrap();
+        prop_assert_eq!(
+            &first.fingerprint, &second.fingerprint,
+            "a second run diverged for seed {}", seed
+        );
     }
 }
 
@@ -39,10 +33,9 @@ proptest! {
 fn mostly_idle_population_is_settle_path_invariant() {
     // The hostile case for the touched-only planner: ~90% of traffic is
     // aimed at lurker partners, so almost every session goes idle and
-    // stays resident. The idle mass must be invisible — same outcomes,
-    // same planner counters — whether one shard settles every resident
-    // instance in place or touched-only rounds leave idle instances
-    // shard-resident at 2 and 4 shards.
+    // stays resident. The responder sessions still complete, the idle
+    // sessions stay resident, and a second run has the same outcomes and
+    // planner counters.
     let mut plan = PopulationPlan::generate(SizeTier::Tiny, 97);
     let lurkers: Vec<u32> = plan
         .partners
@@ -78,13 +71,6 @@ fn mostly_idle_population_is_settle_path_invariant() {
         3 * plan.traffic.len(),
         "each session keeps its public, binding, and private instances resident"
     );
-    for shards in [2, 4] {
-        let other =
-            run_population(&plan, &PopulationConfig { shards, ..PopulationConfig::default() })
-                .unwrap();
-        assert_eq!(
-            base.fingerprint, other.fingerprint,
-            "shards={shards} diverged on the idle-heavy mix"
-        );
-    }
+    let again = run_population(&plan, &PopulationConfig::default()).unwrap();
+    assert_eq!(base.fingerprint, again.fingerprint, "a second run diverged on the idle-heavy mix");
 }
