@@ -20,20 +20,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 echo "== cargo build --release =="
 cargo build --offline --release --workspace
 
-# The experiments binary's identity assertions (E15-E21) without the
-# timing loops: compiled dispatch agreeing with the transform and rule
-# interpreters, wire byte stability, broadcast observables across two
-# runs, the chaos coverage invariant with breaker states in the
-# determinism fingerprint, and the Small-tier population run plus the
-# flat-cost pass (10x idle growth).
-echo "== experiments --quick (identity assertions) =="
-cargo run --offline --release -q -p b2b-bench --bin experiments -- --quick
-
-# The same chaos identity on a second, fixed seed, so every commit
-# exercises the fault grid determinism beyond the default seed.
-echo "== experiments --quick (fixed chaos seed) =="
-B2B_CHAOS_SEED=20010917 cargo run --offline --release -q -p b2b-bench --bin experiments -- --quick
-
 echo "== cargo test =="
 cargo test --offline -q --workspace
 
@@ -42,12 +28,6 @@ cargo test --offline -q --workspace
 # partners on the binary codec's zero-copy decode path instead of EDI.
 echo "== cargo test (B2B_WIRE_FORMAT=binary) =="
 B2B_WIRE_FORMAT=binary cargo test --offline -q --workspace
-
-# The big population fixtures (Large and Huge tiers, up to a million
-# sessions) are generated to disk once; later E21 runs load them
-# instead of regenerating. Idempotent: existing fixtures are reused.
-echo "== population fixtures (Large + Huge tiers) =="
-cargo run --offline --release -q -p b2b-bench --bin experiments -- --fixtures
 
 # The hub benchmark's correctness checks on its two listed workloads: a
 # one-second run exits 1 if any pass misses a completion, reply, rule

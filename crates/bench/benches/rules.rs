@@ -71,8 +71,7 @@ fn bench_inlined_guard(c: &mut Criterion) {
 
 fn bench_dispatch_modes(c: &mut Criterion) {
     // The rule-tree interpreter (`RuleFunction::invoke`) vs the registry's
-    // compiled dispatch on the same function (E16's microbenchmark, under
-    // criterion's statistics).
+    // compiled dispatch on the same function, up to the 32-partner scan.
     let mut group = c.benchmark_group("rule-dispatch");
     let doc = sample_po("r", 42_000);
     for partners in [2usize, 8, 32] {

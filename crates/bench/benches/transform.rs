@@ -66,8 +66,8 @@ fn bench_full_binding_path(c: &mut Criterion) {
 fn bench_dispatch_modes(c: &mut Criterion) {
     // The tree-walking interpreter (`TransformProgram::apply`) against the
     // registry's compiled dispatch on the same EDI → normalized → EDI
-    // round trip that E15 measures; the two must produce identical
-    // documents, so the only difference on the wire is latency.
+    // round trip; the two must produce identical documents, so the only
+    // difference on the wire is latency.
     let ctx = TransformContext::new("ACME", "GADGET", "000000001", "i-1");
     let po = sample_edi_po("4711", 7);
     let transforms = TransformRegistry::with_builtins();

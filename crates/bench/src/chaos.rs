@@ -1,12 +1,13 @@
-//! The seeded chaos harness behind experiment E18.
+//! The chaos harness: partner failure domains under one misbehaving
+//! partner.
 //!
 //! One hub enterprise trades with `partners` counterparties over EDI
 //! round trips while one of them misbehaves: black-holes, flaps, poisons
-//! the hub with undecodable bytes, or floods it. Every fault decision
-//! comes from the seeded simulation ([`SimNetwork`]'s RNG plus per-link
-//! [`FaultSchedule`]s), so a chaos run is a pure function of
-//! ([`ChaosConfig`], seed) — two runs are byte-identical, which E18
-//! asserts via [`ChaosReport::fingerprint`].
+//! the hub with undecodable bytes, or floods it. The base network is
+//! fault-free and every fault comes from a per-link [`FaultSchedule`] or
+//! the rogue endpoint's fixed send cadence, so a chaos run is a pure
+//! function of its [`ChaosConfig`] — two runs are byte-identical, which
+//! the tests assert via [`ChaosReport::fingerprint`].
 
 use b2b_backend::{AckPolicy, ApplicationProcess, SapSystem};
 use b2b_core::engine::IntegrationEngine;
@@ -26,15 +27,6 @@ pub const HUB: &str = "TP1";
 /// The endpoint name of the rogue traffic source used by the poison and
 /// flood faults.
 pub const ROGUE: &str = "ROGUE";
-
-/// Default seed of the chaos harness; override with `B2B_CHAOS_SEED`.
-pub const DEFAULT_CHAOS_SEED: u64 = 0xC4A05;
-
-/// The chaos seed: `B2B_CHAOS_SEED` if set and parseable, else
-/// [`DEFAULT_CHAOS_SEED`].
-pub fn chaos_seed() -> u64 {
-    std::env::var("B2B_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(DEFAULT_CHAOS_SEED)
-}
 
 /// What goes wrong during a chaos run. The victim of a link fault is
 /// always partner 0; the poison/flood source is an extra rogue endpoint
@@ -63,7 +55,7 @@ pub enum ChaosFault {
     },
 }
 
-/// One chaos run, fully determined together with the seed.
+/// One chaos run, fully determined by these fields.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// Trading partners of the hub (partner 0 is the link-fault victim).
@@ -76,8 +68,6 @@ pub struct ChaosConfig {
     pub fault: ChaosFault,
     /// The hub's containment policy (partners always run permissive).
     pub policy: PartnerPolicy,
-    /// Simulation seed (see [`chaos_seed`]).
-    pub seed: u64,
     /// Hard cap on the drain phase after the last wave, simulated ms.
     pub drain_ms: u64,
 }
@@ -87,8 +77,8 @@ impl ChaosConfig {
     /// enough that a guarded breaker trips *during* the submission phase
     /// (a black-holed send fails permanently after ~300 ms under the
     /// harness retry budget, so the third failure lands around wave 4).
-    pub fn cell(fault: ChaosFault, policy: PartnerPolicy, seed: u64) -> Self {
-        Self { partners: 3, waves: 6, wave_gap_ms: 150, fault, policy, seed, drain_ms: 60_000 }
+    pub fn cell(fault: ChaosFault, policy: PartnerPolicy) -> Self {
+        Self { partners: 3, waves: 6, wave_gap_ms: 150, fault, policy, drain_ms: 60_000 }
     }
 }
 
@@ -135,7 +125,7 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
-    /// The E18 coverage invariant: every session reached a terminal
+    /// The coverage invariant: every session reached a terminal
     /// state, and every reliable send was acknowledged or failed — so
     /// each submitted order is delivered, dead-lettered, or shed, never
     /// silently lost. Returns an error string naming the violated leg.
@@ -156,9 +146,11 @@ impl ChaosReport {
     }
 }
 
-/// Runs one seeded chaos scenario to quiescence (or the drain cap).
+/// Runs one chaos scenario to quiescence (or the drain cap).
 pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport> {
-    let mut net = SimNetwork::new(FaultConfig::reliable(), cfg.seed);
+    // No loss, duplication or corruption and a fixed 1 ms delay: the
+    // network's RNG decides nothing, so any seed gives the same run.
+    let mut net = SimNetwork::new(FaultConfig::reliable(), 0);
     // Tight retry budget: a black-holed message fails permanently after
     // ~300 ms instead of tying up the ledger for many seconds.
     let retry = ReliableConfig::fixed(100, 2);
@@ -379,34 +371,89 @@ mod tests {
     use super::*;
 
     #[test]
-    fn no_fault_cell_completes_everything() {
-        let cfg = ChaosConfig::cell(ChaosFault::None, PartnerPolicy::guarded(), 1);
-        let r = run_chaos(&cfg).unwrap();
-        r.check_invariant().unwrap();
-        assert_eq!(r.completed, r.sessions);
-        assert_eq!(r.breaker_trips, 0);
-        assert_eq!(r.shed, 0);
-    }
-
-    #[test]
-    fn black_hole_trips_the_breaker_and_keeps_the_invariant() {
-        let cfg = ChaosConfig::cell(ChaosFault::BlackHole, PartnerPolicy::guarded(), 2);
-        let r = run_chaos(&cfg).unwrap();
-        r.check_invariant().unwrap();
-        assert!(r.breaker_trips >= 1, "black hole must trip the victim's breaker");
-        assert!(r.shed >= 1, "post-trip sends are shed");
-        assert_eq!(r.healthy_completed, r.healthy_sessions, "healthy partners unaffected");
-    }
-
-    #[test]
-    fn chaos_runs_are_deterministic() {
-        let cfg = ChaosConfig::cell(
+    fn every_fault_keeps_the_invariant_and_armed_runs_replay_identically() {
+        // Armed: a guarded breaker plus a tight inbound cap, so the flood
+        // cell actually sheds.
+        let armed = PartnerPolicy { inbound_queue_cap: 4, ..PartnerPolicy::guarded() };
+        let faults = [
+            ChaosFault::None,
+            ChaosFault::BlackHole,
+            ChaosFault::Poison,
+            ChaosFault::Flood { burst: 8 },
             ChaosFault::Flap { up_ms: 200, down_ms: 200 },
-            PartnerPolicy::guarded(),
-            3,
+        ];
+        for fault in faults {
+            for (armed_run, policy) in [(true, armed.clone()), (false, PartnerPolicy::permissive())]
+            {
+                let r = run_chaos(&ChaosConfig::cell(fault, policy)).unwrap();
+                let cell = format!("{fault:?}, armed={armed_run}");
+                r.check_invariant().unwrap_or_else(|e| panic!("[{cell}] {e}"));
+                if !armed_run {
+                    continue;
+                }
+                let again = run_chaos(&ChaosConfig::cell(fault, armed.clone())).unwrap();
+                assert_eq!(r.fingerprint, again.fingerprint, "[{cell}] a second run diverged");
+                match fault {
+                    ChaosFault::None => {
+                        assert_eq!(r.completed, r.sessions, "[{cell}] everything completes");
+                        assert_eq!((r.breaker_trips, r.shed), (0, 0), "[{cell}] nothing trips");
+                    }
+                    ChaosFault::BlackHole => {
+                        assert!(r.breaker_trips >= 1, "[{cell}] the victim's breaker trips");
+                        assert!(r.shed >= 1, "[{cell}] post-trip sends are shed");
+                        assert_eq!(
+                            r.healthy_completed, r.healthy_sessions,
+                            "[{cell}] healthy partners unaffected"
+                        );
+                    }
+                    ChaosFault::Poison => {
+                        assert!(r.poison_trips >= 1, "[{cell}] repeated poison quarantines");
+                    }
+                    ChaosFault::Flood { .. } => {
+                        assert!(r.shed_inbound >= 1, "[{cell}] the flood hits the inbound cap");
+                    }
+                    ChaosFault::Flap { .. } => {}
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn breakers_keep_healthy_partners_on_time_under_a_black_hole() {
+        // One of four partners black-holes while the hub may put one send
+        // on the wire per pump. Without breakers the victim's retry storm
+        // takes the healthy partners' sends; with breakers it is cut off.
+        let run = |fault: ChaosFault, policy: PartnerPolicy| {
+            let r = run_chaos(&ChaosConfig {
+                partners: 4,
+                waves: 20,
+                wave_gap_ms: 50,
+                fault,
+                policy,
+                drain_ms: 120_000,
+            })
+            .unwrap();
+            r.check_invariant().unwrap();
+            r
+        };
+        let breakers_on =
+            PartnerPolicy { pump_send_budget: 1, open_ms: 120_000, ..PartnerPolicy::guarded() };
+        let breakers_off = PartnerPolicy { pump_send_budget: 1, ..PartnerPolicy::permissive() };
+        let baseline = run(ChaosFault::None, breakers_on.clone());
+        let protected = run(ChaosFault::BlackHole, breakers_on);
+        let exposed = run(ChaosFault::BlackHole, breakers_off);
+        let done_ms = |r: &ChaosReport| r.healthy_done_ms.expect("healthy sessions settle") as f64;
+        let (base_ms, prot_ms, expo_ms) =
+            (done_ms(&baseline), done_ms(&protected), done_ms(&exposed));
+        assert_eq!(protected.healthy_completed, baseline.healthy_completed);
+        assert_eq!(exposed.healthy_completed, baseline.healthy_completed);
+        assert!(
+            prot_ms <= base_ms * 1.10,
+            "breakers on: healthy partners within 10% of no-fault ({prot_ms} vs {base_ms})"
         );
-        let first = run_chaos(&cfg).unwrap();
-        let second = run_chaos(&cfg).unwrap();
-        assert_eq!(first.fingerprint, second.fingerprint, "two identical runs diverged");
+        assert!(
+            expo_ms > base_ms * 1.10,
+            "breakers off: healthy partners measurably slower ({expo_ms} vs {base_ms})"
+        );
     }
 }

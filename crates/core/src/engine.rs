@@ -135,7 +135,7 @@ pub struct IntegrationEngine {
     /// again so the relapse letter keeps its provenance.
     pub(crate) replay_origins: BTreeMap<MessageId, (u64, u32)>,
     pub(crate) stats: IntegrationStats,
-    /// Per-pump-stage counters and timers (experiment E16).
+    /// Per-pump-stage counters and timers.
     pub(crate) profile: StageProfile,
 }
 

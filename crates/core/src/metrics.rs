@@ -87,7 +87,7 @@ impl fmt::Display for ModelSize {
     }
 }
 
-/// Counters for the edge's codec work (experiment E15).
+/// Counters for the edge's codec work.
 ///
 /// Every fresh inbound payload is parsed once; the reliable layer has
 /// already dropped duplicate deliveries, so there is no decode cache.
@@ -107,17 +107,7 @@ pub struct CodecCacheStats {
     pub encode_buffer_allocs: u64,
 }
 
-impl fmt::Display for CodecCacheStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} payloads parsed, encode buffers {} reused / {} allocated",
-            self.decode_misses, self.encode_buffer_reuses, self.encode_buffer_allocs
-        )
-    }
-}
-
-/// Counters for the partner-health subsystem (experiment E18).
+/// Counters for the partner-health subsystem.
 ///
 /// Every field is a pure function of the interaction trace and simulated
 /// time, so these counters join the determinism fingerprint alongside
@@ -144,23 +134,7 @@ pub struct HealthStats {
     pub fast_failed_sessions: u64,
 }
 
-impl fmt::Display for HealthStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} trips ({} poison), shed {} out / {} in / {} notices, {} fast-failed",
-            self.breaker_trips,
-            self.poison_trips,
-            self.shed_outbound,
-            self.shed_inbound,
-            self.shed_notices,
-            self.fast_failed_sessions
-        )
-    }
-}
-
-/// Deterministic per-stage counters for the pump pipeline (experiment
-/// E16).
+/// Deterministic per-stage counters for the pump pipeline.
 ///
 /// Every field is a pure function of the interaction trace — never of
 /// wall-clock — so fingerprint tests can assert byte-identity across
@@ -195,22 +169,6 @@ pub struct StageCounters {
     /// reuse is [`CodecCacheStats::encode_buffer_reuses`]). Kept so
     /// existing readers compile.
     pub emit_buffer_reuses: u64,
-}
-
-impl fmt::Display for StageCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} pumps, edge {}+{}n+{}d, {} routed, {} settles, {} emitted",
-            self.pumps,
-            self.edge_payloads,
-            self.edge_notices,
-            self.edge_duplicates,
-            self.routed_documents,
-            self.settle_passes,
-            self.emitted_documents
-        )
-    }
 }
 
 /// Always zeros since the settle worker pool was removed: settle runs on
@@ -249,19 +207,6 @@ impl StageTimers {
     }
 }
 
-impl fmt::Display for StageTimers {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "edge {:.1}µs route {:.1}µs execute {:.1}µs emit {:.1}µs",
-            self.edge_ns as f64 / 1e3,
-            self.route_ns as f64 / 1e3,
-            self.execute_ns as f64 / 1e3,
-            self.emit_ns as f64 / 1e3
-        )
-    }
-}
-
 /// Measured retained memory of the session table.
 ///
 /// `bytes` is an accounting walk over every owned vector, index, and
@@ -279,16 +224,6 @@ pub struct SessionMemory {
     pub bytes_per_session: usize,
 }
 
-impl fmt::Display for SessionMemory {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} sessions, {} bytes ({} per session)",
-            self.sessions, self.bytes, self.bytes_per_session
-        )
-    }
-}
-
 /// Per-stage pipeline profile: deterministic counters plus wall-clock
 /// timers and settle-cost counters, kept separate so tests can
 /// fingerprint the counters without the measurements.
@@ -300,16 +235,6 @@ pub struct StageProfile {
     pub timers: StageTimers,
     /// Settle-cost counters: resident instances, rounds, touched sets.
     pub settle: b2b_wfms::SettleMetrics,
-}
-
-impl fmt::Display for StageProfile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} | {} | settle {} resident, {} touched",
-            self.counters, self.timers, self.settle.instances_resident, self.settle.touched_total
-        )
-    }
 }
 
 /// What one enterprise can learn about another under a given architecture

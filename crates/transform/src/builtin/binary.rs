@@ -4,8 +4,7 @@
 //! directly, so its programs are whole-subtree moves — no field renames,
 //! no status-code tables, no envelope scaffolding. That is the point of
 //! the format: the binding round trip for a binary partner is a handful
-//! of subtree clones instead of a full field-by-field mapping, which is
-//! what E20 measures against the text codecs.
+//! of subtree clones instead of a full field-by-field mapping.
 
 use crate::mapping::MappingRule as R;
 use crate::program::TransformProgram;

@@ -4,7 +4,7 @@
 //! byte-identical — the population-scale complement to the
 //! two-enterprise matrix in `tests/determinism.rs`.
 
-use b2b_bench::population::{run_population, PopulationConfig, PopulationPlan, SizeTier};
+use b2b_bench::population::{run_population, PopulationConfig, PopulationPlan};
 use proptest::prelude::*;
 
 proptest! {
@@ -19,7 +19,7 @@ proptest! {
     /// same on a second run.
     #[test]
     fn population_runs_are_settle_path_invariant(seed in any::<u64>()) {
-        let plan = PopulationPlan::generate(SizeTier::Tiny, seed);
+        let plan = PopulationPlan::generate(seed);
         let first = run_population(&plan, &PopulationConfig::default()).unwrap();
         let second = run_population(&plan, &PopulationConfig::default()).unwrap();
         prop_assert_eq!(
@@ -36,7 +36,7 @@ fn mostly_idle_population_is_settle_path_invariant() {
     // stays resident. The responder sessions still complete, the idle
     // sessions stay resident, and a second run has the same outcomes and
     // planner counters.
-    let mut plan = PopulationPlan::generate(SizeTier::Tiny, 97);
+    let mut plan = PopulationPlan::generate(97);
     let lurkers: Vec<u32> = plan
         .partners
         .iter()

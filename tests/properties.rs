@@ -16,6 +16,7 @@ use semantic_b2b::integration::scenario::{seller_rules, BUYER, BUYER2, BUYER3};
 use semantic_b2b::network::{
     Bytes, EndpointId, FaultConfig, ReliableConfig, ReliableEndpoint, SimNetwork,
 };
+use semantic_b2b::rules::approval::{check_need_for_approval, ApprovalThreshold};
 use semantic_b2b::rules::expr::{BinOp, Builtin, PathRoot};
 use semantic_b2b::rules::{BusinessRule, Expr, RuleContext, RuleFunction, RuleRegistry};
 use semantic_b2b::transform::{
@@ -525,16 +526,50 @@ fn registry_dispatch_matches_the_interpreter_on_scenario_rules() {
         RuleFunction::new(QUOTE_PRICE_RULE)
             .with_rule(BusinessRule::parse("flat", "true", "money(\"899.50 USD\")").unwrap()),
     );
-    let mut docs: Vec<Document> = [1_000, 39_999, 40_000, 54_999, 55_000, 120_000]
-        .into_iter()
-        .map(|amount| sample_po(&format!("po-{amount}"), amount))
+    // The approval family scaled to 32 partners, plain and with
+    // effective-dated guards: dispatching TP32 to Oracle scans all 64
+    // guards of each, and the orders at 164,999 and 165,000 sit either
+    // side of TP32's threshold.
+    let thresholds: Vec<ApprovalThreshold> = (0..32)
+        .flat_map(|k| {
+            let tp = format!("TP{}", k + 1);
+            [
+                ApprovalThreshold::new("SAP", &tp, 10_000 + 5_000 * k),
+                ApprovalThreshold::new("Oracle", &tp, 10_000 + 5_000 * k),
+            ]
+        })
         .collect();
+    let mut plain = check_need_for_approval(&thresholds).unwrap();
+    plain.name = "approve-32-partners".into();
+    let mut dated = RuleFunction::new("approve-effective-dated");
+    for t in &thresholds {
+        dated.add_rule(
+            BusinessRule::parse(
+                &format!("dated {}/{}", t.source, t.target),
+                &format!(
+                    "date(\"2001-01-01\") <= document.header.order_date \
+                     and len(document.lines) >= 1 \
+                     and target == \"{}\" and source == \"{}\"",
+                    t.target, t.source
+                ),
+                &format!("document.amount >= {}", t.threshold_units),
+            )
+            .unwrap(),
+        );
+    }
+    reg.register(plain);
+    reg.register(dated);
+    let mut docs: Vec<Document> =
+        [1_000, 39_999, 40_000, 54_999, 55_000, 120_000, 164_999, 165_000]
+            .into_iter()
+            .map(|amount| sample_po(&format!("po-{amount}"), amount))
+            .collect();
     docs.push(rfq_document("RFQ-1", BUYER, "LAPTOP-T23", 100, Date::new(2001, 10, 1).unwrap()));
     let names = reg.function_names();
-    assert_eq!(names.len(), 3, "approval, select-backend and quote-price: {names:?}");
+    assert_eq!(names.len(), 5, "approval, select-backend, quote-price, two scans: {names:?}");
     for name in names {
         let function = reg.function(name).unwrap();
-        for source in [BUYER, BUYER2, BUYER3, "TP999"] {
+        for source in [BUYER, BUYER2, BUYER3, "TP32", "TP999"] {
             for target in ["SAP", "Oracle"] {
                 for doc in &docs {
                     let interpreted = function.invoke(&RuleContext::new(source, target, doc));

@@ -4,148 +4,43 @@
 //! the paper says must never leave the enterprise — and the buyer
 //! receives one quote per seller, routed by (correlation, partner).
 
-use semantic_b2b::document::{
-    record, CorrelationId, Currency, Date, DocKind, Document, FormatId, Money, Value,
-};
-use semantic_b2b::integration::engine::IntegrationEngine;
-use semantic_b2b::integration::partner::TradingPartner;
-use semantic_b2b::integration::private_process::QUOTE_PRICE_RULE;
+use b2b_bench::run_rfq_broadcast;
+use semantic_b2b::document::{Currency, FormatId, Money, Value};
 use semantic_b2b::integration::SessionState;
-use semantic_b2b::network::{FaultConfig, SimNetwork};
-use semantic_b2b::protocol::{MessageExchangePattern, TradingPartnerAgreement};
-use semantic_b2b::rules::{BusinessRule, RuleFunction};
-
-fn normalized_rfq(rfq_number: &str, item: &str, quantity: i64) -> Document {
-    Document::new(
-        DocKind::RequestForQuote,
-        FormatId::NORMALIZED,
-        CorrelationId::for_rfq_number(rfq_number),
-        record! {
-            "header" => record! {
-                "rfq_number" => Value::text(rfq_number),
-                "buyer" => Value::text("ACME"),
-                "item" => Value::text(item),
-                "quantity" => Value::Int(quantity),
-                "respond_by" => Value::Date(Date::new(2001, 10, 1).unwrap()),
-            },
-        },
-    )
-}
-
-fn quote_rule(price_cents: i64) -> RuleFunction {
-    let mut f = RuleFunction::new(QUOTE_PRICE_RULE);
-    f.add_rule(
-        BusinessRule::parse(
-            "flat price",
-            "true",
-            &format!("money(\"{}.{:02} USD\")", price_cents / 100, price_cents % 100),
-        )
-        .unwrap(),
-    );
-    f
-}
 
 #[test]
 fn broadcast_rfq_collects_one_quote_per_seller() {
-    let mut net = SimNetwork::new(FaultConfig::reliable(), 31);
-    let mut buyer = IntegrationEngine::new("ACME", &mut net).unwrap();
-    let mut sellers = Vec::new();
-    // Two sellers with different (secret) pricing rules.
-    for (name, price_cents) in [("SellerA", 94_999i64), ("SellerB", 89_950)] {
-        let mut seller = IntegrationEngine::new(name, &mut net).unwrap();
-        seller.add_partner(TradingPartner::new("ACME"));
-        seller.rules_mut().register(quote_rule(price_cents));
-        buyer.add_partner(TradingPartner::new(name));
-        let (init, resp) = MessageExchangePattern::RequestReply {
-            request: DocKind::RequestForQuote,
-            reply: DocKind::Quote,
-        }
-        .role_processes(&format!("rfq-{name}"), FormatId::ROSETTANET)
-        .unwrap();
-        let agreement = TradingPartnerAgreement::between(
-            &format!("rfq-{name}"),
-            "ACME",
-            name,
-            &init,
-            &resp,
-            true,
-        )
-        .unwrap();
-        buyer.install_agreement(agreement.clone(), &init, &resp).unwrap();
-        seller.install_agreement(agreement.clone(), &init, &resp).unwrap();
-        sellers.push((seller, agreement.id));
-    }
-
-    // Broadcast: the SAME correlation goes to both sellers.
-    let rfq = normalized_rfq("RFQ-9", "LAPTOP-T23", 100);
-    let correlation = rfq.correlation().clone();
-    for (_, agreement_id) in &sellers {
-        buyer.initiate(&mut net, agreement_id, rfq.clone()).unwrap();
-    }
-
-    for _ in 0..1_000 {
-        net.advance(10);
-        buyer.pump(&mut net).unwrap();
-        for (seller, _) in sellers.iter_mut() {
-            seller.pump(&mut net).unwrap();
-        }
-        if net.idle() {
-            break;
-        }
-    }
+    // Two sellers with different (secret) pricing rules; the SAME
+    // correlation goes to both.
+    let run = run_rfq_broadcast(&[94_999, 89_950], |_| FormatId::ROSETTANET).unwrap();
+    let (buyer, correlation) = (&run.buyer, &run.correlation);
 
     // Per-partner session states on the buyer.
-    for (seller, _) in &sellers {
+    for seller in &run.sellers {
         assert_eq!(
-            buyer.session_state_with(&correlation, seller.name()),
+            buyer.session_state_with(correlation, seller.name()),
             SessionState::Completed,
             "{}",
             seller.name()
         );
-        assert_eq!(seller.session_state(&correlation), SessionState::Completed);
+        assert_eq!(seller.session_state(correlation), SessionState::Completed);
     }
     // The aggregate completes only when every leg did.
-    assert_eq!(buyer.session_state(&correlation), SessionState::Completed);
+    assert_eq!(buyer.session_state(correlation), SessionState::Completed);
     assert_eq!(buyer.stats().sessions_started, 2);
     assert_eq!(buyer.stats().wire_received, 2, "one quote per seller");
 }
 
 #[test]
 fn quote_prices_come_from_the_sellers_private_rules() {
-    // Single seller; verify the quoted price is exactly the rule's value
-    // and valid_until derives from the RFQ deadline.
-    let mut net = SimNetwork::new(FaultConfig::reliable(), 32);
-    let mut buyer = IntegrationEngine::new("ACME", &mut net).unwrap();
-    let mut seller = IntegrationEngine::new("SellerA", &mut net).unwrap();
-    buyer.add_partner(TradingPartner::new("SellerA"));
-    seller.add_partner(TradingPartner::new("ACME"));
-    seller.rules_mut().register(quote_rule(94_999));
-    let (init, resp) = MessageExchangePattern::RequestReply {
-        request: DocKind::RequestForQuote,
-        reply: DocKind::Quote,
-    }
-    .role_processes("rfq", FormatId::ROSETTANET)
-    .unwrap();
-    let agreement =
-        TradingPartnerAgreement::between("rfq", "ACME", "SellerA", &init, &resp, true).unwrap();
-    buyer.install_agreement(agreement.clone(), &init, &resp).unwrap();
-    seller.install_agreement(agreement, &init, &resp).unwrap();
-
-    let rfq = normalized_rfq("RFQ-1", "WIDGET", 10);
-    let correlation = buyer.initiate(&mut net, "rfq", rfq).unwrap();
-    for _ in 0..1_000 {
-        net.advance(10);
-        buyer.pump(&mut net).unwrap();
-        seller.pump(&mut net).unwrap();
-        if net.idle() {
-            break;
-        }
-    }
-    assert_eq!(buyer.session_state(&correlation), SessionState::Completed);
+    // Single seller; verify the quoted price is exactly the rule's value.
+    let run = run_rfq_broadcast(&[94_999], |_| FormatId::ROSETTANET).unwrap();
+    let buyer = &run.buyer;
+    assert_eq!(buyer.session_state(&run.correlation), SessionState::Completed);
     // The recorded price on the buyer's private process equals the
     // seller's secret rule value.
     let expected = Money::from_cents(94_999, Currency::Usd);
-    assert!(buyer.correlations().contains(&correlation), "session exists");
+    assert!(buyer.correlations().contains(&run.correlation), "session exists");
     // Find the buyer's private instance variable through the WFMS.
     let found = buyer
         .wf()
@@ -161,4 +56,27 @@ fn quote_prices_come_from_the_sellers_private_rules() {
         }
         other => panic!("recorded price missing: {other:?}"),
     }
+}
+
+#[test]
+fn mixed_format_broadcast_runs_are_identical() {
+    // Six sellers, the odd ones on the compact binary codec: the binary
+    // codec shares one broadcast with the text codec, and two runs agree
+    // on every deterministic observable.
+    let run = || {
+        let prices: Vec<i64> = (0..6).map(|i| 80_000 + 100 * i).collect();
+        let wire_format =
+            |i: usize| if i % 2 == 1 { FormatId::BINARY } else { FormatId::ROSETTANET };
+        let run = run_rfq_broadcast(&prices, wire_format).unwrap();
+        assert_eq!(run.buyer.session_state(&run.correlation), SessionState::Completed);
+        (
+            run.buyer.stats().clone(),
+            run.sellers.iter().map(|s| s.stats().clone()).collect::<Vec<_>>(),
+            run.buyer.wf().stats().clone(),
+            run.buyer.stage_profile().counters,
+            *run.buyer.codec_cache_stats(),
+            run.net.now(),
+        )
+    };
+    assert_eq!(run(), run(), "two runs of the mixed-format broadcast diverged");
 }
