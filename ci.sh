@@ -23,12 +23,6 @@ cargo build --offline --release --workspace
 echo "== cargo test =="
 cargo test --offline -q --workspace
 
-# Second pass on the compact binary wire format: every scenario the
-# suite builds (round trips, chaos grid, examples' plumbing) runs its
-# partners on the binary codec's zero-copy decode path instead of EDI.
-echo "== cargo test (B2B_WIRE_FORMAT=binary) =="
-B2B_WIRE_FORMAT=binary cargo test --offline -q --workspace
-
 # The hub benchmark's correctness checks on its two listed workloads: a
 # one-second run exits 1 if any pass misses a completion, reply, rule
 # run, back-end order or dead-letter check.

@@ -4,7 +4,7 @@
 
 use b2b_document::normalized::sample_po;
 use b2b_rules::approval::{check_need_for_approval, ApprovalThreshold};
-use b2b_rules::{Expr, RuleContext, RuleRegistry};
+use b2b_rules::{Expr, RuleContext};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -69,30 +69,6 @@ fn bench_inlined_guard(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_dispatch_modes(c: &mut Criterion) {
-    // The rule-tree interpreter (`RuleFunction::invoke`) vs the registry's
-    // compiled dispatch on the same function, up to the 32-partner scan.
-    let mut group = c.benchmark_group("rule-dispatch");
-    let doc = sample_po("r", 42_000);
-    for partners in [2usize, 8, 32] {
-        let f = check_need_for_approval(&thresholds(partners)).unwrap();
-        let last = format!("TP{partners}");
-        let mut compiled = RuleRegistry::new();
-        compiled.register(f.clone());
-        group.bench_with_input(BenchmarkId::new("interpreted", partners), &f, |bencher, f| {
-            bencher.iter(|| black_box(f.invoke(&RuleContext::new(&last, "Oracle", &doc)).unwrap()))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("compiled", partners),
-            &compiled,
-            |bencher, reg| {
-                bencher.iter(|| black_box(reg.invoke(&f.name, &last, "Oracle", &doc).unwrap()))
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_parse(c: &mut Criterion) {
     c.bench_function("parse-paper-rule", |bencher| {
         bencher.iter(|| {
@@ -104,11 +80,5 @@ fn bench_parse(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_rule_function,
-    bench_inlined_guard,
-    bench_dispatch_modes,
-    bench_parse
-);
+criterion_group!(benches, bench_rule_function, bench_inlined_guard, bench_parse);
 criterion_main!(benches);

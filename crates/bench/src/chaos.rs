@@ -1,13 +1,14 @@
 //! The chaos harness: partner failure domains under one misbehaving
 //! partner.
 //!
-//! One hub enterprise trades with `partners` counterparties over EDI
-//! round trips while one of them misbehaves: black-holes, flaps, poisons
-//! the hub with undecodable bytes, or floods it. The base network is
-//! fault-free and every fault comes from a per-link [`FaultSchedule`] or
-//! the rogue endpoint's fixed send cadence, so a chaos run is a pure
-//! function of its [`ChaosConfig`] — two runs are byte-identical, which
-//! the tests assert via [`ChaosReport::fingerprint`].
+//! One hub enterprise trades with `partners` counterparties over PO
+//! round trips on one wire format while one of them misbehaves:
+//! black-holes, flaps, poisons the hub with undecodable bytes, or floods
+//! it. The base network is fault-free and every fault comes from a
+//! per-link [`FaultSchedule`] or the rogue endpoint's fixed send cadence,
+//! so a chaos run is a pure function of its [`ChaosConfig`] — two runs
+//! are byte-identical, which the tests assert via
+//! [`ChaosReport::fingerprint`].
 
 use b2b_backend::{AckPolicy, ApplicationProcess, SapSystem};
 use b2b_core::engine::IntegrationEngine;
@@ -70,15 +71,26 @@ pub struct ChaosConfig {
     pub policy: PartnerPolicy,
     /// Hard cap on the drain phase after the last wave, simulated ms.
     pub drain_ms: u64,
+    /// The wire protocol every agreement runs; the rogue's garbage is
+    /// declared in its format, so poison and flood hit its decoder.
+    pub protocol: ScenarioProtocol,
 }
 
 impl ChaosConfig {
-    /// A small grid cell: 3 partners, 6 waves, 150 ms apart — long
+    /// A small EDI grid cell: 3 partners, 6 waves, 150 ms apart — long
     /// enough that a guarded breaker trips *during* the submission phase
     /// (a black-holed send fails permanently after ~300 ms under the
     /// harness retry budget, so the third failure lands around wave 4).
     pub fn cell(fault: ChaosFault, policy: PartnerPolicy) -> Self {
-        Self { partners: 3, waves: 6, wave_gap_ms: 150, fault, policy, drain_ms: 60_000 }
+        Self {
+            partners: 3,
+            waves: 6,
+            wave_gap_ms: 150,
+            fault,
+            policy,
+            drain_ms: 60_000,
+            protocol: ScenarioProtocol::Edi,
+        }
     }
 }
 
@@ -158,12 +170,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport> {
     hub.set_partner_policy(cfg.policy.clone());
     hub.add_backend(ApplicationProcess::new(Box::new(SapSystem::new(AckPolicy::AcceptAll))))?;
 
-    // The harness runs on the suite-wide default wire format, so a
-    // `B2B_WIRE_FORMAT=binary` CI pass drives the whole fault grid —
-    // including the poison ladder — through the binary decoder.
-    let protocol = ScenarioProtocol::from_env();
-    let wire_format = protocol.format();
-    let (init_def, resp_def) = protocol.processes()?;
+    let wire_format = cfg.protocol.format();
+    let (init_def, resp_def) = cfg.protocol.processes()?;
     let mut partners: Vec<(String, IntegrationEngine)> = Vec::new();
     for k in 0..cfg.partners {
         let name = format!("CS{k}");
@@ -375,23 +383,29 @@ mod tests {
         // Armed: a guarded breaker plus a tight inbound cap, so the flood
         // cell actually sheds.
         let armed = PartnerPolicy { inbound_queue_cap: 4, ..PartnerPolicy::guarded() };
-        let faults = [
-            ChaosFault::None,
-            ChaosFault::BlackHole,
-            ChaosFault::Poison,
-            ChaosFault::Flood { burst: 8 },
-            ChaosFault::Flap { up_ms: 200, down_ms: 200 },
+        // Poison and flood garbage goes through the wire decoder, so
+        // those cells run on the text (EDI) and the binary codec.
+        let (edi, binary) = (ScenarioProtocol::Edi, ScenarioProtocol::Binary);
+        let cells = [
+            (ChaosFault::None, edi),
+            (ChaosFault::BlackHole, edi),
+            (ChaosFault::Poison, edi),
+            (ChaosFault::Poison, binary),
+            (ChaosFault::Flood { burst: 8 }, edi),
+            (ChaosFault::Flood { burst: 8 }, binary),
+            (ChaosFault::Flap { up_ms: 200, down_ms: 200 }, edi),
         ];
-        for fault in faults {
+        for (fault, protocol) in cells {
             for (armed_run, policy) in [(true, armed.clone()), (false, PartnerPolicy::permissive())]
             {
-                let r = run_chaos(&ChaosConfig::cell(fault, policy)).unwrap();
-                let cell = format!("{fault:?}, armed={armed_run}");
+                let cfg = ChaosConfig { protocol, ..ChaosConfig::cell(fault, policy) };
+                let r = run_chaos(&cfg).unwrap();
+                let cell = format!("{fault:?} on {protocol:?}, armed={armed_run}");
                 r.check_invariant().unwrap_or_else(|e| panic!("[{cell}] {e}"));
                 if !armed_run {
                     continue;
                 }
-                let again = run_chaos(&ChaosConfig::cell(fault, armed.clone())).unwrap();
+                let again = run_chaos(&cfg).unwrap();
                 assert_eq!(r.fingerprint, again.fingerprint, "[{cell}] a second run diverged");
                 match fault {
                     ChaosFault::None => {
@@ -431,6 +445,7 @@ mod tests {
                 fault,
                 policy,
                 drain_ms: 120_000,
+                protocol: ScenarioProtocol::Edi,
             })
             .unwrap();
             r.check_invariant().unwrap();

@@ -30,7 +30,9 @@ use crate::runtime::edge::Edge;
 use crate::session::{NewSession, SessionTable};
 use b2b_backend::ApplicationProcess;
 use b2b_document::{CorrelationId, Document, FormatId};
-use b2b_network::{Bytes, EndpointId, MessageId, ReliableConfig, ReliableSnapshot, SimNetwork};
+use b2b_network::{
+    Bytes, EndpointId, MessageId, ReliableConfig, ReliableSnapshot, SimNetwork, WireClass,
+};
 use b2b_protocol::{PublicAction, PublicProcessDef, TradingPartnerAgreement};
 use b2b_rules::RuleRegistry;
 use b2b_wfms::{Engine as WfEngine, EngineId, Variable, WorkflowType, WorkflowTypeId};
@@ -130,9 +132,10 @@ pub struct IntegrationEngine {
     pub(crate) health: PartnerHealth,
     /// Outbound sends queued behind the pump send budget, FIFO.
     pub(crate) pending_sends: VecDeque<PendingSend>,
-    /// Replayed dead-letter messages back in flight → (original letter's
-    /// seq, accumulated replay count); consulted when a replay fails
-    /// again so the relapse letter keeps its provenance.
+    /// Replayed dead-letter messages (payloads and failure notices) back
+    /// in flight → (original letter's seq, accumulated replay count);
+    /// consulted when a replay fails again so the relapse letter keeps
+    /// its provenance, dropped when the replay is acknowledged.
     pub(crate) replay_origins: BTreeMap<MessageId, (u64, u32)>,
     pub(crate) stats: IntegrationStats,
     /// Per-pump-stage counters and timers.
@@ -493,16 +496,20 @@ impl IntegrationEngine {
     /// unroutable documents) re-enter edge routing exactly as if they had
     /// just arrived — useful after registering the missing partner or
     /// agreement. Outbound letters (delivery failures) are re-sent
-    /// reliably and re-armed against their session, clearing its failure
-    /// marker. A replay that fails again re-quarantines the original
-    /// letter with its replay count bumped.
+    /// reliably: a business document is re-armed against its session,
+    /// clearing its failure marker; a failure notice has no session and
+    /// is only sent again. A replay that fails again re-quarantines the
+    /// original letter with its replay count bumped. `replays` counts a
+    /// replay once it has been re-routed or re-sent.
     pub fn replay_dead_letter(&mut self, net: &mut SimNetwork, seq: u64) -> Result<()> {
         let letter = self
             .edge
             .dead_letters_mut()
             .take(seq)
             .ok_or_else(|| IntegrationError::Config(format!("no dead letter #{seq}")))?;
-        self.stats.replays += 1;
+        // If the re-send fails again, the relapse letter links back to the
+        // *first* quarantine (chains collapse to the root).
+        let origin = (letter.origin_seq.unwrap_or(letter.seq), letter.replays + 1);
         match &letter.reason {
             DeadLetterReason::DecodeFailure(_) | DeadLetterReason::Unroutable(_) => {
                 // A rejected replay quarantines its own letter first; a
@@ -511,10 +518,20 @@ impl IntegrationEngine {
                 // the original so its identity and history survive.
                 let fresh = self.edge.dead_letters().next_seq();
                 self.route_inbound(net, letter.envelope.clone())?;
+                self.stats.replays += 1;
                 if self.edge.dead_letters_mut().take(fresh).is_some() {
                     self.edge.dead_letters_mut().requeue(letter);
                 }
                 self.settle_and_route(net)?;
+            }
+            DeadLetterReason::DeliveryFailure { .. }
+                if letter.envelope.class == WireClass::Notify =>
+            {
+                let envelope = &letter.envelope;
+                let msg = self.edge.send_notice(net, &envelope.to, envelope.payload.clone())?;
+                self.replay_origins.insert(msg, origin);
+                self.stats.notifications_sent += 1;
+                self.stats.replays += 1;
             }
             DeadLetterReason::DeliveryFailure { .. } => {
                 let envelope = letter.envelope.clone();
@@ -548,14 +565,11 @@ impl IntegrationEngine {
                     None,
                 )?;
                 self.outstanding_wire.insert(msg.clone(), index);
-                // Remember where this message came from: if the replay
-                // fails again, the relapse letter links back to the
-                // *first* quarantine (chains collapse to the root).
-                self.replay_origins
-                    .insert(msg, (letter.origin_seq.unwrap_or(letter.seq), letter.replays + 1));
+                self.replay_origins.insert(msg, origin);
                 // The session gets another chance: in flight again.
                 self.table.clear_failure(index, &self.wf);
                 self.stats.wire_sent += 1;
+                self.stats.replays += 1;
             }
         }
         Ok(())

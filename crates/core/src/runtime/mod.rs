@@ -129,7 +129,8 @@ impl IntegrationEngine {
     /// Sweeps the outstanding-wire ledger for acknowledged messages:
     /// each is an observed delivery success for its partner's breaker,
     /// and its ledger entry is reclaimed (acknowledged entries used to
-    /// accumulate for the life of the engine).
+    /// accumulate for the life of the engine). Acknowledged replays,
+    /// notices included, drop their provenance entry.
     fn sweep_acknowledged(&mut self) {
         let acked: Vec<(MessageId, usize)> = self
             .outstanding_wire
@@ -139,10 +140,12 @@ impl IntegrationEngine {
             .collect();
         for (id, index) in acked {
             self.outstanding_wire.remove(&id);
-            self.replay_origins.remove(&id);
             let partner = self.table.session(index).partner.clone();
             self.health.record_success(&partner);
         }
+        let edge = &self.edge;
+        self.replay_origins
+            .retain(|id, _| edge.delivery_status(id) != DeliveryStatus::Acknowledged);
     }
 
     /// Applies the per-partner inbound cap to one pump's payload batch:

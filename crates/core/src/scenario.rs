@@ -71,31 +71,15 @@ impl ScenarioProtocol {
             Self::Binary => FormatId::BINARY,
         }
     }
-
-    /// The suite-wide default protocol: `B2B_WIRE_FORMAT` when set to a
-    /// known wire format (`edi-x12`, `rosettanet`, `oagis`, `binary`),
-    /// EDI otherwise. Lets the whole test suite, the examples, and the
-    /// chaos harness run their partners on another codec without code
-    /// changes — CI runs one full pass with `B2B_WIRE_FORMAT=binary`.
-    pub fn from_env() -> Self {
-        match std::env::var("B2B_WIRE_FORMAT").as_deref() {
-            Ok("rosettanet") => Self::RosettaNet,
-            Ok("oagis") => Self::Oagis,
-            Ok("binary") => Self::Binary,
-            _ => Self::Edi,
-        }
-    }
 }
 
 impl TwoEnterpriseScenario {
     /// Builds the scenario over a network with the given fault profile and
-    /// seed. The buyer (`TP1`) initiates round trips on the suite-wide
-    /// default wire format (EDI unless `B2B_WIRE_FORMAT` overrides it);
-    /// the seller runs SAP + Oracle with the paper's
-    /// `check-need-for-approval` thresholds and a `select-backend` rule
-    /// sending TP1 traffic to SAP.
+    /// seed. The buyer (`TP1`) initiates EDI 850/855 round trips; the
+    /// seller runs SAP + Oracle with the paper's `check-need-for-approval`
+    /// thresholds and a `select-backend` rule sending TP1 traffic to SAP.
     pub fn new(faults: FaultConfig, seed: u64) -> Result<Self> {
-        Self::with_protocol(ScenarioProtocol::from_env(), faults, seed)
+        Self::with_protocol(ScenarioProtocol::Edi, faults, seed)
     }
 
     /// Builds the scenario on a chosen protocol.

@@ -236,15 +236,13 @@ fn relapsed_replay_links_back_to_the_original_letter() {
     s.submit(po).unwrap();
     s.run_until_quiescent(120_000).unwrap();
 
-    // The failed notification also dead-letters; provenance is tracked on
-    // the PO (the wire payload), so select letters by the scenario's wire
-    // format (EDI unless `B2B_WIRE_FORMAT` overrides the suite default).
-    let wire = b2b_core::scenario::ScenarioProtocol::from_env().format();
+    // The failed notification also dead-letters; this test follows the PO
+    // (the scenario's EDI payload), so it selects letters by that format.
     let po_letters = |s: &TwoEnterpriseScenario| -> Vec<(u64, Option<u64>, u32)> {
         s.buyer
             .dead_letters()
             .iter()
-            .filter(|l| l.envelope.format == wire)
+            .filter(|l| l.envelope.format == b2b_document::FormatId::EDI_X12)
             .map(|l| (l.seq, l.origin_seq, l.replays))
             .collect()
     };
@@ -271,6 +269,64 @@ fn relapsed_replay_links_back_to_the_original_letter() {
     assert_eq!(third.len(), 1);
     assert_eq!(third[0].1, Some(origin_seq), "chains collapse to the root letter");
     assert_eq!(third[0].2, 2, "two replays accumulated");
+}
+
+/// A dead-lettered failure notice replays as a notice: over the dead
+/// link it relapses into a letter linked to the original, and once the
+/// link heals the re-sent notice reaches the counterparty. Only replays
+/// that actually went out count.
+#[test]
+fn dead_lettered_notice_replays_as_a_notice() {
+    use b2b_network::{EndpointId, FaultSchedule, WireClass};
+
+    let faults = FaultConfig { loss: 1.0, ..FaultConfig::reliable() };
+    let mut s = TwoEnterpriseScenario::new(faults, 9).unwrap();
+    let po = s.po("unheard", 1_000).unwrap();
+    s.submit(po).unwrap();
+    // Notices are not session traffic: pump until every send is
+    // acknowledged or has failed.
+    let drain = |s: &mut TwoEnterpriseScenario| {
+        while s.buyer.wire_outstanding() + s.seller.wire_outstanding() > 0 {
+            assert!(s.net.now().as_millis() < 600_000, "the wire never drained");
+            s.net.advance(10);
+            s.buyer.pump(&mut s.net).unwrap();
+            s.seller.pump(&mut s.net).unwrap();
+        }
+    };
+    drain(&mut s);
+    let notice_letters = |s: &TwoEnterpriseScenario| -> Vec<(u64, Option<u64>, u32)> {
+        s.buyer
+            .dead_letters()
+            .iter()
+            .filter(|l| l.envelope.class == WireClass::Notify)
+            .map(|l| (l.seq, l.origin_seq, l.replays))
+            .collect()
+    };
+    let [(origin_seq, None, 0)] = notice_letters(&s)[..] else {
+        panic!("one unlinked notice letter: {:?}", notice_letters(&s));
+    };
+    assert_eq!(s.buyer.stats().notifications_sent, 1);
+
+    // Still black-holed: the re-sent notice fails and relapses.
+    s.buyer.replay_dead_letter(&mut s.net, origin_seq).unwrap();
+    assert_eq!(s.buyer.stats().replays, 1);
+    assert_eq!(s.buyer.stats().notifications_sent, 2, "the notice went out again");
+    drain(&mut s);
+    let [(relapse_seq, Some(link), 1)] = notice_letters(&s)[..] else {
+        panic!("one relapse letter: {:?}", notice_letters(&s));
+    };
+    assert_eq!(link, origin_seq, "the relapse links back to the original notice");
+
+    // The link heals both ways: the replay is delivered and acknowledged.
+    for name in [BUYER, SELLER] {
+        let healthy = FaultSchedule::constant(FaultConfig::reliable());
+        s.net.set_link_schedule(EndpointId::new(format!("ep:{name}")), healthy);
+    }
+    s.buyer.replay_dead_letter(&mut s.net, relapse_seq).unwrap();
+    drain(&mut s);
+    assert!(notice_letters(&s).is_empty(), "{:?}", notice_letters(&s));
+    assert_eq!(s.seller.stats().notifications_received, 1);
+    assert_eq!(s.buyer.stats().replays, 2);
 }
 
 /// Poison-message escalation: the same undecodable payload from one

@@ -33,19 +33,21 @@ pub fn eval(expr: &Expr, ctx: &RuleContext<'_>) -> Result<Value> {
     match expr {
         Expr::Literal(v) => Ok(v.clone()),
         Expr::Path { root, path } => {
-            let rooted: Value;
-            let base = match root {
-                PathRoot::Source => {
-                    rooted = Value::text(ctx.source);
-                    &rooted
+            let text = match root {
+                PathRoot::Source => ctx.source,
+                PathRoot::Target => ctx.target,
+                PathRoot::Document => {
+                    return path
+                        .get(ctx.document.body())
+                        .cloned()
+                        .map_err(|e| eval_err(e.to_string()))
                 }
-                PathRoot::Target => {
-                    rooted = Value::text(ctx.target);
-                    &rooted
-                }
-                PathRoot::Document => ctx.document.body(),
             };
-            path.get(base).cloned().map_err(|e| eval_err(e.to_string()))
+            let rooted = Value::text(text);
+            if path.segments().is_empty() {
+                return Ok(rooted);
+            }
+            path.get(&rooted).cloned().map_err(|e| eval_err(e.to_string()))
         }
         Expr::Not(inner) => match eval(inner, ctx)? {
             Value::Bool(b) => Ok(Value::Bool(!b)),
@@ -105,9 +107,8 @@ fn eval_binary(op: BinOp, lhs: &Expr, rhs: &Expr, ctx: &RuleContext<'_>) -> Resu
 
 /// Compares two values, coercing `Int` to whole currency units when the
 /// other side is `Money` (so `document.amount >= 55000` works as in the
-/// paper). Shared with the compiled evaluator so the interpreter and the
-/// compiled programs cannot drift on coercion semantics.
-pub(crate) fn compare(l: &Value, r: &Value) -> Result<Ordering> {
+/// paper).
+fn compare(l: &Value, r: &Value) -> Result<Ordering> {
     match (l, r) {
         (Value::Int(a), Value::Int(b)) => Ok(a.cmp(b)),
         (Value::Text(a), Value::Text(b)) => Ok(a.cmp(b)),
@@ -256,6 +257,48 @@ mod tests {
         assert!(check("\"a\" < 1", "s", "t", 1).is_err());
         assert!(check("len(document.amount)", "s", "t", 1).is_err());
         assert!(check("date(5)", "s", "t", 1).is_err());
+    }
+
+    #[test]
+    fn integer_overflow_is_an_error() {
+        for src in
+            ["9223372036854775807 + 1", "-9223372036854775807 - 2", "-9223372036854775807 * 2"]
+        {
+            match check(src, "s", "t", 1) {
+                Err(RuleError::Eval { reason }) => assert_eq!(reason, "integer overflow", "{src}"),
+                other => panic!("{src}: {other:?}"),
+            }
+        }
+        let min = Expr::Literal(Value::Int(i64::MIN));
+        let doc = sample_po("1", 1);
+        match Expr::Neg(Box::new(min)).eval(&RuleContext::new("s", "t", &doc)) {
+            Err(RuleError::Eval { reason }) => assert_eq!(reason, "integer negation overflow"),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn source_and_target_read_as_text() {
+        assert_eq!(check("source", "TP1", "SAP", 1).unwrap(), Value::text("TP1"));
+        assert_eq!(check("target", "TP1", "SAP", 1).unwrap(), Value::text("SAP"));
+        assert_eq!(check("exists(source)", "TP1", "SAP", 1).unwrap(), Value::Bool(true));
+        assert_eq!(check("len(target)", "TP1", "Oracle", 1).unwrap(), Value::Int(6));
+        assert_eq!(
+            check("len(\"héllo\")", "s", "t", 1).unwrap(),
+            Value::Int(5),
+            "chars, not bytes"
+        );
+        // Paths below `source`/`target` are unreachable from the parser;
+        // built directly, they never resolve and name the path.
+        let doc = sample_po("1", 1);
+        let below = Expr::Path {
+            root: PathRoot::Target,
+            path: b2b_document::FieldPath::parse("x").unwrap(),
+        };
+        match below.eval(&RuleContext::new("s", "t", &doc)) {
+            Err(RuleError::Eval { reason }) => assert_eq!(reason, "path `x` not found in document"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -19,13 +19,11 @@
 #![forbid(unsafe_code)]
 
 pub mod approval;
-pub mod compiled;
 pub mod error;
 pub mod expr;
 pub mod registry;
 pub mod rule;
 
-pub use compiled::{CompiledExpr, CompiledFunction};
 pub use error::{Result, RuleError};
 pub use expr::{Expr, RuleContext};
 pub use registry::RuleRegistry;

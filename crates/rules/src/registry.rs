@@ -4,50 +4,22 @@
 //! of indirection that keeps workflow types free of trading-partner
 //! specifics (Section 4.3).
 //!
-//! Dispatch runs compiled programs ([`CompiledFunction`]), lowering each
-//! function lazily on first invocation and caching the result. The tree
-//! interpreter ([`RuleFunction::invoke`]) stays the reference the compiled
-//! form is tested against; reach it through
-//! [`function`](RuleRegistry::function). Lookups borrow the name end to
-//! end: the miss path is the only place a `String` is
-//! allocated, and callers that merely probe should use
+//! Dispatch runs the tree interpreter ([`RuleFunction::invoke`]), the same
+//! evaluator workflow guards run on. Lookups borrow the name end to end:
+//! the miss path is the only place a `String` is allocated, and callers
+//! that merely probe should use
 //! [`function_exists`](RuleRegistry::function_exists) instead.
 
-use crate::compiled::CompiledFunction;
 use crate::error::{Result, RuleError};
 use crate::expr::RuleContext;
 use crate::rule::RuleFunction;
 use b2b_document::{Document, Value};
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
 
 /// Registry of rule functions, keyed by name.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct RuleRegistry {
     functions: BTreeMap<String, RuleFunction>,
-    /// Lazily compiled functions. Interior mutability keeps compilation an
-    /// implementation detail of `&self` dispatch; a `RwLock` (not a
-    /// `RefCell`) keeps the registry `Sync`, so threads can share it.
-    /// Compilation is deterministic, so which thread compiles first never
-    /// changes the result.
-    compiled: RwLock<BTreeMap<String, Arc<CompiledFunction>>>,
-}
-
-impl Clone for RuleRegistry {
-    fn clone(&self) -> Self {
-        Self {
-            functions: self.functions.clone(),
-            compiled: RwLock::new(self.compiled_cache().clone()),
-        }
-    }
-}
-
-impl PartialEq for RuleRegistry {
-    fn eq(&self, other: &Self) -> bool {
-        // The compile cache is derived state; two registries with the same
-        // functions are the same registry.
-        self.functions == other.functions
-    }
 }
 
 impl RuleRegistry {
@@ -56,10 +28,8 @@ impl RuleRegistry {
         Self::default()
     }
 
-    /// Registers (or replaces) a rule function, invalidating its compiled
-    /// form.
+    /// Registers (or replaces) a rule function.
     pub fn register(&mut self, function: RuleFunction) {
-        self.compiled_cache_mut().remove(function.name.as_str());
         self.functions.insert(function.name.clone(), function);
     }
 
@@ -77,25 +47,11 @@ impl RuleRegistry {
     }
 
     /// Mutable lookup — used when business rules change (e.g. a new trading
-    /// partner) without touching anything else. Drops the function's
-    /// compiled form, since the caller may mutate its rules.
+    /// partner) without touching anything else.
     pub fn function_mut(&mut self, name: &str) -> Result<&mut RuleFunction> {
-        self.compiled_cache_mut().remove(name);
         self.functions
             .get_mut(name)
             .ok_or_else(|| RuleError::UnknownFunction { function: name.to_string() })
-    }
-
-    /// The compiled form of a function, lowering it on first use.
-    pub fn compiled(&self, name: &str) -> Result<Arc<CompiledFunction>> {
-        if let Some(hit) = self.compiled_cache().get(name) {
-            return Ok(hit.clone());
-        }
-        let lowered = Arc::new(CompiledFunction::compile(self.function(name)?));
-        let mut cache = self.compiled_cache_mut();
-        // Another thread may have compiled meanwhile; keep the first entry
-        // (both are identical — compilation is deterministic).
-        Ok(cache.entry(name.to_string()).or_insert(lowered).clone())
     }
 
     /// Invokes a function with the paper's `(source, target, document)`
@@ -107,7 +63,7 @@ impl RuleRegistry {
         target: &str,
         document: &Document,
     ) -> Result<Value> {
-        self.compiled(name)?.invoke(&RuleContext::new(source, target, document))
+        self.function(name)?.invoke(&RuleContext::new(source, target, document))
     }
 
     /// Names of all registered functions (sorted).
@@ -123,23 +79,6 @@ impl RuleRegistry {
     /// Total AST size across functions (model-size metrics).
     pub fn node_count(&self) -> usize {
         self.functions.values().map(RuleFunction::node_count).sum()
-    }
-
-    /// Number of functions compiled so far (lazily populated).
-    pub fn compiled_count(&self) -> usize {
-        self.compiled_cache().len()
-    }
-
-    fn compiled_cache(
-        &self,
-    ) -> std::sync::RwLockReadGuard<'_, BTreeMap<String, Arc<CompiledFunction>>> {
-        self.compiled.read().expect("rule compile cache poisoned")
-    }
-
-    fn compiled_cache_mut(
-        &self,
-    ) -> std::sync::RwLockWriteGuard<'_, BTreeMap<String, Arc<CompiledFunction>>> {
-        self.compiled.write().expect("rule compile cache poisoned")
     }
 }
 
@@ -194,55 +133,5 @@ mod tests {
         assert!(!reg.function_exists("f"));
         reg.register(RuleFunction::new("f"));
         assert!(reg.function_exists("f"));
-    }
-
-    #[test]
-    fn compilation_is_lazy_and_cached() {
-        let mut reg = RuleRegistry::new();
-        reg.register(
-            RuleFunction::new("f").with_rule(BusinessRule::parse("r", "true", "1").unwrap()),
-        );
-        assert_eq!(reg.compiled_count(), 0, "nothing compiled before first use");
-        let doc = sample_po("1", 1);
-        reg.invoke("f", "s", "t", &doc).unwrap();
-        assert_eq!(reg.compiled_count(), 1);
-        reg.invoke("f", "s", "t", &doc).unwrap();
-        assert_eq!(reg.compiled_count(), 1, "second dispatch reuses the cache");
-        let a = reg.compiled("f").unwrap();
-        let b = reg.compiled("f").unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "cache returns the same compiled function");
-    }
-
-    #[test]
-    fn register_and_function_mut_invalidate_the_compiled_form() {
-        let mut reg = RuleRegistry::new();
-        reg.register(
-            RuleFunction::new("f").with_rule(BusinessRule::parse("r", "true", "1").unwrap()),
-        );
-        let doc = sample_po("1", 1);
-        reg.invoke("f", "s", "t", &doc).unwrap();
-        assert_eq!(reg.compiled_count(), 1);
-        reg.function_mut("f").unwrap().add_rule(BusinessRule::parse("r2", "true", "2").unwrap());
-        assert_eq!(reg.compiled_count(), 0, "mutable access drops the stale compilation");
-        assert_eq!(reg.invoke("f", "s", "t", &doc).unwrap(), Value::Int(1));
-        reg.register(
-            RuleFunction::new("f").with_rule(BusinessRule::parse("r", "true", "3").unwrap()),
-        );
-        assert_eq!(reg.compiled_count(), 0, "re-registering drops the stale compilation");
-        assert_eq!(reg.invoke("f", "s", "t", &doc).unwrap(), Value::Int(3));
-    }
-
-    #[test]
-    fn interpreted_and_compiled_dispatch_agree() {
-        let mut reg = RuleRegistry::new();
-        reg.register(RuleFunction::new("approval").with_rule(
-            BusinessRule::parse("r1", "source == \"TP1\"", "document.amount >= 55000").unwrap(),
-        ));
-        let doc = sample_po("1", 60_000);
-        for source in ["TP1", "TP9"] {
-            let interpreted =
-                reg.function("approval").unwrap().invoke(&RuleContext::new(source, "SAP", &doc));
-            assert_eq!(reg.invoke("approval", source, "SAP", &doc), interpreted, "{source}");
-        }
     }
 }

@@ -170,6 +170,20 @@ mod tests {
     }
 
     #[test]
+    fn a_non_boolean_guard_is_an_error_not_a_miss() {
+        let f = RuleFunction::new("bad")
+            .with_rule(BusinessRule::parse("r", "1 + 1", "true").unwrap())
+            .with_rule(BusinessRule::parse("fallback", "true", "false").unwrap());
+        let doc = sample_po("1", 1);
+        match f.invoke(&RuleContext::new("s", "t", &doc)) {
+            Err(RuleError::Eval { reason }) => {
+                assert_eq!(reason, "expected a boolean result, got int")
+            }
+            other => panic!("the first guard decides, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn node_count_sums_rules() {
         let f = approval_function();
         assert!(f.node_count() > 10);

@@ -5,60 +5,12 @@ use crate::context::TransformContext;
 use crate::error::{Result, TransformError};
 use crate::program::TransformProgram;
 use b2b_document::{DocKind, Document, FormatId};
-use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
-/// Owned registry key.
+/// Registry key: (source format, target format, document kind).
 type Key = (FormatId, FormatId, DocKind);
-
-/// Borrowed view of a registry key, so lookups never clone the two
-/// `FormatId`s just to build a temporary key (they used to, once per
-/// document). `BTreeMap::get` accepts any `Q` the owned key can `Borrow`;
-/// a trait object over this view is such a `Q`, and both the owned key
-/// and a tuple of references implement the view.
-trait LookupKey {
-    fn parts(&self) -> (&FormatId, &FormatId, DocKind);
-}
-
-impl LookupKey for Key {
-    fn parts(&self) -> (&FormatId, &FormatId, DocKind) {
-        (&self.0, &self.1, self.2)
-    }
-}
-
-impl LookupKey for (&FormatId, &FormatId, DocKind) {
-    fn parts(&self) -> (&FormatId, &FormatId, DocKind) {
-        (self.0, self.1, self.2)
-    }
-}
-
-impl<'a> Borrow<dyn LookupKey + 'a> for Key {
-    fn borrow(&self) -> &(dyn LookupKey + 'a) {
-        self
-    }
-}
-
-impl PartialEq for dyn LookupKey + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.parts() == other.parts()
-    }
-}
-
-impl Eq for dyn LookupKey + '_ {}
-
-impl PartialOrd for dyn LookupKey + '_ {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for dyn LookupKey + '_ {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.parts().cmp(&other.parts())
-    }
-}
 
 /// Registry of transformation programs keyed by
 /// (source format, target format, document kind).
@@ -136,14 +88,16 @@ impl TransformRegistry {
         self.programs.insert(key, program);
     }
 
-    /// Looks up the program for a conversion (borrowed key: no clones).
+    /// Looks up the program for a conversion. Runs on a first-use
+    /// compile, not per document; a builtin `FormatId` clones without
+    /// allocating.
     pub fn program(
         &self,
         source: &FormatId,
         target: &FormatId,
         kind: DocKind,
     ) -> Result<&TransformProgram> {
-        self.programs.get(&(source, target, kind) as &dyn LookupKey).ok_or_else(|| {
+        self.programs.get(&(source.clone(), target.clone(), kind)).ok_or_else(|| {
             TransformError::NoProgram {
                 source: source.to_string(),
                 target: target.to_string(),

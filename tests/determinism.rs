@@ -106,11 +106,18 @@ fn run_twice(
     Ok(first)
 }
 
+/// The wire formats the fault-mix properties draw from: EDI's text codec
+/// and the binary codec's zero-copy decode path.
+fn wire_protocol() -> impl Strategy<Value = ScenarioProtocol> {
+    prop_oneof![Just(ScenarioProtocol::Edi), Just(ScenarioProtocol::Binary)]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn fault_mix_runs_are_byte_identical(
+        protocol in wire_protocol(),
         loss in 0.0f64..0.35,
         duplicate in 0.0f64..0.25,
         corrupt in 0.0f64..0.25,
@@ -118,7 +125,7 @@ proptest! {
         pos in 1usize..5,
     ) {
         let faults = FaultConfig { loss, duplicate, corrupt, min_delay_ms: 1, max_delay_ms: 40 };
-        run_twice(ScenarioProtocol::from_env(), faults, seed, pos, PartnerPolicy::permissive())?;
+        run_twice(protocol, faults, seed, pos, PartnerPolicy::permissive())?;
     }
 
     /// The same identity with the containment subsystem fully armed: a
@@ -127,6 +134,7 @@ proptest! {
     /// the fingerprint.
     #[test]
     fn guarded_policy_runs_are_byte_identical(
+        protocol in wire_protocol(),
         loss in 0.0f64..0.9,
         duplicate in 0.0f64..0.25,
         corrupt in 0.0f64..0.25,
@@ -135,7 +143,7 @@ proptest! {
     ) {
         let faults = FaultConfig { loss, duplicate, corrupt, min_delay_ms: 1, max_delay_ms: 40 };
         let policy = PartnerPolicy { pump_send_budget: 4, ..PartnerPolicy::guarded() };
-        run_twice(ScenarioProtocol::from_env(), faults, seed, pos, policy)?;
+        run_twice(protocol, faults, seed, pos, policy)?;
     }
 }
 
@@ -143,9 +151,8 @@ proptest! {
 fn flaky_broadcast_workload_runs_are_identical() {
     // A deterministic anchor alongside the property: a lossy
     // multi-session run.
-    let protocol = ScenarioProtocol::from_env();
     let policy = PartnerPolicy::permissive();
-    let first = run_twice(protocol, FaultConfig::flaky(0.3), 7, 8, policy).unwrap();
+    let first = run_twice(ScenarioProtocol::Edi, FaultConfig::flaky(0.3), 7, 8, policy).unwrap();
     // The run was not trivially clean: sessions really completed.
     assert!(first.buyer.completed >= 1, "at least one session completed");
 }
@@ -199,16 +206,18 @@ fn duplicates_are_never_parsed() {
     // The reliable layer suppresses a duplicated delivery before the edge
     // sees it, so the edge parses each routed payload exactly once: with
     // heavy duplication and nothing corrupt, payloads parsed equal
-    // payloads received, on both engines.
+    // payloads received, on both engines and both wire codecs.
     let dup_heavy =
         FaultConfig { loss: 0.0, duplicate: 0.6, corrupt: 0.0, min_delay_ms: 1, max_delay_ms: 40 };
-    let r = run(ScenarioProtocol::from_env(), dup_heavy, 11, 4, PartnerPolicy::permissive());
-    for (who, fp) in [("buyer", &r.buyer), ("seller", &r.seller)] {
-        assert!(fp.stages.edge_duplicates > 0, "{who}: the run suppressed no duplicates");
-        assert_eq!(
-            fp.cache.decode_misses, fp.stats.wire_received,
-            "{who}: a duplicate was parsed ({:?}, {:?})",
-            fp.cache, fp.stats
-        );
+    for protocol in [ScenarioProtocol::Edi, ScenarioProtocol::Binary] {
+        let r = run(protocol, dup_heavy.clone(), 11, 4, PartnerPolicy::permissive());
+        for (who, fp) in [("buyer", &r.buyer), ("seller", &r.seller)] {
+            assert!(fp.stages.edge_duplicates > 0, "{protocol:?} {who}: no duplicates suppressed");
+            assert_eq!(
+                fp.cache.decode_misses, fp.stats.wire_received,
+                "{protocol:?} {who}: a duplicate was parsed ({:?}, {:?})",
+                fp.cache, fp.stats
+            );
+        }
     }
 }

@@ -10,15 +10,17 @@ use semantic_b2b::document::{
     record, CorrelationId, Currency, Date, DocKind, Document, FieldPath, FormatId, FormatRegistry,
     Money,
 };
-use semantic_b2b::integration::engine::IntegrationEngine;
+use semantic_b2b::integration::engine::{IntegrationEngine, SELECT_BACKEND_RULE};
 use semantic_b2b::integration::private_process::QUOTE_PRICE_RULE;
 use semantic_b2b::integration::scenario::{seller_rules, BUYER, BUYER2, BUYER3};
 use semantic_b2b::network::{
     Bytes, EndpointId, FaultConfig, ReliableConfig, ReliableEndpoint, SimNetwork,
 };
-use semantic_b2b::rules::approval::{check_need_for_approval, ApprovalThreshold};
+use semantic_b2b::rules::approval::{
+    check_need_for_approval, ApprovalThreshold, CHECK_NEED_FOR_APPROVAL,
+};
 use semantic_b2b::rules::expr::{BinOp, Builtin, PathRoot};
-use semantic_b2b::rules::{BusinessRule, Expr, RuleContext, RuleFunction, RuleRegistry};
+use semantic_b2b::rules::{BusinessRule, Expr, RuleContext, RuleError, RuleFunction, RuleRegistry};
 use semantic_b2b::transform::{
     CompiledProgram, ContextKey, MappingRule, TransformContext, TransformProgram, TransformRegistry,
 };
@@ -377,13 +379,13 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Compiled-vs-interpreted rule dispatch. Same contract as the transform
-// executor above: the lowered instruction programs must be observably
-// identical to the rule-tree interpreter — same values, byte-identical
-// `RuleError`s — over random expressions mixing literals of every kind,
-// document paths that hit and miss, `source`/`target`, short-circuiting
-// `and`/`or`, arithmetic over mixed types, and `date`/`money`/`exists`/
-// `len` calls with both valid and invalid arguments.
+// Rule dispatch. A rule function returns the body of its first rule
+// whose guard holds, stops at the first guard that fails to evaluate to
+// a bool, and reports `NoRuleApplies` when every guard is false — over
+// random expressions mixing literals of every kind, document paths that
+// hit and miss, `source`/`target`, short-circuiting `and`/`or`,
+// arithmetic over mixed types, and `date`/`money`/`exists`/`len` calls
+// with both valid and invalid arguments.
 
 fn rule_literal() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -423,10 +425,10 @@ fn rule_leaf() -> impl Strategy<Value = Expr> {
         }),
         Just(Expr::parse("source").unwrap()),
         Just(Expr::parse("target").unwrap()),
-        // Paths *below* source/target always fail path resolution — the
-        // compiler folds these to in-place failure ops. (Unreachable from
-        // the parser, so built directly.)
+        // Paths *below* source/target always fail path resolution.
+        // (Unreachable from the parser, so built directly.)
         Just(Expr::Path { root: PathRoot::Source, path: FieldPath::parse("x").unwrap() }),
+        Just(Expr::Path { root: PathRoot::Target, path: FieldPath::parse("code[0]").unwrap() }),
     ]
 }
 
@@ -486,7 +488,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn compiled_rule_dispatch_matches_the_interpreter(
+    fn rule_dispatch_is_first_match_wins(
         po in normalized_po(),
         guard in rule_expr(),
         body in rule_expr(),
@@ -494,30 +496,44 @@ proptest! {
     ) {
         // Two rules with guard and body swapped exercise the whole chain:
         // guard errors, non-boolean guards, fall-through to the second
-        // rule, and the no-rule-applies error — through the registry's
-        // public dispatch, so the compile cache runs too.
+        // rule, and the no-rule-applies error, through the registry's
+        // public dispatch. Whatever the expressions are, nothing panics.
         let function = RuleFunction::new("prop")
             .with_rule(BusinessRule {
                 name: "r1".into(),
                 guard: guard.clone(),
                 body: body.clone(),
             })
-            .with_rule(BusinessRule { name: "r2".into(), guard: body, body: guard });
-        let interpreted = function.invoke(&RuleContext::new(&source, "SAP", &po));
+            .with_rule(BusinessRule {
+                name: "r2".into(),
+                guard: body.clone(),
+                body: guard.clone(),
+            });
         let mut reg = RuleRegistry::new();
         reg.register(function);
-        prop_assert_eq!(reg.invoke("prop", &source, "SAP", &po), interpreted);
+        let ctx = RuleContext::new(&source, "SAP", &po);
+        let expected = match (guard.eval_bool(&ctx), body.eval_bool(&ctx)) {
+            (Err(e), _) => Err(e),
+            (Ok(true), _) => body.eval(&ctx),
+            (Ok(false), Err(e)) => Err(e),
+            (Ok(false), Ok(true)) => guard.eval(&ctx),
+            (Ok(false), Ok(false)) => Err(RuleError::NoRuleApplies {
+                function: "prop".into(),
+                source: source.clone(),
+                target: "SAP".into(),
+            }),
+        };
+        prop_assert_eq!(reg.invoke("prop", &source, "SAP", &po), expected);
     }
 }
 
-/// The rule functions the scenarios install — the seller's approval
-/// thresholds and back-end selection, and a quote-price rule — dispatch
-/// through the registry exactly as the tree interpreter
-/// (`RuleFunction::invoke`) evaluates them: for partners whose rules
-/// match, a known partner with no matching rule, and an unknown partner,
-/// on orders either side of every approval threshold and on an RFQ.
+/// The rule functions the scenarios install return what their tables
+/// say: the seller's approval thresholds and back-end selection, a
+/// quote-price rule, and the approval family scaled to 32 partners,
+/// plain and with effective-dated guards — for partners with and without
+/// rules, on orders either side of every threshold and on an RFQ.
 #[test]
-fn registry_dispatch_matches_the_interpreter_on_scenario_rules() {
+fn scenario_rules_return_what_their_tables_specify() {
     let mut net = SimNetwork::new(FaultConfig::reliable(), 1);
     let mut seller = IntegrationEngine::new("GADGET", &mut net).unwrap();
     seller_rules(&mut seller).unwrap();
@@ -526,11 +542,9 @@ fn registry_dispatch_matches_the_interpreter_on_scenario_rules() {
         RuleFunction::new(QUOTE_PRICE_RULE)
             .with_rule(BusinessRule::parse("flat", "true", "money(\"899.50 USD\")").unwrap()),
     );
-    // The approval family scaled to 32 partners, plain and with
-    // effective-dated guards: dispatching TP32 to Oracle scans all 64
-    // guards of each, and the orders at 164,999 and 165,000 sit either
-    // side of TP32's threshold.
-    let thresholds: Vec<ApprovalThreshold> = (0..32)
+    // Dispatching TP32 to Oracle scans all 64 guards of each scaled
+    // function.
+    let scaled: Vec<ApprovalThreshold> = (0..32)
         .flat_map(|k| {
             let tp = format!("TP{}", k + 1);
             [
@@ -539,10 +553,10 @@ fn registry_dispatch_matches_the_interpreter_on_scenario_rules() {
             ]
         })
         .collect();
-    let mut plain = check_need_for_approval(&thresholds).unwrap();
+    let mut plain = check_need_for_approval(&scaled).unwrap();
     plain.name = "approve-32-partners".into();
     let mut dated = RuleFunction::new("approve-effective-dated");
-    for t in &thresholds {
+    for t in &scaled {
         dated.add_rule(
             BusinessRule::parse(
                 &format!("dated {}/{}", t.source, t.target),
@@ -559,30 +573,58 @@ fn registry_dispatch_matches_the_interpreter_on_scenario_rules() {
     }
     reg.register(plain);
     reg.register(dated);
-    let mut docs: Vec<Document> =
+    assert_eq!(reg.function_names().len(), 5, "{:?}", reg.function_names());
+
+    let paper = [
+        ApprovalThreshold::new("SAP", BUYER, 55_000),
+        ApprovalThreshold::new("SAP", BUYER2, 40_000),
+        ApprovalThreshold::new("Oracle", BUYER, 55_000),
+        ApprovalThreshold::new("Oracle", BUYER2, 40_000),
+    ];
+    let tables: [(&str, &[ApprovalThreshold]); 3] = [
+        (CHECK_NEED_FOR_APPROVAL, &paper),
+        ("approve-32-partners", &scaled),
+        ("approve-effective-dated", &scaled),
+    ];
+    let orders: Vec<(i64, Document)> =
         [1_000, 39_999, 40_000, 54_999, 55_000, 120_000, 164_999, 165_000]
             .into_iter()
-            .map(|amount| sample_po(&format!("po-{amount}"), amount))
+            .map(|amount| (amount, sample_po(&format!("po-{amount}"), amount)))
             .collect();
-    docs.push(rfq_document("RFQ-1", BUYER, "LAPTOP-T23", 100, Date::new(2001, 10, 1).unwrap()));
-    let names = reg.function_names();
-    assert_eq!(names.len(), 5, "approval, select-backend, quote-price, two scans: {names:?}");
-    for name in names {
-        let function = reg.function(name).unwrap();
-        for source in [BUYER, BUYER2, BUYER3, "TP32", "TP999"] {
-            for target in ["SAP", "Oracle"] {
-                for doc in &docs {
-                    let interpreted = function.invoke(&RuleContext::new(source, target, doc));
-                    assert_eq!(
-                        reg.invoke(name, source, target, doc),
-                        interpreted,
-                        "{name} ({source} -> {target}) on {}",
-                        doc.correlation()
-                    );
+    let rfq = rfq_document("RFQ-1", BUYER, "LAPTOP-T23", 100, Date::new(2001, 10, 1).unwrap());
+    let price = Value::Money(Money::from_cents(89_950, Currency::Usd));
+    for source in [BUYER, BUYER2, BUYER3, "TP32", "TP999"] {
+        for target in ["SAP", "Oracle"] {
+            for (amount, po) in &orders {
+                for (name, table) in tables {
+                    let expected =
+                        match table.iter().find(|t| t.target == target && t.source == source) {
+                            Some(t) => Ok(Value::Bool(*amount >= t.threshold_units)),
+                            None => Err(RuleError::NoRuleApplies {
+                                function: name.into(),
+                                source: source.into(),
+                                target: target.into(),
+                            }),
+                        };
+                    let got = reg.invoke(name, source, target, po);
+                    assert_eq!(got, expected, "{name} ({source} -> {target}) at {amount}");
                 }
+            }
+            let backend = Value::text(if source == BUYER2 { "Oracle" } else { "SAP" });
+            for doc in orders.iter().map(|(_, po)| po).chain([&rfq]) {
+                let at = doc.correlation();
+                let got = reg.invoke(SELECT_BACKEND_RULE, source, target, doc);
+                assert_eq!(got, Ok(backend.clone()), "{source} -> {target} on {at}");
+                let got = reg.invoke(QUOTE_PRICE_RULE, source, target, doc);
+                assert_eq!(got, Ok(price.clone()), "{source} -> {target} on {at}");
             }
         }
     }
+    // TP32's threshold (165,000) sits between the last two orders.
+    let tp32 =
+        |amount| reg.invoke("approve-32-partners", "TP32", "Oracle", &sample_po("x", amount));
+    assert_eq!(tp32(164_999), Ok(Value::Bool(false)));
+    assert_eq!(tp32(165_000), Ok(Value::Bool(true)));
 }
 
 // ---------------------------------------------------------------------
