@@ -32,6 +32,13 @@ for workload in rfq_bulk po_exchange; do
     --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1
 done
 
+# The examples assert their own outcomes (failure_recovery alone holds
+# eleven asserts); a failed assert exits non-zero and fails this step.
+echo "== examples =="
+for example in quickstart multi_partner failure_recovery change_management negotiated_protocol; do
+  cargo run --offline --release -q --example "$example" > /dev/null
+done
+
 # Benches are not run in CI, but they must keep compiling.
 echo "== cargo bench --no-run =="
 cargo bench --offline --no-run --workspace

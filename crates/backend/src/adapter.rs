@@ -4,6 +4,7 @@
 use crate::erp::BackendApplication;
 use crate::error::Result;
 use b2b_document::{DocKind, Document, FormatId};
+use std::sync::Arc;
 
 /// Wraps a back end as the application process a binding talks to: feed it
 /// native purchase orders, poll it for native acknowledgments.
@@ -30,8 +31,9 @@ impl ApplicationProcess {
     }
 
     /// Handles one inbound document (must be native format): purchase
-    /// orders are stored as new orders, acknowledgments are filed.
-    pub fn handle(&mut self, doc: &Document) -> Result<()> {
+    /// orders are stored as new orders, acknowledgments are filed. The back
+    /// end keeps the `Arc`, not a copy.
+    pub fn handle(&mut self, doc: &Arc<Document>) -> Result<()> {
         match doc.kind() {
             DocKind::PurchaseOrderAck => self.backend.store_poa(doc)?,
             _ => self.backend.store_po(doc)?,
@@ -75,8 +77,8 @@ mod tests {
         let mut app = ApplicationProcess::new(Box::new(SapSystem::new(AckPolicy::AcceptAll)));
         assert_eq!(app.name(), "SAP");
         assert_eq!(app.native_format(), FormatId::SAP_IDOC);
-        app.handle(&sample_sap_po("1", 5)).unwrap();
-        app.handle(&sample_sap_po("2", 5)).unwrap();
+        app.handle(&Arc::new(sample_sap_po("1", 5))).unwrap();
+        app.handle(&Arc::new(sample_sap_po("2", 5))).unwrap();
         let poas = app.poll().unwrap();
         assert_eq!(poas.len(), 2);
         assert_eq!(app.stored(), 2);

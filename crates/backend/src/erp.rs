@@ -3,6 +3,7 @@
 use crate::error::Result;
 use b2b_document::{Document, FormatId, Money};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// How an ERP decides what to acknowledge.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -42,16 +43,18 @@ pub trait BackendApplication: Send {
     fn native_format(&self) -> FormatId;
 
     /// Stores a purchase order (native format). The paper's "Store … PO"
-    /// application-process step.
-    fn store_po(&mut self, doc: &Document) -> Result<()>;
+    /// application-process step. The order book keeps the caller's `Arc`,
+    /// so storing shares the document rather than copying it.
+    fn store_po(&mut self, doc: &Arc<Document>) -> Result<()>;
 
     /// Processes pending orders, producing one acknowledgment document
     /// (native format) per order. The paper's "Extract … POA" step.
     fn extract_poas(&mut self) -> Result<Vec<Document>>;
 
     /// Files an inbound purchase-order acknowledgment (native format) —
-    /// the buyer side of Figure 1 ("Store POA").
-    fn store_poa(&mut self, doc: &Document) -> Result<()>;
+    /// the buyer side of Figure 1 ("Store POA"). Like
+    /// [`BackendApplication::store_po`], it keeps the caller's `Arc`.
+    fn store_poa(&mut self, doc: &Arc<Document>) -> Result<()>;
 
     /// Number of acknowledgments filed via [`BackendApplication::store_poa`].
     fn poa_count(&self) -> usize;

@@ -4,6 +4,7 @@ use crate::erp::{AckPolicy, BackendApplication};
 use crate::error::{BackendError, Result};
 use crate::orderbook::{OrderBook, OrderRecord, OrderState};
 use b2b_document::{record, Date, DocKind, Document, FormatId, Value};
+use std::sync::Arc;
 
 /// Oracle status codes (mirrors `b2b_document::formats` constants).
 fn oracle_status(normalized_status: &str) -> &'static str {
@@ -19,7 +20,7 @@ pub struct OracleSystem {
     name: String,
     policy: AckPolicy,
     book: OrderBook,
-    filed_acks: Vec<Document>,
+    filed_acks: Vec<Arc<Document>>,
 }
 
 impl OracleSystem {
@@ -42,7 +43,7 @@ impl BackendApplication for OracleSystem {
         FormatId::ORACLE_APPS
     }
 
-    fn store_po(&mut self, doc: &Document) -> Result<()> {
+    fn store_po(&mut self, doc: &Arc<Document>) -> Result<()> {
         if doc.format() != &FormatId::ORACLE_APPS {
             return Err(BackendError::WrongFormat {
                 system: self.name.clone(),
@@ -65,7 +66,7 @@ impl BackendApplication for OracleSystem {
         let inserted = self.book.insert(OrderRecord {
             po_number: po_number.clone(),
             amount,
-            document: doc.clone(),
+            document: Arc::clone(doc),
             state: OrderState::Pending,
             ack_status: None,
         });
@@ -78,11 +79,9 @@ impl BackendApplication for OracleSystem {
     fn extract_poas(&mut self) -> Result<Vec<Document>> {
         let mut out = Vec::new();
         for po_number in self.book.pending() {
-            let (amount, stored) = {
-                let rec = self.book.get(&po_number).expect("pending order exists");
-                (rec.amount, rec.document.clone())
-            };
-            let status = self.policy.status_for(amount);
+            let rec = self.book.get(&po_number).expect("pending order exists");
+            let stored = &rec.document;
+            let status = self.policy.status_for(rec.amount);
             let code = oracle_status(status);
             let ack_date = stored
                 .lookup("po_header.creation_date")
@@ -117,7 +116,7 @@ impl BackendApplication for OracleSystem {
         Ok(out)
     }
 
-    fn store_poa(&mut self, doc: &Document) -> Result<()> {
+    fn store_poa(&mut self, doc: &Arc<Document>) -> Result<()> {
         if doc.format() != &FormatId::ORACLE_APPS {
             return Err(BackendError::WrongFormat {
                 system: self.name.clone(),
@@ -128,7 +127,7 @@ impl BackendApplication for OracleSystem {
         if doc.kind() != DocKind::PurchaseOrderAck {
             return Err(self.err(format!("cannot file a {} as a POA", doc.kind())));
         }
-        self.filed_acks.push(doc.clone());
+        self.filed_acks.push(Arc::clone(doc));
         Ok(())
     }
 
@@ -154,7 +153,7 @@ mod tests {
     #[test]
     fn store_and_extract_round_trip() {
         let mut ora = OracleSystem::new(AckPolicy::AcceptAll);
-        let po = sample_oracle_po("4711", 12);
+        let po = Arc::new(sample_oracle_po("4711", 12));
         ora.store_po(&po).unwrap();
         let poas = ora.extract_poas().unwrap();
         assert_eq!(poas.len(), 1);
@@ -167,7 +166,7 @@ mod tests {
     fn modify_policy_marks_lines_modified() {
         let mut ora =
             OracleSystem::new(AckPolicy::ModifyAbove(Money::from_units(10, Currency::Usd)));
-        ora.store_po(&sample_oracle_po("big", 50)).unwrap();
+        ora.store_po(&Arc::new(sample_oracle_po("big", 50))).unwrap();
         let poas = ora.extract_poas().unwrap();
         assert_eq!(poas[0].get("ack_lines[0].status").unwrap(), &Value::text("MODIFIED"));
         assert_eq!(ora.order_status("big").as_deref(), Some("accepted-with-changes"));
@@ -176,8 +175,8 @@ mod tests {
     #[test]
     fn rejects_wrong_format_and_duplicates() {
         let mut ora = OracleSystem::new(AckPolicy::AcceptAll);
-        assert!(ora.store_po(&b2b_document::formats::sample_sap_po("1", 10)).is_err());
-        let po = sample_oracle_po("1", 10);
+        assert!(ora.store_po(&Arc::new(b2b_document::formats::sample_sap_po("1", 10))).is_err());
+        let po = Arc::new(sample_oracle_po("1", 10));
         ora.store_po(&po).unwrap();
         assert!(ora.store_po(&po).is_err());
     }

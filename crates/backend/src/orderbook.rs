@@ -3,6 +3,7 @@
 use b2b_document::{Document, Money};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Lifecycle state of a stored order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -20,8 +21,9 @@ pub struct OrderRecord {
     pub po_number: String,
     /// Total amount.
     pub amount: Money,
-    /// The stored native document.
-    pub document: Document,
+    /// The stored native document, shared with the workflow variable it
+    /// was stored from.
+    pub document: Arc<Document>,
     /// Lifecycle state.
     pub state: OrderState,
     /// Status the acknowledgment carried (once processed).
@@ -96,7 +98,7 @@ mod tests {
         OrderRecord {
             po_number: n.to_string(),
             amount: Money::from_units(100, Currency::Usd),
-            document: sample_po(n, 100),
+            document: Arc::new(sample_po(n, 100)),
             state: OrderState::Pending,
             ack_status: None,
         }

@@ -4,6 +4,7 @@ use crate::erp::{AckPolicy, BackendApplication};
 use crate::error::{BackendError, Result};
 use crate::orderbook::{OrderBook, OrderRecord, OrderState};
 use b2b_document::{record, Date, DocKind, Document, FormatId, Value};
+use std::sync::Arc;
 
 /// SAP status codes (mirrors `b2b_document::formats` constants).
 fn sap_action(normalized_status: &str) -> &'static str {
@@ -20,7 +21,7 @@ pub struct SapSystem {
     policy: AckPolicy,
     book: OrderBook,
     docnum_counter: u64,
-    filed_acks: Vec<Document>,
+    filed_acks: Vec<Arc<Document>>,
 }
 
 impl SapSystem {
@@ -49,7 +50,7 @@ impl BackendApplication for SapSystem {
         FormatId::SAP_IDOC
     }
 
-    fn store_po(&mut self, doc: &Document) -> Result<()> {
+    fn store_po(&mut self, doc: &Arc<Document>) -> Result<()> {
         if doc.format() != &FormatId::SAP_IDOC {
             return Err(BackendError::WrongFormat {
                 system: self.name.clone(),
@@ -72,7 +73,7 @@ impl BackendApplication for SapSystem {
         let inserted = self.book.insert(OrderRecord {
             po_number: po_number.clone(),
             amount,
-            document: doc.clone(),
+            document: Arc::clone(doc),
             state: OrderState::Pending,
             ack_status: None,
         });
@@ -85,11 +86,9 @@ impl BackendApplication for SapSystem {
     fn extract_poas(&mut self) -> Result<Vec<Document>> {
         let mut out = Vec::new();
         for po_number in self.book.pending() {
-            let (amount, stored) = {
-                let rec = self.book.get(&po_number).expect("pending order exists");
-                (rec.amount, rec.document.clone())
-            };
-            let status = self.policy.status_for(amount);
+            let rec = self.book.get(&po_number).expect("pending order exists");
+            let stored = &rec.document;
+            let status = self.policy.status_for(rec.amount);
             let action = sap_action(status);
             self.docnum_counter += 1;
             let ack_date = stored
@@ -141,7 +140,7 @@ impl BackendApplication for SapSystem {
         Ok(out)
     }
 
-    fn store_poa(&mut self, doc: &Document) -> Result<()> {
+    fn store_poa(&mut self, doc: &Arc<Document>) -> Result<()> {
         if doc.format() != &FormatId::SAP_IDOC {
             return Err(BackendError::WrongFormat {
                 system: self.name.clone(),
@@ -152,7 +151,7 @@ impl BackendApplication for SapSystem {
         if doc.kind() != DocKind::PurchaseOrderAck {
             return Err(self.err(format!("cannot file a {} as a POA", doc.kind())));
         }
-        self.filed_acks.push(doc.clone());
+        self.filed_acks.push(Arc::clone(doc));
         Ok(())
     }
 
@@ -178,7 +177,7 @@ mod tests {
     #[test]
     fn store_and_extract_round_trip() {
         let mut sap = SapSystem::new(AckPolicy::AcceptAll);
-        let po = sample_sap_po("4711", 12);
+        let po = Arc::new(sample_sap_po("4711", 12));
         sap.store_po(&po).unwrap();
         assert_eq!(sap.order_count(), 1);
         let poas = sap.extract_poas().unwrap();
@@ -194,7 +193,7 @@ mod tests {
     #[test]
     fn policy_drives_the_idoc_action() {
         let mut sap = SapSystem::new(AckPolicy::RejectAbove(Money::from_units(100, Currency::Usd)));
-        sap.store_po(&sample_sap_po("big", 200)).unwrap();
+        sap.store_po(&Arc::new(sample_sap_po("big", 200))).unwrap();
         let poas = sap.extract_poas().unwrap();
         assert_eq!(poas[0].get("e1edk01.action").unwrap(), &Value::text("003"));
         assert_eq!(sap.order_status("big").as_deref(), Some("rejected"));
@@ -203,12 +202,12 @@ mod tests {
     #[test]
     fn rejects_wrong_format_kind_and_duplicates() {
         let mut sap = SapSystem::new(AckPolicy::AcceptAll);
-        let normalized = b2b_document::normalized::sample_po("1", 10);
+        let normalized = Arc::new(b2b_document::normalized::sample_po("1", 10));
         assert!(matches!(sap.store_po(&normalized), Err(BackendError::WrongFormat { .. })));
-        let po = sample_sap_po("1", 10);
+        let po = Arc::new(sample_sap_po("1", 10));
         sap.store_po(&po).unwrap();
         assert!(matches!(sap.store_po(&po), Err(BackendError::DuplicateOrder { .. })));
-        let ack = sap.extract_poas().unwrap().remove(0);
+        let ack = Arc::new(sap.extract_poas().unwrap().remove(0));
         assert!(sap.store_po(&ack).is_err(), "cannot store an ack as an order");
     }
 }

@@ -41,7 +41,9 @@ fn bench_migration(c: &mut Criterion) {
                             let mut vars = BTreeMap::new();
                             vars.insert(
                                 "po".to_string(),
-                                Variable::Document(b2b_document::normalized::sample_po("m", 10)),
+                                Variable::Document(
+                                    b2b_document::normalized::sample_po("m", 10).into(),
+                                ),
                             );
                             let id = fed
                                 .engine_mut(&a)

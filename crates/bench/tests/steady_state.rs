@@ -195,6 +195,73 @@ fn binary_decode_allocations_are_independent_of_text_payload() {
     assert!(all_text_borrowed(doc_long.body()), "long decode copied a string");
 }
 
+fn document_hops_allocate_independently_of_document_size() {
+    // One copy per document: a send step shares its variable's document
+    // with the outbox, the host re-queues that `Arc` on the next instance,
+    // and the receive step stores it as it is. A chain of hops therefore
+    // asks the allocator for the same calls whatever the document's size;
+    // a copy on any hop scales with the line count and breaks the
+    // equality.
+    use b2b_document::normalized::PoBuilder;
+    use b2b_document::{Currency, Date, Document, Money};
+    use b2b_wfms::{ChannelId, Engine, EngineId, StepDef, WorkflowBuilder, WorkflowTypeId};
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    const HOPS: usize = 4;
+    let po = |lines: usize| -> Arc<Document> {
+        let order_date = Date::new(2001, 9, 17).unwrap();
+        let mut po = PoBuilder::new("HOP", "ACME", "GADGET", order_date, Currency::Usd);
+        for i in 0..lines {
+            po = po.line(&format!("ITEM-{i}"), 1, Money::from_units(1, Currency::Usd)).unwrap();
+        }
+        Arc::new(po.build().unwrap())
+    };
+    let relay = WorkflowBuilder::new("relay")
+        .step(StepDef::receive("take", "in", "doc"))
+        .step(StepDef::send("pass", "out", "doc"))
+        .edge("take", "pass")
+        .build()
+        .unwrap();
+    // Sets up HOPS waiting relays on a fresh engine, then measures the
+    // document's trip down the chain: each relay's outbox entry is
+    // queued on the next relay.
+    let chain = |doc: Arc<Document>| {
+        let mut engine = Engine::new(EngineId::new("hops"));
+        engine.deploy(relay.clone());
+        let relays: Vec<_> = (0..HOPS)
+            .map(|_| {
+                let id = engine
+                    .create_instance(&WorkflowTypeId::new("relay"), BTreeMap::new(), "s", "t")
+                    .unwrap();
+                engine.run(id).unwrap();
+                id
+            })
+            .collect();
+        let inbox = ChannelId::new("in");
+        let (out, delta) = alloc_count::measure(|| {
+            let mut doc = doc;
+            for &id in &relays {
+                engine.enqueue_to(id, &inbox, doc).unwrap();
+                engine.settle().unwrap();
+                doc = engine.drain_outbox().pop().expect("the relay sent").2;
+            }
+            doc
+        });
+        assert_eq!(engine.stats().receives, HOPS as u64, "every relay received");
+        (out, delta)
+    };
+    let (small, large) = (po(1), po(50));
+    std::hint::black_box(chain(Arc::clone(&small)));
+    let (small_out, delta_small) = chain(Arc::clone(&small));
+    let (large_out, delta_large) = chain(Arc::clone(&large));
+    assert_eq!(
+        delta_small.allocations, delta_large.allocations,
+        "allocator calls along the hops scaled with the document: {delta_small:?} vs {delta_large:?}"
+    );
+    assert!(Arc::ptr_eq(&small_out, &small) && Arc::ptr_eq(&large_out, &large));
+}
+
 fn settle_cost_is_independent_of_idle_session_population() {
     // The touched-only settle contract at the harness level: grow the
     // idle-session population 10x and run the *identical* active burst —
@@ -371,7 +438,7 @@ fn run_flat_cost(seed: u64, base_idle: usize, active_per_phase: usize) -> Result
 /// Runs the tests in order on this thread; an optional first non-flag
 /// argument filters them by name. Exits non-zero if any test panicked.
 fn main() {
-    let tests: [(&str, fn()); 5] = [
+    let tests: [(&str, fn()); 6] = [
         ("counting_allocator_sees_a_boxed_allocation", counting_allocator_sees_a_boxed_allocation),
         (
             "repeated_po_round_trips_are_allocation_steady",
@@ -380,6 +447,10 @@ fn main() {
         (
             "binary_decode_allocations_are_independent_of_text_payload",
             binary_decode_allocations_are_independent_of_text_payload,
+        ),
+        (
+            "document_hops_allocate_independently_of_document_size",
+            document_hops_allocate_independently_of_document_size,
         ),
         (
             "settle_cost_is_independent_of_idle_session_population",

@@ -164,8 +164,8 @@ pub fn register_distributed_activities(engine: &mut Engine) {
     engine.register_activity(
         "extract-poa",
         Arc::new(|ctx: &mut ActivityContext<'_>| {
-            let po = ctx.document("po_seller")?.clone();
-            let poa = build_poa(&po, "accepted", Date::new(2001, 9, 18).expect("valid"))
+            let po = ctx.document("po_seller")?;
+            let poa = build_poa(po, "accepted", Date::new(2001, 9, 18).expect("valid"))
                 .map_err(|e| e.to_string())?;
             ctx.set_document("poa", poa);
             Ok(())
@@ -224,7 +224,7 @@ pub fn run_distributed_roundtrip(amount_units: i64) -> Result<DistributedOutcome
     // Start at the buyer.
     let po = b2b_document::normalized::sample_po(&format!("dist-{amount_units}"), amount_units);
     let mut vars = BTreeMap::new();
-    vars.insert("po".to_string(), Variable::Document(po));
+    vars.insert("po".to_string(), Variable::Document(po.into()));
     let id = fed.engine_mut(&buyer_id)?.create_instance(&type_id, vars, "TP1", "GadgetSupply")?;
     fed.engine_mut(&buyer_id)?.run(id)?;
 
@@ -304,7 +304,7 @@ mod tests {
         engine.deploy(wf);
         let po = b2b_document::normalized::sample_po("local", 12_000);
         let mut vars = BTreeMap::new();
-        vars.insert("po".to_string(), Variable::Document(po));
+        vars.insert("po".to_string(), Variable::Document(po.into()));
         let id = engine.create_instance(&type_id, vars, "TP1", "GadgetSupply").unwrap();
         engine.run(id).unwrap();
         // Blocked at receive-po; loop the wire back locally.
@@ -331,7 +331,7 @@ mod tests {
         engine.deploy(wf);
         let po = b2b_document::normalized::sample_po("small", 5_000);
         let mut vars = BTreeMap::new();
-        vars.insert("po".to_string(), Variable::Document(po));
+        vars.insert("po".to_string(), Variable::Document(po.into()));
         let id = engine.create_instance(&type_id, vars, "TP1", "GadgetSupply").unwrap();
         engine.run(id).unwrap();
         // 5000 <= 10000: the buyer approval step must have been skipped.
@@ -350,7 +350,7 @@ mod tests {
         }
         let po = b2b_document::normalized::sample_po("sub", 12_000);
         let mut vars = BTreeMap::new();
-        vars.insert("po".to_string(), Variable::Document(po));
+        vars.insert("po".to_string(), Variable::Document(po.into()));
         let id = engine.create_instance(&main_id, vars, "TP1", "GadgetSupply").unwrap();
         engine.run(id).unwrap();
         let doc = engine

@@ -437,7 +437,7 @@ impl IntegrationEngine {
         let binding =
             self.wf.create_instance(binding_type, BTreeMap::new(), partner, &self.name)?;
         let mut vars = BTreeMap::new();
-        vars.insert("po".to_string(), Variable::Document(po));
+        vars.insert("po".to_string(), Variable::Document(po.into()));
         let target = backend.as_deref().unwrap_or(&self.name);
         let private = self.wf.create_instance(private_type, vars, partner, target)?;
 

@@ -95,7 +95,7 @@ pub fn run_figure8_roundtrip(amount_units: i64) -> Result<bool> {
 
     let po = b2b_document::normalized::sample_po(&format!("coop-{amount_units}"), amount_units);
     let mut vars = BTreeMap::new();
-    vars.insert("po".to_string(), Variable::Document(po));
+    vars.insert("po".to_string(), Variable::Document(po.into()));
     let buyer_inst = buyer.create_instance(&buyer_type, vars, "GadgetSupply", "TP1")?;
     let seller_inst =
         seller.create_instance(&seller_type, BTreeMap::new(), "TP1", "GadgetSupply")?;

@@ -131,7 +131,7 @@ pub fn rfq_submission_process() -> Result<WorkflowType> {
 pub fn make_quote_activity(seller: &str) -> Arc<dyn Activity> {
     let seller = seller.to_string();
     Arc::new(move |ctx: &mut ActivityContext<'_>| {
-        let rfq = ctx.document("rfq")?.clone();
+        let rfq = ctx.document("rfq")?;
         let price = match ctx.vars.get("price") {
             Some(b2b_wfms::Variable::Value(b2b_document::Value::Money(m))) => *m,
             other => return Err(format!("quote-price rule must return money, got {other:?}")),

@@ -350,9 +350,10 @@ impl IntegrationEngine {
     /// what ran.
     ///
     /// Takes the outbox's `Arc<Document>` as-is: queueing into the next
-    /// instance moves the pointer, so a document crossing all three
-    /// process layers is never deep-copied in transit. A wire-bound
-    /// document is encoded here, only once no shed can discard it.
+    /// instance or handing it to a back end passes that same `Arc`, so a
+    /// document crossing the process layers is never copied in transit.
+    /// A wire-bound document is encoded here, only once no shed can
+    /// discard it.
     pub(crate) fn route_one(
         &mut self,
         net: &mut SimNetwork,

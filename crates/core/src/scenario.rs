@@ -144,7 +144,10 @@ impl TwoEnterpriseScenario {
     }
 
     /// Advances the world until both sides are quiescent or `max_ms`
-    /// elapsed. Returns the elapsed milliseconds.
+    /// elapsed. Returns the elapsed milliseconds. Quiescent means the
+    /// network is idle, no session is in progress, and every wire send —
+    /// failure notices too, which belong to no session — has been
+    /// acknowledged or has failed.
     pub fn run_until_quiescent(&mut self, max_ms: u64) -> Result<u64> {
         let start = self.net.now().as_millis();
         loop {
@@ -159,6 +162,8 @@ impl TwoEnterpriseScenario {
                 && self.all_sessions_settled()
                 && !self.buyer.has_pending_wire()
                 && !self.seller.has_pending_wire()
+                && self.buyer.wire_outstanding() == 0
+                && self.seller.wire_outstanding() == 0
             {
                 return Ok(self.net.now().as_millis() - start);
             }

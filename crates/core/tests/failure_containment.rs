@@ -283,15 +283,11 @@ fn dead_lettered_notice_replays_as_a_notice() {
     let mut s = TwoEnterpriseScenario::new(faults, 9).unwrap();
     let po = s.po("unheard", 1_000).unwrap();
     s.submit(po).unwrap();
-    // Notices are not session traffic: pump until every send is
+    // Quiescence waits until every send, notices included, is
     // acknowledged or has failed.
     let drain = |s: &mut TwoEnterpriseScenario| {
-        while s.buyer.wire_outstanding() + s.seller.wire_outstanding() > 0 {
-            assert!(s.net.now().as_millis() < 600_000, "the wire never drained");
-            s.net.advance(10);
-            s.buyer.pump(&mut s.net).unwrap();
-            s.seller.pump(&mut s.net).unwrap();
-        }
+        let elapsed = s.run_until_quiescent(600_000).unwrap();
+        assert!(elapsed < 600_000, "the wire never drained");
     };
     drain(&mut s);
     let notice_letters = |s: &TwoEnterpriseScenario| -> Vec<(u64, Option<u64>, u32)> {
@@ -327,6 +323,29 @@ fn dead_lettered_notice_replays_as_a_notice() {
     assert!(notice_letters(&s).is_empty(), "{:?}", notice_letters(&s));
     assert_eq!(s.seller.stats().notifications_received, 1);
     assert_eq!(s.buyer.stats().replays, 2);
+}
+
+/// Quiescence covers traffic that belongs to no session: at total loss
+/// the buyer's failure notice is still retrying after the session has
+/// failed, so `run_until_quiescent` returns only once the notice has
+/// failed too and sits in the dead-letter queue.
+#[test]
+fn quiescence_waits_for_the_failure_notice_to_dead_letter() {
+    use b2b_network::WireClass;
+
+    let faults = FaultConfig { loss: 1.0, ..FaultConfig::reliable() };
+    let mut s = TwoEnterpriseScenario::new(faults, 9).unwrap();
+    let po = s.po("unheard", 1_000).unwrap();
+    let correlation = s.submit(po).unwrap();
+    s.run_until_quiescent(600_000).unwrap();
+
+    assert!(matches!(s.buyer.session_state(&correlation), SessionState::Failed(_)));
+    assert_eq!(s.buyer.wire_outstanding(), 0, "a buyer send is still retrying");
+    assert_eq!(s.seller.wire_outstanding(), 0, "a seller send is still retrying");
+    assert_eq!(s.buyer.stats().notifications_sent, 1);
+    let notices =
+        s.buyer.dead_letters().iter().filter(|l| l.envelope.class == WireClass::Notify).count();
+    assert_eq!(notices, 1, "the failure notice was not dead-lettered");
 }
 
 /// Poison-message escalation: the same undecodable payload from one

@@ -91,8 +91,8 @@ pub(crate) struct VolatileState {
     /// Per-instance directed queues (session-scoped routing), grouped by
     /// receiving instance so a settle round finds an instance's queues in
     /// one lookup. Documents travel by `Arc` end to end: routing hands off
-    /// a pointer, and the receive step unwraps it (free while the
-    /// reference is unique, copy-on-write otherwise).
+    /// a pointer, and the receive step stores that same `Arc` in its
+    /// variable.
     pub directed_queues: BTreeMap<InstanceId, BTreeMap<ChannelId, VecDeque<Arc<Document>>>>,
     /// Documents emitted by send steps, drained by the host.
     pub outbox: Vec<(InstanceId, ChannelId, Arc<Document>)>,
@@ -145,13 +145,6 @@ fn take_instance(
     id: InstanceId,
 ) -> Result<WorkflowInstance> {
     instances.remove(&id).ok_or(WfError::UnknownInstance { instance: id.value() })
-}
-
-/// Takes a document out of its `Arc`: free when the reference is unique
-/// (the common case — each queued document has exactly one consumer),
-/// copy-on-write when something else still holds it.
-fn unwrap_doc(doc: Arc<Document>) -> Document {
-    Arc::try_unwrap(doc).unwrap_or_else(|shared| (*shared).clone())
 }
 
 pub(crate) fn drain_runnable(ctx: &mut ExecCtx<'_>) -> Result<()> {
@@ -340,18 +333,18 @@ fn execute_step(
             };
             match result {
                 Ok(out) => {
-                    inst.vars.insert(out_var.clone(), Variable::Document(out));
+                    inst.vars.insert(out_var.clone(), Variable::Document(Arc::new(out)));
                     ExecOutcome::Completed
                 }
                 Err(e) => ExecOutcome::Failed(e.to_string()),
             }
         }
         StepKind::Send { channel, var } => {
-            // The one remaining copy on the send path: the variable keeps
-            // its document, so the outbox gets a fresh `Arc` that routing
-            // and delivery then share without further copies.
+            // The variable and the outbox share one document: routing,
+            // queueing and the receiving instance's variable hold further
+            // `Arc`s of it, so no hop copies the tree.
             let doc = match inst.vars.get(var) {
-                Some(Variable::Document(d)) => Arc::new(d.clone()),
+                Some(Variable::Document(d)) => Arc::clone(d),
                 _ => return ExecOutcome::Failed(format!("send needs document variable `{var}`")),
             };
             ctx.vol.stats.sends += 1;
@@ -367,7 +360,7 @@ fn execute_step(
                 .and_then(VecDeque::pop_front);
             let Some(doc) = directed else { return ExecOutcome::Waiting };
             ctx.vol.stats.receives += 1;
-            inst.vars.insert(var.clone(), Variable::Document(unwrap_doc(doc)));
+            inst.vars.insert(var.clone(), Variable::Document(doc));
             ExecOutcome::Completed
         }
         StepKind::Timer { delay_ms } => {
@@ -498,7 +491,7 @@ fn receive(ctx: &mut ExecCtx<'_>, id: InstanceId, ix: usize, doc: Arc<Document>)
         unreachable!("the receive index holds receive steps only")
     };
     let (var, step_id) = (var.clone(), step.id.clone());
-    inst.vars.insert(var, Variable::Document(unwrap_doc(doc)));
+    inst.vars.insert(var, Variable::Document(doc));
     ctx.vol.stats.receives += 1;
     record(ctx.vol, ctx.env.now, id, HistoryKind::Delivered(step_id));
     finish_step_and_resume(ctx, inst, ix)?;
@@ -583,15 +576,7 @@ fn mark_completed(
                     .ok_or_else(|| format!("guard variable `{}` is not set", cond.var))?;
                 // Documents evaluate in place; only plain values pay the
                 // wrapping copy guards need to address them.
-                match var {
-                    Variable::Document(d) => {
-                        cond.eval(d, source, target).map_err(|e| e.to_string())?
-                    }
-                    Variable::Value(_) => {
-                        let doc = var.guard_document();
-                        cond.eval(&doc, source, target).map_err(|e| e.to_string())?
-                    }
-                }
+                cond.eval(&var.guard_document(), source, target).map_err(|e| e.to_string())?
             }
         };
         states.set_edge(e, if taken { EdgeState::Taken } else { EdgeState::Dead });

@@ -5,6 +5,7 @@ use crate::error::{Result, WfError};
 use crate::model::{ChannelId, InstanceId, StepId, WorkflowType, WorkflowTypeId};
 use b2b_document::{record, CorrelationId, DocKind, Document, FormatId, Value};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -12,8 +13,10 @@ use std::sync::Arc;
 /// value (rule results, counters).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Variable {
-    /// A business document.
-    Document(Document),
+    /// A business document, held by `Arc`: a send step, the queues and
+    /// the receiving instance's variable all share one copy. Serializes
+    /// as the document itself.
+    Document(Arc<Document>),
     /// A plain value.
     Value(Value),
 }
@@ -31,18 +34,18 @@ impl Variable {
         }
     }
 
-    /// Document a guard condition can evaluate against: documents pass
-    /// through; plain values are wrapped so guards address them as
-    /// `document.value`.
-    pub fn guard_document(&self) -> Document {
+    /// Document a guard condition can evaluate against: documents are
+    /// borrowed in place; plain values are wrapped so guards address them
+    /// as `document.value`.
+    pub fn guard_document(&self) -> Cow<'_, Document> {
         match self {
-            Self::Document(d) => d.clone(),
-            Self::Value(v) => Document::new(
+            Self::Document(d) => Cow::Borrowed(d),
+            Self::Value(v) => Cow::Owned(Document::new(
                 DocKind::Receipt,
                 FormatId::custom("variable"),
                 CorrelationId::new("guard"),
                 record! { "value" => v.clone() },
-            ),
+            )),
         }
     }
 }
@@ -347,8 +350,10 @@ mod tests {
         inst.states.set_step(0, StepState::Completed);
         inst.states.set_edge(0, EdgeState::Taken);
         inst.states.set_step(1, StepState::Waiting);
-        inst.vars
-            .insert("po".into(), Variable::Document(b2b_document::normalized::sample_po("1", 10)));
+        inst.vars.insert(
+            "po".into(),
+            Variable::Document(b2b_document::normalized::sample_po("1", 10).into()),
+        );
         let json = serde_json::to_string(&inst.to_record(true)).unwrap();
         assert!(json.contains(r#""step_states":{"a":"Waiting","b":"Completed"}"#), "{json}");
         let record: InstanceRecord = serde_json::from_str(&json).unwrap();

@@ -83,7 +83,7 @@ impl ActivityContext<'_> {
 
     /// Writes a document variable.
     pub fn set_document(&mut self, var: &str, doc: Document) {
-        self.vars.insert(var.to_string(), Variable::Document(doc));
+        self.vars.insert(var.to_string(), Variable::Document(Arc::new(doc)));
     }
 
     /// Writes a value variable.
@@ -300,8 +300,10 @@ impl Engine {
     /// stepping the instance: the one way a document reaches an instance.
     /// Staged hosts use this to decouple routing from execution
     /// ([`Engine::settle`]); the queued document wakes its receiver in the
-    /// next settle. Documents move by `Arc`, so re-queueing what
-    /// [`Engine::drain_outbox`] returned is pointer-cheap.
+    /// next settle. Documents move by `Arc`: re-queueing what
+    /// [`Engine::drain_outbox`] returned moves a pointer, and the receive
+    /// step stores that same `Arc`, so sender and receiver share one
+    /// document.
     pub fn enqueue_to(
         &mut self,
         instance: InstanceId,

@@ -13,7 +13,7 @@ fn engine() -> Engine {
 
 fn doc_vars(amount: i64) -> BTreeMap<String, Variable> {
     let mut vars = BTreeMap::new();
-    vars.insert("po".to_string(), Variable::Document(sample_po("4711", amount)));
+    vars.insert("po".to_string(), Variable::Document(sample_po("4711", amount).into()));
     vars
 }
 
@@ -138,6 +138,70 @@ fn send_lands_in_the_outbox() {
     assert_eq!(out[0].0, id);
     assert_eq!(out[0].1, ChannelId::new("out"));
     assert!(e.drain_outbox().is_empty());
+}
+
+/// A sender and a receiver joined the way hosts join them: the sender's
+/// outbox entry is re-queued on the receiver with `enqueue_to`. The
+/// receiver's `then` step runs after its receive.
+fn one_hop(e: &mut Engine, then: StepDef) -> (InstanceId, InstanceId) {
+    e.deploy(
+        WorkflowBuilder::new("send").step(StepDef::send("emit", "out", "po")).build().unwrap(),
+    );
+    e.deploy(
+        WorkflowBuilder::new("recv")
+            .step(StepDef::receive("wait", "in", "po"))
+            .step(then)
+            .edge("wait", "then")
+            .build()
+            .unwrap(),
+    );
+    let sender = e.create_instance(&WorkflowTypeId::new("send"), doc_vars(10), "s", "t").unwrap();
+    let receiver =
+        e.create_instance(&WorkflowTypeId::new("recv"), BTreeMap::new(), "s", "t").unwrap();
+    e.run(sender).unwrap();
+    assert_eq!(e.run(receiver).unwrap(), InstanceStatus::Running);
+    for (_, _, doc) in e.drain_outbox() {
+        e.enqueue_to(receiver, &ChannelId::new("in"), doc).unwrap();
+    }
+    e.settle().unwrap();
+    assert_eq!(e.status(receiver).unwrap(), InstanceStatus::Completed);
+    (sender, receiver)
+}
+
+fn document_of(e: &Engine, id: InstanceId, var: &str) -> Arc<Document> {
+    match e.variable(id, var).unwrap() {
+        Variable::Document(d) => d,
+        other => panic!("{other:?}"),
+    }
+}
+
+#[test]
+fn a_send_receive_hop_shares_one_document() {
+    let mut e = engine();
+    let (sender, receiver) = one_hop(&mut e, StepDef::noop("then"));
+    let (sent, received) = (document_of(&e, sender, "po"), document_of(&e, receiver, "po"));
+    assert!(Arc::ptr_eq(&sent, &received), "the hop copied the document");
+}
+
+#[test]
+fn editing_a_received_document_leaves_the_sender_unchanged() {
+    let mut e = engine();
+    e.register_activity(
+        "edit",
+        Arc::new(|ctx: &mut ActivityContext<'_>| {
+            let Some(Variable::Document(po)) = ctx.vars.get_mut("po") else {
+                return Err("no po".into());
+            };
+            Arc::make_mut(po)
+                .set("header.po_number", Value::text("edited"))
+                .map_err(|e| e.to_string())
+        }),
+    );
+    let (sender, receiver) = one_hop(&mut e, StepDef::activity("then", "edit"));
+    let (sent, edited) = (document_of(&e, sender, "po"), document_of(&e, receiver, "po"));
+    assert!(!Arc::ptr_eq(&sent, &edited), "the edit wrote through the shared document");
+    assert_eq!(sent.get("header.po_number").unwrap(), &Value::text("4711"));
+    assert_eq!(edited.get("header.po_number").unwrap(), &Value::text("edited"));
 }
 
 #[test]
@@ -428,7 +492,7 @@ fn transform_context_swaps_for_outbound_documents() {
             .unwrap(),
     );
     let mut vars = BTreeMap::new();
-    vars.insert("poa".to_string(), Variable::Document(poa.clone()));
+    vars.insert("poa".to_string(), Variable::Document(poa.clone().into()));
     let sid = seller
         .create_instance(
             &WorkflowTypeId::new("down"),

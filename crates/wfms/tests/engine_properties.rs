@@ -58,7 +58,7 @@ fn build_and_run(dag: &RandomDag) -> InstanceStatus {
     let mut vars = BTreeMap::new();
     vars.insert(
         "po".to_string(),
-        Variable::Document(b2b_document::normalized::sample_po("p", 10_000)),
+        Variable::Document(b2b_document::normalized::sample_po("p", 10_000).into()),
     );
     let id = engine
         .create_instance(&WorkflowTypeId::new("random"), vars, "s", "t")
@@ -97,7 +97,7 @@ proptest! {
         let mut vars = BTreeMap::new();
         vars.insert(
             "po".to_string(),
-            Variable::Document(b2b_document::normalized::sample_po("p", 10)),
+            Variable::Document(b2b_document::normalized::sample_po("p", 10).into()),
         );
         let id = engine
             .create_instance(&WorkflowTypeId::new("skippy"), vars, "s", "t")
