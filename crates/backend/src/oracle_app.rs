@@ -77,11 +77,10 @@ impl BackendApplication for OracleSystem {
     }
 
     fn extract_poas(&mut self) -> Result<Vec<Document>> {
-        let mut out = Vec::new();
-        for po_number in self.book.pending() {
-            let rec = self.book.get(&po_number).expect("pending order exists");
+        let (policy, name) = (&self.policy, &self.name);
+        self.book.acknowledge_pending(|rec| {
             let stored = &rec.document;
-            let status = self.policy.status_for(rec.amount);
+            let status = policy.status_for(rec.amount);
             let code = oracle_status(status);
             let ack_date = stored
                 .lookup("po_header.creation_date")
@@ -91,7 +90,10 @@ impl BackendApplication for OracleSystem {
             let lines: Vec<Value> = stored
                 .get("po_lines")
                 .and_then(|v| v.as_list("po_lines"))
-                .map_err(|e| self.err(e.to_string()))?
+                .map_err(|e| BackendError::BadDocument {
+                    system: name.clone(),
+                    reason: e.to_string(),
+                })?
                 .iter()
                 .map(|line| {
                     let rec = line.as_record("po_lines").expect("stored PO validated");
@@ -104,16 +106,14 @@ impl BackendApplication for OracleSystem {
                 .collect();
             let body = record! {
                 "ack_header" => record! {
-                    "po_number" => Value::text(&po_number),
+                    "po_number" => Value::text(&rec.po_number),
                     "status" => Value::text(code),
                     "ack_date" => Value::Date(ack_date),
                 },
                 "ack_lines" => Value::List(lines),
             };
-            out.push(stored.reply(DocKind::PurchaseOrderAck, FormatId::ORACLE_APPS, body));
-            self.book.mark_processed(&po_number, status);
-        }
-        Ok(out)
+            Ok((stored.reply(DocKind::PurchaseOrderAck, FormatId::ORACLE_APPS, body), status))
+        })
     }
 
     fn store_poa(&mut self, doc: &Arc<Document>) -> Result<()> {

@@ -2,7 +2,7 @@
 
 use b2b_document::{Document, Money};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Lifecycle state of a stored order.
@@ -34,6 +34,9 @@ pub struct OrderRecord {
 #[derive(Debug, Default)]
 pub struct OrderBook {
     orders: BTreeMap<String, OrderRecord>,
+    /// Numbers of the orders still pending, in PO-number order: a poll
+    /// visits these instead of every order ever stored.
+    pending: BTreeSet<String>,
 }
 
 impl OrderBook {
@@ -47,6 +50,9 @@ impl OrderBook {
         if self.orders.contains_key(&record.po_number) {
             return false;
         }
+        if record.state == OrderState::Pending {
+            self.pending.insert(record.po_number.clone());
+        }
         self.orders.insert(record.po_number.clone(), record);
         true
     }
@@ -57,12 +63,8 @@ impl OrderBook {
     }
 
     /// Order numbers currently pending, in order.
-    pub fn pending(&self) -> Vec<String> {
-        self.orders
-            .values()
-            .filter(|o| o.state == OrderState::Pending)
-            .map(|o| o.po_number.clone())
-            .collect()
+    pub fn pending(&self) -> impl Iterator<Item = &str> {
+        self.pending.iter().map(String::as_str)
     }
 
     /// Marks an order processed with the given acknowledgment status.
@@ -71,10 +73,36 @@ impl OrderBook {
             Some(o) => {
                 o.state = OrderState::Processed;
                 o.ack_status = Some(ack_status.to_string());
+                self.pending.remove(po_number);
                 true
             }
             None => false,
         }
+    }
+
+    /// Acknowledges the pending orders in PO-number order: `ack` builds
+    /// one order's acknowledgment and names its status, and the order is
+    /// marked processed. An error stops the pass and leaves that order
+    /// and the later ones pending.
+    pub fn acknowledge_pending<T, E>(
+        &mut self,
+        mut ack: impl FnMut(&OrderRecord) -> Result<(T, &'static str), E>,
+    ) -> Result<Vec<T>, E> {
+        let mut acks = Vec::new();
+        while let Some(po_number) = self.pending.pop_first() {
+            let order = self.orders.get(&po_number).expect("the pending index names stored orders");
+            match ack(order) {
+                Ok((acked, status)) => {
+                    self.mark_processed(&po_number, status);
+                    acks.push(acked);
+                }
+                Err(e) => {
+                    self.pending.insert(po_number);
+                    return Err(e);
+                }
+            }
+        }
+        Ok(acks)
     }
 
     /// Total number of orders.
@@ -109,12 +137,62 @@ mod tests {
         let mut book = OrderBook::new();
         assert!(book.insert(record("1")));
         assert!(!book.insert(record("1")), "duplicates rejected");
-        assert_eq!(book.pending(), vec!["1"]);
+        assert_eq!(book.pending().collect::<Vec<_>>(), vec!["1"]);
         assert!(book.mark_processed("1", "accepted"));
-        assert!(book.pending().is_empty());
+        assert_eq!(book.pending().count(), 0);
         assert_eq!(book.get("1").unwrap().ack_status.as_deref(), Some("accepted"));
         assert!(!book.mark_processed("ghost", "x"));
         assert_eq!(book.len(), 1);
         assert!(!book.is_empty());
+    }
+
+    /// What `pending()` must list: a filter over every order.
+    fn pending_by_scan(book: &OrderBook) -> Vec<&str> {
+        book.orders
+            .values()
+            .filter(|o| o.state == OrderState::Pending)
+            .map(|o| o.po_number.as_str())
+            .collect()
+    }
+
+    #[test]
+    fn the_pending_index_follows_inserts_and_processing() {
+        let mut book = OrderBook::new();
+        // Numbers arrive out of order; every third is processed at once,
+        // every fifth (again), and numbers never stored are refused.
+        for i in 0..60u32 {
+            let n = format!("{}", (i * 37) % 61);
+            assert!(book.insert(record(&n)));
+            if i % 3 == 0 {
+                assert!(book.mark_processed(&n, "accepted"));
+            }
+            if i % 5 == 0 {
+                book.mark_processed(&n, "rejected");
+            }
+            assert!(!book.mark_processed(&format!("ghost-{i}"), "accepted"));
+            assert_eq!(book.pending().collect::<Vec<_>>(), pending_by_scan(&book), "after {n}");
+        }
+        assert!(!book.insert(record("0")), "duplicates leave the index alone");
+        assert_eq!(book.pending().collect::<Vec<_>>(), pending_by_scan(&book));
+    }
+
+    #[test]
+    fn acknowledging_stops_at_an_error_and_keeps_the_rest_pending() {
+        let mut book = OrderBook::new();
+        for n in ["3", "1", "2"] {
+            book.insert(record(n));
+        }
+        let failed = book.acknowledge_pending(|o| match o.po_number.as_str() {
+            "2" => Err("bad order"),
+            n => Ok((n.to_string(), "accepted")),
+        });
+        assert_eq!(failed, Err("bad order"));
+        assert_eq!(book.pending().collect::<Vec<_>>(), vec!["2", "3"]);
+        let acked = book.acknowledge_pending(|o| Ok::<_, ()>((o.po_number.clone(), "rejected")));
+        assert_eq!(acked, Ok(vec!["2".to_string(), "3".to_string()]));
+        assert_eq!(book.pending().count(), 0);
+        assert_eq!(pending_by_scan(&book), Vec::<&str>::new());
+        assert_eq!(book.get("1").unwrap().ack_status.as_deref(), Some("accepted"));
+        assert_eq!(book.get("3").unwrap().ack_status.as_deref(), Some("rejected"));
     }
 }

@@ -84,13 +84,12 @@ impl BackendApplication for SapSystem {
     }
 
     fn extract_poas(&mut self) -> Result<Vec<Document>> {
-        let mut out = Vec::new();
-        for po_number in self.book.pending() {
-            let rec = self.book.get(&po_number).expect("pending order exists");
+        let (policy, counter, name) = (&self.policy, &mut self.docnum_counter, &self.name);
+        self.book.acknowledge_pending(|rec| {
             let stored = &rec.document;
-            let status = self.policy.status_for(rec.amount);
+            let status = policy.status_for(rec.amount);
             let action = sap_action(status);
-            self.docnum_counter += 1;
+            *counter += 1;
             let ack_date = stored
                 .lookup("e1edk01.audat")
                 .and_then(|v| v.as_date("audat").ok())
@@ -99,7 +98,10 @@ impl BackendApplication for SapSystem {
             let lines: Vec<Value> = stored
                 .get("e1edp01")
                 .and_then(|v| v.as_list("e1edp01"))
-                .map_err(|e| self.err(e.to_string()))?
+                .map_err(|e| BackendError::BadDocument {
+                    system: name.clone(),
+                    reason: e.to_string(),
+                })?
                 .iter()
                 .map(|line| {
                     let rec = line.as_record("e1edp01").expect("stored PO validated");
@@ -125,19 +127,17 @@ impl BackendApplication for SapSystem {
                     "idoctyp" => Value::text("ORDRSP"),
                     "sndprn" => Value::text(sndprn),
                     "rcvprn" => Value::text(rcvprn),
-                    "docnum" => Value::text(format!("ordrsp-{:06}", self.docnum_counter)),
+                    "docnum" => Value::text(format!("ordrsp-{:06}", *counter)),
                 },
                 "e1edk01" => record! {
-                    "belnr" => Value::text(&po_number),
+                    "belnr" => Value::text(&rec.po_number),
                     "audat" => Value::Date(ack_date),
                     "action" => Value::text(action),
                 },
                 "e1edp01" => Value::List(lines),
             };
-            out.push(stored.reply(DocKind::PurchaseOrderAck, FormatId::SAP_IDOC, body));
-            self.book.mark_processed(&po_number, status);
-        }
-        Ok(out)
+            Ok((stored.reply(DocKind::PurchaseOrderAck, FormatId::SAP_IDOC, body), status))
+        })
     }
 
     fn store_poa(&mut self, doc: &Arc<Document>) -> Result<()> {

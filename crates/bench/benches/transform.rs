@@ -3,7 +3,7 @@
 
 use b2b_document::formats::sample_edi_po;
 use b2b_document::normalized::sample_po;
-use b2b_document::{DocKind, FormatId, FormatRegistry};
+use b2b_document::{FormatId, FormatRegistry};
 use b2b_transform::{TransformContext, TransformRegistry};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -63,29 +63,15 @@ fn bench_full_binding_path(c: &mut Criterion) {
     });
 }
 
-fn bench_dispatch_modes(c: &mut Criterion) {
-    // The tree-walking interpreter (`TransformProgram::apply`) against the
-    // registry's compiled dispatch on the same EDI → normalized → EDI
-    // round trip; the two must produce identical documents, so the only
-    // difference on the wire is latency.
+fn bench_dispatch(c: &mut Criterion) {
+    // Registry dispatch on the EDI → normalized → EDI round trip: two
+    // program lookups and two rule-interpreter passes.
     let ctx = TransformContext::new("ACME", "GADGET", "000000001", "i-1");
     let po = sample_edi_po("4711", 7);
     let transforms = TransformRegistry::with_builtins();
-    let to_norm = transforms
-        .program(&FormatId::EDI_X12, &FormatId::NORMALIZED, DocKind::PurchaseOrder)
-        .unwrap();
-    let to_edi = transforms
-        .program(&FormatId::NORMALIZED, &FormatId::EDI_X12, DocKind::PurchaseOrder)
-        .unwrap();
     let mut group = c.benchmark_group("dispatch");
     group.throughput(Throughput::Elements(1));
-    group.bench_function("edi-roundtrip/interpreted", |bencher| {
-        bencher.iter(|| {
-            let norm = to_norm.apply(&po, &ctx).unwrap();
-            black_box(to_edi.apply(&norm, &ctx).unwrap())
-        })
-    });
-    group.bench_function("edi-roundtrip/compiled", |bencher| {
+    group.bench_function("edi-roundtrip", |bencher| {
         bencher.iter(|| {
             let norm = transforms.transform(&po, &FormatId::NORMALIZED, &ctx).unwrap();
             black_box(transforms.transform(&norm, &FormatId::EDI_X12, &ctx).unwrap())
@@ -94,11 +80,5 @@ fn bench_dispatch_modes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_transform,
-    bench_codecs,
-    bench_full_binding_path,
-    bench_dispatch_modes
-);
+criterion_group!(benches, bench_transform, bench_codecs, bench_full_binding_path, bench_dispatch);
 criterion_main!(benches);

@@ -13,8 +13,9 @@
 //! repeated identical workload interns nothing new (the interner is
 //! frozen) and asks the allocator for exactly the same traffic on every
 //! pump — no hidden per-document key allocations, no cache churn. These
-//! tests pin both properties; a regression that reintroduces per-decode
-//! key strings or per-apply program recompilation fails them.
+//! tests pin both properties, and the allocator calls of one builtin
+//! dispatch; a regression that reintroduces per-decode key strings or
+//! per-rule path strings fails them.
 
 use b2b_bench::population::{Population, PopulationConfig, PopulationPlan, WAVE};
 use b2b_core::error::{IntegrationError, Result};
@@ -114,8 +115,9 @@ fn repeated_po_round_trips_are_allocation_steady() {
     let ctx = TransformContext::new("ACME", "GADGET", "000000042", "i-steady");
     let wire = formats.encode(&sample_edi_po("STEADY", 7)).expect("sample wire");
 
-    // Pump 1 warms every cache: codec symbols are interned at registry
-    // construction, compiled transform programs on first dispatch.
+    // Pump 1 is a warm-up only; nothing compiles on first dispatch.
+    // Codec symbols are interned when the format registry is built,
+    // transform path segments when the builtin programs are.
     std::hint::black_box(pump_once(&formats, &transforms, &ctx, &wire));
 
     let interned_after_warmup = interned_count();
@@ -135,6 +137,51 @@ fn repeated_po_round_trips_are_allocation_steady() {
     // work asks the allocator for the same calls and bytes every time.
     assert_eq!(deltas[0], deltas[1], "allocation traffic drifted between pumps 2 and 3");
     assert_eq!(deltas[1], deltas[2], "allocation traffic drifted between pumps 3 and 4");
+}
+
+fn setting_a_field_of_an_existing_record_allocates_nothing() {
+    // `FieldPath::set` renders its path only into an error: a write
+    // through records that already exist asks the allocator for nothing.
+    use b2b_document::normalized::sample_po;
+    use b2b_document::{FieldPath, Value};
+
+    let mut body = sample_po("4711", 10).into_body();
+    let path = FieldPath::parse("header.po_number").expect("path");
+    let value = Value::text("4712");
+    let (set, delta) = alloc_count::measure(|| path.set(&mut body, value));
+    set.expect("set");
+    assert_eq!(path.get(&body).expect("written"), &Value::text("4712"));
+    assert_eq!(delta.allocations, 0, "an in-place set allocated: {delta:?}");
+}
+
+fn builtin_dispatch_allocations_stay_pinned() {
+    // Ceilings on the allocator calls of one builtin dispatch of a 7-unit
+    // EDI 850; a lookup of a builtin conversion asks for none.
+    use b2b_document::DocKind;
+
+    let formats = FormatRegistry::with_builtins();
+    let transforms = TransformRegistry::with_builtins();
+    let ctx = TransformContext::new("ACME", "GADGET", "000000042", "i-pinned");
+    let po = sample_edi_po("PINNED", 7);
+    let wire = formats.encode(&po).expect("sample wire");
+    std::hint::black_box(pump_once(&formats, &transforms, &ctx, &wire));
+
+    let (program, lookup) = alloc_count::measure(|| {
+        transforms.program(&FormatId::EDI_X12, &FormatId::NORMALIZED, DocKind::PurchaseOrder)
+    });
+    program.expect("builtin program");
+    let (norm, inbound) = alloc_count::measure(|| {
+        transforms.transform(&po, &FormatId::NORMALIZED, &ctx).expect("to normalized")
+    });
+    let (back, outbound) = alloc_count::measure(|| {
+        transforms.transform(&norm, &FormatId::EDI_X12, &ctx).expect("back to EDI")
+    });
+    let (_, round_trip) = alloc_count::measure(|| pump_once(&formats, &transforms, &ctx, &wire));
+    std::hint::black_box(back);
+    assert_eq!(lookup.allocations, 0, "looking up a builtin conversion allocated");
+    assert!(inbound.allocations <= 10, "EDI 850 -> normalized: {inbound:?}");
+    assert!(outbound.allocations <= 24, "normalized -> EDI: {outbound:?}");
+    assert!(round_trip.allocations <= 259, "decode, both transforms, encode: {round_trip:?}");
 }
 
 fn binary_decode_allocations_are_independent_of_text_payload() {
@@ -438,12 +485,17 @@ fn run_flat_cost(seed: u64, base_idle: usize, active_per_phase: usize) -> Result
 /// Runs the tests in order on this thread; an optional first non-flag
 /// argument filters them by name. Exits non-zero if any test panicked.
 fn main() {
-    let tests: [(&str, fn()); 6] = [
+    let tests: [(&str, fn()); 8] = [
         ("counting_allocator_sees_a_boxed_allocation", counting_allocator_sees_a_boxed_allocation),
         (
             "repeated_po_round_trips_are_allocation_steady",
             repeated_po_round_trips_are_allocation_steady,
         ),
+        (
+            "setting_a_field_of_an_existing_record_allocates_nothing",
+            setting_a_field_of_an_existing_record_allocates_nothing,
+        ),
+        ("builtin_dispatch_allocations_stay_pinned", builtin_dispatch_allocations_stay_pinned),
         (
             "binary_decode_allocations_are_independent_of_text_payload",
             binary_decode_allocations_are_independent_of_text_payload,

@@ -325,10 +325,8 @@ impl IntegrationEngine {
     /// Queues back-end output documents against their sessions' back-end
     /// bindings.
     pub(crate) fn poll_backends(&mut self) -> Result<()> {
-        let names: Vec<String> = self.backends.keys().cloned().collect();
-        for name in names {
-            let poas = self.backends.get_mut(&name).expect("key exists").poll()?;
-            for poa in poas {
+        for app in self.backends.values_mut() {
+            for poa in app.poll()? {
                 let bb = self
                     .table
                     .indices_of_correlation(poa.correlation())

@@ -16,7 +16,7 @@ use crate::error::{DocumentError, Result};
 use crate::ids::{CorrelationId, DocumentId};
 use crate::intern::{intern, Symbol};
 use crate::money::Currency;
-use crate::value::Value;
+use crate::value::{ElementAt, Value};
 use crate::{record, record_sym};
 
 const FORMAT: &str = "edi-x12";
@@ -138,30 +138,30 @@ impl EdiX12Codec {
         )];
         segments.push(Segment::new("CUR", &["BY", currency]));
         for (i, n1) in field(body, "n1", FORMAT)?.as_list("n1")?.iter().enumerate() {
-            let at = format!("n1[{i}]");
-            let rec = n1.as_record(&at)?;
+            let at = ElementAt("n1", i);
+            let rec = n1.as_record(at)?;
             segments.push(Segment::new(
                 "N1",
                 &[
-                    field(rec, "code", FORMAT)?.as_text(&at)?,
-                    field(rec, "name", FORMAT)?.as_text(&at)?,
+                    field(rec, "code", FORMAT)?.as_text(at)?,
+                    field(rec, "name", FORMAT)?.as_text(at)?,
                 ],
             ));
         }
         let lines = field(body, "po1", FORMAT)?.as_list("po1")?;
         for (i, line) in lines.iter().enumerate() {
-            let at = format!("po1[{i}]");
-            let rec = line.as_record(&at)?;
+            let at = ElementAt("po1", i);
+            let rec = line.as_record(at)?;
             segments.push(Segment::new(
                 "PO1",
                 &[
-                    &field(rec, "line_no", FORMAT)?.as_int(&at)?.to_string(),
-                    &field(rec, "quantity", FORMAT)?.as_int(&at)?.to_string(),
-                    field(rec, "uom", FORMAT)?.as_text(&at)?,
-                    &money_to_decimal(field(rec, "unit_price", FORMAT)?.as_money(&at)?),
+                    &field(rec, "line_no", FORMAT)?.as_int(at)?.to_string(),
+                    &field(rec, "quantity", FORMAT)?.as_int(at)?.to_string(),
+                    field(rec, "uom", FORMAT)?.as_text(at)?,
+                    &money_to_decimal(field(rec, "unit_price", FORMAT)?.as_money(at)?),
                     "",
                     "VP",
-                    field(rec, "item", FORMAT)?.as_text(&at)?,
+                    field(rec, "item", FORMAT)?.as_text(at)?,
                 ],
             ));
         }
@@ -194,13 +194,13 @@ impl EdiX12Codec {
             ],
         )];
         for (i, ack) in field(body, "ack", FORMAT)?.as_list("ack")?.iter().enumerate() {
-            let at = format!("ack[{i}]");
-            let rec = ack.as_record(&at)?;
+            let at = ElementAt("ack", i);
+            let rec = ack.as_record(at)?;
             segments.push(Segment::new(
                 "ACK",
                 &[
-                    field(rec, "status_code", FORMAT)?.as_text(&at)?,
-                    &field(rec, "quantity", FORMAT)?.as_int(&at)?.to_string(),
+                    field(rec, "status_code", FORMAT)?.as_text(at)?,
+                    &field(rec, "quantity", FORMAT)?.as_int(at)?.to_string(),
                     "EA",
                 ],
             ));
@@ -474,5 +474,22 @@ mod tests {
         let wire = String::from_utf8(codec.encode(&sample_edi_po("1", 5)).unwrap()).unwrap();
         let tampered = wire.replace("ST*850*", "ST*997*");
         assert!(codec.decode(tampered.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn a_mistyped_line_field_names_its_line() {
+        let codec = EdiX12Codec::default();
+        let mut doc = sample_edi_po("4711", 12);
+        doc.set("po1[0].quantity", Value::text("twelve")).unwrap();
+        assert_eq!(
+            codec.encode(&doc).unwrap_err().to_string(),
+            "expected int at `po1[0]`, found text"
+        );
+        let mut doc = sample_edi_po("4711", 12);
+        doc.set("n1[1]", Value::Int(3)).unwrap();
+        assert_eq!(
+            codec.encode(&doc).unwrap_err().to_string(),
+            "expected record at `n1[1]`, found int"
+        );
     }
 }

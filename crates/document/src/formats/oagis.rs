@@ -11,7 +11,7 @@ use crate::error::{DocumentError, Result};
 use crate::ids::{CorrelationId, DocumentId};
 use crate::intern::{intern, Symbol};
 use crate::money::Currency;
-use crate::value::Value;
+use crate::value::{ElementAt, Value};
 use crate::xml::{parse_element, write_element_into, XmlElement};
 use crate::{record, record_sym};
 
@@ -169,22 +169,22 @@ impl OagisCodec {
             ));
         let mut data_el = XmlElement::new("DATAAREA").child(header_el);
         for (i, line) in field(da, "po_lines", FORMAT)?.as_list("po_lines")?.iter().enumerate() {
-            let at = format!("po_lines[{i}]");
-            let rec = line.as_record(&at)?;
+            let at = ElementAt("po_lines", i);
+            let rec = line.as_record(at)?;
             data_el = data_el.child(
                 XmlElement::new("POLINE")
                     .child(XmlElement::with_text(
                         "LINENUM",
-                        field(rec, "line_num", FORMAT)?.as_int(&at)?.to_string(),
+                        field(rec, "line_num", FORMAT)?.as_int(at)?.to_string(),
                     ))
-                    .child(XmlElement::with_text("ITEM", field(rec, "item", FORMAT)?.as_text(&at)?))
+                    .child(XmlElement::with_text("ITEM", field(rec, "item", FORMAT)?.as_text(at)?))
                     .child(XmlElement::with_text(
                         "QUANTITY",
-                        field(rec, "quantity", FORMAT)?.as_int(&at)?.to_string(),
+                        field(rec, "quantity", FORMAT)?.as_int(at)?.to_string(),
                     ))
                     .child(XmlElement::with_text(
                         "UNITPRICE",
-                        money_to_decimal(field(rec, "unit_price", FORMAT)?.as_money(&at)?),
+                        money_to_decimal(field(rec, "unit_price", FORMAT)?.as_money(at)?),
                     )),
             );
         }
@@ -207,21 +207,21 @@ impl OagisCodec {
             ));
         let mut data_el = XmlElement::new("DATAAREA").child(header_el);
         for (i, line) in field(da, "ack_lines", FORMAT)?.as_list("ack_lines")?.iter().enumerate() {
-            let at = format!("ack_lines[{i}]");
-            let rec = line.as_record(&at)?;
+            let at = ElementAt("ack_lines", i);
+            let rec = line.as_record(at)?;
             data_el = data_el.child(
                 XmlElement::new("ACKLINE")
                     .child(XmlElement::with_text(
                         "LINENUM",
-                        field(rec, "line_num", FORMAT)?.as_int(&at)?.to_string(),
+                        field(rec, "line_num", FORMAT)?.as_int(at)?.to_string(),
                     ))
                     .child(XmlElement::with_text(
                         "ACKSTATUS",
-                        field(rec, "status", FORMAT)?.as_text(&at)?,
+                        field(rec, "status", FORMAT)?.as_text(at)?,
                     ))
                     .child(XmlElement::with_text(
                         "QUANTITY",
-                        field(rec, "quantity", FORMAT)?.as_int(&at)?.to_string(),
+                        field(rec, "quantity", FORMAT)?.as_int(at)?.to_string(),
                     )),
             );
         }

@@ -12,7 +12,7 @@ use crate::error::{DocumentError, Result};
 use crate::ids::{CorrelationId, DocumentId};
 use crate::intern::{intern, Symbol};
 use crate::money::Currency;
-use crate::value::Value;
+use crate::value::{ElementAt, Value};
 use crate::{record, record_sym};
 use std::collections::BTreeMap;
 
@@ -187,17 +187,17 @@ impl OracleAppsCodec {
             out,
         );
         for (i, line) in field(body, "po_lines", FORMAT)?.as_list("po_lines")?.iter().enumerate() {
-            let at = format!("po_lines[{i}]");
-            let rec = line.as_record(&at)?;
+            let at = ElementAt("po_lines", i);
+            let rec = line.as_record(at)?;
             write_row(
                 "PO_LINES",
                 &[
-                    ("LINE_NUM", field(rec, "line_num", FORMAT)?.as_int(&at)?.to_string()),
-                    ("ITEM_ID", field(rec, "item_id", FORMAT)?.as_text(&at)?.to_string()),
-                    ("QUANTITY", field(rec, "quantity", FORMAT)?.as_int(&at)?.to_string()),
+                    ("LINE_NUM", field(rec, "line_num", FORMAT)?.as_int(at)?.to_string()),
+                    ("ITEM_ID", field(rec, "item_id", FORMAT)?.as_text(at)?.to_string()),
+                    ("QUANTITY", field(rec, "quantity", FORMAT)?.as_int(at)?.to_string()),
                     (
                         "UNIT_PRICE",
-                        money_to_decimal(field(rec, "unit_price", FORMAT)?.as_money(&at)?),
+                        money_to_decimal(field(rec, "unit_price", FORMAT)?.as_money(at)?),
                     ),
                 ],
                 out,
@@ -221,14 +221,14 @@ impl OracleAppsCodec {
         );
         for (i, line) in field(body, "ack_lines", FORMAT)?.as_list("ack_lines")?.iter().enumerate()
         {
-            let at = format!("ack_lines[{i}]");
-            let rec = line.as_record(&at)?;
+            let at = ElementAt("ack_lines", i);
+            let rec = line.as_record(at)?;
             write_row(
                 "PO_ACK_LINES",
                 &[
-                    ("LINE_NUM", field(rec, "line_num", FORMAT)?.as_int(&at)?.to_string()),
-                    ("STATUS", field(rec, "status", FORMAT)?.as_text(&at)?.to_string()),
-                    ("QUANTITY", field(rec, "quantity", FORMAT)?.as_int(&at)?.to_string()),
+                    ("LINE_NUM", field(rec, "line_num", FORMAT)?.as_int(at)?.to_string()),
+                    ("STATUS", field(rec, "status", FORMAT)?.as_text(at)?.to_string()),
+                    ("QUANTITY", field(rec, "quantity", FORMAT)?.as_int(at)?.to_string()),
                 ],
                 out,
             );

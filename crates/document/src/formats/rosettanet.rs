@@ -13,7 +13,7 @@ use crate::error::{DocumentError, Result};
 use crate::ids::{CorrelationId, DocumentId};
 use crate::intern::{intern, Symbol};
 use crate::money::Currency;
-use crate::value::Value;
+use crate::value::{ElementAt, Value};
 use crate::xml::{parse_element, write_element_into, XmlElement};
 use crate::{record, record_sym};
 
@@ -191,25 +191,25 @@ impl RosettaNetCodec {
                 field(po, "seller", FORMAT)?.as_text("seller")?,
             ));
         for (i, line) in field(po, "lines", FORMAT)?.as_list("lines")?.iter().enumerate() {
-            let at = format!("lines[{i}]");
-            let rec = line.as_record(&at)?;
+            let at = ElementAt("lines", i);
+            let rec = line.as_record(at)?;
             order = order.child(
                 XmlElement::new("ProductLineItem")
                     .child(XmlElement::with_text(
                         "LineNumber",
-                        field(rec, "line_number", FORMAT)?.as_int(&at)?.to_string(),
+                        field(rec, "line_number", FORMAT)?.as_int(at)?.to_string(),
                     ))
                     .child(XmlElement::with_text(
                         "GlobalProductIdentifier",
-                        field(rec, "product_id", FORMAT)?.as_text(&at)?,
+                        field(rec, "product_id", FORMAT)?.as_text(at)?,
                     ))
                     .child(XmlElement::with_text(
                         "OrderQuantity",
-                        field(rec, "quantity", FORMAT)?.as_int(&at)?.to_string(),
+                        field(rec, "quantity", FORMAT)?.as_int(at)?.to_string(),
                     ))
                     .child(XmlElement::with_text(
                         "UnitPrice",
-                        money_to_decimal(field(rec, "unit_price", FORMAT)?.as_money(&at)?),
+                        money_to_decimal(field(rec, "unit_price", FORMAT)?.as_money(at)?),
                     )),
             );
         }
@@ -239,21 +239,21 @@ impl RosettaNetCodec {
                 field(conf, "ack_date", FORMAT)?.as_date("ack_date")?.to_string(),
             ));
         for (i, line) in field(conf, "lines", FORMAT)?.as_list("lines")?.iter().enumerate() {
-            let at = format!("lines[{i}]");
-            let rec = line.as_record(&at)?;
+            let at = ElementAt("lines", i);
+            let rec = line.as_record(at)?;
             el = el.child(
                 XmlElement::new("ProductLineItem")
                     .child(XmlElement::with_text(
                         "LineNumber",
-                        field(rec, "line_number", FORMAT)?.as_int(&at)?.to_string(),
+                        field(rec, "line_number", FORMAT)?.as_int(at)?.to_string(),
                     ))
                     .child(XmlElement::with_text(
                         "GlobalPurchaseOrderAcknowledgmentCode",
-                        field(rec, "response_code", FORMAT)?.as_text(&at)?,
+                        field(rec, "response_code", FORMAT)?.as_text(at)?,
                     ))
                     .child(XmlElement::with_text(
                         "OrderQuantity",
-                        field(rec, "quantity", FORMAT)?.as_int(&at)?.to_string(),
+                        field(rec, "quantity", FORMAT)?.as_int(at)?.to_string(),
                     )),
             );
         }

@@ -12,7 +12,7 @@ use crate::error::{DocumentError, Result};
 use crate::ids::{CorrelationId, DocumentId};
 use crate::intern::{intern, Symbol};
 use crate::money::Currency;
-use crate::value::Value;
+use crate::value::{ElementAt, Value};
 use crate::{record, record_sym};
 use std::collections::BTreeMap;
 
@@ -187,27 +187,27 @@ impl SapIdocCodec {
             out,
         );
         for (i, partner) in field(body, "e1edka1", FORMAT)?.as_list("e1edka1")?.iter().enumerate() {
-            let at = format!("e1edka1[{i}]");
-            let rec = partner.as_record(&at)?;
+            let at = ElementAt("e1edka1", i);
+            let rec = partner.as_record(at)?;
             flat_line(
                 "E1EDKA1",
                 &[
-                    ("PARVW", field(rec, "parvw", FORMAT)?.as_text(&at)?.to_string()),
-                    ("NAME1", field(rec, "name", FORMAT)?.as_text(&at)?.to_string()),
+                    ("PARVW", field(rec, "parvw", FORMAT)?.as_text(at)?.to_string()),
+                    ("NAME1", field(rec, "name", FORMAT)?.as_text(at)?.to_string()),
                 ],
                 out,
             );
         }
         for (i, line) in field(body, "e1edp01", FORMAT)?.as_list("e1edp01")?.iter().enumerate() {
-            let at = format!("e1edp01[{i}]");
-            let rec = line.as_record(&at)?;
+            let at = ElementAt("e1edp01", i);
+            let rec = line.as_record(at)?;
             flat_line(
                 "E1EDP01",
                 &[
-                    ("POSEX", field(rec, "posex", FORMAT)?.as_int(&at)?.to_string()),
-                    ("MENGE", field(rec, "menge", FORMAT)?.as_int(&at)?.to_string()),
-                    ("VPREI", money_to_decimal(field(rec, "vprei", FORMAT)?.as_money(&at)?)),
-                    ("MATNR", field(rec, "matnr", FORMAT)?.as_text(&at)?.to_string()),
+                    ("POSEX", field(rec, "posex", FORMAT)?.as_int(at)?.to_string()),
+                    ("MENGE", field(rec, "menge", FORMAT)?.as_int(at)?.to_string()),
+                    ("VPREI", money_to_decimal(field(rec, "vprei", FORMAT)?.as_money(at)?)),
+                    ("MATNR", field(rec, "matnr", FORMAT)?.as_text(at)?.to_string()),
                 ],
                 out,
             );
@@ -246,14 +246,14 @@ impl SapIdocCodec {
             out,
         );
         for (i, line) in field(body, "e1edp01", FORMAT)?.as_list("e1edp01")?.iter().enumerate() {
-            let at = format!("e1edp01[{i}]");
-            let rec = line.as_record(&at)?;
+            let at = ElementAt("e1edp01", i);
+            let rec = line.as_record(at)?;
             flat_line(
                 "E1EDP01",
                 &[
-                    ("POSEX", field(rec, "posex", FORMAT)?.as_int(&at)?.to_string()),
-                    ("MENGE", field(rec, "menge", FORMAT)?.as_int(&at)?.to_string()),
-                    ("ACTION", field(rec, "action", FORMAT)?.as_text(&at)?.to_string()),
+                    ("POSEX", field(rec, "posex", FORMAT)?.as_int(at)?.to_string()),
+                    ("MENGE", field(rec, "menge", FORMAT)?.as_int(at)?.to_string()),
+                    ("ACTION", field(rec, "action", FORMAT)?.as_text(at)?.to_string()),
                 ],
                 out,
             );

@@ -43,4 +43,4 @@ pub use money::{Currency, Money};
 pub use path::{FieldPath, PathSeg};
 pub use schema::{FieldSpec, Schema, TypeSpec, Violation};
 pub use text::Str;
-pub use value::{FieldVec, Value};
+pub use value::{ElementAt, FieldVec, Value};

@@ -14,7 +14,7 @@ use crate::ids::CorrelationId;
 use crate::money::{Currency, Money};
 use crate::record;
 use crate::schema::{FieldSpec, Schema, TypeSpec};
-use crate::value::Value;
+use crate::value::{ElementAt, Value};
 
 /// Status codes a normalized POA may carry.
 pub const POA_STATUSES: &[&str] = &["accepted", "rejected", "accepted-with-changes"];
@@ -259,16 +259,16 @@ pub fn build_poa(po: &Document, status: &str, ack_date: Date) -> Result<Document
     let seller = po.get("header.seller")?.as_text("header.seller")?.to_string();
     let mut lines = Vec::new();
     for (i, line) in po.get("lines")?.as_list("lines")?.iter().enumerate() {
-        let at = format!("lines[{i}]");
-        let rec = line.as_record(&at)?;
+        let at = ElementAt("lines", i);
+        let rec = line.as_record(at)?;
         let line_no = rec
             .get("line_no")
             .ok_or_else(|| DocumentError::PathNotFound { path: format!("{at}.line_no") })?
-            .as_int(&at)?;
+            .as_int(at)?;
         let quantity = rec
             .get("quantity")
             .ok_or_else(|| DocumentError::PathNotFound { path: format!("{at}.quantity") })?
-            .as_int(&at)?;
+            .as_int(at)?;
         lines.push(record! {
             "line_no" => Value::Int(line_no),
             "status" => Value::text(status),
@@ -301,16 +301,16 @@ pub fn check_total_consistency(po: &Document) -> Result<()> {
     let amount = po.get("amount")?.as_money("amount")?;
     let mut sum = Money::zero(amount.currency());
     for (i, line) in po.get("lines")?.as_list("lines")?.iter().enumerate() {
-        let at = format!("lines[{i}]");
-        let rec = line.as_record(&at)?;
+        let at = ElementAt("lines", i);
+        let rec = line.as_record(at)?;
         let qty = rec
             .get("quantity")
             .ok_or_else(|| DocumentError::PathNotFound { path: format!("{at}.quantity") })?
-            .as_int(&at)?;
+            .as_int(at)?;
         let price = rec
             .get("unit_price")
             .ok_or_else(|| DocumentError::PathNotFound { path: format!("{at}.unit_price") })?
-            .as_money(&at)?;
+            .as_money(at)?;
         sum = sum.checked_add(price.checked_mul(qty)?)?;
     }
     if sum == amount {
@@ -427,5 +427,15 @@ mod tests {
             },
         );
         assert!(quote_schema().accepts(&quote));
+    }
+
+    #[test]
+    fn a_mistyped_line_field_names_its_line() {
+        let mut po = sample_po("4711", 10);
+        po.set("lines[0].quantity", Value::text("ten")).unwrap();
+        let expected = "expected int at `lines[0]`, found text";
+        assert_eq!(check_total_consistency(&po).unwrap_err().to_string(), expected);
+        let ack_date = Date::new(2001, 1, 1).unwrap();
+        assert_eq!(build_poa(&po, "accepted", ack_date).unwrap_err().to_string(), expected);
     }
 }

@@ -105,94 +105,68 @@ impl FieldPath {
 
     /// Resolves the path, reporting an error naming the path when absent.
     pub fn get<'v>(&self, root: &'v Value) -> Result<&'v Value> {
-        self.lookup(root).ok_or_else(|| DocumentError::PathNotFound { path: self.to_string() })
+        self.lookup(root).ok_or_else(|| self.not_found())
+    }
+
+    /// Resolves the path for writing, or `None` if absent.
+    pub fn lookup_mut<'v>(&self, root: &'v mut Value) -> Option<&'v mut Value> {
+        let mut cur = root;
+        for seg in &self.segments {
+            cur = match (seg, cur) {
+                (PathSeg::Field(name), Value::Record(fields)) => fields.get_sym_mut(*name)?,
+                (PathSeg::Index(i), Value::List(items)) => items.get_mut(*i)?,
+                _ => return None,
+            };
+        }
+        Some(cur)
     }
 
     /// Writes `value` at this path, creating intermediate records as needed.
     ///
     /// List segments must already exist (lists are created explicitly by
-    /// transformation `ForEach` rules, never implicitly).
+    /// transformation `ForEach` rules, never implicitly). The path is
+    /// rendered into an error only when the write fails.
     pub fn set(&self, root: &mut Value, value: Value) -> Result<()> {
-        let mut cur = root;
-        let (last, init) = self.segments.split_last().ok_or_else(|| DocumentError::PathSyntax {
-            path: String::new(),
-            reason: "empty path".into(),
-        })?;
-        for seg in init {
-            match seg {
-                PathSeg::Field(name) => {
-                    let rec = cur.as_record_mut(&self.to_string())?;
-                    cur = rec.entry_or_insert_with(*name, Value::record);
-                }
-                PathSeg::Index(i) => {
-                    let at = self.to_string();
-                    match cur {
-                        Value::List(items) => {
-                            cur = items
-                                .get_mut(*i)
-                                .ok_or(DocumentError::PathNotFound { path: at })?;
-                        }
-                        other => {
-                            return Err(DocumentError::TypeMismatch {
-                                expected: "list",
-                                found: other.type_name(),
-                                at,
-                            })
-                        }
-                    }
-                }
-            }
-        }
-        match last {
-            PathSeg::Field(name) => {
-                let rec = cur.as_record_mut(&self.to_string())?;
-                rec.insert(*name, value);
-                Ok(())
-            }
-            PathSeg::Index(i) => {
-                let at = self.to_string();
-                match cur {
-                    Value::List(items) => {
-                        let slot =
-                            items.get_mut(*i).ok_or(DocumentError::PathNotFound { path: at })?;
-                        *slot = value;
-                        Ok(())
-                    }
-                    other => Err(DocumentError::TypeMismatch {
-                        expected: "list",
-                        found: other.type_name(),
-                        at,
-                    }),
-                }
-            }
-        }
-    }
-
-    /// Removes the value at this path; `Ok(None)` if it was absent.
-    pub fn remove(&self, root: &mut Value) -> Result<Option<Value>> {
         let (last, init) = self.segments.split_last().ok_or_else(|| DocumentError::PathSyntax {
             path: String::new(),
             reason: "empty path".into(),
         })?;
         let mut cur = root;
         for seg in init {
-            let next = match (seg, cur) {
-                (PathSeg::Field(name), Value::Record(fields)) => fields.get_sym_mut(*name),
-                (PathSeg::Index(i), Value::List(items)) => items.get_mut(*i),
-                _ => None,
+            cur = match (seg, cur) {
+                (PathSeg::Field(name), Value::Record(fields)) => {
+                    fields.entry_or_insert_with(*name, Value::record)
+                }
+                (PathSeg::Index(i), Value::List(items)) => {
+                    items.get_mut(*i).ok_or_else(|| self.not_found())?
+                }
+                (seg, other) => return Err(self.mismatch(seg, other)),
             };
-            match next {
-                Some(v) => cur = v,
-                None => return Ok(None),
-            }
         }
         match (last, cur) {
-            (PathSeg::Field(name), Value::Record(fields)) => Ok(fields.remove_sym(*name)),
-            (PathSeg::Index(i), Value::List(items)) if *i < items.len() => {
-                Ok(Some(items.remove(*i)))
+            (PathSeg::Field(name), Value::Record(fields)) => {
+                fields.insert(*name, value);
             }
-            _ => Ok(None),
+            (PathSeg::Index(i), Value::List(items)) => {
+                *items.get_mut(*i).ok_or_else(|| self.not_found())? = value;
+            }
+            (seg, other) => return Err(self.mismatch(seg, other)),
         }
+        Ok(())
+    }
+
+    fn not_found(&self) -> DocumentError {
+        DocumentError::PathNotFound { path: self.to_string() }
+    }
+
+    /// `seg` cannot step into `found`: a field needs a record, an index a
+    /// list.
+    fn mismatch(&self, seg: &PathSeg, found: &Value) -> DocumentError {
+        let expected = match seg {
+            PathSeg::Field(_) => "record",
+            PathSeg::Index(_) => "list",
+        };
+        DocumentError::TypeMismatch { expected, found: found.type_name(), at: self.to_string() }
     }
 }
 
@@ -283,11 +257,40 @@ mod tests {
     }
 
     #[test]
-    fn remove_returns_removed_value() {
+    fn lookup_mut_writes_in_place() {
         let mut doc = sample();
-        let removed = FieldPath::parse("header.po_number").unwrap().remove(&mut doc).unwrap();
-        assert_eq!(removed, Some(Value::text("4711")));
-        assert!(FieldPath::parse("header.po_number").unwrap().lookup(&doc).is_none());
-        assert_eq!(FieldPath::parse("header.gone").unwrap().remove(&mut doc).unwrap(), None);
+        *FieldPath::parse("lines[1].qty").unwrap().lookup_mut(&mut doc).unwrap() = Value::Int(8);
+        assert_eq!(FieldPath::parse("lines[1].qty").unwrap().get(&doc).unwrap(), &Value::Int(8));
+        for absent in ["header.gone", "lines[2]", "header.po_number.deeper", "lines.qty"] {
+            assert!(FieldPath::parse(absent).unwrap().lookup_mut(&mut doc).is_none(), "{absent}");
+        }
+    }
+
+    #[test]
+    fn set_errors_name_the_whole_path() {
+        let mut doc = sample();
+        let err = |p: &str| FieldPath::parse(p).unwrap().set(&mut doc.clone(), Value::Null);
+        assert_eq!(
+            err("header.po_number.x").unwrap_err().to_string(),
+            "expected record at `header.po_number.x`, found text"
+        );
+        assert_eq!(
+            err("header[0].x").unwrap_err().to_string(),
+            "expected list at `header[0].x`, found record"
+        );
+        assert_eq!(
+            err("lines[5].qty").unwrap_err().to_string(),
+            "path `lines[5].qty` not found in document"
+        );
+        assert_eq!(
+            err("lines[2]").unwrap_err().to_string(),
+            "path `lines[2]` not found in document"
+        );
+        assert_eq!(
+            err("header[1]").unwrap_err().to_string(),
+            "expected list at `header[1]`, found record"
+        );
+        FieldPath::parse("lines[1]").unwrap().set(&mut doc, Value::Int(3)).unwrap();
+        assert_eq!(FieldPath::parse("lines[1]").unwrap().get(&doc).unwrap(), &Value::Int(3));
     }
 }

@@ -110,11 +110,6 @@ impl FieldVec {
         self.position(name).ok().map(|i| self.0.remove(i).1)
     }
 
-    /// Removes a field by pre-interned symbol.
-    pub fn remove_sym(&mut self, key: Symbol) -> Option<Value> {
-        self.position_sym(key).ok().map(|i| self.0.remove(i).1)
-    }
-
     /// Whether a field with this name exists.
     pub fn contains_key(&self, name: &str) -> bool {
         self.position(name).is_ok()
@@ -294,7 +289,7 @@ impl Value {
     }
 
     /// Extracts a bool or reports a type mismatch at `at`.
-    pub fn as_bool(&self, at: &str) -> Result<bool> {
+    pub fn as_bool(&self, at: impl fmt::Display) -> Result<bool> {
         match self {
             Self::Bool(b) => Ok(*b),
             other => Err(mismatch("bool", other, at)),
@@ -302,7 +297,7 @@ impl Value {
     }
 
     /// Extracts an integer or reports a type mismatch at `at`.
-    pub fn as_int(&self, at: &str) -> Result<i64> {
+    pub fn as_int(&self, at: impl fmt::Display) -> Result<i64> {
         match self {
             Self::Int(i) => Ok(*i),
             other => Err(mismatch("int", other, at)),
@@ -310,7 +305,7 @@ impl Value {
     }
 
     /// Extracts a money amount or reports a type mismatch at `at`.
-    pub fn as_money(&self, at: &str) -> Result<Money> {
+    pub fn as_money(&self, at: impl fmt::Display) -> Result<Money> {
         match self {
             Self::Money(m) => Ok(*m),
             other => Err(mismatch("money", other, at)),
@@ -318,7 +313,7 @@ impl Value {
     }
 
     /// Extracts text or reports a type mismatch at `at`.
-    pub fn as_text(&self, at: &str) -> Result<&str> {
+    pub fn as_text(&self, at: impl fmt::Display) -> Result<&str> {
         match self {
             Self::Text(s) => Ok(s),
             other => Err(mismatch("text", other, at)),
@@ -326,7 +321,7 @@ impl Value {
     }
 
     /// Extracts a date or reports a type mismatch at `at`.
-    pub fn as_date(&self, at: &str) -> Result<Date> {
+    pub fn as_date(&self, at: impl fmt::Display) -> Result<Date> {
         match self {
             Self::Date(d) => Ok(*d),
             other => Err(mismatch("date", other, at)),
@@ -334,7 +329,7 @@ impl Value {
     }
 
     /// Extracts a list or reports a type mismatch at `at`.
-    pub fn as_list(&self, at: &str) -> Result<&[Value]> {
+    pub fn as_list(&self, at: impl fmt::Display) -> Result<&[Value]> {
         match self {
             Self::List(items) => Ok(items),
             other => Err(mismatch("list", other, at)),
@@ -342,7 +337,7 @@ impl Value {
     }
 
     /// Extracts a record or reports a type mismatch at `at`.
-    pub fn as_record(&self, at: &str) -> Result<&FieldVec> {
+    pub fn as_record(&self, at: impl fmt::Display) -> Result<&FieldVec> {
         match self {
             Self::Record(fields) => Ok(fields),
             other => Err(mismatch("record", other, at)),
@@ -350,7 +345,7 @@ impl Value {
     }
 
     /// Mutable record access.
-    pub fn as_record_mut(&mut self, at: &str) -> Result<&mut FieldVec> {
+    pub fn as_record_mut(&mut self, at: impl fmt::Display) -> Result<&mut FieldVec> {
         match self {
             Self::Record(fields) => Ok(fields),
             other => Err(mismatch("record", other, at)),
@@ -367,8 +362,20 @@ impl Value {
     }
 }
 
-fn mismatch(expected: &'static str, found: &Value, at: &str) -> DocumentError {
+fn mismatch(expected: &'static str, found: &Value, at: impl fmt::Display) -> DocumentError {
     DocumentError::TypeMismatch { expected, found: found.type_name(), at: at.to_string() }
+}
+
+/// The location `list[index]` of a list element, for the `at` argument of
+/// the `as_*` accessors: they render `at` only into a type-mismatch
+/// error, so a caller walking a list builds no string per element.
+#[derive(Debug, Clone, Copy)]
+pub struct ElementAt<L>(pub L, pub usize);
+
+impl<L: fmt::Display> fmt::Display for ElementAt<L> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}[{}]", self.0, self.1)
+    }
 }
 
 impl fmt::Display for Value {

@@ -2,7 +2,7 @@
 
 use crate::context::{ContextKey, TransformContext};
 use crate::error::{Result, TransformError};
-use b2b_document::{FieldPath, Money, Value};
+use b2b_document::{DocumentError, ElementAt, FieldPath, FieldVec, Money, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -176,7 +176,8 @@ impl MappingRule {
         }
     }
 
-    /// Applies the rule.
+    /// Applies the rule. Error texts (path renderings included) are built
+    /// only on the branch that returns the error.
     pub fn apply(
         &self,
         program: &str,
@@ -189,135 +190,103 @@ impl MappingRule {
             rule: self.describe(),
             reason,
         };
+        let doc_err = |e: DocumentError| err(e.to_string());
+        let required = |from: &FieldPath| {
+            from.lookup(source).ok_or_else(|| err(format!("source path `{from}` not found")))
+        };
         match self {
             Self::Move { from, to, optional } => match from.lookup(source) {
-                Some(v) => to.set(target, v.clone()).map_err(|e| err(e.to_string())),
+                Some(v) => to.set(target, v.clone()).map_err(doc_err),
                 None if *optional => Ok(()),
                 None => Err(err(format!("source path `{from}` not found"))),
             },
-            Self::Const { to, value } => {
-                to.set(target, value.clone()).map_err(|e| err(e.to_string()))
-            }
+            Self::Const { to, value } => to.set(target, value.clone()).map_err(doc_err),
             Self::ValueMap { from, to, map, default } => {
-                let v = from
-                    .lookup(source)
-                    .ok_or_else(|| err(format!("source path `{from}` not found")))?;
-                let code = v.as_text(&from.to_string()).map_err(|e| err(e.to_string()))?;
-                let mapped = match map.get(code) {
-                    Some(m) => m.clone(),
-                    None => default
-                        .clone()
-                        .ok_or_else(|| err(format!("code `{code}` not in value map")))?,
+                let code = required(from)?.as_text(from).map_err(doc_err)?;
+                let mapped = match (map.get(code), default) {
+                    (Some(m), _) | (None, Some(m)) => m.as_str(),
+                    (None, None) => return Err(err(format!("code `{code}` not in value map"))),
                 };
-                to.set(target, Value::Text(mapped.into())).map_err(|e| err(e.to_string()))
+                to.set(target, Value::text(mapped)).map_err(doc_err)
             }
             Self::ForEach { from, to, rules } => {
-                let items = from
-                    .lookup(source)
-                    .ok_or_else(|| err(format!("source path `{from}` not found")))?
-                    .as_list(&from.to_string())
-                    .map_err(|e| err(e.to_string()))?;
+                let items = required(from)?.as_list(from).map_err(doc_err)?;
                 let mut out = Vec::with_capacity(items.len());
                 for item in items {
-                    let mut element = Value::record();
+                    let mut element = Value::Record(FieldVec::with_capacity(rules.len()));
                     for rule in rules {
                         rule.apply(program, item, &mut element, ctx)?;
                     }
                     out.push(element);
                 }
-                to.set(target, Value::List(out)).map_err(|e| err(e.to_string()))
+                to.set(target, Value::List(out)).map_err(doc_err)
             }
             Self::Pick { from, match_field, equals, take, to } => {
-                let items = from
-                    .lookup(source)
-                    .ok_or_else(|| err(format!("source path `{from}` not found")))?
-                    .as_list(&from.to_string())
-                    .map_err(|e| err(e.to_string()))?;
+                let items = required(from)?.as_list(from).map_err(doc_err)?;
                 for item in items {
-                    let rec = item.as_record(&from.to_string()).map_err(|e| err(e.to_string()))?;
+                    let rec = item.as_record(from).map_err(doc_err)?;
                     if let Some(Value::Text(code)) = rec.get(match_field) {
                         if code == equals {
                             let taken = rec.get(take).ok_or_else(|| {
                                 err(format!("matched element has no field `{take}`"))
                             })?;
-                            return to.set(target, taken.clone()).map_err(|e| err(e.to_string()));
+                            return to.set(target, taken.clone()).map_err(doc_err);
                         }
                     }
                 }
                 Err(err(format!("no element with {match_field} == `{equals}`")))
             }
             Self::Append { to, rules } => {
-                let mut element = Value::record();
+                let mut element = Value::Record(FieldVec::with_capacity(rules.len()));
                 for rule in rules {
                     rule.apply(program, source, &mut element, ctx)?;
                 }
-                match to.lookup(target) {
-                    Some(Value::List(_)) => {}
+                match to.lookup_mut(target) {
+                    Some(Value::List(items)) => {
+                        items.push(element);
+                        Ok(())
+                    }
                     Some(other) => {
-                        return Err(err(format!(
-                            "target `{to}` is {}, not a list",
-                            other.type_name()
-                        )))
+                        Err(err(format!("target `{to}` is {}, not a list", other.type_name())))
                     }
                     None => {
-                        to.set(target, Value::List(Vec::new())).map_err(|e| err(e.to_string()))?
+                        // Appends add one entry per rule (a party list's
+                        // buyer, seller, ...); room for four saves the
+                        // next appends a regrow.
+                        let mut items = Vec::with_capacity(4);
+                        items.push(element);
+                        to.set(target, Value::List(items)).map_err(doc_err)
                     }
                 }
-                // Re-borrow mutably and push.
-                let list = match to.lookup(target) {
-                    Some(Value::List(items)) => items.len(),
-                    _ => unreachable!("just ensured a list"),
-                };
-                let idx_path = FieldPath::parse(&format!("{to}[{list}]"));
-                // Indexing one past the end is not supported by set(), so
-                // rebuild the list instead.
-                drop(idx_path);
-                if let Some(Value::List(items)) = remove_at(target, to) {
-                    let mut items = items;
-                    items.push(element);
-                    to.set(target, Value::List(items)).map_err(|e| err(e.to_string()))?;
-                }
-                Ok(())
             }
             Self::Context { to, key } => {
-                to.set(target, Value::text(ctx.get(*key))).map_err(|e| err(e.to_string()))
+                to.set(target, Value::text(ctx.get(*key))).map_err(doc_err)
             }
             Self::CurrencyOf { from, to } => {
-                let v = from
-                    .lookup(source)
-                    .ok_or_else(|| err(format!("source path `{from}` not found")))?;
-                let money = v.as_money(&from.to_string()).map_err(|e| err(e.to_string()))?;
-                to.set(target, Value::text(money.currency().code())).map_err(|e| err(e.to_string()))
+                let money = required(from)?.as_money(from).map_err(doc_err)?;
+                to.set(target, Value::text(money.currency().code())).map_err(doc_err)
             }
             Self::SumMoney { over, field, to } => {
-                let items = over
-                    .lookup(source)
-                    .ok_or_else(|| err(format!("source path `{over}` not found")))?
-                    .as_list(&over.to_string())
-                    .map_err(|e| err(e.to_string()))?;
+                let items = required(over)?.as_list(over).map_err(doc_err)?;
                 let mut sum: Option<Money> = None;
                 for (i, item) in items.iter().enumerate() {
-                    let at = format!("{over}[{i}]");
-                    let rec = item.as_record(&at).map_err(|e| err(e.to_string()))?;
+                    let at = ElementAt(over, i);
+                    let rec = item.as_record(at).map_err(doc_err)?;
                     let m = rec
                         .get(field)
                         .ok_or_else(|| err(format!("{at} has no field `{field}`")))?
-                        .as_money(&at)
-                        .map_err(|e| err(e.to_string()))?;
+                        .as_money(at)
+                        .map_err(doc_err)?;
                     sum = Some(match sum {
                         None => m,
-                        Some(acc) => acc.checked_add(m).map_err(|e| err(e.to_string()))?,
+                        Some(acc) => acc.checked_add(m).map_err(doc_err)?,
                     });
                 }
                 let total = sum.ok_or_else(|| err("cannot sum an empty list".into()))?;
-                to.set(target, Value::Money(total)).map_err(|e| err(e.to_string()))
+                to.set(target, Value::Money(total)).map_err(doc_err)
             }
         }
     }
-}
-
-fn remove_at(target: &mut Value, at: &FieldPath) -> Option<Value> {
-    at.remove(target).ok().flatten()
 }
 
 fn path(text: &str) -> FieldPath {
@@ -433,6 +402,99 @@ mod tests {
         );
         assert_eq!(FieldPath::parse("cur").unwrap().get(&target).unwrap(), &Value::text("USD"));
         assert_eq!(FieldPath::parse("total").unwrap().get(&target).unwrap(), &m(42));
+    }
+
+    /// Each failing rule names itself and, where a path is at fault, the
+    /// path; `steps` run in order against one target.
+    #[test]
+    fn errors_name_the_rule_and_the_failing_path() {
+        let po = b2b_document::normalized::sample_po("9", 2);
+        let cases: Vec<(Vec<MappingRule>, &str)> = vec![
+            (
+                vec![MappingRule::mv("header.missing_field", "x")],
+                "rule `move header.missing_field -> x`: \
+                 source path `header.missing_field` not found",
+            ),
+            (
+                vec![MappingRule::value_map("lines", "x", &[("a", "b")])],
+                "rule `value-map lines -> x`: expected text at `lines`, found list",
+            ),
+            (
+                vec![MappingRule::value_map("header.currency", "x", &[("XXX", "?")])],
+                "rule `value-map header.currency -> x`: source path `header.currency` not found",
+            ),
+            (
+                vec![MappingRule::value_map("header.po_number", "x", &[("XXX", "?")])],
+                "rule `value-map header.po_number -> x`: code `9` not in value map",
+            ),
+            (
+                vec![MappingRule::for_each("header", "x", vec![])],
+                "rule `for-each header -> x`: expected list at `header`, found record",
+            ),
+            (
+                vec![MappingRule::pick("lines", "item", "nope", "item", "x")],
+                "rule `pick lines -> x`: no element with item == `nope`",
+            ),
+            (
+                vec![MappingRule::sum_money("header.missing", "ext", "x")],
+                "rule `sum-money header.missing -> x`: source path `header.missing` not found",
+            ),
+            (
+                vec![MappingRule::sum_money("lines", "missing_money", "x")],
+                "rule `sum-money lines -> x`: lines[0] has no field `missing_money`",
+            ),
+            (
+                vec![MappingRule::sum_money("lines", "quantity", "x")],
+                "rule `sum-money lines -> x`: expected money at `lines[0]`, found int",
+            ),
+            (
+                vec![
+                    MappingRule::const_text("n1", "oops"),
+                    MappingRule::append("n1", vec![MappingRule::const_text("code", "BY")]),
+                ],
+                "rule `append -> n1`: target `n1` is text, not a list",
+            ),
+            (
+                vec![
+                    MappingRule::const_text("a", "leaf"),
+                    MappingRule::const_text("a.b", "deeper"),
+                ],
+                "rule `const -> a.b`: expected record at `a.b`, found text",
+            ),
+        ];
+        for (steps, expected) in cases {
+            let mut target = Value::record();
+            let err = steps
+                .iter()
+                .try_for_each(|rule| rule.apply("test", po.body(), &mut target, &ctx()))
+                .unwrap_err();
+            assert_eq!(err.to_string(), format!("transform `test`, {expected}"));
+        }
+    }
+
+    #[test]
+    fn append_creates_nested_lists_and_pushes_in_place() {
+        let source = record! { "buyer" => Value::text("B") };
+        let rule = MappingRule::append("env.parties", vec![MappingRule::mv("buyer", "name")]);
+        let mut target = Value::record();
+        for _ in 0..3 {
+            rule.apply("test", &source, &mut target, &ctx()).unwrap();
+        }
+        let party = record! { "name" => Value::text("B") };
+        assert_eq!(
+            target,
+            record! { "env" => record! { "parties" => Value::List(vec![party.clone(); 3]) } }
+        );
+        // A list addressed by index grows where it is; its neighbours stay.
+        let list = |items: Vec<Value>| Value::List(items);
+        let mut target = record! { "x" => list(vec![list(vec![]), list(vec![Value::Int(9)])]) };
+        MappingRule::append("x[0]", vec![MappingRule::mv("buyer", "name")])
+            .apply("test", &source, &mut target, &ctx())
+            .unwrap();
+        assert_eq!(
+            target,
+            record! { "x" => list(vec![list(vec![party]), list(vec![Value::Int(9)])]) }
+        );
     }
 
     #[test]

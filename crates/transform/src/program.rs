@@ -3,7 +3,7 @@
 use crate::context::TransformContext;
 use crate::error::{Result, TransformError};
 use crate::mapping::MappingRule;
-use b2b_document::{DocKind, Document, FormatId, Value};
+use b2b_document::{DocKind, Document, FieldVec, FormatId, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -114,7 +114,8 @@ impl TransformProgram {
                 reason: format!("expected kind {}, got {}", self.kind, doc.kind()),
             });
         }
-        let mut target = Value::record();
+        // Each top-level rule sets at most one root field.
+        let mut target = Value::Record(FieldVec::with_capacity(self.rules.len()));
         for rule in &self.rules {
             rule.apply(self.id.as_str(), doc.body(), &mut target, ctx)?;
         }
@@ -125,7 +126,9 @@ impl TransformProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::ContextKey;
     use b2b_document::normalized::sample_po;
+    use b2b_document::{record, CorrelationId, FieldPath};
 
     #[test]
     fn apply_checks_input_format_and_kind() {
@@ -156,6 +159,85 @@ mod tests {
         assert_eq!(out.id(), doc.id());
         assert_eq!(out.correlation(), doc.correlation());
         assert_eq!(out.get("po").unwrap(), doc.get("header.po_number").unwrap());
+    }
+
+    fn to_flat(rules: Vec<MappingRule>) -> TransformProgram {
+        TransformProgram::new(
+            DocKind::PurchaseOrder,
+            FormatId::NORMALIZED,
+            FormatId::custom("flat"),
+            rules,
+        )
+    }
+
+    #[test]
+    fn a_later_write_lands_in_what_an_optional_move_left() {
+        let po = sample_po("1", 5);
+        let ctx = TransformContext::default();
+        // Source present: `x` becomes the header record, then gains `y.z`.
+        let overwrites = to_flat(vec![
+            MappingRule::const_text("x.y.z", "first"),
+            MappingRule::mv_opt("header", "x"),
+            MappingRule::const_text("x.y.z", "second"),
+        ]);
+        let mut x = po.get("header").unwrap().clone();
+        FieldPath::parse("y.z").unwrap().set(&mut x, Value::text("second")).unwrap();
+        assert_eq!(overwrites.apply(&po, &ctx).unwrap().body(), &record! { "x" => x });
+        // Source missing: the move writes nothing.
+        let skips = to_flat(vec![
+            MappingRule::const_text("x.y.z", "first"),
+            MappingRule::mv_opt("header.missing", "x"),
+            MappingRule::const_text("x.y.z", "second"),
+        ]);
+        assert_eq!(
+            skips.apply(&po, &ctx).unwrap().body(),
+            &record! { "x" => record! { "y" => record! { "z" => Value::text("second") } } }
+        );
+    }
+
+    #[test]
+    fn appends_and_for_each_build_their_lists() {
+        let source = record! {
+            "buyer" => Value::text("B"),
+            "seller" => Value::text("S"),
+            "lines" => Value::List(vec![
+                record! { "q" => Value::Int(1) },
+                record! { "q" => Value::Int(2) },
+            ]),
+        };
+        let doc = Document::new(
+            DocKind::PurchaseOrder,
+            FormatId::NORMALIZED,
+            CorrelationId::new("c-1"),
+            source,
+        );
+        let program = to_flat(vec![
+            MappingRule::append(
+                "n1",
+                vec![MappingRule::const_text("code", "BY"), MappingRule::mv("buyer", "name")],
+            ),
+            MappingRule::append(
+                "n1",
+                vec![MappingRule::const_text("code", "SE"), MappingRule::mv("seller", "name")],
+            ),
+            MappingRule::for_each("lines", "items", vec![MappingRule::mv("q", "qty")]),
+            MappingRule::context("env.sender", ContextKey::Sender),
+        ]);
+        let ctx = TransformContext::new("ACME", "GADGET", "000000007", "i-7");
+        let party = |code: &str, name: &str| {
+            record! { "code" => Value::text(code), "name" => Value::text(name) }
+        };
+        assert_eq!(
+            program.apply(&doc, &ctx).unwrap().body(),
+            &record! {
+                "env" => record! { "sender" => Value::text("ACME") },
+                "items" => Value::List(vec![
+                    record! { "qty" => Value::Int(1) },
+                    record! { "qty" => Value::Int(2) },
+                ]),
+                "n1" => Value::List(vec![party("BY", "B"), party("SE", "S")]),
+            }
+        );
     }
 
     #[test]

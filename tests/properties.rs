@@ -22,7 +22,7 @@ use semantic_b2b::rules::approval::{
 use semantic_b2b::rules::expr::{BinOp, Builtin, PathRoot};
 use semantic_b2b::rules::{BusinessRule, Expr, RuleContext, RuleError, RuleFunction, RuleRegistry};
 use semantic_b2b::transform::{
-    CompiledProgram, ContextKey, MappingRule, TransformContext, TransformProgram, TransformRegistry,
+    ContextKey, MappingRule, TransformContext, TransformError, TransformProgram, TransformRegistry,
 };
 use std::collections::BTreeSet;
 
@@ -187,13 +187,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Compiled-vs-interpreted equivalence. The compiled executor's contract is
-// observable identity with the rule-tree interpreter: same output
-// documents, byte-identical `TransformError`s, same context injection.
-// Random programs over a vocabulary of paths that sometimes hit, sometimes
-// miss, and sometimes conflict (overwriting earlier writes) exercise both
-// the success paths and every error branch, including the compile-time
-// presence analysis.
+// Transform programs. Random programs over a vocabulary of paths that
+// sometimes hit, sometimes miss, and sometimes conflict (overwriting
+// earlier writes, setting through scalars) reach every rule's success
+// and error branches; every builtin program must round-trip the
+// documents it carries.
 
 fn source_path() -> impl Strategy<Value = &'static str> {
     prop_oneof![
@@ -287,15 +285,26 @@ fn mapping_rule() -> impl Strategy<Value = MappingRule> {
     ]
 }
 
+/// The `describe()` text of every rule in `rules`, nested bodies included.
+fn rule_texts(rules: &[MappingRule]) -> Vec<String> {
+    let mut out = Vec::new();
+    for rule in rules {
+        out.push(rule.describe());
+        if let MappingRule::ForEach { rules, .. } | MappingRule::Append { rules, .. } = rule {
+            out.extend(rule_texts(rules));
+        }
+    }
+    out
+}
+
 proptest! {
-    // 512 cases: 128 was too few to surface a presence-analysis bug this
-    // vocabulary can express (an optional move overwriting a subtree an
-    // earlier rule proved present — now also pinned deterministically in
-    // `crates/transform/src/compiled.rs`).
     #![proptest_config(ProptestConfig::with_cases(512))]
 
+    /// A program either succeeds or fails in one of its own rules, the
+    /// same way on every run, and rejects input of another format
+    /// before any rule runs.
     #[test]
-    fn compiled_execution_matches_the_interpreter(
+    fn random_programs_succeed_or_fail_in_one_of_their_rules(
         po in normalized_po(),
         rules in prop::collection::vec(mapping_rule(), 1..8),
     ) {
@@ -305,31 +314,46 @@ proptest! {
             FormatId::custom("prop-target"),
             rules,
         );
-        let compiled = CompiledProgram::compile(&program);
         let ctx = TransformContext::new("ACME", "GADGET", "000000042", "i-prop");
-        let interpreted = program.apply(&po, &ctx);
-        let fast = compiled.apply(&po, &ctx);
-        // Whole-result equality: identical documents (body, format, kind,
-        // correlation) or byte-identical errors.
-        prop_assert_eq!(&interpreted, &fast);
+        let result = program.apply(&po, &ctx);
+        prop_assert_eq!(&program.apply(&po, &ctx), &result, "a rerun gave another result");
+        match &result {
+            Ok(out) => {
+                prop_assert_eq!(out.format(), &FormatId::custom("prop-target"));
+                prop_assert_eq!((out.id(), out.kind()), (po.id(), po.kind()));
+                prop_assert_eq!(out.correlation(), po.correlation());
+            }
+            Err(TransformError::Rule { program: id, rule, .. }) => {
+                prop_assert_eq!(id.as_str(), program.id().as_str());
+                prop_assert!(
+                    rule_texts(program.rules()).contains(rule),
+                    "`{}` is not a rule of the program", rule
+                );
+            }
+            Err(other) => prop_assert!(false, "unexpected error: {}", other),
+        }
 
-        // Wrong-input dispatch must also agree, message for message.
         let retagged = po.reformatted(FormatId::custom("elsewhere"), po.body().clone());
-        prop_assert_eq!(program.apply(&retagged, &ctx), compiled.apply(&retagged, &ctx));
+        prop_assert_eq!(
+            program.apply(&retagged, &ctx),
+            Err(TransformError::WrongInput {
+                program: program.id().to_string(),
+                reason: "expected format normalized, got elsewhere".into(),
+            })
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Registry dispatch runs compiled programs; the tree interpreter
-    /// (`TransformProgram::apply`) is their reference. Every builtin
-    /// program — each wire and back-end format to and from the
-    /// normalized format, for POs, POAs, RFQs and quotes — must agree
-    /// with it on whole results: outbound from the normalized document,
-    /// then inbound on what the outbound leg produced.
+    /// Every builtin program — each wire and back-end format to and from
+    /// the normalized format, for POs, POAs, RFQs and quotes — runs
+    /// through registry dispatch: a normalized document sent out and
+    /// back keeps its identity, kind, correlation and body (each format's
+    /// round-trip unit test pins the whole body).
     #[test]
-    fn registry_dispatch_matches_the_interpreter_on_every_builtin(
+    fn every_builtin_program_round_trips(
         po in normalized_po(),
         ack in date(),
         rfq in normalized_rfq(),
@@ -337,9 +361,20 @@ proptest! {
         cur in currency(),
     ) {
         let reg = TransformRegistry::with_builtins();
-        let ctx = TransformContext::new("ACME", "GADGET", "000000007", "i-d");
         let poa = build_poa(&po, "accepted", ack).unwrap();
         let quote = normalized_quote(&rfq, Money::from_cents(cents, cur));
+        // A wire envelope names sender and receiver; formats that carry no
+        // party names read them back from there, so each document travels
+        // under its own direction's context: orders and RFQs from buyer to
+        // seller, acknowledgments and quotes back.
+        let header = |doc: &Document, field: &str| {
+            doc.get(&format!("header.{field}")).unwrap().as_text(field).unwrap().to_string()
+        };
+        let (buyer, seller) = (header(&po, "buyer"), header(&po, "seller"));
+        let order_ctx = TransformContext::new(&buyer, &seller, "000000007", "i-d");
+        let ack_ctx = TransformContext::new(&seller, &buyer, "000000008", "i-d");
+        let rfq_ctx = TransformContext::new(&header(&rfq, "buyer"), "GADGET", "000000009", "i-q");
+        let quote_ctx = TransformContext::new("GADGET", &header(&rfq, "buyer"), "000000010", "i-q");
         let order_formats = [
             FormatId::EDI_X12,
             FormatId::ROSETTANET,
@@ -350,27 +385,21 @@ proptest! {
         ];
         let quote_formats = [FormatId::ROSETTANET, FormatId::BINARY];
         let mut checked = BTreeSet::new();
-        for (doc, formats) in [
-            (&po, &order_formats[..]),
-            (&poa, &order_formats[..]),
-            (&rfq, &quote_formats[..]),
-            (&quote, &quote_formats[..]),
+        for (doc, formats, ctx) in [
+            (&po, &order_formats[..], &order_ctx),
+            (&poa, &order_formats[..], &ack_ctx),
+            (&rfq, &quote_formats[..], &rfq_ctx),
+            (&quote, &quote_formats[..], &quote_ctx),
         ] {
             let kind = doc.kind();
             for format in formats {
-                let outbound =
-                    reg.program(&FormatId::NORMALIZED, format, kind).unwrap().apply(doc, &ctx);
-                prop_assert_eq!(
-                    &reg.transform(doc, format, &ctx), &outbound,
-                    "normalized -> {} {}", format, kind
-                );
-                let wire = outbound.unwrap();
-                let inbound =
-                    reg.program(format, &FormatId::NORMALIZED, kind).unwrap().apply(&wire, &ctx);
-                prop_assert_eq!(
-                    &reg.transform(&wire, &FormatId::NORMALIZED, &ctx), &inbound,
-                    "{} -> normalized {}", format, kind
-                );
+                let wire = reg.transform(doc, format, ctx).unwrap();
+                prop_assert_eq!(wire.format(), format);
+                let back = reg.transform(&wire, &FormatId::NORMALIZED, ctx).unwrap();
+                prop_assert_eq!(back.format(), &FormatId::NORMALIZED);
+                prop_assert_eq!((back.id(), back.kind()), (doc.id(), kind), "{} {}", format, kind);
+                prop_assert_eq!(back.correlation(), doc.correlation(), "{} {}", format, kind);
+                prop_assert_eq!(back.body(), doc.body(), "{} {}", format, kind);
                 checked.insert((format.clone(), kind));
             }
         }
