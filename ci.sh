@@ -34,10 +34,14 @@ done
 
 # The examples assert their own outcomes (failure_recovery alone holds
 # eleven asserts); a failed assert exits non-zero and fails this step.
-echo "== examples =="
+# They and the experiments print simulated time only, so their output is
+# deterministic: each must match its transcript in tests/transcripts/. A
+# change that alters what they print updates the transcript and says why.
+echo "== examples and experiments (transcripts) =="
 for example in quickstart multi_partner failure_recovery change_management negotiated_protocol; do
-  cargo run --offline --release -q --example "$example" > /dev/null
+  cargo run --offline --release -q --example "$example" | diff -u "tests/transcripts/$example.txt" -
 done
+cargo run --offline --release -q -p b2b-bench --bin experiments | diff -u tests/transcripts/experiments.txt -
 
 # Benches are not run in CI, but they must keep compiling.
 echo "== cargo bench --no-run =="

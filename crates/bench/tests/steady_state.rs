@@ -181,7 +181,52 @@ fn builtin_dispatch_allocations_stay_pinned() {
     assert_eq!(lookup.allocations, 0, "looking up a builtin conversion allocated");
     assert!(inbound.allocations <= 10, "EDI 850 -> normalized: {inbound:?}");
     assert!(outbound.allocations <= 24, "normalized -> EDI: {outbound:?}");
-    assert!(round_trip.allocations <= 259, "decode, both transforms, encode: {round_trip:?}");
+    assert!(round_trip.allocations <= 63, "decode, both transforms, encode: {round_trip:?}");
+}
+
+fn text_codec_allocations_stay_pinned() {
+    // Allocator calls of each text codec on its sample PO (7 units):
+    // `decode_bytes` asks for the document it builds plus the walker's
+    // token list (the XML walker's is an element tree), and `encode_into`
+    // a buffer grown by an earlier encode asks for nothing.
+    use b2b_document::formats::{sample_oagis_po, sample_oracle_po, sample_rn_po, sample_sap_po};
+    use b2b_network::Bytes;
+
+    let formats = FormatRegistry::with_builtins();
+    let pins = [
+        (sample_edi_po("4711", 7), 26, 0),
+        (sample_rn_po("4711", 7), 100, 0),
+        (sample_oagis_po("4711", 7), 105, 0),
+        (sample_sap_po("4711", 7), 25, 0),
+        (sample_oracle_po("4711", 7), 13, 0),
+    ];
+    for (doc, decode_pin, encode_pin) in pins {
+        let wire = Bytes::from(formats.encode(&doc).expect("encode"));
+        let mut buf = Vec::new();
+        formats.encode_into(&doc, &mut buf).expect("warm the buffer");
+        std::hint::black_box(formats.decode_bytes(doc.format(), &wire).expect("warm decode"));
+        let (back, decode) =
+            alloc_count::measure(|| formats.decode_bytes(doc.format(), &wire).expect("decode"));
+        buf.clear();
+        let (done, encode) = alloc_count::measure(|| formats.encode_into(&back, &mut buf));
+        done.expect("encode");
+        assert_eq!(buf, &wire[..], "{}: re-encoding changed the bytes", doc.format());
+        assert!(decode.allocations <= decode_pin, "{} decode: {decode:?}", doc.format());
+        assert!(encode.allocations <= encode_pin, "{} encode: {encode:?}", doc.format());
+    }
+}
+
+fn parsing_a_currency_or_an_amount_allocates_nothing() {
+    // Codes compare case-insensitively in place, and an amount parses
+    // against its currency: only an error renders a string.
+    use b2b_document::{Currency, Money};
+
+    let (currency, delta) = alloc_count::measure(|| Currency::parse("usd"));
+    assert_eq!(currency.expect("known code"), Currency::Usd);
+    assert_eq!(delta.allocations, 0, "Currency::parse allocated: {delta:?}");
+    let (money, delta) = alloc_count::measure(|| Money::parse("1234.56 EUR"));
+    assert_eq!(money.expect("valid amount").cents(), 123_456);
+    assert_eq!(delta.allocations, 0, "Money::parse allocated: {delta:?}");
 }
 
 fn binary_decode_allocations_are_independent_of_text_payload() {
@@ -485,7 +530,7 @@ fn run_flat_cost(seed: u64, base_idle: usize, active_per_phase: usize) -> Result
 /// Runs the tests in order on this thread; an optional first non-flag
 /// argument filters them by name. Exits non-zero if any test panicked.
 fn main() {
-    let tests: [(&str, fn()); 8] = [
+    let tests: [(&str, fn()); 10] = [
         ("counting_allocator_sees_a_boxed_allocation", counting_allocator_sees_a_boxed_allocation),
         (
             "repeated_po_round_trips_are_allocation_steady",
@@ -496,6 +541,11 @@ fn main() {
             setting_a_field_of_an_existing_record_allocates_nothing,
         ),
         ("builtin_dispatch_allocations_stay_pinned", builtin_dispatch_allocations_stay_pinned),
+        ("text_codec_allocations_stay_pinned", text_codec_allocations_stay_pinned),
+        (
+            "parsing_a_currency_or_an_amount_allocates_nothing",
+            parsing_a_currency_or_an_amount_allocates_nothing,
+        ),
         (
             "binary_decode_allocations_are_independent_of_text_payload",
             binary_decode_allocations_are_independent_of_text_payload,

@@ -1,8 +1,8 @@
 //! The format registry: the single place where codecs are looked up.
 
+use super::table::TableCodec;
 use super::{
-    BinaryCodec, EdiX12Codec, FormatCodec, FormatId, OagisCodec, OracleAppsCodec, RosettaNetCodec,
-    SapIdocCodec,
+    edi_x12, oagis, oracle_apps, rosettanet, sap_idoc, BinaryCodec, FormatCodec, FormatId,
 };
 use crate::document::{DocKind, Document};
 use crate::error::{DocumentError, Result};
@@ -29,11 +29,15 @@ impl FormatRegistry {
     /// A registry pre-loaded with all built-in codecs.
     pub fn with_builtins() -> Self {
         let mut reg = Self::new();
-        reg.register(Arc::new(EdiX12Codec::default()));
-        reg.register(Arc::new(RosettaNetCodec::default()));
-        reg.register(Arc::new(OagisCodec::default()));
-        reg.register(Arc::new(SapIdocCodec::default()));
-        reg.register(Arc::new(OracleAppsCodec::default()));
+        for format in [
+            &edi_x12::FORMAT,
+            &rosettanet::FORMAT,
+            &oagis::FORMAT,
+            &sap_idoc::FORMAT,
+            &oracle_apps::FORMAT,
+        ] {
+            reg.register(Arc::new(TableCodec(format)));
+        }
         reg.register(Arc::new(BinaryCodec));
         reg
     }

@@ -7,20 +7,16 @@
 //! [`FormatId`] describing whose *shape* the tree has (the normalized
 //! format, EDI X12, RosettaNet, OAGIS, SAP, Oracle).
 //!
-//! The crate also implements the wire syntaxes from scratch:
-//!
-//! * [`edi`] — an EDI X12-style segment syntax with ISA/GS/ST envelopes and
-//!   850 (PO) / 855 (POA) transaction sets,
-//! * [`xml`] — a minimal XML reader/writer used by the RosettaNet and OAGIS
-//!   codecs,
-//! * [`formats`] — per-standard codecs converting between wire bytes and
-//!   format-shaped [`Document`]s, plus a [`formats::FormatRegistry`].
+//! The crate also implements the wire syntaxes from scratch. [`formats`]
+//! holds one walker per syntax family (X12 segments, XML elements, keyed
+//! lines), each driven by one field table per (format, kind), plus the
+//! binary codec and the [`formats::FormatRegistry`]; [`xml`] is the XML
+//! reader the XML walker parses with.
 //!
 //! Higher layers never parse wire syntax themselves; they speak documents.
 
 pub mod date;
 pub mod document;
-pub mod edi;
 pub mod error;
 pub mod formats;
 pub mod ids;

@@ -36,13 +36,12 @@ impl Currency {
 
     /// Parses a three-letter code (case-insensitive).
     pub fn parse(code: &str) -> Result<Self> {
-        match code.to_ascii_uppercase().as_str() {
-            "USD" => Ok(Self::Usd),
-            "EUR" => Ok(Self::Eur),
-            "GBP" => Ok(Self::Gbp),
-            "JPY" => Ok(Self::Jpy),
-            other => Err(DocumentError::Money { reason: format!("unknown currency `{other}`") }),
-        }
+        [Self::Usd, Self::Eur, Self::Gbp, Self::Jpy]
+            .into_iter()
+            .find(|c| c.code().eq_ignore_ascii_case(code))
+            .ok_or_else(|| DocumentError::Money {
+                reason: format!("unknown currency `{}`", code.to_ascii_uppercase()),
+            })
     }
 }
 
@@ -127,19 +126,36 @@ impl Money {
 
     /// Parses `"1234.56 USD"` or `"1234 USD"`.
     pub fn parse(text: &str) -> Result<Self> {
-        let mut parts = text.split_whitespace();
-        let amount = parts.next().ok_or_else(|| DocumentError::Money {
-            reason: format!("empty money literal `{text}`"),
+        Self::parse_words(text, None)
+    }
+
+    /// Parses a bare decimal amount (`"1234.56"`) in `currency`, exactly as
+    /// [`parse`](Self::parse) reads `"1234.56 USD"`, errors included.
+    pub(crate) fn parse_decimal(text: &str, currency: Currency) -> Result<Self> {
+        Self::parse_words(text, Some(currency))
+    }
+
+    /// Parses the words of `text`, followed by `currency`'s code when the
+    /// currency comes apart. The literal that errors quote is rendered only
+    /// when one is raised.
+    fn parse_words(text: &str, currency: Option<Currency>) -> Result<Self> {
+        let literal = || match currency {
+            Some(c) => format!("{text} {}", c.code()),
+            None => text.to_string(),
+        };
+        let mut words = text.split_whitespace().chain(currency.map(Currency::code));
+        let amount = words.next().ok_or_else(|| DocumentError::Money {
+            reason: format!("empty money literal `{}`", literal()),
         })?;
-        let currency = parts.next().ok_or_else(|| DocumentError::Money {
-            reason: format!("missing currency in `{text}`"),
+        let code = words.next().ok_or_else(|| DocumentError::Money {
+            reason: format!("missing currency in `{}`", literal()),
         })?;
-        if parts.next().is_some() {
+        if words.next().is_some() {
             return Err(DocumentError::Money {
-                reason: format!("trailing content in money literal `{text}`"),
+                reason: format!("trailing content in money literal `{}`", literal()),
             });
         }
-        let currency = Currency::parse(currency)?;
+        let currency = Currency::parse(code)?;
         let (sign, digits) = match amount.strip_prefix('-') {
             Some(rest) => (-1, rest),
             None => (1, amount),
@@ -150,7 +166,7 @@ impl Money {
         };
         if cents_str.len() > 2 {
             return Err(DocumentError::Money {
-                reason: format!("more than two decimal places in `{text}`"),
+                reason: format!("more than two decimal places in `{}`", literal()),
             });
         }
         let units: i64 = units_str
@@ -168,10 +184,10 @@ impl Money {
                 parsed
             }
         };
-        let cents = units
-            .checked_mul(100)
-            .and_then(|c| c.checked_add(cents_part))
-            .ok_or_else(|| DocumentError::Money { reason: format!("overflow in `{text}`") })?;
+        let cents =
+            units.checked_mul(100).and_then(|c| c.checked_add(cents_part)).ok_or_else(|| {
+                DocumentError::Money { reason: format!("overflow in `{}`", literal()) }
+            })?;
         Ok(Self { cents: sign * cents, currency })
     }
 
@@ -223,6 +239,23 @@ mod tests {
         assert!(Money::parse("x USD").is_err());
         assert!(Money::parse("12 USD extra").is_err());
         assert!(Money::parse("12 XYZ").is_err());
+    }
+
+    #[test]
+    fn a_bare_decimal_parses_and_fails_like_its_literal() {
+        for text in ["12.5", "-0.07", "", " ", "1 2", "12.345", "x", "1.x", "99999999999999999999"]
+        {
+            assert_eq!(
+                Money::parse_decimal(text, Currency::Eur),
+                Money::parse(&format!("{text} EUR")),
+                "{text:?}"
+            );
+        }
+        assert_eq!(
+            Currency::parse("xyz").unwrap_err().to_string(),
+            "money error: unknown currency `XYZ`"
+        );
+        assert_eq!(Currency::parse("gbp").unwrap(), Currency::Gbp);
     }
 
     #[test]

@@ -421,18 +421,6 @@ macro_rules! record {
     }};
 }
 
-/// Like [`record!`], but keyed by pre-interned [`crate::intern::Symbol`]s —
-/// the hot-path variant for codecs that intern their field names once at
-/// construction.
-#[macro_export]
-macro_rules! record_sym {
-    ($($key:expr => $val:expr),* $(,)?) => {{
-        let mut fields = $crate::value::FieldVec::new();
-        $(fields.insert($key, $val);)*
-        $crate::value::Value::Record(fields)
-    }};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,16 +1,14 @@
-//! Minimal XML reader and writer.
+//! Minimal XML reader.
 //!
 //! RosettaNet and OAGIS messages are XML on the wire. We only need the
-//! subset those codecs produce: elements, attributes, character data, and
-//! the five predefined entities. Comments and processing instructions are
-//! skipped on input; DTDs, namespaces-as-semantics, and CDATA are out of
-//! scope (the codecs never emit them).
+//! subset their writer produces: elements, attributes, character data,
+//! and the five predefined entities. Comments and processing instructions
+//! are skipped on input; DTDs, namespaces-as-semantics, and CDATA are out
+//! of scope (the writer never emits them).
 
 mod parse;
-mod write;
 
 pub use parse::parse_element;
-pub use write::{write_element, write_element_into};
 
 use std::collections::BTreeMap;
 
@@ -40,25 +38,6 @@ impl XmlElement {
         Self { name: name.into(), attrs: BTreeMap::new(), children: Vec::new() }
     }
 
-    /// Creates an element containing a single text node.
-    pub fn with_text(name: impl Into<String>, text: impl Into<String>) -> Self {
-        let mut el = Self::new(name);
-        el.children.push(XmlNode::Text(text.into()));
-        el
-    }
-
-    /// Adds an attribute, builder style.
-    pub fn attr(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.attrs.insert(name.into(), value.into());
-        self
-    }
-
-    /// Adds a child element, builder style.
-    pub fn child(mut self, child: XmlElement) -> Self {
-        self.children.push(XmlNode::Element(child));
-        self
-    }
-
     /// First child element with the given name.
     pub fn find(&self, name: &str) -> Option<&XmlElement> {
         self.children.iter().find_map(|n| match n {
@@ -85,16 +64,6 @@ impl XmlElement {
         }
         out.trim().to_string()
     }
-
-    /// Text content of the first child element with the given name.
-    pub fn child_text(&self, name: &str) -> Option<String> {
-        self.find(name).map(XmlElement::text)
-    }
-
-    /// Serializes the element to a string (no XML declaration).
-    pub fn to_xml(&self) -> String {
-        write_element(self)
-    }
 }
 
 #[cfg(test)]
@@ -102,24 +71,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_and_accessors() {
-        let el = XmlElement::new("Pip3A4PurchaseOrderRequest")
-            .attr("version", "2.0")
-            .child(XmlElement::with_text("GlobalDocumentFunctionCode", "Request"))
-            .child(XmlElement::with_text("Line", "a"))
-            .child(XmlElement::with_text("Line", "b"));
-        assert_eq!(el.child_text("GlobalDocumentFunctionCode").as_deref(), Some("Request"));
+    fn accessors_find_children_and_text() {
+        let el = parse_element(
+            "<Pip3A4PurchaseOrderRequest version=\"2.0\"><Code>Request</Code>\
+             <Line>a</Line><Line>b</Line></Pip3A4PurchaseOrderRequest>",
+        )
+        .unwrap();
+        assert_eq!(el.find("Code").map(XmlElement::text).as_deref(), Some("Request"));
         assert_eq!(el.find_all("Line").count(), 2);
         assert_eq!(el.attrs.get("version").map(String::as_str), Some("2.0"));
         assert!(el.find("Missing").is_none());
-    }
-
-    #[test]
-    fn round_trip_through_text() {
-        let el =
-            XmlElement::new("a").attr("k", "v & \"w\"").child(XmlElement::with_text("b", "x < y"));
-        let text = el.to_xml();
-        let back = parse_element(&text).unwrap();
-        assert_eq!(back, el);
     }
 }

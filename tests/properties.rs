@@ -7,8 +7,8 @@ use semantic_b2b::document::normalized::{
 };
 use semantic_b2b::document::Value;
 use semantic_b2b::document::{
-    record, CorrelationId, Currency, Date, DocKind, Document, FieldPath, FormatId, FormatRegistry,
-    Money,
+    record, CorrelationId, Currency, Date, DocKind, Document, DocumentError, FieldPath, FormatId,
+    FormatRegistry, Money,
 };
 use semantic_b2b::integration::engine::{IntegrationEngine, SELECT_BACKEND_RULE};
 use semantic_b2b::integration::private_process::QUOTE_PRICE_RULE;
@@ -25,6 +25,7 @@ use semantic_b2b::transform::{
     ContextKey, MappingRule, TransformContext, TransformError, TransformProgram, TransformRegistry,
 };
 use std::collections::BTreeSet;
+use std::path::PathBuf;
 
 // ---------------------------------------------------------------------
 // Strategies.
@@ -688,6 +689,91 @@ fn pre_flattening_fixture_is_byte_identical() {
 }
 
 // ---------------------------------------------------------------------
+// The text codecs against their recorded wire forms.
+
+/// Every recorded wire form (`tests/fixtures/wire/`), with its format.
+fn wire_fixtures() -> Vec<(FormatId, Vec<u8>)> {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wire");
+    let mut fixtures: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "txt"))
+        .map(|path| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            let format = name.split('.').next().unwrap().to_string();
+            (FormatId::custom(format), std::fs::read(&path).unwrap())
+        })
+        .collect();
+    fixtures.sort();
+    assert_eq!(fixtures.len(), 14, "one fixture per (format, kind)");
+    fixtures
+}
+
+/// The paths of the text fields of `v`.
+fn text_paths(v: &Value, path: &str, out: &mut Vec<String>) {
+    match v {
+        Value::Text(_) => out.push(path.to_string()),
+        Value::List(items) => {
+            for (i, item) in items.iter().enumerate() {
+                text_paths(item, &format!("{path}[{i}]"), out);
+            }
+        }
+        Value::Record(fields) => {
+            for (key, value) in fields.iter() {
+                let path = if path.is_empty() { key.to_string() } else { format!("{path}.{key}") };
+                text_paths(value, &path, out);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Printable ASCII and line breaks, so every syntax's delimiters, often
+/// with a space before or after.
+fn awkward_text() -> impl Strategy<Value = String> {
+    ("[ -~\r\n]{0,10}", 0u8..4).prop_map(|(text, pad)| match pad {
+        0 => format!(" {text}"),
+        1 => format!("{text} "),
+        _ => text,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn encoders_write_only_what_their_decoders_read_back(
+        pick in 0usize..14,
+        field in any::<u64>(),
+        text in awkward_text(),
+    ) {
+        // One free-text field of a recorded document gets awkward text:
+        // the encoder either refuses it, naming the field, or writes what
+        // the decoder reads back as the same document body.
+        let formats = FormatRegistry::with_builtins();
+        let (format, wire) = &wire_fixtures()[pick];
+        let mut doc = formats.decode(format, wire).unwrap();
+        let mut paths = Vec::new();
+        text_paths(doc.body(), "", &mut paths);
+        let path = &paths[(field % paths.len() as u64) as usize];
+        doc.set(path, Value::text(text.as_str())).unwrap();
+        match formats.encode(&doc) {
+            Err(DocumentError::Encode { reason, .. }) => {
+                let name = path.rsplit('.').next().unwrap();
+                prop_assert!(reason.contains(&format!("`{name}`")), "{reason}");
+            }
+            Err(other) => prop_assert!(false, "{format} {path}: {other}"),
+            Ok(bytes) => {
+                let back = formats.decode(format, &bytes);
+                prop_assert!(back.is_ok(), "{format} {path} = {text:?}: {back:?}");
+                let back = back.unwrap();
+                prop_assert_eq!(back.body(), doc.body(), "{} {} = {:?}", format, path, text);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Pipeline invariants: random POs survive every format round trip.
 
 proptest! {
@@ -805,6 +891,34 @@ proptest! {
         }
         if let Ok(doc) = formats.decode_bytes(&FormatId::BINARY, &mutated) {
             formats.encode(&doc).unwrap();
+        }
+    }
+
+    #[test]
+    fn text_decoders_never_panic_on_mutated_payloads(
+        pick in 0usize..14,
+        cut in 0usize..=100,
+        flips in prop::collection::vec((0usize..4096, any::<u8>()), 0..8),
+    ) {
+        // Truncations and byte flips of every recorded wire form return a
+        // document or a decode error, never a panic. A flipped digit can
+        // make an impossible date and a flipped letter an unknown currency,
+        // so `Date` and `Money` are decode errors here too.
+        let formats = FormatRegistry::with_builtins();
+        let (format, wire) = &wire_fixtures()[pick];
+        let mut bytes = wire.clone();
+        for (at, byte) in &flips {
+            let len = bytes.len();
+            bytes[at % len] = *byte;
+        }
+        bytes.truncate(bytes.len() * cut / 100);
+        match formats.decode_bytes(format, &Bytes::from(bytes)) {
+            Ok(_)
+            | Err(DocumentError::Parse { .. })
+            | Err(DocumentError::UnsupportedKind { .. })
+            | Err(DocumentError::Date { .. })
+            | Err(DocumentError::Money { .. }) => {}
+            Err(other) => prop_assert!(false, "{format}: {other:?}"),
         }
     }
 
