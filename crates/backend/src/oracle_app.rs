@@ -1,8 +1,10 @@
-//! The Oracle-like ERP simulator (speaks interface-table rows).
+//! The Oracle-like ERP simulator (speaks interface-table rows). It
+//! addresses rows by their own table and column names
+//! (`PO_HEADERS.SEGMENT1`), as the codec keys them.
 
 use crate::erp::{AckPolicy, BackendApplication};
 use crate::error::{BackendError, Result};
-use crate::orderbook::{OrderBook, OrderRecord, OrderState};
+use crate::orderbook::{ack_lines, check_lines, OrderBook, OrderRecord, OrderState};
 use b2b_document::{record, Date, DocKind, Document, FormatId, Value};
 use std::sync::Arc;
 
@@ -55,13 +57,15 @@ impl BackendApplication for OracleSystem {
             return Err(self.err(format!("cannot store a {}", doc.kind())));
         }
         let po_number = doc
-            .get("po_header.segment1")
-            .and_then(|v| v.as_text("po_header.segment1"))
+            .get("PO_HEADERS.SEGMENT1")
+            .and_then(|v| v.as_text("PO_HEADERS.SEGMENT1"))
             .map_err(|e| self.err(e.to_string()))?
             .to_string();
         let amount = doc
-            .get("po_header.total_amount")
-            .and_then(|v| v.as_money("po_header.total_amount"))
+            .get("PO_HEADERS.TOTAL_AMOUNT")
+            .and_then(|v| v.as_money("PO_HEADERS.TOTAL_AMOUNT"))
+            .map_err(|e| self.err(e.to_string()))?;
+        check_lines(doc, "PO_LINES", ["LINE_NUM", "QUANTITY"])
             .map_err(|e| self.err(e.to_string()))?;
         let inserted = self.book.insert(OrderRecord {
             po_number: po_number.clone(),
@@ -83,34 +87,21 @@ impl BackendApplication for OracleSystem {
             let status = policy.status_for(rec.amount);
             let code = oracle_status(status);
             let ack_date = stored
-                .lookup("po_header.creation_date")
-                .and_then(|v| v.as_date("creation_date").ok())
+                .lookup("PO_HEADERS.CREATION_DATE")
+                .and_then(|v| v.as_date("CREATION_DATE").ok())
                 .map(|d| d.plus_days(1))
                 .unwrap_or(Date::new(2001, 9, 18).expect("valid"));
-            let lines: Vec<Value> = stored
-                .get("po_lines")
-                .and_then(|v| v.as_list("po_lines"))
-                .map_err(|e| BackendError::BadDocument {
-                    system: name.clone(),
-                    reason: e.to_string(),
-                })?
-                .iter()
-                .map(|line| {
-                    let rec = line.as_record("po_lines").expect("stored PO validated");
-                    record! {
-                        "line_num" => rec["line_num"].clone(),
-                        "status" => Value::text(code),
-                        "quantity" => rec["quantity"].clone(),
-                    }
-                })
-                .collect();
+            let lines =
+                ack_lines(stored, "PO_LINES", ["LINE_NUM", "QUANTITY"], ("STATUS", code)).map_err(
+                    |e| BackendError::BadDocument { system: name.clone(), reason: e.to_string() },
+                )?;
             let body = record! {
-                "ack_header" => record! {
-                    "po_number" => Value::text(&rec.po_number),
-                    "status" => Value::text(code),
-                    "ack_date" => Value::Date(ack_date),
+                "PO_ACKNOWLEDGMENTS" => record! {
+                    "PO_NUMBER" => Value::text(&rec.po_number),
+                    "STATUS" => Value::text(code),
+                    "ACK_DATE" => Value::Date(ack_date),
                 },
-                "ack_lines" => Value::List(lines),
+                "PO_ACK_LINES" => Value::List(lines),
             };
             Ok((stored.reply(DocKind::PurchaseOrderAck, FormatId::ORACLE_APPS, body), status))
         })
@@ -157,7 +148,7 @@ mod tests {
         ora.store_po(&po).unwrap();
         let poas = ora.extract_poas().unwrap();
         assert_eq!(poas.len(), 1);
-        assert_eq!(poas[0].get("ack_header.status").unwrap(), &Value::text("ACCEPTED"));
+        assert_eq!(poas[0].get("PO_ACKNOWLEDGMENTS.STATUS").unwrap(), &Value::text("ACCEPTED"));
         assert_eq!(poas[0].correlation(), po.correlation());
         assert_eq!(ora.order_status("4711").as_deref(), Some("accepted"));
     }
@@ -168,7 +159,7 @@ mod tests {
             OracleSystem::new(AckPolicy::ModifyAbove(Money::from_units(10, Currency::Usd)));
         ora.store_po(&Arc::new(sample_oracle_po("big", 50))).unwrap();
         let poas = ora.extract_poas().unwrap();
-        assert_eq!(poas[0].get("ack_lines[0].status").unwrap(), &Value::text("MODIFIED"));
+        assert_eq!(poas[0].get("PO_ACK_LINES[0].STATUS").unwrap(), &Value::text("MODIFIED"));
         assert_eq!(ora.order_status("big").as_deref(), Some("accepted-with-changes"));
     }
 
@@ -179,5 +170,24 @@ mod tests {
         let po = Arc::new(sample_oracle_po("1", 10));
         ora.store_po(&po).unwrap();
         assert!(ora.store_po(&po).is_err());
+    }
+
+    #[test]
+    fn refuses_an_order_whose_line_it_could_not_acknowledge() {
+        let mut ora = OracleSystem::new(AckPolicy::AcceptAll);
+        let mut po = sample_oracle_po("4711", 12);
+        po.set("PO_LINES[0]", Value::Int(1)).unwrap();
+        assert_eq!(
+            ora.store_po(&Arc::new(po)).unwrap_err().to_string(),
+            "Oracle: bad document: expected record at `PO_LINES[0]`, found int"
+        );
+        let mut po = sample_oracle_po("4712", 12);
+        po.set("PO_LINES[0]", record! { "LINE_NUM" => Value::Int(1) }).unwrap();
+        assert_eq!(
+            ora.store_po(&Arc::new(po)).unwrap_err().to_string(),
+            "Oracle: bad document: path `PO_LINES[0].QUANTITY` not found in document"
+        );
+        assert_eq!(ora.order_count(), 0);
+        assert!(ora.extract_poas().unwrap().is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! Order bookkeeping shared by the ERP simulators.
 
-use b2b_document::{Document, Money};
+use b2b_document::{record, Document, DocumentError, ElementAt, Money, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -114,6 +114,51 @@ impl OrderBook {
     pub fn is_empty(&self) -> bool {
         self.orders.is_empty()
     }
+}
+
+/// Checks what [`ack_lines`] copies from an order: its list `lines` holds
+/// records that each have the fields `keep`. A back end stores only an
+/// order that passes, so that acknowledging it cannot fail later.
+pub(crate) fn check_lines(
+    doc: &Document,
+    lines: &str,
+    keep: [&str; 2],
+) -> Result<(), DocumentError> {
+    let list = doc.body().as_record("$")?.get(lines).ok_or_else(|| missing(lines.into()))?;
+    for (i, line) in list.as_list(lines)?.iter().enumerate() {
+        let rec = line.as_record(ElementAt(lines, i))?;
+        if let Some(field) = keep.iter().find(|field| !rec.contains_key(field)) {
+            return Err(missing(format!("{lines}[{i}].{field}")));
+        }
+    }
+    Ok(())
+}
+
+/// The acknowledgment lines of an order that passed [`check_lines`]: each
+/// line's `keep` fields, and `status` under the key `status_key`.
+pub(crate) fn ack_lines(
+    doc: &Document,
+    lines: &str,
+    keep: [&str; 2],
+    (status_key, status): (&str, &str),
+) -> Result<Vec<Value>, DocumentError> {
+    let list = doc.get(lines)?.as_list(lines)?;
+    let mut acks = Vec::with_capacity(list.len());
+    for (i, line) in list.iter().enumerate() {
+        let rec = line.as_record(ElementAt(lines, i))?;
+        let field =
+            |name| rec.get(name).cloned().ok_or_else(|| missing(format!("{lines}[{i}].{name}")));
+        acks.push(record! {
+            keep[0] => field(keep[0])?,
+            keep[1] => field(keep[1])?,
+            status_key => Value::text(status),
+        });
+    }
+    Ok(acks)
+}
+
+fn missing(path: String) -> DocumentError {
+    DocumentError::PathNotFound { path }
 }
 
 #[cfg(test)]

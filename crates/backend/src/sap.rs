@@ -1,8 +1,9 @@
-//! The SAP-like ERP simulator (speaks IDocs).
+//! The SAP-like ERP simulator (speaks IDocs). It addresses IDocs by their
+//! own segment and field names (`E1EDK01.BELNR`), as the codec keys them.
 
 use crate::erp::{AckPolicy, BackendApplication};
 use crate::error::{BackendError, Result};
-use crate::orderbook::{OrderBook, OrderRecord, OrderState};
+use crate::orderbook::{ack_lines, check_lines, OrderBook, OrderRecord, OrderState};
 use b2b_document::{record, Date, DocKind, Document, FormatId, Value};
 use std::sync::Arc;
 
@@ -62,14 +63,15 @@ impl BackendApplication for SapSystem {
             return Err(self.err(format!("cannot store a {}", doc.kind())));
         }
         let po_number = doc
-            .get("e1edk01.belnr")
-            .and_then(|v| v.as_text("e1edk01.belnr"))
+            .get("E1EDK01.BELNR")
+            .and_then(|v| v.as_text("E1EDK01.BELNR"))
             .map_err(|e| self.err(e.to_string()))?
             .to_string();
         let amount = doc
-            .get("e1eds01.summe")
-            .and_then(|v| v.as_money("e1eds01.summe"))
+            .get("E1EDS01.SUMME")
+            .and_then(|v| v.as_money("E1EDS01.SUMME"))
             .map_err(|e| self.err(e.to_string()))?;
+        check_lines(doc, "E1EDP01", ["POSEX", "MENGE"]).map_err(|e| self.err(e.to_string()))?;
         let inserted = self.book.insert(OrderRecord {
             po_number: po_number.clone(),
             amount,
@@ -91,50 +93,37 @@ impl BackendApplication for SapSystem {
             let action = sap_action(status);
             *counter += 1;
             let ack_date = stored
-                .lookup("e1edk01.audat")
-                .and_then(|v| v.as_date("audat").ok())
+                .lookup("E1EDK01.AUDAT")
+                .and_then(|v| v.as_date("AUDAT").ok())
                 .map(|d| d.plus_days(1))
                 .unwrap_or(Date::new(2001, 9, 18).expect("valid"));
-            let lines: Vec<Value> = stored
-                .get("e1edp01")
-                .and_then(|v| v.as_list("e1edp01"))
-                .map_err(|e| BackendError::BadDocument {
-                    system: name.clone(),
-                    reason: e.to_string(),
-                })?
-                .iter()
-                .map(|line| {
-                    let rec = line.as_record("e1edp01").expect("stored PO validated");
-                    record! {
-                        "posex" => rec["posex"].clone(),
-                        "menge" => rec["menge"].clone(),
-                        "action" => Value::text(action),
-                    }
-                })
-                .collect();
+            let lines =
+                ack_lines(stored, "E1EDP01", ["POSEX", "MENGE"], ("ACTION", action)).map_err(
+                    |e| BackendError::BadDocument { system: name.clone(), reason: e.to_string() },
+                )?;
             let sndprn = stored
-                .lookup("control.rcvprn")
-                .and_then(|v| v.as_text("rcvprn").ok())
+                .lookup("EDI_DC40.RCVPRN")
+                .and_then(|v| v.as_text("RCVPRN").ok())
                 .unwrap_or("SAPPRD")
                 .to_string();
             let rcvprn = stored
-                .lookup("control.sndprn")
-                .and_then(|v| v.as_text("sndprn").ok())
+                .lookup("EDI_DC40.SNDPRN")
+                .and_then(|v| v.as_text("SNDPRN").ok())
                 .unwrap_or("PARTNER")
                 .to_string();
             let body = record! {
-                "control" => record! {
-                    "idoctyp" => Value::text("ORDRSP"),
-                    "sndprn" => Value::text(sndprn),
-                    "rcvprn" => Value::text(rcvprn),
-                    "docnum" => Value::text(format!("ordrsp-{:06}", *counter)),
+                "EDI_DC40" => record! {
+                    "IDOCTYP" => Value::text("ORDRSP"),
+                    "SNDPRN" => Value::text(sndprn),
+                    "RCVPRN" => Value::text(rcvprn),
+                    "DOCNUM" => Value::text(format!("ordrsp-{:06}", *counter)),
                 },
-                "e1edk01" => record! {
-                    "belnr" => Value::text(&rec.po_number),
-                    "audat" => Value::Date(ack_date),
-                    "action" => Value::text(action),
+                "E1EDK01" => record! {
+                    "BELNR" => Value::text(&rec.po_number),
+                    "AUDAT" => Value::Date(ack_date),
+                    "ACTION" => Value::text(action),
                 },
-                "e1edp01" => Value::List(lines),
+                "E1EDP01" => Value::List(lines),
             };
             Ok((stored.reply(DocKind::PurchaseOrderAck, FormatId::SAP_IDOC, body), status))
         })
@@ -185,7 +174,7 @@ mod tests {
         let poa = &poas[0];
         assert_eq!(poa.kind(), DocKind::PurchaseOrderAck);
         assert_eq!(poa.correlation(), po.correlation());
-        assert_eq!(poa.get("e1edk01.action").unwrap(), &Value::text("001"));
+        assert_eq!(poa.get("E1EDK01.ACTION").unwrap(), &Value::text("001"));
         assert_eq!(sap.order_status("4711").as_deref(), Some("accepted"));
         assert!(sap.extract_poas().unwrap().is_empty(), "nothing pending twice");
     }
@@ -195,7 +184,7 @@ mod tests {
         let mut sap = SapSystem::new(AckPolicy::RejectAbove(Money::from_units(100, Currency::Usd)));
         sap.store_po(&Arc::new(sample_sap_po("big", 200))).unwrap();
         let poas = sap.extract_poas().unwrap();
-        assert_eq!(poas[0].get("e1edk01.action").unwrap(), &Value::text("003"));
+        assert_eq!(poas[0].get("E1EDK01.ACTION").unwrap(), &Value::text("003"));
         assert_eq!(sap.order_status("big").as_deref(), Some("rejected"));
     }
 
@@ -209,5 +198,24 @@ mod tests {
         assert!(matches!(sap.store_po(&po), Err(BackendError::DuplicateOrder { .. })));
         let ack = Arc::new(sap.extract_poas().unwrap().remove(0));
         assert!(sap.store_po(&ack).is_err(), "cannot store an ack as an order");
+    }
+
+    #[test]
+    fn refuses_an_order_whose_line_it_could_not_acknowledge() {
+        let mut sap = SapSystem::new(AckPolicy::AcceptAll);
+        let mut po = sample_sap_po("4711", 12);
+        po.set("E1EDP01[0]", record! { "MENGE" => Value::Int(12) }).unwrap();
+        assert_eq!(
+            sap.store_po(&Arc::new(po)).unwrap_err().to_string(),
+            "SAP: bad document: path `E1EDP01[0].POSEX` not found in document"
+        );
+        let mut po = sample_sap_po("4712", 12);
+        po.set("E1EDP01[0]", Value::Int(1)).unwrap();
+        assert_eq!(
+            sap.store_po(&Arc::new(po)).unwrap_err().to_string(),
+            "SAP: bad document: expected record at `E1EDP01[0]`, found int"
+        );
+        assert_eq!(sap.order_count(), 0);
+        assert!(sap.extract_poas().unwrap().is_empty());
     }
 }

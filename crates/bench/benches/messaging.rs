@@ -3,8 +3,8 @@
 
 use b2b_document::FormatId;
 use b2b_network::{
-    Bytes, EndpointId, Envelope, FaultConfig, ReliableConfig, ReliableEndpoint, SimNetwork,
-    SimTime, Van,
+    Bytes, EndpointId, Envelope, FaultConfig, MessageId, ReliableConfig, ReliableEndpoint,
+    SimNetwork, SimTime, Van,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -57,7 +57,8 @@ fn bench_van(c: &mut Criterion) {
             van.subscribe(to.clone()).unwrap();
             for i in 0..MESSAGES as u64 {
                 let t = SimTime::from_millis(i * 37);
-                let env = Envelope::payload(
+                let env = Envelope::payload_with_id(
+                    MessageId::from_raw(i),
                     EndpointId::new("acme"),
                     to.clone(),
                     FormatId::EDI_X12,

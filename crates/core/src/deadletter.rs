@@ -150,10 +150,11 @@ impl DeadLetterQueue {
 mod tests {
     use super::*;
     use b2b_document::FormatId;
-    use b2b_network::{Bytes, EndpointId};
+    use b2b_network::{Bytes, EndpointId, MessageId};
 
     fn envelope() -> Envelope {
-        Envelope::payload(
+        Envelope::payload_with_id(
+            MessageId::from_raw(1),
             EndpointId::new("ep:a"),
             EndpointId::new("ep:b"),
             FormatId::EDI_X12,

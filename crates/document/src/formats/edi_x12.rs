@@ -1,12 +1,14 @@
 //! EDI X12 codec: 850 purchase orders and 855 acknowledgments.
 //!
-//! The EDI-shaped document body mirrors the transaction-set structure
-//! (`beg`, `n1`, `po1`, `ctt`, …) so that transformations between EDI and
-//! the normalized format are real structural mappings, as in the paper's
-//! Figure 9 ("Transform EDI to SAP PO").
+//! An EDI-shaped document body is keyed by the transaction set's own
+//! names: a record per segment written once (`BEG`, `CUR`), a list per
+//! repeated segment (`N1`, `PO1`), and each element by its designator
+//! (`BEG03`), so that the binding's mapping programs, not the codec, say
+//! what an element means — as in the paper's Figure 9 ("Transform EDI to
+//! SAP PO").
 
 use super::table::{
-    constant, element, many, node, one, optional, Format, Kind, Syntax, Ty, What::*,
+    field, many, node, one, optional, Fill::Flat, Format, Kind, Syntax, Ty, What::*,
 };
 use super::FormatId;
 use crate::date::Date;
@@ -22,33 +24,34 @@ const PO: Kind = Kind {
     id: "edi-",
     correlation: "po:",
     body: &[
-        // The interchange envelope: ISA06, ISA08, ISA13 and the GS01 code.
-        one("ISA", Some("envelope")).of(&[
-            element("sender", Ty::Text),
-            element("receiver", Ty::Text),
-            element("control_number", Ty::Id),
-            constant("PO"),
+        // The interchange envelope: sender, receiver, control number and
+        // the GS01 functional identifier code.
+        one("ISA").of(&[
+            field("ISA06", Ty::Text),
+            field("ISA08", Ty::Text),
+            field("ISA13", Ty::Id),
+            node("GS01", Const("PO")),
         ]),
-        one("BEG", Some("beg")).of(&[
-            element("purpose_code", Ty::Text),
-            element("type_code", Ty::Text),
-            element("po_number", Ty::Key),
-            constant(""),
-            element("order_date", Ty::CompactDate),
+        one("BEG").of(&[
+            field("BEG01", Ty::Text),
+            field("BEG02", Ty::Text),
+            field("BEG03", Ty::Key),
+            node("BEG04", Const("")),
+            field("BEG05", Ty::CompactDate),
         ]),
-        optional("CUR", Some("cur")).of(&[constant("BY"), element("currency", Ty::Currency)]),
-        many("N1", "n1").of(&[element("code", Ty::Text), element("name", Ty::Text)]),
-        many("PO1", "po1").of(&[
-            element("line_no", Ty::Int),
-            element("quantity", Ty::Int),
-            element("uom", Ty::Text),
-            element("unit_price", Ty::Money),
-            constant(""),
-            constant("VP"),
-            element("item", Ty::Text),
+        optional("CUR").of(&[node("CUR01", Const("BY")), field("CUR02", Ty::Currency)]),
+        many("N1").of(&[field("N101", Ty::Text), field("N102", Ty::Text)]),
+        many("PO1").of(&[
+            field("PO101", Ty::Int),
+            field("PO102", Ty::Int),
+            field("PO103", Ty::Text),
+            field("PO104", Ty::Money),
+            node("PO105", Const("")),
+            node("PO106", Const("VP")),
+            field("PO107", Ty::Text),
         ]),
-        optional("CTT", None).of(&[node("", Count("po1"))]),
-        one("AMT", None).of(&[constant("TT"), element("amt", Ty::Money)]),
+        node("CTT", Optional(Flat, &[node("CTT01", Count("PO1"))])),
+        node("AMT", One(Flat, &[node("AMT01", Const("TT")), field("AMT02", Ty::Money)])),
     ],
 };
 
@@ -58,23 +61,23 @@ const POA: Kind = Kind {
     id: "edi-",
     correlation: "po:",
     body: &[
-        // The interchange envelope: ISA06, ISA08, ISA13 and the GS01 code.
-        one("ISA", Some("envelope")).of(&[
-            element("sender", Ty::Text),
-            element("receiver", Ty::Text),
-            element("control_number", Ty::Id),
-            constant("PR"),
+        // The interchange envelope, as in the 850.
+        one("ISA").of(&[
+            field("ISA06", Ty::Text),
+            field("ISA08", Ty::Text),
+            field("ISA13", Ty::Id),
+            node("GS01", Const("PR")),
         ]),
-        one("BAK", Some("bak")).of(&[
-            element("purpose_code", Ty::Text),
-            element("ack_type", Ty::Text),
-            element("po_number", Ty::Key),
-            element("ack_date", Ty::CompactDate),
+        one("BAK").of(&[
+            field("BAK01", Ty::Text),
+            field("BAK02", Ty::Text),
+            field("BAK03", Ty::Key),
+            field("BAK04", Ty::CompactDate),
         ]),
-        many("ACK", "ack").of(&[
-            element("status_code", Ty::Text),
-            element("quantity", Ty::Int),
-            constant("EA"),
+        many("ACK").of(&[
+            field("ACK01", Ty::Text),
+            field("ACK02", Ty::Int),
+            node("ACK03", Const("EA")),
             node("", Position("line_no")),
         ]),
     ],
@@ -89,30 +92,30 @@ pub fn sample_edi_po(po_number: &str, quantity: i64) -> Document {
     let price = crate::money::Money::from_units(1, Currency::Usd);
     let total = price.checked_mul(quantity).expect("no overflow in sample");
     let body = record! {
-        "envelope" => record! {
-            "sender" => Value::text("ACME"),
-            "receiver" => Value::text("GADGET"),
-            "control_number" => Value::text("000000001"),
+        "ISA" => record! {
+            "ISA06" => Value::text("ACME"),
+            "ISA08" => Value::text("GADGET"),
+            "ISA13" => Value::text("000000001"),
         },
-        "beg" => record! {
-            "purpose_code" => Value::text("00"),
-            "type_code" => Value::text("NE"),
-            "po_number" => Value::text(po_number),
-            "order_date" => Value::Date(Date::new(2001, 9, 17).expect("valid")),
+        "BEG" => record! {
+            "BEG01" => Value::text("00"),
+            "BEG02" => Value::text("NE"),
+            "BEG03" => Value::text(po_number),
+            "BEG05" => Value::Date(Date::new(2001, 9, 17).expect("valid")),
         },
-        "cur" => record! { "currency" => Value::text("USD") },
-        "n1" => Value::List(vec![
-            record! { "code" => Value::text("BY"), "name" => Value::text("ACME Manufacturing") },
-            record! { "code" => Value::text("SE"), "name" => Value::text("Gadget Supply Co") },
+        "CUR" => record! { "CUR02" => Value::text("USD") },
+        "N1" => Value::List(vec![
+            record! { "N101" => Value::text("BY"), "N102" => Value::text("ACME Manufacturing") },
+            record! { "N101" => Value::text("SE"), "N102" => Value::text("Gadget Supply Co") },
         ]),
-        "po1" => Value::List(vec![record! {
-            "line_no" => Value::Int(1),
-            "quantity" => Value::Int(quantity),
-            "uom" => Value::text("EA"),
-            "unit_price" => Value::Money(price),
-            "item" => Value::text("LAPTOP-T23"),
+        "PO1" => Value::List(vec![record! {
+            "PO101" => Value::Int(1),
+            "PO102" => Value::Int(quantity),
+            "PO103" => Value::text("EA"),
+            "PO104" => Value::Money(price),
+            "PO107" => Value::text("LAPTOP-T23"),
         }]),
-        "amt" => Value::Money(total),
+        "AMT02" => Value::Money(total),
     };
     Document::new(
         DocKind::PurchaseOrder,
@@ -182,16 +185,16 @@ mod tests {
     fn a_mistyped_line_field_names_its_line() {
         let codec = TableCodec(&FORMAT);
         let mut doc = sample_edi_po("4711", 12);
-        doc.set("po1[0].quantity", Value::text("twelve")).unwrap();
+        doc.set("PO1[0].PO102", Value::text("twelve")).unwrap();
         assert_eq!(
             codec.encode(&doc).unwrap_err().to_string(),
-            "expected int at `po1[0]`, found text"
+            "expected int at `PO1[0]`, found text"
         );
         let mut doc = sample_edi_po("4711", 12);
-        doc.set("n1[1]", Value::Int(3)).unwrap();
+        doc.set("N1[1]", Value::Int(3)).unwrap();
         assert_eq!(
             codec.encode(&doc).unwrap_err().to_string(),
-            "expected record at `n1[1]`, found int"
+            "expected record at `N1[1]`, found int"
         );
     }
 }

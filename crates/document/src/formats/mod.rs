@@ -4,7 +4,8 @@
 //! OAGIS, the SAP and Oracle back-end formats, the binary format, and the
 //! internal normalized format. The five text formats share one codec per
 //! syntax family — X12 segments, XML elements, keyed lines — driven by one
-//! field table per (format, kind) in the format's own module; the binary
+//! field table per (format, kind) in the format's own module, which keys
+//! a decoded document by the wire's own names (`BEG.BEG03`); the binary
 //! format is generic over any document. New formats can be added by
 //! implementing [`FormatCodec`] and registering it — without touching any
 //! other layer, which is exactly the locality-of-change property the paper

@@ -3,7 +3,7 @@
 //! This is the third B2B protocol format; the paper's Figure 10/15 step
 //! ("add one more trading partner with one more protocol") adds OAGIS.
 
-use super::table::{field, many, node, one, Format, Kind, Syntax, Ty, What::*};
+use super::table::{field, many, node, one, Fill::Flat, Format, Kind, Syntax, Ty, What::*};
 use super::FormatId;
 use crate::date::Date;
 use crate::document::{DocKind, Document};
@@ -18,25 +18,25 @@ const PO: Kind = Kind {
     id: "oagis-",
     correlation: "po:",
     body: &[
-        one("CNTROLAREA", Some("control_area")).of(&[
-            one("BSR", None).of(&[node("VERB", Verb("PROCESS")), node("NOUN", Const("PO"))]),
-            field("SENDER", "sender", Ty::Text),
-            field("REFERENCEID", "reference_id", Ty::Id),
+        one("CNTROLAREA").of(&[
+            node("BSR", One(Flat, &[node("VERB", Verb("PROCESS")), node("NOUN", Const("PO"))])),
+            field("SENDER", Ty::Text),
+            field("REFERENCEID", Ty::Id),
         ]),
-        one("DATAAREA", Some("data_area")).of(&[
-            one("POHEADER", Some("po_header")).of(&[
-                field("POID", "po_id", Ty::Key),
-                field("PODATE", "po_date", Ty::IsoDate),
-                field("CURRENCY", "currency", Ty::Currency),
-                field("BUYERPARTY", "buyer_party", Ty::Text),
-                field("SELLERPARTY", "seller_party", Ty::Text),
-                field("POTOTAL", "total", Ty::Money),
+        one("DATAAREA").of(&[
+            one("POHEADER").of(&[
+                field("POID", Ty::Key),
+                field("PODATE", Ty::IsoDate),
+                field("CURRENCY", Ty::Currency),
+                field("BUYERPARTY", Ty::Text),
+                field("SELLERPARTY", Ty::Text),
+                field("POTOTAL", Ty::Money),
             ]),
-            many("POLINE", "po_lines").of(&[
-                field("LINENUM", "line_num", Ty::Int),
-                field("ITEM", "item", Ty::Text),
-                field("QUANTITY", "quantity", Ty::Int),
-                field("UNITPRICE", "unit_price", Ty::Money),
+            many("POLINE").of(&[
+                field("LINENUM", Ty::Int),
+                field("ITEM", Ty::Text),
+                field("QUANTITY", Ty::Int),
+                field("UNITPRICE", Ty::Money),
             ]),
         ]),
     ],
@@ -48,21 +48,21 @@ const POA: Kind = Kind {
     id: "oagis-",
     correlation: "po:",
     body: &[
-        one("CNTROLAREA", Some("control_area")).of(&[
-            one("BSR", None).of(&[node("VERB", Verb("ACKNOWLEDGE")), node("NOUN", Const("PO"))]),
-            field("SENDER", "sender", Ty::Text),
-            field("REFERENCEID", "reference_id", Ty::Id),
+        one("CNTROLAREA").of(&[
+            node("BSR", One(Flat, &[node("VERB", Verb("ACKNOWLEDGE")), node("NOUN", Const("PO"))])),
+            field("SENDER", Ty::Text),
+            field("REFERENCEID", Ty::Id),
         ]),
-        one("DATAAREA", Some("data_area")).of(&[
-            one("ACKHEADER", Some("ack_header")).of(&[
-                field("POID", "po_id", Ty::Key),
-                field("ACKSTATUS", "status", Ty::Text),
-                field("ACKDATE", "ack_date", Ty::IsoDate),
+        one("DATAAREA").of(&[
+            one("ACKHEADER").of(&[
+                field("POID", Ty::Key),
+                field("ACKSTATUS", Ty::Text),
+                field("ACKDATE", Ty::IsoDate),
             ]),
-            many("ACKLINE", "ack_lines").of(&[
-                field("LINENUM", "line_num", Ty::Int),
-                field("ACKSTATUS", "status", Ty::Text),
-                field("QUANTITY", "quantity", Ty::Int),
+            many("ACKLINE").of(&[
+                field("LINENUM", Ty::Int),
+                field("ACKSTATUS", Ty::Text),
+                field("QUANTITY", Ty::Int),
             ]),
         ]),
     ],
@@ -77,24 +77,24 @@ pub fn sample_oagis_po(po_number: &str, quantity: i64) -> Document {
     let price = crate::money::Money::from_units(1, Currency::Usd);
     let total = price.checked_mul(quantity).expect("no overflow in sample");
     let body = record! {
-        "control_area" => record! {
-            "sender" => Value::text("TP3-LOGISTICS"),
-            "reference_id" => Value::text(format!("bod-{po_number}")),
+        "CNTROLAREA" => record! {
+            "SENDER" => Value::text("TP3-LOGISTICS"),
+            "REFERENCEID" => Value::text(format!("bod-{po_number}")),
         },
-        "data_area" => record! {
-            "po_header" => record! {
-                "po_id" => Value::text(po_number),
-                "po_date" => Value::Date(Date::new(2001, 9, 17).expect("valid")),
-                "currency" => Value::text("USD"),
-                "buyer_party" => Value::text("TP3 Logistics"),
-                "seller_party" => Value::text("Gadget Supply Co"),
-                "total" => Value::Money(total),
+        "DATAAREA" => record! {
+            "POHEADER" => record! {
+                "POID" => Value::text(po_number),
+                "PODATE" => Value::Date(Date::new(2001, 9, 17).expect("valid")),
+                "CURRENCY" => Value::text("USD"),
+                "BUYERPARTY" => Value::text("TP3 Logistics"),
+                "SELLERPARTY" => Value::text("Gadget Supply Co"),
+                "POTOTAL" => Value::Money(total),
             },
-            "po_lines" => Value::List(vec![record! {
-                "line_num" => Value::Int(1),
-                "item" => Value::text("LAPTOP-T23"),
-                "quantity" => Value::Int(quantity),
-                "unit_price" => Value::Money(price),
+            "POLINE" => Value::List(vec![record! {
+                "LINENUM" => Value::Int(1),
+                "ITEM" => Value::text("LAPTOP-T23"),
+                "QUANTITY" => Value::Int(quantity),
+                "UNITPRICE" => Value::Money(price),
             }]),
         },
     };

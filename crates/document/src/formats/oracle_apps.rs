@@ -19,20 +19,20 @@ const PO: Kind = Kind {
     id: "ora-",
     correlation: "po:",
     body: &[
-        one("PO_HEADERS", Some("po_header")).of(&[
-            field("SEGMENT1", "segment1", Ty::Key),
-            field("ORG_ID", "org_id", Ty::Int),
-            field("VENDOR_NAME", "vendor_name", Ty::Text),
-            field("AGENT_NAME", "agent_name", Ty::Text),
-            field("CURRENCY_CODE", "currency_code", Ty::Currency),
-            field("CREATION_DATE", "creation_date", Ty::IsoDate),
-            field("TOTAL_AMOUNT", "total_amount", Ty::Money),
+        one("PO_HEADERS").of(&[
+            field("SEGMENT1", Ty::Key),
+            field("ORG_ID", Ty::Int),
+            field("VENDOR_NAME", Ty::Text),
+            field("AGENT_NAME", Ty::Text),
+            field("CURRENCY_CODE", Ty::Currency),
+            field("CREATION_DATE", Ty::IsoDate),
+            field("TOTAL_AMOUNT", Ty::Money),
         ]),
-        many("PO_LINES", "po_lines").of(&[
-            field("LINE_NUM", "line_num", Ty::Int),
-            field("ITEM_ID", "item_id", Ty::Text),
-            field("QUANTITY", "quantity", Ty::Int),
-            field("UNIT_PRICE", "unit_price", Ty::Money),
+        many("PO_LINES").of(&[
+            field("LINE_NUM", Ty::Int),
+            field("ITEM_ID", Ty::Text),
+            field("QUANTITY", Ty::Int),
+            field("UNIT_PRICE", Ty::Money),
         ]),
     ],
 };
@@ -43,15 +43,15 @@ const POA: Kind = Kind {
     id: "ora-ack-",
     correlation: "po:",
     body: &[
-        one("PO_ACKNOWLEDGMENTS", Some("ack_header")).of(&[
-            field("PO_NUMBER", "po_number", Ty::Key),
-            field("STATUS", "status", Ty::Text),
-            field("ACK_DATE", "ack_date", Ty::IsoDate),
+        one("PO_ACKNOWLEDGMENTS").of(&[
+            field("PO_NUMBER", Ty::Key),
+            field("STATUS", Ty::Text),
+            field("ACK_DATE", Ty::IsoDate),
         ]),
-        many("PO_ACK_LINES", "ack_lines").of(&[
-            field("LINE_NUM", "line_num", Ty::Int),
-            field("STATUS", "status", Ty::Text),
-            field("QUANTITY", "quantity", Ty::Int),
+        many("PO_ACK_LINES").of(&[
+            field("LINE_NUM", Ty::Int),
+            field("STATUS", Ty::Text),
+            field("QUANTITY", Ty::Int),
         ]),
     ],
 };
@@ -65,20 +65,20 @@ pub fn sample_oracle_po(po_number: &str, quantity: i64) -> Document {
     let price = crate::money::Money::from_units(1, Currency::Usd);
     let total = price.checked_mul(quantity).expect("no overflow in sample");
     let body = record! {
-        "po_header" => record! {
-            "segment1" => Value::text(po_number),
-            "org_id" => Value::Int(204),
-            "vendor_name" => Value::text("Gadget Supply Co"),
-            "agent_name" => Value::text("ACME Manufacturing"),
-            "currency_code" => Value::text("USD"),
-            "creation_date" => Value::Date(Date::new(2001, 9, 17).expect("valid")),
-            "total_amount" => Value::Money(total),
+        "PO_HEADERS" => record! {
+            "SEGMENT1" => Value::text(po_number),
+            "ORG_ID" => Value::Int(204),
+            "VENDOR_NAME" => Value::text("Gadget Supply Co"),
+            "AGENT_NAME" => Value::text("ACME Manufacturing"),
+            "CURRENCY_CODE" => Value::text("USD"),
+            "CREATION_DATE" => Value::Date(Date::new(2001, 9, 17).expect("valid")),
+            "TOTAL_AMOUNT" => Value::Money(total),
         },
-        "po_lines" => Value::List(vec![record! {
-            "line_num" => Value::Int(1),
-            "item_id" => Value::text("LAPTOP-T23"),
-            "quantity" => Value::Int(quantity),
-            "unit_price" => Value::Money(price),
+        "PO_LINES" => Value::List(vec![record! {
+            "LINE_NUM" => Value::Int(1),
+            "ITEM_ID" => Value::text("LAPTOP-T23"),
+            "QUANTITY" => Value::Int(quantity),
+            "UNIT_PRICE" => Value::Money(price),
         }]),
     };
     Document::new(

@@ -1,9 +1,9 @@
 //! RosettaNet codec: PIP 3A4 purchase-order request/confirmation plus the
 //! RNIF receipt-acknowledgment and exception signals.
 //!
-//! The RosettaNet-shaped body keeps a service header (from/to partner,
-//! PIP code, instance id) separate from the business payload, mirroring
-//! how PIPs layer on RNIF.
+//! A RosettaNet-shaped body is keyed by the PIP's own element names: the
+//! `ServiceHeader` (from/to partner, PIP code, instance id) sits apart
+//! from the business payload, mirroring how PIPs layer on RNIF.
 
 use super::table::{field, many, one, Format, Kind, Node, Syntax, Ty};
 use super::FormatId;
@@ -14,11 +14,11 @@ use crate::money::Currency;
 use crate::record;
 use crate::value::Value;
 
-const HEADER: Node = one("ServiceHeader", Some("service_header")).of(&[
-    field("FromPartner", "from", Ty::Text),
-    field("ToPartner", "to", Ty::Text),
-    field("PipCode", "pip_code", Ty::Text),
-    field("PipInstanceId", "instance_id", Ty::Id),
+const HEADER: Node = one("ServiceHeader").of(&[
+    field("FromPartner", Ty::Text),
+    field("ToPartner", Ty::Text),
+    field("PipCode", Ty::Text),
+    field("PipInstanceId", Ty::Id),
 ]);
 
 const PO: Kind = Kind {
@@ -28,19 +28,19 @@ const PO: Kind = Kind {
     correlation: "po:",
     body: &[
         HEADER,
-        one("PurchaseOrder", Some("purchase_order")).of(&[
-            field("GlobalPurchaseOrderIdentifier", "po_number", Ty::Key),
-            field("OrderDate", "order_date", Ty::IsoDate),
-            field("GlobalCurrencyCode", "currency", Ty::Currency),
-            field("BuyerPartner", "buyer", Ty::Text),
-            field("SellerPartner", "seller", Ty::Text),
-            many("ProductLineItem", "lines").of(&[
-                field("LineNumber", "line_number", Ty::Int),
-                field("GlobalProductIdentifier", "product_id", Ty::Text),
-                field("OrderQuantity", "quantity", Ty::Int),
-                field("UnitPrice", "unit_price", Ty::Money),
+        one("PurchaseOrder").of(&[
+            field("GlobalPurchaseOrderIdentifier", Ty::Key),
+            field("OrderDate", Ty::IsoDate),
+            field("GlobalCurrencyCode", Ty::Currency),
+            field("BuyerPartner", Ty::Text),
+            field("SellerPartner", Ty::Text),
+            many("ProductLineItem").of(&[
+                field("LineNumber", Ty::Int),
+                field("GlobalProductIdentifier", Ty::Text),
+                field("OrderQuantity", Ty::Int),
+                field("UnitPrice", Ty::Money),
             ]),
-            field("TotalAmount", "total_amount", Ty::Money),
+            field("TotalAmount", Ty::Money),
         ]),
     ],
 };
@@ -52,14 +52,14 @@ const POA: Kind = Kind {
     correlation: "po:",
     body: &[
         HEADER,
-        one("PurchaseOrderConfirmation", Some("confirmation")).of(&[
-            field("GlobalPurchaseOrderIdentifier", "po_number", Ty::Key),
-            field("GlobalPurchaseOrderAcknowledgmentCode", "response_code", Ty::Text),
-            field("AcknowledgmentDate", "ack_date", Ty::IsoDate),
-            many("ProductLineItem", "lines").of(&[
-                field("LineNumber", "line_number", Ty::Int),
-                field("GlobalPurchaseOrderAcknowledgmentCode", "response_code", Ty::Text),
-                field("OrderQuantity", "quantity", Ty::Int),
+        one("PurchaseOrderConfirmation").of(&[
+            field("GlobalPurchaseOrderIdentifier", Ty::Key),
+            field("GlobalPurchaseOrderAcknowledgmentCode", Ty::Text),
+            field("AcknowledgmentDate", Ty::IsoDate),
+            many("ProductLineItem").of(&[
+                field("LineNumber", Ty::Int),
+                field("GlobalPurchaseOrderAcknowledgmentCode", Ty::Text),
+                field("OrderQuantity", Ty::Int),
             ]),
         ]),
     ],
@@ -72,12 +72,12 @@ const RFQ: Kind = Kind {
     correlation: "rfq:",
     body: &[
         HEADER,
-        one("QuoteRequest", Some("quote_request")).of(&[
-            field("GlobalQuoteRequestIdentifier", "rfq_number", Ty::Key),
-            field("BuyerPartner", "buyer", Ty::Text),
-            field("GlobalProductIdentifier", "item", Ty::Text),
-            field("RequestedQuantity", "quantity", Ty::Int),
-            field("QuoteDeadline", "respond_by", Ty::IsoDate),
+        one("QuoteRequest").of(&[
+            field("GlobalQuoteRequestIdentifier", Ty::Key),
+            field("BuyerPartner", Ty::Text),
+            field("GlobalProductIdentifier", Ty::Text),
+            field("RequestedQuantity", Ty::Int),
+            field("QuoteDeadline", Ty::IsoDate),
         ]),
     ],
 };
@@ -89,12 +89,12 @@ const QUOTE: Kind = Kind {
     correlation: "rfq:",
     body: &[
         HEADER,
-        one("Quote", Some("quote")).of(&[
-            field("GlobalQuoteRequestIdentifier", "rfq_number", Ty::Key),
-            field("SellerPartner", "seller", Ty::Text),
-            field("GlobalCurrencyCode", "currency", Ty::Currency),
-            field("UnitPrice", "unit_price", Ty::Money),
-            field("QuoteValidUntil", "valid_until", Ty::IsoDate),
+        one("Quote").of(&[
+            field("GlobalQuoteRequestIdentifier", Ty::Key),
+            field("SellerPartner", Ty::Text),
+            field("GlobalCurrencyCode", Ty::Currency),
+            field("UnitPrice", Ty::Money),
+            field("QuoteValidUntil", Ty::IsoDate),
         ]),
     ],
 };
@@ -102,7 +102,7 @@ const QUOTE: Kind = Kind {
 /// An RNIF signal: the header and the instance it answers, which is also
 /// its correlation.
 const fn signal(kind: DocKind, selector: &'static str) -> Kind {
-    const BODY: &[Node] = &[HEADER, field("ReferencedInstanceId", "ref_instance_id", Ty::Key)];
+    const BODY: &[Node] = &[HEADER, field("ReferencedInstanceId", Ty::Key)];
     Kind { kind, selector, id: "rn-", correlation: "", body: BODY }
 }
 
@@ -125,25 +125,25 @@ pub fn sample_rn_po(po_number: &str, quantity: i64) -> Document {
     let price = crate::money::Money::from_units(1, Currency::Usd);
     let total = price.checked_mul(quantity).expect("no overflow in sample");
     let body = record! {
-        "service_header" => record! {
-            "from" => Value::text("ACME"),
-            "to" => Value::text("GADGET"),
-            "pip_code" => Value::text("3A4"),
-            "instance_id" => Value::text(format!("pip-{po_number}")),
+        "ServiceHeader" => record! {
+            "FromPartner" => Value::text("ACME"),
+            "ToPartner" => Value::text("GADGET"),
+            "PipCode" => Value::text("3A4"),
+            "PipInstanceId" => Value::text(format!("pip-{po_number}")),
         },
-        "purchase_order" => record! {
-            "po_number" => Value::text(po_number),
-            "order_date" => Value::Date(Date::new(2001, 9, 17).expect("valid")),
-            "currency" => Value::text("USD"),
-            "buyer" => Value::text("ACME Manufacturing"),
-            "seller" => Value::text("Gadget Supply Co"),
-            "lines" => Value::List(vec![record! {
-                "line_number" => Value::Int(1),
-                "product_id" => Value::text("LAPTOP-T23"),
-                "quantity" => Value::Int(quantity),
-                "unit_price" => Value::Money(price),
+        "PurchaseOrder" => record! {
+            "GlobalPurchaseOrderIdentifier" => Value::text(po_number),
+            "OrderDate" => Value::Date(Date::new(2001, 9, 17).expect("valid")),
+            "GlobalCurrencyCode" => Value::text("USD"),
+            "BuyerPartner" => Value::text("ACME Manufacturing"),
+            "SellerPartner" => Value::text("Gadget Supply Co"),
+            "ProductLineItem" => Value::List(vec![record! {
+                "LineNumber" => Value::Int(1),
+                "GlobalProductIdentifier" => Value::text("LAPTOP-T23"),
+                "OrderQuantity" => Value::Int(quantity),
+                "UnitPrice" => Value::Money(price),
             }]),
-            "total_amount" => Value::Money(total),
+            "TotalAmount" => Value::Money(total),
         },
     };
     Document::new(

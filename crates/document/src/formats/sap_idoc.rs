@@ -14,11 +14,11 @@ use crate::record;
 use crate::value::Value;
 
 /// The IDoc control record.
-const CONTROL: Node = one("EDI_DC40", Some("control")).of(&[
-    field("IDOCTYP", "idoctyp", Ty::Selector),
-    field("SNDPRN", "sndprn", Ty::Text),
-    field("RCVPRN", "rcvprn", Ty::Text),
-    field("DOCNUM", "docnum", Ty::Id),
+const CONTROL: Node = one("EDI_DC40").of(&[
+    field("IDOCTYP", Ty::Selector),
+    field("SNDPRN", Ty::Text),
+    field("RCVPRN", Ty::Text),
+    field("DOCNUM", Ty::Id),
 ]);
 
 const PO: Kind = Kind {
@@ -28,20 +28,19 @@ const PO: Kind = Kind {
     correlation: "po:",
     body: &[
         CONTROL,
-        one("E1EDK01", Some("e1edk01")).of(&[
-            field("BELNR", "belnr", Ty::Key),
-            field("CURCY", "curcy", Ty::Currency),
-            field("AUDAT", "audat", Ty::CompactDate),
+        one("E1EDK01").of(&[
+            field("BELNR", Ty::Key),
+            field("CURCY", Ty::Currency),
+            field("AUDAT", Ty::CompactDate),
         ]),
-        many("E1EDKA1", "e1edka1")
-            .of(&[field("PARVW", "parvw", Ty::Text), field("NAME1", "name", Ty::Text)]),
-        many("E1EDP01", "e1edp01").of(&[
-            field("POSEX", "posex", Ty::Int),
-            field("MENGE", "menge", Ty::Int),
-            field("VPREI", "vprei", Ty::Money),
-            field("MATNR", "matnr", Ty::Text),
+        many("E1EDKA1").of(&[field("PARVW", Ty::Text), field("NAME1", Ty::Text)]),
+        many("E1EDP01").of(&[
+            field("POSEX", Ty::Int),
+            field("MENGE", Ty::Int),
+            field("VPREI", Ty::Money),
+            field("MATNR", Ty::Text),
         ]),
-        one("E1EDS01", Some("e1eds01")).of(&[field("SUMME", "summe", Ty::Money)]),
+        one("E1EDS01").of(&[field("SUMME", Ty::Money)]),
     ],
 };
 
@@ -52,15 +51,15 @@ const POA: Kind = Kind {
     correlation: "po:",
     body: &[
         CONTROL,
-        one("E1EDK01", Some("e1edk01")).of(&[
-            field("BELNR", "belnr", Ty::Key),
-            field("AUDAT", "audat", Ty::CompactDate),
-            field("ACTION", "action", Ty::Text),
+        one("E1EDK01").of(&[
+            field("BELNR", Ty::Key),
+            field("AUDAT", Ty::CompactDate),
+            field("ACTION", Ty::Text),
         ]),
-        many("E1EDP01", "e1edp01").of(&[
-            field("POSEX", "posex", Ty::Int),
-            field("MENGE", "menge", Ty::Int),
-            field("ACTION", "action", Ty::Text),
+        many("E1EDP01").of(&[
+            field("POSEX", Ty::Int),
+            field("MENGE", Ty::Int),
+            field("ACTION", Ty::Text),
         ]),
     ],
 };
@@ -78,28 +77,28 @@ pub fn sample_sap_po(po_number: &str, quantity: i64) -> Document {
     let price = crate::money::Money::from_units(1, Currency::Usd);
     let total = price.checked_mul(quantity).expect("no overflow in sample");
     let body = record! {
-        "control" => record! {
-            "idoctyp" => Value::text("ORDERS05"),
-            "sndprn" => Value::text("ACME"),
-            "rcvprn" => Value::text("SAPPRD"),
-            "docnum" => Value::text(format!("idoc-{po_number}")),
+        "EDI_DC40" => record! {
+            "IDOCTYP" => Value::text("ORDERS05"),
+            "SNDPRN" => Value::text("ACME"),
+            "RCVPRN" => Value::text("SAPPRD"),
+            "DOCNUM" => Value::text(format!("idoc-{po_number}")),
         },
-        "e1edk01" => record! {
-            "belnr" => Value::text(po_number),
-            "curcy" => Value::text("USD"),
-            "audat" => Value::Date(Date::new(2001, 9, 17).expect("valid")),
+        "E1EDK01" => record! {
+            "BELNR" => Value::text(po_number),
+            "CURCY" => Value::text("USD"),
+            "AUDAT" => Value::Date(Date::new(2001, 9, 17).expect("valid")),
         },
-        "e1edka1" => Value::List(vec![
-            record! { "parvw" => Value::text("AG"), "name" => Value::text("ACME Manufacturing") },
-            record! { "parvw" => Value::text("LF"), "name" => Value::text("Gadget Supply Co") },
+        "E1EDKA1" => Value::List(vec![
+            record! { "PARVW" => Value::text("AG"), "NAME1" => Value::text("ACME Manufacturing") },
+            record! { "PARVW" => Value::text("LF"), "NAME1" => Value::text("Gadget Supply Co") },
         ]),
-        "e1edp01" => Value::List(vec![record! {
-            "posex" => Value::Int(1),
-            "menge" => Value::Int(quantity),
-            "vprei" => Value::Money(price),
-            "matnr" => Value::text("LAPTOP-T23"),
+        "E1EDP01" => Value::List(vec![record! {
+            "POSEX" => Value::Int(1),
+            "MENGE" => Value::Int(quantity),
+            "VPREI" => Value::Money(price),
+            "MATNR" => Value::text("LAPTOP-T23"),
         }]),
-        "e1eds01" => record! { "summe" => Value::Money(total) },
+        "E1EDS01" => record! { "SUMME" => Value::Money(total) },
     };
     Document::new(
         DocKind::PurchaseOrder,

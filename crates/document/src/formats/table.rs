@@ -1,11 +1,14 @@
 //! Field tables and the one codec they drive.
 //!
 //! A text format is a wire syntax plus one const table per document kind.
-//! The table states every field once: where it sits on the wire (an X12
-//! element position, an XML element name, a keyed-line key), which
-//! document field it fills, and its type. The walkers in `x12`, `xml` and
-//! `lines` know their syntax and nothing else; [`read`] and [`write`]
-//! walk a kind's table against a walker's [`Source`] or [`Sink`].
+//! The table states the wire structure and nothing else: every group and
+//! field once, by its wire name (an X12 element by its designator such as
+//! `BEG03`, an XML element by its tag, an IDoc field or Oracle column by
+//! its key), and each field's type. A decoded document is keyed by those
+//! same names; what a field means is the binding's business, in its
+//! mapping programs. The walkers in `x12`, `xml` and `lines` know their
+//! syntax and nothing else; [`read`] and [`write`] walk a kind's table
+//! against a walker's [`Source`] or [`Sink`].
 
 use super::{lines, x12, xml, FormatCodec, FormatId};
 use crate::date::Date;
@@ -57,35 +60,42 @@ pub(crate) struct Kind {
     pub body: &'static [Node],
 }
 
-/// One table entry: a group or field and its wire name (empty for X12
-/// elements, which are positional).
+/// One table entry: a group or field and its wire name, which is also its
+/// key in the document.
 pub(crate) struct Node {
     pub name: &'static str,
     pub what: What,
 }
 
 pub(crate) enum What {
-    /// A field: the document field it fills, and its type.
-    Field(&'static str, Ty),
+    /// A field of this type.
+    Field(Ty),
     /// A constant, written as is and ignored on read.
     Const(&'static str),
     /// A constant that reading checks (OAGIS's verb).
     Verb(&'static str),
-    /// The number of elements of a list field of the enclosing record,
-    /// checked on read (X12 CTT).
+    /// The number of elements of the named group, a list of the enclosing
+    /// record, checked on read (X12 CTT).
     Count(&'static str),
-    /// The 1-based position of a repeated group, read but never written
-    /// (855 ACK line numbers).
+    /// The 1-based position of a repeated group, read into the named key
+    /// but never written (855 ACK line numbers).
     Position(&'static str),
-    /// A group written once; its fields fill the named record of the
-    /// enclosing record, or the enclosing record itself. Reading requires
-    /// it.
-    One(Option<&'static str>, &'static [Node]),
+    /// A group written once. Reading requires it.
+    One(Fill, &'static [Node]),
     /// Like `One`, but reading may miss it: a missing group's currency
     /// reads as USD, as X12's CUR does.
-    Optional(Option<&'static str>, &'static [Node]),
-    /// A group written once per element of the named list field.
-    Many(&'static str, &'static [Node]),
+    Optional(Fill, &'static [Node]),
+    /// A group written once per element of the list it names.
+    Many(&'static [Node]),
+}
+
+/// Where the fields of a group written once go.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fill {
+    /// A record the group names.
+    Record,
+    /// The enclosing record (X12 CTT and AMT, OAGIS BSR).
+    Flat,
 }
 
 /// How a field's value is written and read.
@@ -114,46 +124,36 @@ pub(crate) const fn node(name: &'static str, what: What) -> Node {
     Node { name, what }
 }
 
-/// A named field: wire name, document field, type.
-pub(crate) const fn field(name: &'static str, to: &'static str, ty: Ty) -> Node {
-    node(name, What::Field(to, ty))
+/// A field of type `ty`.
+pub(crate) const fn field(name: &'static str, ty: Ty) -> Node {
+    node(name, What::Field(ty))
 }
 
-/// An X12 element field: positional, so unnamed.
-pub(crate) const fn element(to: &'static str, ty: Ty) -> Node {
-    node("", What::Field(to, ty))
-}
-
-/// An X12 element constant.
-pub(crate) const fn constant(text: &'static str) -> Node {
-    node("", What::Const(text))
-}
-
-/// A group written once, filling the record `record` or, without one, the
-/// enclosing record. Every table writes a group as
-/// `one("BEG", Some("beg")).of(&[…])`, so that its nodes read as one
-/// indented list.
-pub(crate) const fn one(name: &'static str, record: Option<&'static str>) -> Node {
-    node(name, What::One(record, &[]))
+/// A group written once, filling a record it names. Every table writes
+/// such a group as `one("BEG").of(&[…])`, so that its nodes read as one
+/// indented list; the few that fill the enclosing record are written
+/// `node("AMT", One(Flat, &[…]))`.
+pub(crate) const fn one(name: &'static str) -> Node {
+    node(name, What::One(Fill::Record, &[]))
 }
 
 /// Like [`one`], but reading may miss it.
-pub(crate) const fn optional(name: &'static str, record: Option<&'static str>) -> Node {
-    node(name, What::Optional(record, &[]))
+pub(crate) const fn optional(name: &'static str) -> Node {
+    node(name, What::Optional(Fill::Record, &[]))
 }
 
-/// A group written once per element of the list `list`.
-pub(crate) const fn many(name: &'static str, list: &'static str) -> Node {
-    node(name, What::Many(list, &[]))
+/// A group written once per element of the list it names.
+pub(crate) const fn many(name: &'static str) -> Node {
+    node(name, What::Many(&[]))
 }
 
 impl Node {
     /// The group `self` holding `nodes`.
     pub(crate) const fn of(self, nodes: &'static [Node]) -> Node {
         let what = match self.what {
-            What::One(record, _) => What::One(record, nodes),
-            What::Optional(record, _) => What::Optional(record, nodes),
-            What::Many(list, _) => What::Many(list, nodes),
+            What::One(fill, _) => What::One(fill, nodes),
+            What::Optional(fill, _) => What::Optional(fill, nodes),
+            What::Many(_) => What::Many(nodes),
             _ => panic!("only groups hold nodes"),
         };
         node(self.name, what)
@@ -233,10 +233,6 @@ pub(crate) trait Source: Sized {
     /// Why field `node` is missing (`line` is the 0-based index of the
     /// repeated group being read).
     fn missing(&self, node: &Node, position: usize, line: Option<usize>) -> String;
-    /// The field's wire name in errors about its value.
-    fn label(&self, node: &Node, _position: usize) -> String {
-        node.name.to_string()
-    }
 }
 
 struct Reader {
@@ -294,10 +290,10 @@ impl Reader {
     ) -> Result<()> {
         match node.what {
             What::Const(_) => {}
-            What::Field(name, ty) => {
+            What::Field(ty) => {
                 let text = self.text(src, node, position)?;
-                let value = self.value(&text, ty, || src.label(node, position))?;
-                out.insert(intern(name), value);
+                let value = self.value(&text, ty, node.name)?;
+                out.insert(intern(node.name), value);
             }
             What::Verb(verb) => {
                 let text = self.text(src, node, position)?;
@@ -307,7 +303,7 @@ impl Reader {
             }
             What::Count(list) => {
                 let text = self.text(src, node, position)?;
-                let declared = parse_int(&text, || src.label(node, position), self.format)?;
+                let declared = parse_int(&text, node.name, self.format)?;
                 let found = out.get(list).and_then(|v| v.as_list(list).ok()).map_or(0, <[_]>::len);
                 if declared != found as i64 {
                     return Err(self
@@ -318,26 +314,27 @@ impl Reader {
                 let line = self.line.expect("positions sit in repeated groups");
                 out.insert(intern(name), Value::Int(line as i64 + 1));
             }
-            What::One(record, nodes) | What::Optional(record, nodes) => {
-                let mut fields = FieldVec::with_capacity(record.map_or(0, |_| nodes.len()));
-                let into = if record.is_some() { &mut fields } else { &mut *out };
+            What::One(fill, nodes) | What::Optional(fill, nodes) => {
+                let record = fill == Fill::Record;
+                let mut fields = FieldVec::with_capacity(if record { nodes.len() } else { 0 });
+                let into = if record { &mut fields } else { &mut *out };
                 match src.group(node) {
                     Some(g) => self.fill(&g, nodes, into)?,
                     None if matches!(node.what, What::Optional(..)) => {
                         for n in nodes {
-                            if let What::Field(name, Ty::Currency) = n.what {
+                            if let What::Field(Ty::Currency) = n.what {
                                 self.currency = Some(Currency::Usd);
-                                into.insert(intern(name), Value::text(Currency::Usd.code()));
+                                into.insert(intern(n.name), Value::text(Currency::Usd.code()));
                             }
                         }
                     }
                     None => return Err(self.err(format!("missing {}", node.name))),
                 }
-                if let Some(record) = record {
-                    out.insert(intern(record), Value::Record(fields));
+                if record {
+                    out.insert(intern(node.name), Value::Record(fields));
                 }
             }
-            What::Many(list, nodes) => {
+            What::Many(nodes) => {
                 let mut items = Vec::new();
                 src.each(node, &mut |g| {
                     self.line = Some(items.len());
@@ -347,7 +344,7 @@ impl Reader {
                     Ok(())
                 })?;
                 self.line = None;
-                out.insert(intern(list), Value::List(items));
+                out.insert(intern(node.name), Value::List(items));
             }
         }
         Ok(())
@@ -362,7 +359,7 @@ impl Reader {
         src.text(node, position).ok_or_else(|| self.err(src.missing(node, position, self.line)))
     }
 
-    fn value(&mut self, text: &str, ty: Ty, label: impl FnOnce() -> String) -> Result<Value> {
+    fn value(&mut self, text: &str, ty: Ty, name: &str) -> Result<Value> {
         let format = self.format;
         Ok(match ty {
             Ty::Text | Ty::Selector => Value::text(text),
@@ -382,7 +379,7 @@ impl Reader {
                 self.correlation = Some(format!("{}{text}", self.kind.correlation));
                 Value::text(text)
             }
-            Ty::Int => Value::Int(parse_int(text, label, format)?),
+            Ty::Int => Value::Int(parse_int(text, name, format)?),
             Ty::CompactDate => Value::Date(Date::parse_compact(text)?),
             Ty::IsoDate => Value::Date(Date::parse_iso(text)?),
             Ty::Money => {
@@ -394,9 +391,9 @@ impl Reader {
     }
 }
 
-/// Parses an integer field; `what` names it, and runs only on error.
-fn parse_int(text: &str, what: impl FnOnce() -> String, format: &Format) -> Result<i64> {
-    text.parse().map_err(|_| parse_err(format, format!("{} `{text}` is not an integer", what())))
+/// Parses the integer field `name`.
+fn parse_int(text: &str, name: &str, format: &Format) -> Result<i64> {
+    text.parse().map_err(|_| parse_err(format, format!("{name} `{text}` is not an integer")))
 }
 
 // ---------------------------------------------------------------------
@@ -414,8 +411,8 @@ pub(crate) trait Sink {
     fn begin(&mut self, node: &Node);
     /// Frames the end of field `node`'s value.
     fn end(&mut self, node: &Node);
-    /// Writes the text of document field `field`; `last` says the field
-    /// ends its group.
+    /// Writes the text of field `field`; `last` says the field ends its
+    /// group.
     fn text(&mut self, field: &str, text: &str, last: bool) -> Result<()>;
 }
 
@@ -441,7 +438,7 @@ struct Writer<'w, K> {
 
 impl<K: Sink> Writer<'_, K> {
     /// Writes `nodes` from `rec`; inside a repeated group, type-mismatch
-    /// errors name its list element (`po1[0]`) rather than the field.
+    /// errors name its list element (`PO1[0]`) rather than the field.
     fn write(
         &mut self,
         nodes: &[Node],
@@ -451,7 +448,8 @@ impl<K: Sink> Writer<'_, K> {
         let format = self.format;
         for (i, node) in nodes.iter().enumerate() {
             match node.what {
-                What::Field(name, ty) => {
+                What::Field(ty) => {
+                    let name = node.name;
                     let value = lookup(format, rec, name)?;
                     self.check(name, ty, value)?;
                     let at: &dyn fmt::Display = match &line {
@@ -492,16 +490,17 @@ impl<K: Sink> Writer<'_, K> {
                     self.sink.end(node);
                 }
                 What::Position(_) => {}
-                What::One(record, nodes) | What::Optional(record, nodes) => {
-                    let rec = match record {
-                        Some(name) => lookup(format, rec, name)?.as_record(name)?,
-                        None => rec,
+                What::One(fill, nodes) | What::Optional(fill, nodes) => {
+                    let rec = match fill {
+                        Fill::Record => lookup(format, rec, node.name)?.as_record(node.name)?,
+                        Fill::Flat => rec,
                     };
                     self.sink.open(node);
                     self.write(nodes, rec, line)?;
                     self.sink.close(node);
                 }
-                What::Many(list, nodes) => {
+                What::Many(nodes) => {
+                    let list = node.name;
                     for (i, item) in lookup(format, rec, list)?.as_list(list)?.iter().enumerate() {
                         let rec = item.as_record(ElementAt(list, i))?;
                         self.sink.open(node);
@@ -587,19 +586,123 @@ pub(crate) fn round_trips(format: &'static Format, wire: &[u8], kind: DocKind) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formats::{edi_x12, sample_edi_po, sample_sap_po, sap_idoc};
+    use crate::formats::{
+        edi_x12, oagis, oracle_apps, rosettanet, sample_edi_po, sample_sap_po, sap_idoc,
+    };
+    use std::collections::BTreeSet;
 
     const F: Format = Format { id: FormatId::EDI_X12, syntax: Syntax::X12, kinds: &[] };
+
+    const FORMATS: [&Format; 5] = [
+        &edi_x12::FORMAT,
+        &rosettanet::FORMAT,
+        &oagis::FORMAT,
+        &sap_idoc::FORMAT,
+        &oracle_apps::FORMAT,
+    ];
+
+    /// The keys a record filled by `nodes` may hold: its fields and groups,
+    /// the fields of the groups that fill it, and the 855 position's key.
+    fn keys(nodes: &[Node], out: &mut Vec<&'static str>) {
+        for n in nodes {
+            match n.what {
+                What::One(Fill::Flat, inner) | What::Optional(Fill::Flat, inner) => {
+                    keys(inner, out)
+                }
+                What::Position(key) => out.push(key),
+                What::Const(_) | What::Verb(_) | What::Count(_) => {}
+                What::Field(_) | What::One(..) | What::Optional(..) | What::Many(_) => {
+                    out.push(n.name)
+                }
+            }
+        }
+    }
+
+    /// Asserts that group `name`'s node names, and the keys of each record
+    /// it or a group inside it fills, are unique.
+    fn assert_named_once(name: &str, nodes: &[Node]) {
+        let names: BTreeSet<_> = nodes.iter().map(|n| n.name).collect();
+        assert_eq!(names.len(), nodes.len(), "a name repeats in group {name}");
+        let mut all = Vec::new();
+        keys(nodes, &mut all);
+        assert_eq!(all.iter().collect::<BTreeSet<_>>().len(), all.len(), "{name}: {all:?}");
+        for n in nodes {
+            if let What::One(_, inner) | What::Optional(_, inner) | What::Many(inner) = n.what {
+                assert_named_once(n.name, inner);
+            }
+        }
+    }
+
+    /// Asserts that every key of `value`, a record filled by `nodes`, is
+    /// one of [`keys`], at any depth.
+    fn assert_keyed_by(value: &Value, nodes: &[Node]) {
+        let mut allowed = Vec::new();
+        keys(nodes, &mut allowed);
+        for (key, v) in value.as_record("$").unwrap().iter() {
+            assert!(allowed.contains(&key.as_str()), "{key} is no node of its table");
+            match (v, nodes.iter().find(|n| n.name == key.as_str()).map(|n| &n.what)) {
+                (Value::Record(_), Some(What::One(_, inner) | What::Optional(_, inner))) => {
+                    assert_keyed_by(v, inner)
+                }
+                (Value::List(items), Some(What::Many(inner))) => {
+                    items.iter().for_each(|item| assert_keyed_by(item, inner))
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn every_node_has_one_name_its_wire_name() {
+        for format in FORMATS {
+            for kind in format.kinds {
+                assert_named_once(kind.selector, kind.body);
+            }
+        }
+        // An X12 element is named by its designator and sits at that
+        // position; the envelope names the three ISA elements it reads and
+        // the GS01 code.
+        for kind in edi_x12::FORMAT.kinds {
+            let (envelope, segments) = kind.body.split_first().unwrap();
+            let What::One(_, fields) = envelope.what else { panic!("the envelope is a group") };
+            let names: Vec<_> = fields.iter().map(|n| n.name).collect();
+            assert_eq!((envelope.name, names), ("ISA", vec!["ISA06", "ISA08", "ISA13", "GS01"]));
+            for segment in segments {
+                let (What::One(_, nodes) | What::Optional(_, nodes) | What::Many(nodes)) =
+                    segment.what
+                else {
+                    panic!("{} is not a segment", segment.name)
+                };
+                for (i, n) in nodes.iter().enumerate() {
+                    if !matches!(n.what, What::Position(_)) {
+                        assert_eq!(n.name, format!("{}{:02}", segment.name, i + 1));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decoded_wire_fixtures_are_keyed_by_node_names() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/wire");
+        for format in FORMATS {
+            for kind in format.kinds {
+                let wire = std::fs::read(format!("{dir}/{}.{}.txt", format.id, kind.kind)).unwrap();
+                let doc = TableCodec(format).decode(&wire).unwrap();
+                assert_keyed_by(doc.body(), kind.body);
+            }
+        }
+    }
 
     #[test]
     fn money_round_trips_with_its_sign_and_two_decimals() {
         let codec = TableCodec(&edi_x12::FORMAT);
         let eur = |cents| Value::Money(Money::from_cents(cents, Currency::Eur));
         let mut doc = sample_edi_po("4711", 2);
-        doc.set("cur.currency", Value::text("EUR")).unwrap();
-        doc.set("po1[0].unit_price", eur(-7)).unwrap();
+        doc.set("CUR.CUR02", Value::text("EUR")).unwrap();
+        doc.set("PO1[0].PO104", eur(-7)).unwrap();
         for (total, amt) in [(-101, "AMT*TT*-1.01~"), (5_500_000, "AMT*TT*55000.00~")] {
-            doc.set("amt", eur(total)).unwrap();
+            doc.set("AMT02", eur(total)).unwrap();
             let wire = String::from_utf8(codec.encode(&doc).unwrap()).unwrap();
             assert!(wire.contains(amt) && wire.contains("*EA*-0.07**VP*"), "{wire}");
             assert_eq!(codec.decode(wire.as_bytes()).unwrap().body(), doc.body());
@@ -612,28 +715,28 @@ mod tests {
             TableCodec(format).encode(doc).unwrap_err().to_string().replace('"', "'")
         };
         let mut doc = sample_edi_po("4711", 2);
-        doc.set("cur.currency", Value::text("XYZ")).unwrap();
+        doc.set("CUR.CUR02", Value::text("XYZ")).unwrap();
         assert_eq!(
             refusal(&edi_x12::FORMAT, &doc),
-            "edi-x12 encode error: field `currency` holds 'XYZ', which is not a currency code"
+            "edi-x12 encode error: field `CUR02` holds 'XYZ', which is not a currency code"
         );
-        doc.set("cur.currency", Value::text("EUR")).unwrap();
+        doc.set("CUR.CUR02", Value::text("EUR")).unwrap();
         assert_eq!(
             refusal(&edi_x12::FORMAT, &doc),
-            "edi-x12 encode error: field `unit_price` is in USD, but `currency` names EUR"
+            "edi-x12 encode error: field `PO104` is in USD, but `CUR02` names EUR"
         );
         let mut doc = sample_sap_po("4711", 2);
-        doc.set("control.idoctyp", Value::text("ORDRSP")).unwrap();
+        doc.set("EDI_DC40.IDOCTYP", Value::text("ORDRSP")).unwrap();
         assert_eq!(
             refusal(&sap_idoc::FORMAT, &doc),
-            "sap-idoc encode error: field `idoctyp` holds 'ORDRSP', but this document kind is ORDERS05"
+            "sap-idoc encode error: field `IDOCTYP` holds 'ORDRSP', but this document kind is ORDERS05"
         );
     }
 
     #[test]
     fn parse_int_reports_context() {
-        let e = parse_int("x", || "quantity".into(), &F).unwrap_err();
-        assert_eq!(e.to_string(), "edi-x12 parse error at byte 0: quantity `x` is not an integer");
+        let e = parse_int("x", "PO102", &F).unwrap_err();
+        assert_eq!(e.to_string(), "edi-x12 parse error at byte 0: PO102 `x` is not an integer");
     }
 
     #[test]

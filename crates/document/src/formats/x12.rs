@@ -170,6 +170,7 @@ impl Source for Group<'_, '_, '_> {
     fn text(&self, _: &Node, position: usize) -> Option<Cow<'_, str>> {
         match self {
             Group::Segment(s) => s.element(position).filter(|e| !e.is_empty()).map(Cow::Borrowed),
+            // ISA06, ISA08 and ISA13, in that order.
             Group::Envelope(ic) => {
                 [ic.sender, ic.receiver, ic.control].get(position - 1).map(|t| Cow::Borrowed(*t))
             }
@@ -180,10 +181,6 @@ impl Source for Group<'_, '_, '_> {
     fn missing(&self, _: &Node, position: usize, _: Option<usize>) -> String {
         format!("segment {} is missing element {position:02}", self.name())
     }
-
-    fn label(&self, _: &Node, position: usize) -> String {
-        format!("{}{position:02}", self.name())
-    }
 }
 
 pub(crate) fn encode(
@@ -193,15 +190,11 @@ pub(crate) fn encode(
     out: &mut Vec<u8>,
 ) -> Result<()> {
     let (envelope, segments) = kind.body.split_first().expect("an X12 kind starts with ISA");
-    let What::One(Some(record), fields) = envelope.what else {
-        unreachable!("the ISA node fills the envelope record")
-    };
-    let rec = lookup(format, body, record)?.as_record(record)?;
+    let What::One(_, fields) = envelope.what else { unreachable!("the ISA node is a group") };
+    let rec = lookup(format, body, envelope.name)?.as_record(envelope.name)?;
     // ISA06 and ISA08 are read trimmed; the control number is not.
     let text = |i: usize, trimmed: bool| -> Result<&str> {
-        let What::Field(name, _) = fields[i].what else {
-            unreachable!("the envelope's first three nodes are fields")
-        };
+        let name = fields[i].name;
         let text = lookup(format, rec, name)?.as_text(name)?;
         check_text(format, name, text, &SPLITS, trimmed, true)?;
         Ok(text)

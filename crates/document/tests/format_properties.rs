@@ -148,12 +148,12 @@ proptest! {
         let text = |path: &str| doc.get(path).unwrap().as_text(path).unwrap().to_string();
         prop_assert_eq!(doc.id().as_str(), format!("edi-{control}"));
         prop_assert_eq!(doc.correlation().as_str(), format!("po:{po_number}"));
-        prop_assert_eq!(text("envelope.sender"), sender.clone());
-        prop_assert_eq!(text("envelope.receiver"), receiver.clone());
-        prop_assert_eq!(text("beg.po_number"), po_number.clone());
+        prop_assert_eq!(text("ISA.ISA06"), sender.clone());
+        prop_assert_eq!(text("ISA.ISA08"), receiver.clone());
+        prop_assert_eq!(text("BEG.BEG03"), po_number.clone());
         for (i, (quantity, _, _, item)) in lines.iter().enumerate() {
-            prop_assert_eq!(doc.get(&format!("po1[{i}].quantity")).unwrap(), &Value::Int(*quantity));
-            prop_assert_eq!(text(&format!("po1[{i}].item")), item.clone());
+            prop_assert_eq!(doc.get(&format!("PO1[{i}].PO102")).unwrap(), &Value::Int(*quantity));
+            prop_assert_eq!(text(&format!("PO1[{i}].PO107")), item.clone());
         }
         prop_assert_eq!(String::from_utf8(formats.encode(&doc).unwrap()).unwrap(), wire);
     }

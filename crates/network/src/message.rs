@@ -5,7 +5,6 @@ use b2b_document::FormatId;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifies a network endpoint (one enterprise's B2B gateway).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -35,18 +34,8 @@ impl fmt::Display for EndpointId {
 pub struct MessageId(u64);
 
 impl MessageId {
-    /// Allocates a fresh process-unique id.
-    ///
-    /// Prefer [`SimNetwork::alloc_message_id`](crate::SimNetwork) where a
-    /// network is at hand: network-scoped ids are a pure function of the
-    /// traffic so far, which keeps independent runs comparable (the
-    /// process-global counter here depends on what else ran before).
-    pub fn fresh() -> Self {
-        static NEXT: AtomicU64 = AtomicU64::new(1);
-        Self(NEXT.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// Wraps a raw id value (allocated by a network).
+    /// Wraps a raw id value (allocated by
+    /// [`SimNetwork::alloc_message_id`](crate::SimNetwork::alloc_message_id)).
     pub fn from_raw(raw: u64) -> Self {
         Self(raw)
     }
@@ -142,17 +131,6 @@ impl Envelope {
         }
     }
 
-    /// Builds a payload envelope with a process-unique id.
-    pub fn payload(
-        from: EndpointId,
-        to: EndpointId,
-        format: FormatId,
-        payload: Bytes,
-        sent_at: SimTime,
-    ) -> Self {
-        Self::payload_with_id(MessageId::fresh(), from, to, format, payload, sent_at)
-    }
-
     /// Builds an acknowledgment for `of` with an explicit id.
     pub fn ack_with_id(
         id: MessageId,
@@ -172,11 +150,6 @@ impl Envelope {
             sent_at,
             checksum: checksum_of(&[]),
         }
-    }
-
-    /// Builds an acknowledgment for `of`.
-    pub fn ack(from: EndpointId, to: EndpointId, of: &Envelope, sent_at: SimTime) -> Self {
-        Self::ack_with_id(MessageId::fresh(), from, to, of, sent_at)
     }
 
     /// Builds a negative acknowledgment for `of` (integrity check failed;
@@ -201,12 +174,8 @@ impl Envelope {
         }
     }
 
-    /// Builds a negative acknowledgment for `of`.
-    pub fn nack(from: EndpointId, to: EndpointId, of: &Envelope, sent_at: SimTime) -> Self {
-        Self::nack_with_id(MessageId::fresh(), from, to, of, sent_at)
-    }
-
-    /// Builds a failure-notification envelope with an explicit id.
+    /// Builds a failure-notification envelope carrying an encoded
+    /// [`FailureNotice`](crate::reliable)-style body, with an explicit id.
     pub fn notify_with_id(
         id: MessageId,
         from: EndpointId,
@@ -229,18 +198,6 @@ impl Envelope {
         }
     }
 
-    /// Builds a failure-notification envelope carrying an encoded
-    /// [`FailureNotice`](crate::reliable)-style body.
-    pub fn notify(
-        from: EndpointId,
-        to: EndpointId,
-        format: FormatId,
-        payload: Bytes,
-        sent_at: SimTime,
-    ) -> Self {
-        Self::notify_with_id(MessageId::fresh(), from, to, format, payload, sent_at)
-    }
-
     /// Whether the payload still matches the checksum sealed at
     /// construction.
     pub fn verify_integrity(&self) -> bool {
@@ -252,18 +209,25 @@ impl Envelope {
 mod tests {
     use super::*;
 
+    /// A payload envelope from `acme` to `gadget` with id 1.
+    fn payload(bytes: &'static [u8]) -> Envelope {
+        let (a, b) = (EndpointId::new("acme"), EndpointId::new("gadget"));
+        let bytes = Bytes::from_static(bytes);
+        Envelope::payload_with_id(
+            MessageId::from_raw(1),
+            a,
+            b,
+            FormatId::EDI_X12,
+            bytes,
+            SimTime::ZERO,
+        )
+    }
+
     #[test]
     fn ack_references_the_original() {
-        let a = EndpointId::new("acme");
-        let b = EndpointId::new("gadget");
-        let msg = Envelope::payload(
-            a.clone(),
-            b.clone(),
-            FormatId::EDI_X12,
-            Bytes::from_static(b"ISA*"),
-            SimTime::ZERO,
-        );
-        let ack = Envelope::ack(b, a, &msg, SimTime::ZERO + 5);
+        let msg = payload(b"ISA*");
+        let (from, to) = (msg.to.clone(), msg.from.clone());
+        let ack = Envelope::ack_with_id(MessageId::from_raw(2), from, to, &msg, SimTime::ZERO + 5);
         assert_eq!(ack.class, WireClass::Ack);
         assert_eq!(ack.ref_id.as_ref(), Some(&msg.id));
         assert!(ack.payload.is_empty());
@@ -271,21 +235,8 @@ mod tests {
     }
 
     #[test]
-    fn message_ids_are_unique() {
-        assert_ne!(MessageId::fresh(), MessageId::fresh());
-    }
-
-    #[test]
     fn checksum_detects_a_flipped_byte() {
-        let a = EndpointId::new("acme");
-        let b = EndpointId::new("gadget");
-        let mut msg = Envelope::payload(
-            a,
-            b,
-            FormatId::EDI_X12,
-            Bytes::from_static(b"ISA*00*"),
-            SimTime::ZERO,
-        );
+        let mut msg = payload(b"ISA*00*");
         assert!(msg.verify_integrity());
         let mut bytes = msg.payload.to_vec();
         bytes[3] ^= 0x20; // the simulator's corruption pattern
@@ -295,16 +246,10 @@ mod tests {
 
     #[test]
     fn nack_references_the_original() {
-        let a = EndpointId::new("acme");
-        let b = EndpointId::new("gadget");
-        let msg = Envelope::payload(
-            a.clone(),
-            b.clone(),
-            FormatId::EDI_X12,
-            Bytes::from_static(b"ISA*"),
-            SimTime::ZERO,
-        );
-        let nack = Envelope::nack(b, a, &msg, SimTime::ZERO + 5);
+        let msg = payload(b"ISA*");
+        let (from, to) = (msg.to.clone(), msg.from.clone());
+        let nack =
+            Envelope::nack_with_id(MessageId::from_raw(2), from, to, &msg, SimTime::ZERO + 5);
         assert_eq!(nack.class, WireClass::Nack);
         assert_eq!(nack.ref_id.as_ref(), Some(&msg.id));
         assert!(nack.verify_integrity(), "empty body checksums cleanly");
@@ -312,7 +257,8 @@ mod tests {
 
     #[test]
     fn envelopes_roundtrip_through_serde() {
-        let msg = Envelope::notify(
+        let msg = Envelope::notify_with_id(
+            MessageId::from_raw(1),
             EndpointId::new("acme"),
             EndpointId::new("gadget"),
             FormatId::ROSETTANET,

@@ -709,8 +709,9 @@ mod tests {
     fn unknown_ids_report_unknown_not_failed() {
         let mut net = SimNetwork::new(FaultConfig::reliable(), 1);
         let (a, _b) = pair(&mut net, ReliableConfig::default());
-        assert_eq!(a.delivery_status(&MessageId::fresh()), DeliveryStatus::Unknown);
-        assert_eq!(a.attempts(&MessageId::fresh()), 0);
+        // Network ids start at 2^32, so id 7 was never sent.
+        assert_eq!(a.delivery_status(&MessageId::from_raw(7)), DeliveryStatus::Unknown);
+        assert_eq!(a.attempts(&MessageId::from_raw(7)), 0);
     }
 
     #[test]
@@ -759,7 +760,7 @@ mod tests {
     #[test]
     fn exponential_backoff_spaces_out_retransmits() {
         let policy = BackoffPolicy::Exponential { max_interval_ms: 10_000, jitter: 0.0 };
-        let id = MessageId::fresh();
+        let id = MessageId::from_raw(1);
         assert_eq!(policy.interval_ms(100, 0, &id, 1), 100);
         assert_eq!(policy.interval_ms(100, 0, &id, 2), 200);
         assert_eq!(policy.interval_ms(100, 0, &id, 3), 400);

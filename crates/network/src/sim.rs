@@ -69,9 +69,10 @@ pub struct SimNetwork {
     next_msg: u64,
 }
 
-/// Network-scoped message ids live in their own range so they can never
-/// collide with ids from the process-global [`MessageId::fresh`] counter
-/// (mixed usage within one test would otherwise confuse deduplication).
+/// The first network-scoped message id. Ids feed the reliable layer's
+/// retransmit jitter (a hash of the id) and appear in failure texts
+/// (`msg-4294967296` in the failure-recovery transcript), so moving the
+/// base would change recorded runs.
 const MSG_ID_BASE: u64 = 1 << 32;
 
 impl SimNetwork {
@@ -91,11 +92,10 @@ impl SimNetwork {
         }
     }
 
-    /// Allocates the next network-scoped message id. Unlike
-    /// [`MessageId::fresh`], the result is a pure function of this
-    /// network's traffic so far, so two runs with the same seed produce
-    /// the same ids — the property the runtime's determinism checks rest
-    /// on.
+    /// Allocates the next network-scoped message id. The result is a pure
+    /// function of this network's traffic so far, so two runs with the
+    /// same seed produce the same ids — the property the runtime's
+    /// determinism checks rest on.
     pub fn alloc_message_id(&mut self) -> MessageId {
         let id = MessageId::from_raw(self.next_msg);
         self.next_msg += 1;
@@ -234,14 +234,13 @@ mod tests {
         (a, b)
     }
 
-    fn msg(from: &EndpointId, to: &EndpointId, now: SimTime) -> Envelope {
-        Envelope::payload(
-            from.clone(),
-            to.clone(),
-            FormatId::EDI_X12,
-            Bytes::from_static(b"hello"),
-            now,
-        )
+    /// Sends one payload from `from` to `to` and returns its id.
+    fn send(net: &mut SimNetwork, from: &EndpointId, to: &EndpointId) -> Result<MessageId> {
+        let id = net.alloc_message_id();
+        let (format, payload) = (FormatId::EDI_X12, Bytes::from_static(b"hello"));
+        let (from, to) = (from.clone(), to.clone());
+        net.send(Envelope::payload_with_id(id.clone(), from, to, format, payload, net.now()))?;
+        Ok(id)
     }
 
     #[test]
@@ -249,7 +248,7 @@ mod tests {
         let mut net = SimNetwork::new(FaultConfig::reliable(), 1);
         let (a, b) = endpoints(&mut net);
         for _ in 0..5 {
-            net.send(msg(&a, &b, net.now())).unwrap();
+            send(&mut net, &a, &b).unwrap();
         }
         net.advance(10);
         let got = net.poll(&b).unwrap();
@@ -265,7 +264,7 @@ mod tests {
             1,
         );
         let (a, b) = endpoints(&mut net);
-        net.send(msg(&a, &b, net.now())).unwrap();
+        send(&mut net, &a, &b).unwrap();
         net.advance(99);
         assert!(net.poll(&b).unwrap().is_empty());
         net.advance(1);
@@ -276,7 +275,7 @@ mod tests {
     fn loss_drops_messages() {
         let mut net = SimNetwork::new(FaultConfig { loss: 1.0, ..FaultConfig::reliable() }, 1);
         let (a, b) = endpoints(&mut net);
-        net.send(msg(&a, &b, net.now())).unwrap();
+        send(&mut net, &a, &b).unwrap();
         net.advance(10);
         assert!(net.poll(&b).unwrap().is_empty());
         assert_eq!(net.stats().lost, 1);
@@ -286,7 +285,7 @@ mod tests {
     fn duplication_delivers_twice() {
         let mut net = SimNetwork::new(FaultConfig { duplicate: 1.0, ..FaultConfig::reliable() }, 1);
         let (a, b) = endpoints(&mut net);
-        net.send(msg(&a, &b, net.now())).unwrap();
+        send(&mut net, &a, &b).unwrap();
         net.advance(10);
         let got = net.poll(&b).unwrap();
         assert_eq!(got.len(), 2);
@@ -297,7 +296,7 @@ mod tests {
     fn corruption_flips_a_byte() {
         let mut net = SimNetwork::new(FaultConfig { corrupt: 1.0, ..FaultConfig::reliable() }, 1);
         let (a, b) = endpoints(&mut net);
-        net.send(msg(&a, &b, net.now())).unwrap();
+        send(&mut net, &a, &b).unwrap();
         net.advance(10);
         let got = net.poll(&b).unwrap();
         assert_ne!(got[0].payload.as_ref(), b"hello");
@@ -310,7 +309,7 @@ mod tests {
             let mut net = SimNetwork::new(FaultConfig::flaky(0.3), seed);
             let (a, b) = endpoints(&mut net);
             for _ in 0..50 {
-                net.send(msg(&a, &b, net.now())).unwrap();
+                send(&mut net, &a, &b).unwrap();
                 net.advance(5);
             }
             net.advance(1000);
@@ -330,14 +329,14 @@ mod tests {
             b.clone(),
             FaultSchedule::constant(FaultConfig { loss: 1.0, ..FaultConfig::reliable() }),
         );
-        net.send(msg(&a, &b, net.now())).unwrap();
-        net.send(msg(&b, &a, net.now())).unwrap();
+        send(&mut net, &a, &b).unwrap();
+        send(&mut net, &b, &a).unwrap();
         net.advance(10);
         assert!(net.poll(&b).unwrap().is_empty(), "a→b is black-holed");
         assert_eq!(net.poll(&a).unwrap().len(), 1, "b→a is unaffected");
         // Clearing the schedule restores the network-wide profile.
         net.clear_link_schedule(&b);
-        net.send(msg(&a, &b, net.now())).unwrap();
+        send(&mut net, &a, &b).unwrap();
         net.advance(10);
         assert_eq!(net.poll(&b).unwrap().len(), 1);
     }
@@ -354,7 +353,7 @@ mod tests {
         );
         let mut delivered = 0;
         for _ in 0..40 {
-            net.send(msg(&a, &b, net.now())).unwrap();
+            send(&mut net, &a, &b).unwrap();
             net.advance(10);
             delivered += net.poll(&b).unwrap().len();
         }
@@ -371,7 +370,7 @@ mod tests {
         net.register(a.clone()).unwrap();
         assert!(net.register(a.clone()).is_err());
         assert!(net.poll(&EndpointId::new("ghost")).is_err());
-        assert!(net.send(msg(&a, &EndpointId::new("ghost"), net.now())).is_err());
+        assert!(send(&mut net, &a, &EndpointId::new("ghost")).is_err());
     }
 
     #[test]
@@ -383,9 +382,7 @@ mod tests {
         let (a, b) = endpoints(&mut net);
         let mut sent_ids = Vec::new();
         for _ in 0..20 {
-            let m = msg(&a, &b, net.now());
-            sent_ids.push(m.id.clone());
-            net.send(m).unwrap();
+            sent_ids.push(send(&mut net, &a, &b).unwrap());
         }
         net.advance(1000);
         let got: Vec<_> = net.poll(&b).unwrap().into_iter().map(|e| e.id).collect();

@@ -96,11 +96,13 @@ impl Van {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::MessageId;
     use b2b_document::FormatId;
     use bytes::Bytes;
 
     fn env(to: &EndpointId, now: SimTime) -> Envelope {
-        Envelope::payload(
+        Envelope::payload_with_id(
+            MessageId::from_raw(now.as_millis()),
             EndpointId::new("acme"),
             to.clone(),
             FormatId::EDI_X12,

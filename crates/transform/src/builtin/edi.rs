@@ -21,21 +21,21 @@ fn po_to_normalized() -> TransformProgram {
         FormatId::EDI_X12,
         FormatId::NORMALIZED,
         vec![
-            R::mv("beg.po_number", "header.po_number"),
-            R::pick("n1", "code", "BY", "name", "header.buyer"),
-            R::pick("n1", "code", "SE", "name", "header.seller"),
-            R::mv("beg.order_date", "header.order_date"),
+            R::mv("BEG.BEG03", "header.po_number"),
+            R::pick("N1", "N101", "BY", "N102", "header.buyer"),
+            R::pick("N1", "N101", "SE", "N102", "header.seller"),
+            R::mv("BEG.BEG05", "header.order_date"),
             R::for_each(
-                "po1",
+                "PO1",
                 "lines",
                 vec![
-                    R::mv("line_no", "line_no"),
-                    R::mv("item", "item"),
-                    R::mv("quantity", "quantity"),
-                    R::mv("unit_price", "unit_price"),
+                    R::mv("PO101", "line_no"),
+                    R::mv("PO107", "item"),
+                    R::mv("PO102", "quantity"),
+                    R::mv("PO104", "unit_price"),
                 ],
             ),
-            R::mv("amt", "amount"),
+            R::mv("AMT02", "amount"),
         ],
     )
 }
@@ -46,74 +46,74 @@ fn po_from_normalized() -> TransformProgram {
         FormatId::NORMALIZED,
         FormatId::EDI_X12,
         vec![
-            R::context("envelope.sender", ContextKey::Sender),
-            R::context("envelope.receiver", ContextKey::Receiver),
-            R::context("envelope.control_number", ContextKey::ControlNumber),
-            R::const_text("beg.purpose_code", "00"),
-            R::const_text("beg.type_code", "NE"),
-            R::mv("header.po_number", "beg.po_number"),
-            R::mv("header.order_date", "beg.order_date"),
-            R::currency_of("amount", "cur.currency"),
-            R::append("n1", vec![R::const_text("code", "BY"), R::mv("header.buyer", "name")]),
-            R::append("n1", vec![R::const_text("code", "SE"), R::mv("header.seller", "name")]),
+            R::context("ISA.ISA06", ContextKey::Sender),
+            R::context("ISA.ISA08", ContextKey::Receiver),
+            R::context("ISA.ISA13", ContextKey::ControlNumber),
+            R::const_text("BEG.BEG01", "00"),
+            R::const_text("BEG.BEG02", "NE"),
+            R::mv("header.po_number", "BEG.BEG03"),
+            R::mv("header.order_date", "BEG.BEG05"),
+            R::currency_of("amount", "CUR.CUR02"),
+            R::append("N1", vec![R::const_text("N101", "BY"), R::mv("header.buyer", "N102")]),
+            R::append("N1", vec![R::const_text("N101", "SE"), R::mv("header.seller", "N102")]),
             R::for_each(
                 "lines",
-                "po1",
+                "PO1",
                 vec![
-                    R::mv("line_no", "line_no"),
-                    R::mv("quantity", "quantity"),
-                    R::const_text("uom", "EA"),
-                    R::mv("unit_price", "unit_price"),
-                    R::mv("item", "item"),
+                    R::mv("line_no", "PO101"),
+                    R::mv("quantity", "PO102"),
+                    R::const_text("PO103", "EA"),
+                    R::mv("unit_price", "PO104"),
+                    R::mv("item", "PO107"),
                 ],
             ),
-            R::mv("amount", "amt"),
+            R::mv("amount", "AMT02"),
         ],
     )
 }
 
 fn poa_to_normalized() -> TransformProgram {
-    let (_, line_back) = super::status_maps("status", "status_code", LINE_STATUS);
-    let (_, header_back) = super::status_maps("header.status", "bak.ack_type", HEADER_STATUS);
+    let (_, line_back) = super::status_maps("status", "ACK01", LINE_STATUS);
+    let (_, header_back) = super::status_maps("header.status", "BAK.BAK02", HEADER_STATUS);
     TransformProgram::new(
         DocKind::PurchaseOrderAck,
         FormatId::EDI_X12,
         FormatId::NORMALIZED,
         vec![
-            R::mv("bak.po_number", "header.po_number"),
+            R::mv("BAK.BAK03", "header.po_number"),
             // The 855 carries no party names; interchange ids stand in.
-            R::mv("envelope.receiver", "header.buyer"),
-            R::mv("envelope.sender", "header.seller"),
-            R::mv("bak.ack_date", "header.ack_date"),
+            R::mv("ISA.ISA08", "header.buyer"),
+            R::mv("ISA.ISA06", "header.seller"),
+            R::mv("BAK.BAK04", "header.ack_date"),
             header_back,
             R::for_each(
-                "ack",
+                "ACK",
                 "lines",
-                vec![R::mv("line_no", "line_no"), line_back, R::mv("quantity", "quantity")],
+                vec![R::mv("line_no", "line_no"), line_back, R::mv("ACK02", "quantity")],
             ),
         ],
     )
 }
 
 fn poa_from_normalized() -> TransformProgram {
-    let (line_fwd, _) = super::status_maps("status", "status_code", LINE_STATUS);
-    let (header_fwd, _) = super::status_maps("header.status", "bak.ack_type", HEADER_STATUS);
+    let (line_fwd, _) = super::status_maps("status", "ACK01", LINE_STATUS);
+    let (header_fwd, _) = super::status_maps("header.status", "BAK.BAK02", HEADER_STATUS);
     TransformProgram::new(
         DocKind::PurchaseOrderAck,
         FormatId::NORMALIZED,
         FormatId::EDI_X12,
         vec![
-            R::context("envelope.sender", ContextKey::Sender),
-            R::context("envelope.receiver", ContextKey::Receiver),
-            R::context("envelope.control_number", ContextKey::ControlNumber),
-            R::const_text("bak.purpose_code", "00"),
+            R::context("ISA.ISA06", ContextKey::Sender),
+            R::context("ISA.ISA08", ContextKey::Receiver),
+            R::context("ISA.ISA13", ContextKey::ControlNumber),
+            R::const_text("BAK.BAK01", "00"),
             header_fwd,
-            R::mv("header.po_number", "bak.po_number"),
-            R::mv("header.ack_date", "bak.ack_date"),
+            R::mv("header.po_number", "BAK.BAK03"),
+            R::mv("header.ack_date", "BAK.BAK04"),
             R::for_each(
                 "lines",
-                "ack",
-                vec![R::mv("line_no", "line_no"), line_fwd, R::mv("quantity", "quantity")],
+                "ACK",
+                vec![R::mv("line_no", "line_no"), line_fwd, R::mv("quantity", "ACK02")],
             ),
         ],
     )
@@ -172,7 +172,7 @@ mod tests {
         let poa_ctx = TransformContext::new("Gadget Supply Co", "ACME Manufacturing", "2", "i-2");
         let edi = poa_from_normalized().apply(&poa, &poa_ctx).unwrap();
         assert_eq!(
-            edi.get("bak.ack_type").unwrap().as_text("t").unwrap(),
+            edi.get("BAK.BAK02").unwrap().as_text("t").unwrap(),
             "AC",
             "status mapped to the EDI code"
         );

@@ -3,7 +3,10 @@
 //! For each wire or back-end format there are four programs: PO and POA,
 //! each to and from the normalized format. Every program is a plain data
 //! value built from [`MappingRule`]s — adding a new format means adding one
-//! such module and registering its programs, nothing else.
+//! such module and registering its programs, nothing else. The programs are
+//! the one place that says what a wire field means: they address a
+//! format-shaped document by the wire's own names (`BEG.BEG03`,
+//! `E1EDK01.BELNR`), as its codec keys it.
 //!
 //! Status-code tables (normalized ↔ format):
 //!

@@ -19,21 +19,21 @@ fn po_to_normalized() -> TransformProgram {
         FormatId::OAGIS,
         FormatId::NORMALIZED,
         vec![
-            R::mv("data_area.po_header.po_id", "header.po_number"),
-            R::mv("data_area.po_header.buyer_party", "header.buyer"),
-            R::mv("data_area.po_header.seller_party", "header.seller"),
-            R::mv("data_area.po_header.po_date", "header.order_date"),
+            R::mv("DATAAREA.POHEADER.POID", "header.po_number"),
+            R::mv("DATAAREA.POHEADER.BUYERPARTY", "header.buyer"),
+            R::mv("DATAAREA.POHEADER.SELLERPARTY", "header.seller"),
+            R::mv("DATAAREA.POHEADER.PODATE", "header.order_date"),
             R::for_each(
-                "data_area.po_lines",
+                "DATAAREA.POLINE",
                 "lines",
                 vec![
-                    R::mv("line_num", "line_no"),
-                    R::mv("item", "item"),
-                    R::mv("quantity", "quantity"),
-                    R::mv("unit_price", "unit_price"),
+                    R::mv("LINENUM", "line_no"),
+                    R::mv("ITEM", "item"),
+                    R::mv("QUANTITY", "quantity"),
+                    R::mv("UNITPRICE", "unit_price"),
                 ],
             ),
-            R::mv("data_area.po_header.total", "amount"),
+            R::mv("DATAAREA.POHEADER.POTOTAL", "amount"),
         ],
     )
 }
@@ -44,22 +44,22 @@ fn po_from_normalized() -> TransformProgram {
         FormatId::NORMALIZED,
         FormatId::OAGIS,
         vec![
-            R::context("control_area.sender", ContextKey::Sender),
-            R::context("control_area.reference_id", ContextKey::InstanceId),
-            R::mv("header.po_number", "data_area.po_header.po_id"),
-            R::mv("header.order_date", "data_area.po_header.po_date"),
-            R::currency_of("amount", "data_area.po_header.currency"),
-            R::mv("header.buyer", "data_area.po_header.buyer_party"),
-            R::mv("header.seller", "data_area.po_header.seller_party"),
-            R::mv("amount", "data_area.po_header.total"),
+            R::context("CNTROLAREA.SENDER", ContextKey::Sender),
+            R::context("CNTROLAREA.REFERENCEID", ContextKey::InstanceId),
+            R::mv("header.po_number", "DATAAREA.POHEADER.POID"),
+            R::mv("header.order_date", "DATAAREA.POHEADER.PODATE"),
+            R::currency_of("amount", "DATAAREA.POHEADER.CURRENCY"),
+            R::mv("header.buyer", "DATAAREA.POHEADER.BUYERPARTY"),
+            R::mv("header.seller", "DATAAREA.POHEADER.SELLERPARTY"),
+            R::mv("amount", "DATAAREA.POHEADER.POTOTAL"),
             R::for_each(
                 "lines",
-                "data_area.po_lines",
+                "DATAAREA.POLINE",
                 vec![
-                    R::mv("line_no", "line_num"),
-                    R::mv("item", "item"),
-                    R::mv("quantity", "quantity"),
-                    R::mv("unit_price", "unit_price"),
+                    R::mv("line_no", "LINENUM"),
+                    R::mv("item", "ITEM"),
+                    R::mv("quantity", "QUANTITY"),
+                    R::mv("unit_price", "UNITPRICE"),
                 ],
             ),
         ],
@@ -68,23 +68,23 @@ fn po_from_normalized() -> TransformProgram {
 
 fn poa_to_normalized() -> TransformProgram {
     let (_, header_back) =
-        super::status_maps("header.status", "data_area.ack_header.status", STATUS);
-    let (_, line_back) = super::status_maps("status", "status", STATUS);
+        super::status_maps("header.status", "DATAAREA.ACKHEADER.ACKSTATUS", STATUS);
+    let (_, line_back) = super::status_maps("status", "ACKSTATUS", STATUS);
     TransformProgram::new(
         DocKind::PurchaseOrderAck,
         FormatId::OAGIS,
         FormatId::NORMALIZED,
         vec![
-            R::mv("data_area.ack_header.po_id", "header.po_number"),
+            R::mv("DATAAREA.ACKHEADER.POID", "header.po_number"),
             // BODs carry no party block here; the binding's context does.
             R::context("header.buyer", ContextKey::Receiver),
             R::context("header.seller", ContextKey::Sender),
-            R::mv("data_area.ack_header.ack_date", "header.ack_date"),
+            R::mv("DATAAREA.ACKHEADER.ACKDATE", "header.ack_date"),
             header_back,
             R::for_each(
-                "data_area.ack_lines",
+                "DATAAREA.ACKLINE",
                 "lines",
-                vec![R::mv("line_num", "line_no"), line_back, R::mv("quantity", "quantity")],
+                vec![R::mv("LINENUM", "line_no"), line_back, R::mv("QUANTITY", "quantity")],
             ),
         ],
     )
@@ -92,22 +92,22 @@ fn poa_to_normalized() -> TransformProgram {
 
 fn poa_from_normalized() -> TransformProgram {
     let (header_fwd, _) =
-        super::status_maps("header.status", "data_area.ack_header.status", STATUS);
-    let (line_fwd, _) = super::status_maps("status", "status", STATUS);
+        super::status_maps("header.status", "DATAAREA.ACKHEADER.ACKSTATUS", STATUS);
+    let (line_fwd, _) = super::status_maps("status", "ACKSTATUS", STATUS);
     TransformProgram::new(
         DocKind::PurchaseOrderAck,
         FormatId::NORMALIZED,
         FormatId::OAGIS,
         vec![
-            R::context("control_area.sender", ContextKey::Sender),
-            R::context("control_area.reference_id", ContextKey::InstanceId),
-            R::mv("header.po_number", "data_area.ack_header.po_id"),
+            R::context("CNTROLAREA.SENDER", ContextKey::Sender),
+            R::context("CNTROLAREA.REFERENCEID", ContextKey::InstanceId),
+            R::mv("header.po_number", "DATAAREA.ACKHEADER.POID"),
             header_fwd,
-            R::mv("header.ack_date", "data_area.ack_header.ack_date"),
+            R::mv("header.ack_date", "DATAAREA.ACKHEADER.ACKDATE"),
             R::for_each(
                 "lines",
-                "data_area.ack_lines",
-                vec![R::mv("line_no", "line_num"), line_fwd, R::mv("quantity", "quantity")],
+                "DATAAREA.ACKLINE",
+                vec![R::mv("line_no", "LINENUM"), line_fwd, R::mv("quantity", "QUANTITY")],
             ),
         ],
     )
@@ -158,7 +158,7 @@ mod tests {
         let ctx = TransformContext::new("Gadget Supply Co", "TP3 Logistics", "2", "bod-2");
         let bod = poa_from_normalized().apply(&poa, &ctx).unwrap();
         assert_eq!(
-            bod.get("data_area.ack_header.status").unwrap().as_text("s").unwrap(),
+            bod.get("DATAAREA.ACKHEADER.ACKSTATUS").unwrap().as_text("s").unwrap(),
             "ACCEPTED"
         );
         let back = poa_to_normalized().apply(&bod, &ctx).unwrap();

@@ -22,21 +22,21 @@ fn po_to_normalized() -> TransformProgram {
         FormatId::ORACLE_APPS,
         FormatId::NORMALIZED,
         vec![
-            R::mv("po_header.segment1", "header.po_number"),
-            R::mv("po_header.agent_name", "header.buyer"),
-            R::mv("po_header.vendor_name", "header.seller"),
-            R::mv("po_header.creation_date", "header.order_date"),
+            R::mv("PO_HEADERS.SEGMENT1", "header.po_number"),
+            R::mv("PO_HEADERS.AGENT_NAME", "header.buyer"),
+            R::mv("PO_HEADERS.VENDOR_NAME", "header.seller"),
+            R::mv("PO_HEADERS.CREATION_DATE", "header.order_date"),
             R::for_each(
-                "po_lines",
+                "PO_LINES",
                 "lines",
                 vec![
-                    R::mv("line_num", "line_no"),
-                    R::mv("item_id", "item"),
-                    R::mv("quantity", "quantity"),
-                    R::mv("unit_price", "unit_price"),
+                    R::mv("LINE_NUM", "line_no"),
+                    R::mv("ITEM_ID", "item"),
+                    R::mv("QUANTITY", "quantity"),
+                    R::mv("UNIT_PRICE", "unit_price"),
                 ],
             ),
-            R::mv("po_header.total_amount", "amount"),
+            R::mv("PO_HEADERS.TOTAL_AMOUNT", "amount"),
         ],
     )
 }
@@ -47,24 +47,24 @@ fn po_from_normalized() -> TransformProgram {
         FormatId::NORMALIZED,
         FormatId::ORACLE_APPS,
         vec![
-            R::mv("header.po_number", "po_header.segment1"),
+            R::mv("header.po_number", "PO_HEADERS.SEGMENT1"),
             R::Const {
-                to: FieldPath::parse("po_header.org_id").expect("static path"),
+                to: FieldPath::parse("PO_HEADERS.ORG_ID").expect("static path"),
                 value: Value::Int(DEFAULT_ORG_ID),
             },
-            R::mv("header.seller", "po_header.vendor_name"),
-            R::mv("header.buyer", "po_header.agent_name"),
-            R::currency_of("amount", "po_header.currency_code"),
-            R::mv("header.order_date", "po_header.creation_date"),
-            R::mv("amount", "po_header.total_amount"),
+            R::mv("header.seller", "PO_HEADERS.VENDOR_NAME"),
+            R::mv("header.buyer", "PO_HEADERS.AGENT_NAME"),
+            R::currency_of("amount", "PO_HEADERS.CURRENCY_CODE"),
+            R::mv("header.order_date", "PO_HEADERS.CREATION_DATE"),
+            R::mv("amount", "PO_HEADERS.TOTAL_AMOUNT"),
             R::for_each(
                 "lines",
-                "po_lines",
+                "PO_LINES",
                 vec![
-                    R::mv("line_no", "line_num"),
-                    R::mv("item", "item_id"),
-                    R::mv("quantity", "quantity"),
-                    R::mv("unit_price", "unit_price"),
+                    R::mv("line_no", "LINE_NUM"),
+                    R::mv("item", "ITEM_ID"),
+                    R::mv("quantity", "QUANTITY"),
+                    R::mv("unit_price", "UNIT_PRICE"),
                 ],
             ),
         ],
@@ -72,42 +72,42 @@ fn po_from_normalized() -> TransformProgram {
 }
 
 fn poa_to_normalized() -> TransformProgram {
-    let (_, header_back) = super::status_maps("header.status", "ack_header.status", STATUS);
-    let (_, line_back) = super::status_maps("status", "status", STATUS);
+    let (_, header_back) = super::status_maps("header.status", "PO_ACKNOWLEDGMENTS.STATUS", STATUS);
+    let (_, line_back) = super::status_maps("status", "STATUS", STATUS);
     TransformProgram::new(
         DocKind::PurchaseOrderAck,
         FormatId::ORACLE_APPS,
         FormatId::NORMALIZED,
         vec![
-            R::mv("ack_header.po_number", "header.po_number"),
+            R::mv("PO_ACKNOWLEDGMENTS.PO_NUMBER", "header.po_number"),
             R::context("header.buyer", ContextKey::Receiver),
             R::context("header.seller", ContextKey::Sender),
-            R::mv("ack_header.ack_date", "header.ack_date"),
+            R::mv("PO_ACKNOWLEDGMENTS.ACK_DATE", "header.ack_date"),
             header_back,
             R::for_each(
-                "ack_lines",
+                "PO_ACK_LINES",
                 "lines",
-                vec![R::mv("line_num", "line_no"), line_back, R::mv("quantity", "quantity")],
+                vec![R::mv("LINE_NUM", "line_no"), line_back, R::mv("QUANTITY", "quantity")],
             ),
         ],
     )
 }
 
 fn poa_from_normalized() -> TransformProgram {
-    let (header_fwd, _) = super::status_maps("header.status", "ack_header.status", STATUS);
-    let (line_fwd, _) = super::status_maps("status", "status", STATUS);
+    let (header_fwd, _) = super::status_maps("header.status", "PO_ACKNOWLEDGMENTS.STATUS", STATUS);
+    let (line_fwd, _) = super::status_maps("status", "STATUS", STATUS);
     TransformProgram::new(
         DocKind::PurchaseOrderAck,
         FormatId::NORMALIZED,
         FormatId::ORACLE_APPS,
         vec![
-            R::mv("header.po_number", "ack_header.po_number"),
+            R::mv("header.po_number", "PO_ACKNOWLEDGMENTS.PO_NUMBER"),
             header_fwd,
-            R::mv("header.ack_date", "ack_header.ack_date"),
+            R::mv("header.ack_date", "PO_ACKNOWLEDGMENTS.ACK_DATE"),
             R::for_each(
                 "lines",
-                "ack_lines",
-                vec![R::mv("line_no", "line_num"), line_fwd, R::mv("quantity", "quantity")],
+                "PO_ACK_LINES",
+                vec![R::mv("line_no", "LINE_NUM"), line_fwd, R::mv("quantity", "QUANTITY")],
             ),
         ],
     )
@@ -149,7 +149,7 @@ mod tests {
     fn normalized_po_round_trips_through_oracle() {
         let po = plain_po();
         let ora = po_from_normalized().apply(&po, &ctx()).unwrap();
-        assert_eq!(ora.get("po_header.org_id").unwrap().as_int("o").unwrap(), DEFAULT_ORG_ID);
+        assert_eq!(ora.get("PO_HEADERS.ORG_ID").unwrap().as_int("o").unwrap(), DEFAULT_ORG_ID);
         let back = po_to_normalized().apply(&ora, &ctx()).unwrap();
         assert_eq!(back.body(), po.body());
     }
@@ -160,7 +160,7 @@ mod tests {
         let poa = build_poa(&po, "accepted-with-changes", Date::new(2001, 9, 18).unwrap()).unwrap();
         let poa_ctx = TransformContext::new("Gadget Supply Co", "ACME Manufacturing", "2", "i-2");
         let ora = poa_from_normalized().apply(&poa, &poa_ctx).unwrap();
-        assert_eq!(ora.get("ack_header.status").unwrap().as_text("s").unwrap(), "MODIFIED");
+        assert_eq!(ora.get("PO_ACKNOWLEDGMENTS.STATUS").unwrap().as_text("s").unwrap(), "MODIFIED");
         let back = poa_to_normalized().apply(&ora, &poa_ctx).unwrap();
         assert!(poa_schema().accepts(&back), "{:?}", poa_schema().validate(&back));
         assert_eq!(back.body(), poa.body());

@@ -29,11 +29,11 @@ fn rfq_to_normalized() -> TransformProgram {
         FormatId::ROSETTANET,
         FormatId::NORMALIZED,
         vec![
-            R::mv("quote_request.rfq_number", "header.rfq_number"),
-            R::mv("quote_request.buyer", "header.buyer"),
-            R::mv("quote_request.item", "header.item"),
-            R::mv("quote_request.quantity", "header.quantity"),
-            R::mv("quote_request.respond_by", "header.respond_by"),
+            R::mv("QuoteRequest.GlobalQuoteRequestIdentifier", "header.rfq_number"),
+            R::mv("QuoteRequest.BuyerPartner", "header.buyer"),
+            R::mv("QuoteRequest.GlobalProductIdentifier", "header.item"),
+            R::mv("QuoteRequest.RequestedQuantity", "header.quantity"),
+            R::mv("QuoteRequest.QuoteDeadline", "header.respond_by"),
         ],
     )
 }
@@ -44,15 +44,15 @@ fn rfq_from_normalized() -> TransformProgram {
         FormatId::NORMALIZED,
         FormatId::ROSETTANET,
         vec![
-            R::context("service_header.from", ContextKey::Sender),
-            R::context("service_header.to", ContextKey::Receiver),
-            R::const_text("service_header.pip_code", "3A1"),
-            R::context("service_header.instance_id", ContextKey::InstanceId),
-            R::mv("header.rfq_number", "quote_request.rfq_number"),
-            R::mv("header.buyer", "quote_request.buyer"),
-            R::mv("header.item", "quote_request.item"),
-            R::mv("header.quantity", "quote_request.quantity"),
-            R::mv("header.respond_by", "quote_request.respond_by"),
+            R::context("ServiceHeader.FromPartner", ContextKey::Sender),
+            R::context("ServiceHeader.ToPartner", ContextKey::Receiver),
+            R::const_text("ServiceHeader.PipCode", "3A1"),
+            R::context("ServiceHeader.PipInstanceId", ContextKey::InstanceId),
+            R::mv("header.rfq_number", "QuoteRequest.GlobalQuoteRequestIdentifier"),
+            R::mv("header.buyer", "QuoteRequest.BuyerPartner"),
+            R::mv("header.item", "QuoteRequest.GlobalProductIdentifier"),
+            R::mv("header.quantity", "QuoteRequest.RequestedQuantity"),
+            R::mv("header.respond_by", "QuoteRequest.QuoteDeadline"),
         ],
     )
 }
@@ -63,10 +63,10 @@ fn quote_to_normalized() -> TransformProgram {
         FormatId::ROSETTANET,
         FormatId::NORMALIZED,
         vec![
-            R::mv("quote.rfq_number", "header.rfq_number"),
-            R::mv("quote.seller", "header.seller"),
-            R::mv("quote.unit_price", "header.unit_price"),
-            R::mv("quote.valid_until", "header.valid_until"),
+            R::mv("Quote.GlobalQuoteRequestIdentifier", "header.rfq_number"),
+            R::mv("Quote.SellerPartner", "header.seller"),
+            R::mv("Quote.UnitPrice", "header.unit_price"),
+            R::mv("Quote.QuoteValidUntil", "header.valid_until"),
         ],
     )
 }
@@ -77,15 +77,15 @@ fn quote_from_normalized() -> TransformProgram {
         FormatId::NORMALIZED,
         FormatId::ROSETTANET,
         vec![
-            R::context("service_header.from", ContextKey::Sender),
-            R::context("service_header.to", ContextKey::Receiver),
-            R::const_text("service_header.pip_code", "3A1"),
-            R::context("service_header.instance_id", ContextKey::InstanceId),
-            R::mv("header.rfq_number", "quote.rfq_number"),
-            R::mv("header.seller", "quote.seller"),
-            R::currency_of("header.unit_price", "quote.currency"),
-            R::mv("header.unit_price", "quote.unit_price"),
-            R::mv("header.valid_until", "quote.valid_until"),
+            R::context("ServiceHeader.FromPartner", ContextKey::Sender),
+            R::context("ServiceHeader.ToPartner", ContextKey::Receiver),
+            R::const_text("ServiceHeader.PipCode", "3A1"),
+            R::context("ServiceHeader.PipInstanceId", ContextKey::InstanceId),
+            R::mv("header.rfq_number", "Quote.GlobalQuoteRequestIdentifier"),
+            R::mv("header.seller", "Quote.SellerPartner"),
+            R::currency_of("header.unit_price", "Quote.GlobalCurrencyCode"),
+            R::mv("header.unit_price", "Quote.UnitPrice"),
+            R::mv("header.valid_until", "Quote.QuoteValidUntil"),
         ],
     )
 }
@@ -96,21 +96,21 @@ fn po_to_normalized() -> TransformProgram {
         FormatId::ROSETTANET,
         FormatId::NORMALIZED,
         vec![
-            R::mv("purchase_order.po_number", "header.po_number"),
-            R::mv("purchase_order.buyer", "header.buyer"),
-            R::mv("purchase_order.seller", "header.seller"),
-            R::mv("purchase_order.order_date", "header.order_date"),
+            R::mv("PurchaseOrder.GlobalPurchaseOrderIdentifier", "header.po_number"),
+            R::mv("PurchaseOrder.BuyerPartner", "header.buyer"),
+            R::mv("PurchaseOrder.SellerPartner", "header.seller"),
+            R::mv("PurchaseOrder.OrderDate", "header.order_date"),
             R::for_each(
-                "purchase_order.lines",
+                "PurchaseOrder.ProductLineItem",
                 "lines",
                 vec![
-                    R::mv("line_number", "line_no"),
-                    R::mv("product_id", "item"),
-                    R::mv("quantity", "quantity"),
-                    R::mv("unit_price", "unit_price"),
+                    R::mv("LineNumber", "line_no"),
+                    R::mv("GlobalProductIdentifier", "item"),
+                    R::mv("OrderQuantity", "quantity"),
+                    R::mv("UnitPrice", "unit_price"),
                 ],
             ),
-            R::mv("purchase_order.total_amount", "amount"),
+            R::mv("PurchaseOrder.TotalAmount", "amount"),
         ],
     )
 }
@@ -121,73 +121,76 @@ fn po_from_normalized() -> TransformProgram {
         FormatId::NORMALIZED,
         FormatId::ROSETTANET,
         vec![
-            R::context("service_header.from", ContextKey::Sender),
-            R::context("service_header.to", ContextKey::Receiver),
-            R::const_text("service_header.pip_code", "3A4"),
-            R::context("service_header.instance_id", ContextKey::InstanceId),
-            R::mv("header.po_number", "purchase_order.po_number"),
-            R::mv("header.order_date", "purchase_order.order_date"),
-            R::currency_of("amount", "purchase_order.currency"),
-            R::mv("header.buyer", "purchase_order.buyer"),
-            R::mv("header.seller", "purchase_order.seller"),
+            R::context("ServiceHeader.FromPartner", ContextKey::Sender),
+            R::context("ServiceHeader.ToPartner", ContextKey::Receiver),
+            R::const_text("ServiceHeader.PipCode", "3A4"),
+            R::context("ServiceHeader.PipInstanceId", ContextKey::InstanceId),
+            R::mv("header.po_number", "PurchaseOrder.GlobalPurchaseOrderIdentifier"),
+            R::mv("header.order_date", "PurchaseOrder.OrderDate"),
+            R::currency_of("amount", "PurchaseOrder.GlobalCurrencyCode"),
+            R::mv("header.buyer", "PurchaseOrder.BuyerPartner"),
+            R::mv("header.seller", "PurchaseOrder.SellerPartner"),
             R::for_each(
                 "lines",
-                "purchase_order.lines",
+                "PurchaseOrder.ProductLineItem",
                 vec![
-                    R::mv("line_no", "line_number"),
-                    R::mv("item", "product_id"),
-                    R::mv("quantity", "quantity"),
-                    R::mv("unit_price", "unit_price"),
+                    R::mv("line_no", "LineNumber"),
+                    R::mv("item", "GlobalProductIdentifier"),
+                    R::mv("quantity", "OrderQuantity"),
+                    R::mv("unit_price", "UnitPrice"),
                 ],
             ),
-            R::mv("amount", "purchase_order.total_amount"),
+            R::mv("amount", "PurchaseOrder.TotalAmount"),
         ],
     )
 }
 
+/// The acknowledgment code of the confirmation and of each of its lines.
+const HEADER_CODE: &str = "PurchaseOrderConfirmation.GlobalPurchaseOrderAcknowledgmentCode";
+const LINE_CODE: &str = "GlobalPurchaseOrderAcknowledgmentCode";
+
 fn poa_to_normalized() -> TransformProgram {
-    let (_, header_back) =
-        super::status_maps("header.status", "confirmation.response_code", STATUS);
-    let (_, line_back) = super::status_maps("status", "response_code", STATUS);
+    let (_, header_back) = super::status_maps("header.status", HEADER_CODE, STATUS);
+    let (_, line_back) = super::status_maps("status", LINE_CODE, STATUS);
     TransformProgram::new(
         DocKind::PurchaseOrderAck,
         FormatId::ROSETTANET,
         FormatId::NORMALIZED,
         vec![
-            R::mv("confirmation.po_number", "header.po_number"),
+            R::mv("PurchaseOrderConfirmation.GlobalPurchaseOrderIdentifier", "header.po_number"),
             // The confirmation travels seller -> buyer.
-            R::mv("service_header.to", "header.buyer"),
-            R::mv("service_header.from", "header.seller"),
-            R::mv("confirmation.ack_date", "header.ack_date"),
+            R::mv("ServiceHeader.ToPartner", "header.buyer"),
+            R::mv("ServiceHeader.FromPartner", "header.seller"),
+            R::mv("PurchaseOrderConfirmation.AcknowledgmentDate", "header.ack_date"),
             header_back,
             R::for_each(
-                "confirmation.lines",
+                "PurchaseOrderConfirmation.ProductLineItem",
                 "lines",
-                vec![R::mv("line_number", "line_no"), line_back, R::mv("quantity", "quantity")],
+                vec![R::mv("LineNumber", "line_no"), line_back, R::mv("OrderQuantity", "quantity")],
             ),
         ],
     )
 }
 
 fn poa_from_normalized() -> TransformProgram {
-    let (header_fwd, _) = super::status_maps("header.status", "confirmation.response_code", STATUS);
-    let (line_fwd, _) = super::status_maps("status", "response_code", STATUS);
+    let (header_fwd, _) = super::status_maps("header.status", HEADER_CODE, STATUS);
+    let (line_fwd, _) = super::status_maps("status", LINE_CODE, STATUS);
     TransformProgram::new(
         DocKind::PurchaseOrderAck,
         FormatId::NORMALIZED,
         FormatId::ROSETTANET,
         vec![
-            R::context("service_header.from", ContextKey::Sender),
-            R::context("service_header.to", ContextKey::Receiver),
-            R::const_text("service_header.pip_code", "3A4"),
-            R::context("service_header.instance_id", ContextKey::InstanceId),
-            R::mv("header.po_number", "confirmation.po_number"),
+            R::context("ServiceHeader.FromPartner", ContextKey::Sender),
+            R::context("ServiceHeader.ToPartner", ContextKey::Receiver),
+            R::const_text("ServiceHeader.PipCode", "3A4"),
+            R::context("ServiceHeader.PipInstanceId", ContextKey::InstanceId),
+            R::mv("header.po_number", "PurchaseOrderConfirmation.GlobalPurchaseOrderIdentifier"),
             header_fwd,
-            R::mv("header.ack_date", "confirmation.ack_date"),
+            R::mv("header.ack_date", "PurchaseOrderConfirmation.AcknowledgmentDate"),
             R::for_each(
                 "lines",
-                "confirmation.lines",
-                vec![R::mv("line_no", "line_number"), line_fwd, R::mv("quantity", "quantity")],
+                "PurchaseOrderConfirmation.ProductLineItem",
+                vec![R::mv("line_no", "LineNumber"), line_fwd, R::mv("quantity", "OrderQuantity")],
             ),
         ],
     )
@@ -229,7 +232,7 @@ mod tests {
     fn normalized_po_round_trips_through_rosettanet() {
         let po = plain_po();
         let rn = po_from_normalized().apply(&po, &po_ctx()).unwrap();
-        assert_eq!(rn.get("service_header.pip_code").unwrap().as_text("p").unwrap(), "3A4");
+        assert_eq!(rn.get("ServiceHeader.PipCode").unwrap().as_text("p").unwrap(), "3A4");
         let back = po_to_normalized().apply(&rn, &po_ctx()).unwrap();
         assert_eq!(back.body(), po.body());
     }
@@ -282,7 +285,8 @@ mod tests {
         let poa = build_poa(&po, "rejected", Date::new(2001, 9, 18).unwrap()).unwrap();
         let poa_ctx = TransformContext::new("Gadget Supply Co", "ACME Manufacturing", "2", "pip-2");
         let rn = poa_from_normalized().apply(&poa, &poa_ctx).unwrap();
-        assert_eq!(rn.get("confirmation.response_code").unwrap().as_text("c").unwrap(), "Reject");
+        let code = rn.get("PurchaseOrderConfirmation.GlobalPurchaseOrderAcknowledgmentCode");
+        assert_eq!(code.unwrap().as_text("c").unwrap(), "Reject");
         let back = poa_to_normalized().apply(&rn, &poa_ctx).unwrap();
         assert!(poa_schema().accepts(&back), "{:?}", poa_schema().validate(&back));
         assert_eq!(back.body(), poa.body());

@@ -20,21 +20,21 @@ fn po_to_normalized() -> TransformProgram {
         FormatId::SAP_IDOC,
         FormatId::NORMALIZED,
         vec![
-            R::mv("e1edk01.belnr", "header.po_number"),
-            R::pick("e1edka1", "parvw", "AG", "name", "header.buyer"),
-            R::pick("e1edka1", "parvw", "LF", "name", "header.seller"),
-            R::mv("e1edk01.audat", "header.order_date"),
+            R::mv("E1EDK01.BELNR", "header.po_number"),
+            R::pick("E1EDKA1", "PARVW", "AG", "NAME1", "header.buyer"),
+            R::pick("E1EDKA1", "PARVW", "LF", "NAME1", "header.seller"),
+            R::mv("E1EDK01.AUDAT", "header.order_date"),
             R::for_each(
-                "e1edp01",
+                "E1EDP01",
                 "lines",
                 vec![
-                    R::mv("posex", "line_no"),
-                    R::mv("matnr", "item"),
-                    R::mv("menge", "quantity"),
-                    R::mv("vprei", "unit_price"),
+                    R::mv("POSEX", "line_no"),
+                    R::mv("MATNR", "item"),
+                    R::mv("MENGE", "quantity"),
+                    R::mv("VPREI", "unit_price"),
                 ],
             ),
-            R::mv("e1eds01.summe", "amount"),
+            R::mv("E1EDS01.SUMME", "amount"),
         ],
     )
 }
@@ -45,74 +45,77 @@ fn po_from_normalized() -> TransformProgram {
         FormatId::NORMALIZED,
         FormatId::SAP_IDOC,
         vec![
-            R::const_text("control.idoctyp", "ORDERS05"),
-            R::context("control.sndprn", ContextKey::Sender),
-            R::context("control.rcvprn", ContextKey::Receiver),
-            R::context("control.docnum", ContextKey::ControlNumber),
-            R::mv("header.po_number", "e1edk01.belnr"),
-            R::currency_of("amount", "e1edk01.curcy"),
-            R::mv("header.order_date", "e1edk01.audat"),
-            R::append("e1edka1", vec![R::const_text("parvw", "AG"), R::mv("header.buyer", "name")]),
+            R::const_text("EDI_DC40.IDOCTYP", "ORDERS05"),
+            R::context("EDI_DC40.SNDPRN", ContextKey::Sender),
+            R::context("EDI_DC40.RCVPRN", ContextKey::Receiver),
+            R::context("EDI_DC40.DOCNUM", ContextKey::ControlNumber),
+            R::mv("header.po_number", "E1EDK01.BELNR"),
+            R::currency_of("amount", "E1EDK01.CURCY"),
+            R::mv("header.order_date", "E1EDK01.AUDAT"),
             R::append(
-                "e1edka1",
-                vec![R::const_text("parvw", "LF"), R::mv("header.seller", "name")],
+                "E1EDKA1",
+                vec![R::const_text("PARVW", "AG"), R::mv("header.buyer", "NAME1")],
+            ),
+            R::append(
+                "E1EDKA1",
+                vec![R::const_text("PARVW", "LF"), R::mv("header.seller", "NAME1")],
             ),
             R::for_each(
                 "lines",
-                "e1edp01",
+                "E1EDP01",
                 vec![
-                    R::mv("line_no", "posex"),
-                    R::mv("quantity", "menge"),
-                    R::mv("unit_price", "vprei"),
-                    R::mv("item", "matnr"),
+                    R::mv("line_no", "POSEX"),
+                    R::mv("quantity", "MENGE"),
+                    R::mv("unit_price", "VPREI"),
+                    R::mv("item", "MATNR"),
                 ],
             ),
-            R::mv("amount", "e1eds01.summe"),
+            R::mv("amount", "E1EDS01.SUMME"),
         ],
     )
 }
 
 fn poa_to_normalized() -> TransformProgram {
-    let (_, header_back) = super::status_maps("header.status", "e1edk01.action", STATUS);
-    let (_, line_back) = super::status_maps("status", "action", STATUS);
+    let (_, header_back) = super::status_maps("header.status", "E1EDK01.ACTION", STATUS);
+    let (_, line_back) = super::status_maps("status", "ACTION", STATUS);
     TransformProgram::new(
         DocKind::PurchaseOrderAck,
         FormatId::SAP_IDOC,
         FormatId::NORMALIZED,
         vec![
-            R::mv("e1edk01.belnr", "header.po_number"),
+            R::mv("E1EDK01.BELNR", "header.po_number"),
             R::context("header.buyer", ContextKey::Receiver),
             R::context("header.seller", ContextKey::Sender),
-            R::mv("e1edk01.audat", "header.ack_date"),
+            R::mv("E1EDK01.AUDAT", "header.ack_date"),
             header_back,
             R::for_each(
-                "e1edp01",
+                "E1EDP01",
                 "lines",
-                vec![R::mv("posex", "line_no"), line_back, R::mv("menge", "quantity")],
+                vec![R::mv("POSEX", "line_no"), line_back, R::mv("MENGE", "quantity")],
             ),
         ],
     )
 }
 
 fn poa_from_normalized() -> TransformProgram {
-    let (header_fwd, _) = super::status_maps("header.status", "e1edk01.action", STATUS);
-    let (line_fwd, _) = super::status_maps("status", "action", STATUS);
+    let (header_fwd, _) = super::status_maps("header.status", "E1EDK01.ACTION", STATUS);
+    let (line_fwd, _) = super::status_maps("status", "ACTION", STATUS);
     TransformProgram::new(
         DocKind::PurchaseOrderAck,
         FormatId::NORMALIZED,
         FormatId::SAP_IDOC,
         vec![
-            R::const_text("control.idoctyp", "ORDRSP"),
-            R::context("control.sndprn", ContextKey::Sender),
-            R::context("control.rcvprn", ContextKey::Receiver),
-            R::context("control.docnum", ContextKey::ControlNumber),
-            R::mv("header.po_number", "e1edk01.belnr"),
-            R::mv("header.ack_date", "e1edk01.audat"),
+            R::const_text("EDI_DC40.IDOCTYP", "ORDRSP"),
+            R::context("EDI_DC40.SNDPRN", ContextKey::Sender),
+            R::context("EDI_DC40.RCVPRN", ContextKey::Receiver),
+            R::context("EDI_DC40.DOCNUM", ContextKey::ControlNumber),
+            R::mv("header.po_number", "E1EDK01.BELNR"),
+            R::mv("header.ack_date", "E1EDK01.AUDAT"),
             header_fwd,
             R::for_each(
                 "lines",
-                "e1edp01",
-                vec![R::mv("line_no", "posex"), R::mv("quantity", "menge"), line_fwd],
+                "E1EDP01",
+                vec![R::mv("line_no", "POSEX"), R::mv("quantity", "MENGE"), line_fwd],
             ),
         ],
     )
@@ -154,7 +157,7 @@ mod tests {
     fn normalized_po_round_trips_through_sap() {
         let po = plain_po();
         let idoc = po_from_normalized().apply(&po, &ctx()).unwrap();
-        assert_eq!(idoc.get("control.idoctyp").unwrap().as_text("t").unwrap(), "ORDERS05");
+        assert_eq!(idoc.get("EDI_DC40.IDOCTYP").unwrap().as_text("t").unwrap(), "ORDERS05");
         let back = po_to_normalized().apply(&idoc, &ctx()).unwrap();
         assert_eq!(back.body(), po.body());
     }
@@ -166,7 +169,7 @@ mod tests {
         let poa_ctx =
             TransformContext::new("Gadget Supply Co", "ACME Manufacturing", "idoc-2", "i-2");
         let idoc = poa_from_normalized().apply(&poa, &poa_ctx).unwrap();
-        assert_eq!(idoc.get("e1edk01.action").unwrap().as_text("a").unwrap(), "001");
+        assert_eq!(idoc.get("E1EDK01.ACTION").unwrap().as_text("a").unwrap(), "001");
         let back = poa_to_normalized().apply(&idoc, &poa_ctx).unwrap();
         assert!(poa_schema().accepts(&back), "{:?}", poa_schema().validate(&back));
         assert_eq!(back.body(), poa.body());

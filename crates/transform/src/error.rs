@@ -43,10 +43,10 @@ mod tests {
     fn display_names_program_and_rule() {
         let e = TransformError::Rule {
             program: "edi-to-normalized-po".into(),
-            rule: "move beg.po_number".into(),
+            rule: "move BEG.BEG03".into(),
             reason: "path not found".into(),
         };
         assert!(e.to_string().contains("edi-to-normalized-po"));
-        assert!(e.to_string().contains("beg.po_number"));
+        assert!(e.to_string().contains("BEG.BEG03"));
     }
 }

@@ -155,7 +155,7 @@ mod tests {
             DocKind::PurchaseOrder,
             FormatId::EDI_X12,
             FormatId::NORMALIZED,
-            vec![MappingRule::mv("beg.po_number", "po")],
+            vec![MappingRule::mv("BEG.BEG03", "po")],
         ));
         assert_eq!(reg.len(), 32, "replaced, not added");
         let out = reg.transform(&doc, &FormatId::NORMALIZED, &ctx).unwrap();

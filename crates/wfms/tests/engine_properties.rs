@@ -1,8 +1,10 @@
 //! Property tests for the workflow engine: arbitrary acyclic control
-//! flow executes to a fixed point where every step is resolved.
+//! flow executes to a fixed point where every step is resolved, and
+//! resolved as dead-path elimination says.
 
+use b2b_wfms::engine::StepState;
 use b2b_wfms::{
-    Engine, EngineId, InstanceStatus, StepDef, Variable, WorkflowBuilder, WorkflowTypeId,
+    Engine, EngineId, InstanceStatus, StepDef, StepId, Variable, WorkflowBuilder, WorkflowTypeId,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -35,7 +37,9 @@ fn dag() -> impl Strategy<Value = RandomDag> {
     })
 }
 
-fn build_and_run(dag: &RandomDag) -> InstanceStatus {
+/// Runs `dag` to its fixed point: the instance's status and the state of
+/// each step.
+fn build_and_run(dag: &RandomDag) -> (InstanceStatus, Vec<StepState>) {
     let mut builder = WorkflowBuilder::new("random");
     for i in 0..dag.steps {
         builder = builder.step(StepDef::noop(&format!("s{i}")));
@@ -63,18 +67,42 @@ fn build_and_run(dag: &RandomDag) -> InstanceStatus {
     let id = engine
         .create_instance(&WorkflowTypeId::new("random"), vars, "s", "t")
         .expect("type deployed");
-    engine.run(id).expect("execution is infallible for noop DAGs");
-    engine.status(id).expect("instance exists")
+    let status = engine.run(id).expect("execution is infallible for noop DAGs");
+    let instance = engine.db().get_instance(id).expect("instance exists");
+    let states = (0..dag.steps).map(|i| instance.step_state(&StepId::new(format!("s{i}"))));
+    (status, states.collect())
+}
+
+/// Dead-path elimination, stated over the DAG rather than run: a step
+/// completes exactly when it has no incoming edge, or some incoming edge
+/// has a completed source and a guard that holds. Edges run forward, so
+/// every source is decided before its targets.
+fn completes_by_dead_path_elimination(dag: &RandomDag) -> Vec<bool> {
+    let mut completed = vec![false; dag.steps];
+    for step in 0..dag.steps {
+        let mut incoming = dag.edges.iter().filter(|(_, to, _)| *to == step).peekable();
+        completed[step] = incoming.peek().is_none()
+            || incoming.any(|&(from, _, guard)| completed[from] && guard != Some(false));
+    }
+    completed
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Any acyclic guarded DAG of no-op steps terminates: either every
-    /// step completes or is skipped (never a hang, never a failure).
+    /// Any acyclic guarded DAG of no-op steps terminates (never a hang,
+    /// never a failure), and each step ends Completed or Skipped exactly
+    /// as dead-path elimination says: an AND-join where it needs an
+    /// OR-join, or an edge taken past a false guard, fails here.
     #[test]
-    fn random_guarded_dags_always_terminate(dag in dag()) {
-        prop_assert_eq!(build_and_run(&dag), InstanceStatus::Completed);
+    fn random_guarded_dags_settle_by_dead_path_elimination(dag in dag()) {
+        let (status, states) = build_and_run(&dag);
+        prop_assert_eq!(status, InstanceStatus::Completed);
+        let expected = completes_by_dead_path_elimination(&dag);
+        for (step, (state, completes)) in states.into_iter().zip(expected).enumerate() {
+            let want = if completes { StepState::Completed } else { StepState::Skipped };
+            prop_assert_eq!(state, want, "step s{}", step);
+        }
     }
 }
 
@@ -106,8 +134,8 @@ proptest! {
         let inst = engine.db().get_instance(id).unwrap();
         for i in 1..steps {
             prop_assert_eq!(
-                inst.step_state(&b2b_wfms::StepId::new(format!("s{i}"))),
-                b2b_wfms::engine::StepState::Skipped
+                inst.step_state(&StepId::new(format!("s{i}"))),
+                StepState::Skipped
             );
         }
     }
