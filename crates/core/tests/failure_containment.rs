@@ -715,3 +715,192 @@ fn late_document_for_a_finished_session_does_not_lose_its_batch() {
     assert_eq!(letters.len(), 1, "the late quote is dead-lettered: {letters:?}");
     assert!(matches!(letters[0].reason, DeadLetterReason::Unroutable(_)), "{letters:?}");
 }
+
+/// A guarded hub trading RFQs with a partner that only acknowledges: the
+/// partner is a raw reliable endpoint that never answers, so every
+/// breaker success the hub records comes from a wire acknowledgment.
+/// Every hub send fails 300 ms after it went out unacknowledged
+/// (retransmits at +100 and +200 ms, failure at +300 ms).
+struct AckOnlyPartner {
+    net: SimNetwork,
+    hub: b2b_core::IntegrationEngine,
+    partner: b2b_network::ReliableEndpoint,
+    rfqs: u32,
+}
+
+impl AckOnlyPartner {
+    const NAME: &'static str = "Lurker";
+
+    fn new(seed: u64) -> Self {
+        use b2b_core::PartnerPolicy;
+        use b2b_document::{DocKind, FormatId};
+        use b2b_network::{EndpointId, ReliableEndpoint};
+        use b2b_protocol::MessageExchangePattern;
+
+        let mut net = SimNetwork::new(FaultConfig::reliable(), seed);
+        let mut hub =
+            IntegrationEngine::with_reliable_config("HUB", &mut net, ReliableConfig::fixed(100, 2))
+                .unwrap();
+        hub.set_partner_policy(PartnerPolicy::guarded());
+        hub.add_partner(TradingPartner::new(Self::NAME));
+        let (init, resp) = MessageExchangePattern::RequestReply {
+            request: DocKind::RequestForQuote,
+            reply: DocKind::Quote,
+        }
+        .role_processes("rfq-lurker", FormatId::ROSETTANET)
+        .unwrap();
+        let agreement =
+            TradingPartnerAgreement::between("rfq-lurker", "HUB", Self::NAME, &init, &resp, true)
+                .unwrap();
+        hub.install_agreement(agreement, &init, &resp).unwrap();
+        let endpoint = EndpointId::new(format!("ep:{}", Self::NAME));
+        let partner = ReliableEndpoint::new(endpoint, ReliableConfig::default(), &mut net).unwrap();
+        Self { net, hub, partner, rfqs: 0 }
+    }
+
+    /// Black-holes or heals the link into the partner; acknowledgments
+    /// back to the hub always get through.
+    fn set_link_dead(&mut self, dead: bool) {
+        use b2b_network::FaultSchedule;
+        let faults = FaultConfig { loss: if dead { 1.0 } else { 0.0 }, ..FaultConfig::reliable() };
+        self.net.set_link_schedule(self.partner.id().clone(), FaultSchedule::constant(faults));
+    }
+
+    /// Starts one RFQ session; its request goes on the wire at once.
+    fn send_rfq(&mut self) {
+        use b2b_document::{record, CorrelationId, Date, DocKind, Document, FormatId, Value};
+        self.rfqs += 1;
+        let number = format!("R{}", self.rfqs);
+        let rfq = Document::new(
+            DocKind::RequestForQuote,
+            FormatId::NORMALIZED,
+            CorrelationId::for_rfq_number(&number),
+            record! {
+                "header" => record! {
+                    "rfq_number" => Value::text(&number),
+                    "buyer" => Value::text("HUB"),
+                    "item" => Value::text("LAPTOP-T23"),
+                    "quantity" => Value::Int(100),
+                    "respond_by" => Value::Date(Date::new(2001, 10, 1).unwrap()),
+                },
+            },
+        );
+        self.hub.initiate(&mut self.net, "rfq-lurker", rfq).unwrap();
+    }
+
+    /// Runs `ms` of simulated time in 10 ms steps: a hub pump, then the
+    /// partner drains (and so acknowledges) its inbox.
+    fn run(&mut self, ms: u64) {
+        for _ in 0..ms / 10 {
+            self.net.advance(10);
+            self.hub.pump(&mut self.net).unwrap();
+            self.partner.receive(&mut self.net).unwrap();
+        }
+    }
+
+    /// The pump in which an older send fails permanently and a newer
+    /// send to the same partner is acknowledged. At entry an older send
+    /// went out 280 ms ago over the dead link; the link heals, a newer
+    /// request goes out, the partner acknowledges it 10 ms later, and the
+    /// ack reaches the hub in the same pump as the older send's failure.
+    fn fail_older_and_ack_newer(&mut self) {
+        self.set_link_dead(false);
+        self.send_rfq();
+        self.run(10);
+        assert_eq!(self.hub.wire_outstanding(), 2, "both sends still outstanding");
+        let failures = self.hub.reliable_stats().failures;
+        let acks = self.hub.reliable_stats().acks;
+        self.run(10);
+        assert_eq!(self.hub.reliable_stats().failures, failures + 1, "the older send failed");
+        assert_eq!(self.hub.reliable_stats().acks, acks + 1, "the newer send was acknowledged");
+    }
+}
+
+/// Acknowledgments drive the breaker back to `Closed`: a guarded hub
+/// trips on a dead link, turns `HalfOpen` once `open_ms` has passed, and
+/// closes after `close_threshold` acknowledged sends — its partner never
+/// replies, so only the acks can close it. The trip itself happens in a
+/// pump that also acknowledges a newer send: the failure is applied
+/// first, so the third failure in a row trips the breaker and the ack
+/// that follows finds it open.
+#[test]
+fn acknowledged_sends_walk_a_tripped_breaker_back_to_closed() {
+    use b2b_core::{BreakerState, PartnerPolicy};
+
+    let policy = PartnerPolicy::guarded();
+    let mut link = AckOnlyPartner::new(47);
+    let name = AckOnlyPartner::NAME;
+    link.set_link_dead(true);
+    // The first request fails at 300 ms, and its failure notice at 600.
+    link.send_rfq();
+    link.run(600);
+    assert_eq!(link.hub.reliable_stats().failures, 2);
+    assert_eq!(link.hub.breaker_state(name), BreakerState::Closed, "two failures in a row");
+
+    // The third failure coincides with an acknowledgment: it trips.
+    link.send_rfq();
+    link.run(280);
+    link.fail_older_and_ack_newer();
+    assert_eq!(link.hub.breaker_state(name), BreakerState::Open, "the third failure trips");
+    assert_eq!(link.hub.health_stats().breaker_trips, 1);
+    let opened = link.net.now().as_millis();
+
+    // The open window is time-driven.
+    link.run(policy.open_ms - 10);
+    assert_eq!(link.hub.breaker_state(name), BreakerState::Open);
+    link.run(10);
+    assert_eq!(link.net.now().as_millis(), opened + policy.open_ms);
+    assert_eq!(link.hub.breaker_state(name), BreakerState::HalfOpen);
+
+    // Probes close it: one acknowledged send per probe.
+    for probe in 1..=policy.close_threshold {
+        assert_eq!(link.hub.breaker_state(name), BreakerState::HalfOpen, "before probe {probe}");
+        let acks = link.hub.reliable_stats().acks;
+        link.send_rfq();
+        link.run(20);
+        assert_eq!(link.hub.reliable_stats().acks, acks + 1, "probe {probe} acknowledged");
+    }
+    assert_eq!(link.hub.breaker_state(name), BreakerState::Closed);
+    assert_eq!(link.hub.health_stats().breaker_trips, 1);
+}
+
+/// When one pump both fails an older send and acknowledges a newer one
+/// to the same partner, the failure is applied first and the ack then
+/// resets the streak it started: afterwards it takes a full
+/// `trip_threshold` of further failures to trip the breaker.
+#[test]
+fn a_failure_and_a_later_ack_in_one_pump_leave_the_streak_reset() {
+    use b2b_core::{BreakerState, PartnerPolicy};
+
+    let policy = PartnerPolicy::guarded();
+    let mut link = AckOnlyPartner::new(53);
+    let name = AckOnlyPartner::NAME;
+    link.set_link_dead(true);
+    link.send_rfq();
+    link.run(280);
+    link.fail_older_and_ack_newer();
+    assert_eq!(link.hub.breaker_state(name), BreakerState::Closed);
+    // The failed session's notice goes out over the healed link.
+    link.run(100);
+    assert_eq!(link.hub.wire_outstanding(), 0, "the notice was acknowledged");
+    assert_eq!(link.hub.breaker_state(name), BreakerState::Closed);
+
+    // Kill the link again and count the failures it takes to trip.
+    link.set_link_dead(true);
+    let failures = link.hub.reliable_stats().failures;
+    for _ in 0..10 {
+        if link.hub.breaker_state(name) == BreakerState::Open {
+            break;
+        }
+        link.send_rfq();
+        while link.hub.wire_outstanding() > 0 {
+            link.run(10);
+        }
+    }
+    assert_eq!(link.hub.breaker_state(name), BreakerState::Open);
+    assert_eq!(
+        link.hub.reliable_stats().failures - failures,
+        u64::from(policy.trip_threshold),
+        "the ack reset the streak the older send's failure had started"
+    );
+}
