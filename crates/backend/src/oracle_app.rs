@@ -4,7 +4,9 @@
 
 use crate::erp::{AckPolicy, BackendApplication};
 use crate::error::{BackendError, Result};
-use crate::orderbook::{ack_lines, check_lines, OrderBook, OrderRecord, OrderState};
+use crate::orderbook::{
+    ack_lines, check_lines, field, required_field, OrderBook, OrderRecord, OrderState,
+};
 use b2b_document::{record, Date, DocKind, Document, FormatId, Value};
 use std::sync::Arc;
 
@@ -56,13 +58,11 @@ impl BackendApplication for OracleSystem {
         if doc.kind() != DocKind::PurchaseOrder {
             return Err(self.err(format!("cannot store a {}", doc.kind())));
         }
-        let po_number = doc
-            .get("PO_HEADERS.SEGMENT1")
+        let po_number = required_field(doc, "PO_HEADERS", "SEGMENT1")
             .and_then(|v| v.as_text("PO_HEADERS.SEGMENT1"))
             .map_err(|e| self.err(e.to_string()))?
             .to_string();
-        let amount = doc
-            .get("PO_HEADERS.TOTAL_AMOUNT")
+        let amount = required_field(doc, "PO_HEADERS", "TOTAL_AMOUNT")
             .and_then(|v| v.as_money("PO_HEADERS.TOTAL_AMOUNT"))
             .map_err(|e| self.err(e.to_string()))?;
         check_lines(doc, "PO_LINES", ["LINE_NUM", "QUANTITY"])
@@ -86,8 +86,7 @@ impl BackendApplication for OracleSystem {
             let stored = &rec.document;
             let status = policy.status_for(rec.amount);
             let code = oracle_status(status);
-            let ack_date = stored
-                .lookup("PO_HEADERS.CREATION_DATE")
+            let ack_date = field(stored, "PO_HEADERS", "CREATION_DATE")
                 .and_then(|v| v.as_date("CREATION_DATE").ok())
                 .map(|d| d.plus_days(1))
                 .unwrap_or(Date::new(2001, 9, 18).expect("valid"));

@@ -116,6 +116,34 @@ impl OrderBook {
     }
 }
 
+/// The value at `group.name` of an order's body, `None` when absent.
+/// Reads the body records directly, as `Document::lookup` of
+/// `"group.name"` would, without parsing a path on every order.
+pub(crate) fn field<'d>(doc: &'d Document, group: &str, name: &str) -> Option<&'d Value> {
+    match doc.body() {
+        Value::Record(fields) => match fields.get(group)? {
+            Value::Record(fields) => fields.get(name),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// [`field`], failing where `Document::get` of `"group.name"` would, with
+/// the same error.
+pub(crate) fn required_field<'d>(
+    doc: &'d Document,
+    group: &str,
+    name: &str,
+) -> Result<&'d Value, DocumentError> {
+    field(doc, group, name).ok_or_else(|| missing(format!("{group}.{name}")))
+}
+
+/// The list `lines` at the top of an order's body.
+fn line_list<'d>(doc: &'d Document, lines: &str) -> Result<&'d [Value], DocumentError> {
+    doc.body().as_record("$")?.get(lines).ok_or_else(|| missing(lines.into()))?.as_list(lines)
+}
+
 /// Checks what [`ack_lines`] copies from an order: its list `lines` holds
 /// records that each have the fields `keep`. A back end stores only an
 /// order that passes, so that acknowledging it cannot fail later.
@@ -124,8 +152,7 @@ pub(crate) fn check_lines(
     lines: &str,
     keep: [&str; 2],
 ) -> Result<(), DocumentError> {
-    let list = doc.body().as_record("$")?.get(lines).ok_or_else(|| missing(lines.into()))?;
-    for (i, line) in list.as_list(lines)?.iter().enumerate() {
+    for (i, line) in line_list(doc, lines)?.iter().enumerate() {
         let rec = line.as_record(ElementAt(lines, i))?;
         if let Some(field) = keep.iter().find(|field| !rec.contains_key(field)) {
             return Err(missing(format!("{lines}[{i}].{field}")));
@@ -142,7 +169,7 @@ pub(crate) fn ack_lines(
     keep: [&str; 2],
     (status_key, status): (&str, &str),
 ) -> Result<Vec<Value>, DocumentError> {
-    let list = doc.get(lines)?.as_list(lines)?;
+    let list = line_list(doc, lines)?;
     let mut acks = Vec::with_capacity(list.len());
     for (i, line) in list.iter().enumerate() {
         let rec = line.as_record(ElementAt(lines, i))?;

@@ -3,7 +3,9 @@
 
 use crate::erp::{AckPolicy, BackendApplication};
 use crate::error::{BackendError, Result};
-use crate::orderbook::{ack_lines, check_lines, OrderBook, OrderRecord, OrderState};
+use crate::orderbook::{
+    ack_lines, check_lines, field, required_field, OrderBook, OrderRecord, OrderState,
+};
 use b2b_document::{record, Date, DocKind, Document, FormatId, Value};
 use std::sync::Arc;
 
@@ -62,13 +64,11 @@ impl BackendApplication for SapSystem {
         if doc.kind() != DocKind::PurchaseOrder {
             return Err(self.err(format!("cannot store a {}", doc.kind())));
         }
-        let po_number = doc
-            .get("E1EDK01.BELNR")
+        let po_number = required_field(doc, "E1EDK01", "BELNR")
             .and_then(|v| v.as_text("E1EDK01.BELNR"))
             .map_err(|e| self.err(e.to_string()))?
             .to_string();
-        let amount = doc
-            .get("E1EDS01.SUMME")
+        let amount = required_field(doc, "E1EDS01", "SUMME")
             .and_then(|v| v.as_money("E1EDS01.SUMME"))
             .map_err(|e| self.err(e.to_string()))?;
         check_lines(doc, "E1EDP01", ["POSEX", "MENGE"]).map_err(|e| self.err(e.to_string()))?;
@@ -92,8 +92,7 @@ impl BackendApplication for SapSystem {
             let status = policy.status_for(rec.amount);
             let action = sap_action(status);
             *counter += 1;
-            let ack_date = stored
-                .lookup("E1EDK01.AUDAT")
+            let ack_date = field(stored, "E1EDK01", "AUDAT")
                 .and_then(|v| v.as_date("AUDAT").ok())
                 .map(|d| d.plus_days(1))
                 .unwrap_or(Date::new(2001, 9, 18).expect("valid"));
@@ -101,13 +100,11 @@ impl BackendApplication for SapSystem {
                 ack_lines(stored, "E1EDP01", ["POSEX", "MENGE"], ("ACTION", action)).map_err(
                     |e| BackendError::BadDocument { system: name.clone(), reason: e.to_string() },
                 )?;
-            let sndprn = stored
-                .lookup("EDI_DC40.RCVPRN")
+            let sndprn = field(stored, "EDI_DC40", "RCVPRN")
                 .and_then(|v| v.as_text("RCVPRN").ok())
                 .unwrap_or("SAPPRD")
                 .to_string();
-            let rcvprn = stored
-                .lookup("EDI_DC40.SNDPRN")
+            let rcvprn = field(stored, "EDI_DC40", "SNDPRN")
                 .and_then(|v| v.as_text("SNDPRN").ok())
                 .unwrap_or("PARTNER")
                 .to_string();

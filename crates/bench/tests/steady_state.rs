@@ -389,6 +389,35 @@ fn settle_cost_is_independent_of_idle_session_population() {
     }
 }
 
+/// The ERP simulators read an order's header fields straight from its
+/// body records, parsing no path: storing and acknowledging one sample
+/// order (one line) asks the allocator for at most these calls.
+fn erp_simulator_allocations_stay_pinned() {
+    use b2b_backend::{AckPolicy, BackendApplication, OracleSystem, SapSystem};
+    use b2b_document::formats::{sample_oracle_po, sample_sap_po};
+    use b2b_document::Document;
+    use std::sync::Arc;
+
+    type Sample = fn(&str, i64) -> Document;
+    let cases: [(Box<dyn BackendApplication>, Sample, u64, u64); 2] = [
+        (Box::new(SapSystem::new(AckPolicy::AcceptAll)), sample_sap_po, 4, 17),
+        (Box::new(OracleSystem::new(AckPolicy::AcceptAll)), sample_oracle_po, 4, 12),
+    ];
+    for (mut system, sample, store_pin, extract_pin) in cases {
+        // Warm-up: the first order interns the acknowledgment's names.
+        system.store_po(&Arc::new(sample("warm", 7))).expect("store");
+        system.extract_poas().expect("extract");
+        let po = Arc::new(sample("4711", 7));
+        let (stored, store) = alloc_count::measure(|| system.store_po(&po));
+        stored.expect("store");
+        let (poas, extract) = alloc_count::measure(|| system.extract_poas());
+        assert_eq!(poas.expect("extract").len(), 1);
+        let name = system.name();
+        assert!(store.allocations <= store_pin, "{name} store_po: {store:?}");
+        assert!(extract.allocations <= extract_pin, "{name} extract_poas: {extract:?}");
+    }
+}
+
 fn interning_the_same_names_again_allocates_nothing() {
     // Warm the interner with the vocabulary, then re-intern it: hits on
     // the read path must not touch the allocator at all.
@@ -530,7 +559,7 @@ fn run_flat_cost(seed: u64, base_idle: usize, active_per_phase: usize) -> Result
 /// Runs the tests in order on this thread; an optional first non-flag
 /// argument filters them by name. Exits non-zero if any test panicked.
 fn main() {
-    let tests: [(&str, fn()); 10] = [
+    let tests: [(&str, fn()); 11] = [
         ("counting_allocator_sees_a_boxed_allocation", counting_allocator_sees_a_boxed_allocation),
         (
             "repeated_po_round_trips_are_allocation_steady",
@@ -558,6 +587,7 @@ fn main() {
             "settle_cost_is_independent_of_idle_session_population",
             settle_cost_is_independent_of_idle_session_population,
         ),
+        ("erp_simulator_allocations_stay_pinned", erp_simulator_allocations_stay_pinned),
         (
             "interning_the_same_names_again_allocates_nothing",
             interning_the_same_names_again_allocates_nothing,
