@@ -10,6 +10,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# hubbench is a workspace of its own, so the two steps above skip it.
+echo "== hubbench: cargo fmt --check, cargo clippy (warnings are errors) =="
+cargo fmt --manifest-path hubbench/Cargo.toml -- --check
+cargo clippy --offline --manifest-path hubbench/Cargo.toml --all-targets -- -D warnings
+
 # Doc comments name items by link; a link to a deleted or private item
 # fails here instead of rotting silently.
 echo "== cargo doc (warnings are errors) =="
