@@ -15,8 +15,7 @@ use b2b_core::scenario::{ScenarioProtocol, TwoEnterpriseScenario};
 use b2b_core::SessionState;
 use b2b_document::DocKind;
 use b2b_network::{
-    BackoffPolicy, Bytes, DeliveryStatus, EndpointId, FaultConfig, ReliableConfig,
-    ReliableEndpoint, SimNetwork,
+    BackoffPolicy, Bytes, EndpointId, FaultConfig, ReliableConfig, ReliableEndpoint, SimNetwork,
 };
 use b2b_protocol::{MessageExchangePattern, PublicProcessDef};
 
@@ -183,17 +182,9 @@ fn e9() {
             ReliableEndpoint::new(EndpointId::new("a"), config.clone(), &mut net).expect("a");
         let mut b = ReliableEndpoint::new(EndpointId::new("b"), config, &mut net).expect("b");
         let to = b.id().clone();
-        let mut ids = Vec::new();
         for i in 0..50 {
-            ids.push(
-                a.send(
-                    &mut net,
-                    &to,
-                    b2b_document::FormatId::EDI_X12,
-                    Bytes::from(format!("po-{i}")),
-                )
-                .expect("send"),
-            );
+            let payload = Bytes::from(format!("po-{i}"));
+            a.send(&mut net, &to, b2b_document::FormatId::EDI_X12, payload).expect("send");
         }
         for _ in 0..4000 {
             net.advance(10);
@@ -201,8 +192,7 @@ fn e9() {
             b.receive(&mut net).expect("receive");
             a.receive(&mut net).expect("receive");
         }
-        let acked =
-            ids.iter().filter(|id| a.delivery_status(id) == DeliveryStatus::Acknowledged).count();
+        let acked = a.stats().acks;
         println!(
             "{loss:>4.1} | {:>4} {:>5} {:>7} {:>8} | {:>5.1}%",
             a.stats().sends,
@@ -333,7 +323,7 @@ fn e13() {
             let mut dead = std::collections::BTreeSet::new();
             for _ in 0..6_000 {
                 net.advance(10);
-                dead.extend(a.tick(&mut net).expect("tick").into_iter().map(|e| e.id));
+                dead.extend(a.tick(&mut net).expect("tick").into_iter().map(|(e, _)| e.id));
                 for env in b.receive(&mut net).expect("receive") {
                     assert!(env.verify_integrity(), "no corrupt payload surfaces");
                     assert!(delivered.insert(env.id), "no duplicate surfaces");

@@ -30,9 +30,7 @@ use crate::runtime::edge::Edge;
 use crate::session::{NewSession, SessionTable};
 use b2b_backend::ApplicationProcess;
 use b2b_document::{CorrelationId, Document, FormatId};
-use b2b_network::{
-    Bytes, EndpointId, MessageId, ReliableConfig, ReliableSnapshot, SimNetwork, WireClass,
-};
+use b2b_network::{Bytes, EndpointId, MessageId, ReliableConfig, SimNetwork, WireClass};
 use b2b_protocol::{PublicAction, PublicProcessDef, TradingPartnerAgreement};
 use b2b_rules::RuleRegistry;
 use b2b_wfms::{Engine as WfEngine, EngineId, Variable, WorkflowType, WorkflowTypeId};
@@ -125,8 +123,8 @@ pub struct IntegrationEngine {
     /// Back-end binding types per back end.
     pub(crate) backend_bindings: BTreeMap<String, BindingTypes>,
     pub(crate) table: SessionTable,
-    /// Unacknowledged wire payloads → owning session index. BTreeMap so
-    /// the per-pump ack sweep visits entries in a deterministic order.
+    /// Unacknowledged wire payloads → owning session index. An entry
+    /// leaves when its send is acknowledged or fails.
     pub(crate) outstanding_wire: BTreeMap<MessageId, usize>,
     /// Partner breakers, poison ladders, and shed counters.
     pub(crate) health: PartnerHealth,
@@ -299,7 +297,7 @@ impl IntegrationEngine {
     /// while the network is idle: retransmission timers live in the
     /// reliable layer, not the network queue.
     pub fn wire_outstanding(&self) -> usize {
-        self.edge.outstanding()
+        self.edge.reliable.outstanding_count()
     }
 
     /// Registers a back-end application and deploys its binding types —
@@ -489,7 +487,7 @@ impl IntegrationEngine {
     /// The dead-letter queue: every message this engine rejected or gave
     /// up on, kept for inspection and replay.
     pub fn dead_letters(&self) -> &DeadLetterQueue {
-        self.edge.dead_letters()
+        &self.edge.dead_letters
     }
 
     /// Replays a quarantined message. Inbound letters (decode failures,
@@ -504,7 +502,7 @@ impl IntegrationEngine {
     pub fn replay_dead_letter(&mut self, net: &mut SimNetwork, seq: u64) -> Result<()> {
         let letter = self
             .edge
-            .dead_letters_mut()
+            .dead_letters
             .take(seq)
             .ok_or_else(|| IntegrationError::Config(format!("no dead letter #{seq}")))?;
         // If the re-send fails again, the relapse letter links back to the
@@ -516,11 +514,11 @@ impl IntegrationEngine {
                 // breaker trip it causes dead-letters the abandoned sends
                 // after it. Collapse exactly that first letter back into
                 // the original so its identity and history survive.
-                let fresh = self.edge.dead_letters().next_seq();
+                let fresh = self.edge.dead_letters.next_seq();
                 self.route_inbound(net, letter.envelope.clone())?;
                 self.stats.replays += 1;
-                if self.edge.dead_letters_mut().take(fresh).is_some() {
-                    self.edge.dead_letters_mut().requeue(letter);
+                if self.edge.dead_letters.take(fresh).is_some() {
+                    self.edge.dead_letters.requeue(letter);
                 }
                 self.settle_and_route(net)?;
             }
@@ -538,21 +536,21 @@ impl IntegrationEngine {
                 let doc = match self.edge.decode(&envelope) {
                     Ok(doc) => doc,
                     Err(e) => {
-                        self.edge.dead_letters_mut().requeue(letter);
+                        self.edge.dead_letters.requeue(letter);
                         return Err(IntegrationError::Config(format!(
                             "dead letter #{seq} no longer decodes: {e}"
                         )));
                     }
                 };
                 let Ok(partner) = self.partners.name_of(&envelope.to).map(str::to_string) else {
-                    self.edge.dead_letters_mut().requeue(letter);
+                    self.edge.dead_letters.requeue(letter);
                     return Err(IntegrationError::Config(format!(
                         "dead letter #{seq} addresses unknown endpoint {}",
                         envelope.to
                     )));
                 };
                 let Some(index) = self.table.index_of(doc.correlation(), &partner) else {
-                    self.edge.dead_letters_mut().requeue(letter);
+                    self.edge.dead_letters.requeue(letter);
                     return Err(IntegrationError::Config(format!(
                         "dead letter #{seq} belongs to no session"
                     )));
@@ -575,14 +573,8 @@ impl IntegrationEngine {
         Ok(())
     }
 
-    /// Serializable snapshot of the reliable-messaging state (outstanding
-    /// envelopes, retry state, dedup set) for crash recovery.
-    pub fn reliable_snapshot(&self) -> ReliableSnapshot {
-        self.edge.snapshot()
-    }
-
     /// Reliable-messaging counters (retries, NACK retransmits, …).
     pub fn reliable_stats(&self) -> &b2b_network::ReliableStats {
-        self.edge.stats()
+        self.edge.reliable.stats()
     }
 }

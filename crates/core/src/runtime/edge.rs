@@ -7,13 +7,12 @@
 //! failure notices are parsed here. Inner stages (route, execute, emit)
 //! therefore deal exclusively in well-formed documents.
 
-use crate::deadletter::{DeadLetterQueue, DeadLetterReason};
+use crate::deadletter::DeadLetterQueue;
 use crate::metrics::CodecCacheStats;
 use b2b_document::{DocKind, Document, FormatId, FormatRegistry};
 use b2b_network::fnv::FnvMap;
 use b2b_network::{
-    Bytes, EndpointId, Envelope, InboundBatch, MessageId, ReliableConfig, ReliableEndpoint,
-    SimNetwork,
+    Bytes, EndpointId, Envelope, MessageId, ReliableConfig, ReliableEndpoint, SimNetwork,
 };
 use b2b_protocol::FailureNotice;
 use std::fmt;
@@ -39,11 +38,13 @@ impl fmt::Display for EdgeError {
 impl std::error::Error for EdgeError {}
 
 /// The byte boundary of one enterprise: reliable messaging outward,
-/// decode/verify plus quarantine inward.
+/// decode/verify plus quarantine inward. The pump drives the reliable
+/// endpoint and the dead-letter queue directly; the edge adds decoding,
+/// encoding and the two send helpers.
 pub(crate) struct Edge {
-    reliable: ReliableEndpoint,
+    pub(crate) reliable: ReliableEndpoint,
     formats: FormatRegistry,
-    dead_letters: DeadLetterQueue,
+    pub(crate) dead_letters: DeadLetterQueue,
     /// Reusable encode buffers, one per (format, kind): after warm-up,
     /// outbound encodes append into an existing allocation.
     encode_buffers: FnvMap<(FormatId, DocKind), Vec<u8>>,
@@ -66,12 +67,6 @@ impl Edge {
             notice_scratch: String::new(),
             cache_stats: CodecCacheStats::default(),
         })
-    }
-
-    /// Drains inbound wire traffic, already acknowledged, deduplicated,
-    /// and integrity-checked, classified into payloads and notices.
-    pub fn receive(&mut self, net: &mut SimNetwork) -> b2b_network::Result<InboundBatch> {
-        self.reliable.receive_classified(net)
     }
 
     /// Decodes a payload envelope into a document. Every call parses;
@@ -153,62 +148,5 @@ impl Edge {
         payload: Bytes,
     ) -> b2b_network::Result<MessageId> {
         self.reliable.send_notify(net, to, FormatId::ROSETTANET, payload)
-    }
-
-    /// Drives retransmissions with a cap on how many run this pump;
-    /// failures are always processed, deferred retransmits stay due.
-    /// Returns envelopes that failed permanently.
-    pub fn tick_budgeted(
-        &mut self,
-        net: &mut SimNetwork,
-        budget: usize,
-    ) -> b2b_network::Result<Vec<Envelope>> {
-        self.reliable.tick_budgeted(net, budget)
-    }
-
-    /// Fails every outstanding send toward `to` immediately (circuit
-    /// breaker trip) and returns the abandoned envelopes.
-    pub fn abandon_to(&mut self, to: &EndpointId) -> Vec<Envelope> {
-        self.reliable.abandon_to(to)
-    }
-
-    /// Delivery status of a previously sent message.
-    pub fn delivery_status(&self, id: &MessageId) -> b2b_network::DeliveryStatus {
-        self.reliable.delivery_status(id)
-    }
-
-    /// Sends awaiting acknowledgment or retransmission.
-    pub fn outstanding(&self) -> usize {
-        self.reliable.outstanding_count()
-    }
-
-    /// Quarantines an envelope; never drops it.
-    pub fn quarantine(
-        &mut self,
-        reason: DeadLetterReason,
-        envelope: Envelope,
-        now: b2b_network::SimTime,
-    ) {
-        self.dead_letters.push(reason, envelope, now);
-    }
-
-    pub fn dead_letters(&self) -> &DeadLetterQueue {
-        &self.dead_letters
-    }
-
-    pub fn dead_letters_mut(&mut self) -> &mut DeadLetterQueue {
-        &mut self.dead_letters
-    }
-
-    pub fn attempts(&self, id: &MessageId) -> u32 {
-        self.reliable.attempts(id)
-    }
-
-    pub fn snapshot(&self) -> b2b_network::ReliableSnapshot {
-        self.reliable.snapshot()
-    }
-
-    pub fn stats(&self) -> &b2b_network::ReliableStats {
-        self.reliable.stats()
     }
 }

@@ -26,7 +26,7 @@ pub use route::RouteError;
 use crate::engine::IntegrationEngine;
 use crate::error::Result;
 use crate::session::SessionState;
-use b2b_network::{DeliveryStatus, EndpointId, Envelope, MessageId, SimNetwork};
+use b2b_network::{EndpointId, Envelope, MessageId, SimNetwork};
 use b2b_protocol::FailureNotice;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -52,7 +52,7 @@ impl IntegrationEngine {
 
         // Stage 1: the edge drains the wire and classifies traffic.
         let edge_started = Instant::now();
-        let batch = self.edge.receive(net)?;
+        let batch = self.edge.reliable.receive_classified(net)?;
         self.profile.timers.edge_ns += edge_started.elapsed().as_nanos() as u64;
         self.profile.counters.edge_notices += batch.notices.len() as u64;
         self.profile.counters.edge_payloads += batch.payloads.len() as u64;
@@ -78,17 +78,17 @@ impl IntegrationEngine {
 
         // Stage 5: wire health. Retransmissions run under the pump send
         // budget; permanent failures fail their sessions, feed the
-        // breaker, and are dead-lettered; acknowledged sends are swept
-        // (closing breaker streaks and reclaiming their ledger entries);
-        // the bounded send queue flushes with the leftover budget.
+        // breaker, and are dead-lettered; then the acks drained in stage 1
+        // close breaker streaks and release their sends; the bounded send
+        // queue flushes with the leftover budget.
         let budget = self.health.policy().pump_send_budget;
-        let retries_before = self.edge.stats().retries;
-        let failed = self.edge.tick_budgeted(net, budget)?;
-        let retransmitted = (self.edge.stats().retries - retries_before) as usize;
-        for envelope in failed {
-            self.fail_wire_delivery(net, envelope)?;
+        let retries_before = self.edge.reliable.stats().retries;
+        let failed = self.edge.reliable.tick_budgeted(net, budget)?;
+        let retransmitted = (self.edge.reliable.stats().retries - retries_before) as usize;
+        for (envelope, attempts) in failed {
+            self.fail_wire_delivery(net, envelope, attempts)?;
         }
-        self.sweep_acknowledged();
+        self.apply_acks(batch.acked);
         self.flush_pending_sends(net, budget.saturating_sub(retransmitted))?;
 
         // Stage 6: failure containment — tell counterparties about
@@ -103,8 +103,12 @@ impl IntegrationEngine {
     /// fails, the envelope is quarantined (linked to its origin letter if
     /// it was a replay), and the failure feeds the partner's breaker —
     /// tripping it abandons every other outstanding send on that link.
-    fn fail_wire_delivery(&mut self, net: &mut SimNetwork, envelope: Envelope) -> Result<()> {
-        let attempts = self.edge.attempts(&envelope.id);
+    fn fail_wire_delivery(
+        &mut self,
+        net: &mut SimNetwork,
+        envelope: Envelope,
+        attempts: u32,
+    ) -> Result<()> {
         if let Some(index) = self.outstanding_wire.remove(&envelope.id) {
             self.stats.delivery_failures += 1;
             self.table.mark_failure(
@@ -126,26 +130,18 @@ impl IntegrationEngine {
         Ok(())
     }
 
-    /// Sweeps the outstanding-wire ledger for acknowledged messages:
-    /// each is an observed delivery success for its partner's breaker,
-    /// and its ledger entry is reclaimed (acknowledged entries used to
-    /// accumulate for the life of the engine). Acknowledged replays,
-    /// notices included, drop their provenance entry.
-    fn sweep_acknowledged(&mut self) {
-        let acked: Vec<(MessageId, usize)> = self
-            .outstanding_wire
-            .iter()
-            .filter(|(id, _)| self.edge.delivery_status(id) == DeliveryStatus::Acknowledged)
-            .map(|(id, &index)| (id.clone(), index))
-            .collect();
-        for (id, index) in acked {
-            self.outstanding_wire.remove(&id);
-            let partner = self.table.session(index).partner.clone();
-            self.health.record_success(&partner);
+    /// Applies one pump's acknowledgments: each acknowledged payload is
+    /// an observed delivery success for its partner's breaker and leaves
+    /// the outstanding-wire map; an acknowledged replay, notices
+    /// included, drops its provenance entry.
+    fn apply_acks(&mut self, acked: Vec<MessageId>) {
+        for id in acked {
+            if let Some(index) = self.outstanding_wire.remove(&id) {
+                let partner = self.table.session(index).partner.clone();
+                self.health.record_success(&partner);
+            }
+            self.replay_origins.remove(&id);
         }
-        let edge = &self.edge;
-        self.replay_origins
-            .retain(|id, _| edge.delivery_status(id) != DeliveryStatus::Acknowledged);
     }
 
     /// Applies the per-partner inbound cap to one pump's payload batch:

@@ -75,7 +75,7 @@ impl IntegrationEngine {
         now: b2b_network::SimTime,
     ) {
         self.stats.dead_lettered += 1;
-        self.edge.quarantine(reason, envelope, now);
+        self.edge.dead_letters.push(reason, envelope, now);
     }
 
     /// Quarantines a permanently failed wire message. A message that was
@@ -90,18 +90,13 @@ impl IntegrationEngine {
         now: b2b_network::SimTime,
     ) {
         self.stats.dead_lettered += 1;
+        let reason = DeadLetterReason::DeliveryFailure { attempts };
         match self.replay_origins.remove(&envelope.id) {
             Some((origin_seq, replays)) => {
-                self.edge.dead_letters_mut().push_linked(
-                    DeadLetterReason::DeliveryFailure { attempts },
-                    envelope,
-                    now,
-                    origin_seq,
-                    replays,
-                );
+                self.edge.dead_letters.push_linked(reason, envelope, now, origin_seq, replays);
             }
             None => {
-                self.edge.quarantine(DeadLetterReason::DeliveryFailure { attempts }, envelope, now)
+                self.edge.dead_letters.push(reason, envelope, now);
             }
         }
     }
@@ -116,8 +111,7 @@ impl IntegrationEngine {
             return Ok(());
         };
         let endpoint = p.endpoint.clone();
-        for envelope in self.edge.abandon_to(&endpoint) {
-            let attempts = self.edge.attempts(&envelope.id);
+        for (envelope, attempts) in self.edge.reliable.abandon_to(&endpoint) {
             if let Some(index) = self.outstanding_wire.remove(&envelope.id) {
                 self.stats.delivery_failures += 1;
                 self.health.stats_mut().fast_failed_sessions += 1;

@@ -1,9 +1,12 @@
 //! Document schemas and validation.
 //!
-//! Each format defines schemas for the document kinds it carries. Bindings
-//! validate documents when they cross an abstraction boundary so that a
-//! malformed partner message is rejected at the edge, not deep inside a
-//! private process.
+//! Only the normalized format has schemas (`normalized::po_schema` and
+//! `normalized::poa_schema`), and nothing validates at a boundary: the
+//! callers of [`Schema::validate`] are `normalized::PoBuilder::build`
+//! and `normalized::build_poa`, which check what they build, and tests,
+//! which check what the mapping programs produce. A malformed partner
+//! message is rejected by its codec or by a mapping rule, not by a
+//! schema.
 
 use crate::document::{DocKind, Document};
 use crate::formats::FormatId;

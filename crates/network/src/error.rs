@@ -12,8 +12,6 @@ pub enum NetworkError {
     UnknownEndpoint { endpoint: String },
     /// An endpoint id was registered twice.
     DuplicateEndpoint { endpoint: String },
-    /// The reliable layer gave up on a message after exhausting retries.
-    DeliveryFailed { message: String, to: String, attempts: u32 },
 }
 
 impl fmt::Display for NetworkError {
@@ -22,9 +20,6 @@ impl fmt::Display for NetworkError {
             Self::UnknownEndpoint { endpoint } => write!(f, "unknown endpoint `{endpoint}`"),
             Self::DuplicateEndpoint { endpoint } => {
                 write!(f, "endpoint `{endpoint}` already registered")
-            }
-            Self::DeliveryFailed { message, to, attempts } => {
-                write!(f, "message `{message}` to `{to}` failed after {attempts} attempts")
             }
         }
     }

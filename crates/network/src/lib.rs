@@ -35,8 +35,7 @@ pub use fault::{FaultConfig, FaultPhase, FaultSchedule};
 pub use fnv::{Fnv1a, FnvBuildHasher, FnvMap, FnvSet};
 pub use message::{checksum_of, EndpointId, Envelope, MessageId, WireClass};
 pub use reliable::{
-    BackoffPolicy, DeliveryStatus, InboundBatch, ReliableConfig, ReliableEndpoint,
-    ReliableSnapshot, ReliableStats,
+    BackoffPolicy, InboundBatch, ReliableConfig, ReliableEndpoint, ReliableSnapshot, ReliableStats,
 };
 pub use rng::SimRng;
 pub use sim::{NetworkStats, SimNetwork};

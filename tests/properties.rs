@@ -964,7 +964,9 @@ proptest! {
         // reliable layer ends in exactly one observable place: surfaced
         // once (and uncorrupted) at the receiver, or returned by `tick` as
         // permanently failed for dead-lettering — never silently lost, and
-        // never surfaced twice.
+        // never surfaced twice. At the sender every send ends exactly
+        // once, acknowledged or returned failed, never both, and only a
+        // delivered message is ever acknowledged.
         let faults = FaultConfig { loss, duplicate, corrupt, min_delay_ms: 1, max_delay_ms: 40 };
         let mut net = SimNetwork::new(faults, seed);
         let config = ReliableConfig::fixed(50, 6);
@@ -979,22 +981,36 @@ proptest! {
         }
         let mut delivered = BTreeSet::new();
         let mut dead = BTreeSet::new();
+        let mut acked = BTreeSet::new();
         for _ in 0..1_000 {
             net.advance(10);
-            dead.extend(a.tick(&mut net).unwrap().into_iter().map(|e| e.id));
+            for (env, _) in a.tick(&mut net).unwrap() {
+                let id = env.id.clone();
+                prop_assert!(!acked.contains(&id), "message {id} failed after its ack");
+                prop_assert!(dead.insert(env.id), "message {id} failed twice");
+            }
             for env in b.receive(&mut net).unwrap() {
                 prop_assert!(env.verify_integrity(), "corrupt payload surfaced");
                 let id = env.id.clone();
                 prop_assert!(delivered.insert(env.id), "duplicate surfaced: {id}");
             }
-            a.receive(&mut net).unwrap();
+            for id in a.receive_classified(&mut net).unwrap().acked {
+                prop_assert!(!dead.contains(&id), "message {id} acknowledged after it failed");
+                prop_assert!(acked.insert(id.clone()), "message {id} acknowledged twice");
+            }
         }
         for id in &sent {
             prop_assert!(
                 delivered.contains(id) || dead.contains(id),
                 "message {id} was silently lost"
             );
+            prop_assert!(
+                acked.contains(id) || dead.contains(id),
+                "message {id} never ended at the sender"
+            );
         }
+        prop_assert_eq!(acked.len() + dead.len(), sent.len(), "an end the sender never sent");
+        prop_assert!(acked.is_subset(&delivered), "an undelivered message was acknowledged");
     }
 
     #[test]
