@@ -28,13 +28,15 @@ cargo build --offline --release --workspace
 echo "== cargo test =="
 cargo test --offline -q --workspace
 
-# The hub benchmark's correctness checks on its two listed workloads: a
-# one-second run exits 1 if any pass misses a completion, reply, rule
-# run, back-end order or dead-letter check. Traced passes also run the
-# harness's codec probe (a normalized PO through the public transform and
-# format registries: to EDI, encode, decode) and the per-layer ledger.
-echo "== hubbench (rfq_bulk, po_exchange: correctness checks, traced) =="
-for workload in rfq_bulk po_exchange; do
+# The hub benchmark's correctness checks on its two listed workloads and
+# on rfq_population, the one workload that starts sessions with
+# `initiate` rather than `initiate_deferred`: a one-second run exits 1 if
+# any pass misses a completion, reply, rule run, back-end order or
+# dead-letter check. Traced passes also run the harness's codec probe (a
+# normalized PO through the public transform and format registries: to
+# EDI, encode, decode) and the per-layer ledger.
+echo "== hubbench (rfq_bulk, po_exchange, rfq_population: correctness checks, traced) =="
+for workload in rfq_bulk po_exchange rfq_population; do
   cargo run --offline --release -q --manifest-path hubbench/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1
 done

@@ -187,16 +187,16 @@ fn builtin_dispatch_allocations_stay_pinned() {
 fn text_codec_allocations_stay_pinned() {
     // Allocator calls of each text codec on its sample PO (7 units):
     // `decode_bytes` asks for the document it builds plus the walker's
-    // token list (the XML walker's is an element tree), and `encode_into`
-    // a buffer grown by an earlier encode asks for nothing.
+    // token list (the XML walker's is its flat element index), and
+    // `encode_into` a buffer grown by an earlier encode asks for nothing.
     use b2b_document::formats::{sample_oagis_po, sample_oracle_po, sample_rn_po, sample_sap_po};
     use b2b_network::Bytes;
 
     let formats = FormatRegistry::with_builtins();
     let pins = [
         (sample_edi_po("4711", 7), 26, 0),
-        (sample_rn_po("4711", 7), 100, 0),
-        (sample_oagis_po("4711", 7), 105, 0),
+        (sample_rn_po("4711", 7), 20, 0),
+        (sample_oagis_po("4711", 7), 20, 0),
         (sample_sap_po("4711", 7), 25, 0),
         (sample_oracle_po("4711", 7), 13, 0),
     ];
@@ -214,6 +214,39 @@ fn text_codec_allocations_stay_pinned() {
         assert!(decode.allocations <= decode_pin, "{} decode: {decode:?}", doc.format());
         assert!(encode.allocations <= encode_pin, "{} encode: {encode:?}", doc.format());
     }
+}
+
+fn xml_decode_allocations_are_independent_of_layout_and_text_volume() {
+    // The RosettaNet quote is the payload the hub decodes most (most of
+    // an RFQ broadcast's routed documents). Its decode asks for the flat
+    // element index plus the document's records and owned texts: the
+    // same calls whether the payload is indented or its texts are long,
+    // as whitespace between tags is dropped and text is read in place.
+    use b2b_network::Bytes;
+
+    let formats = FormatRegistry::with_builtins();
+    let path =
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/wire/rosettanet.quote.txt");
+    let compact = std::fs::read_to_string(path).expect("the recorded quote");
+    let pretty = compact.replace("><", ">\n  <");
+    let seller = "Gadget Supply Co";
+    let long = compact.replace(seller, &[seller; 30].join(" "));
+    assert!(long.len() > compact.len() + 400, "the texts really differ in volume");
+    let decode = |wire: &str| {
+        let wire = Bytes::from(wire.as_bytes().to_vec());
+        let decode = || formats.decode_bytes(&FormatId::ROSETTANET, &wire).expect("decode");
+        std::hint::black_box(decode());
+        let (doc, delta) = alloc_count::measure(decode);
+        (doc, delta.allocations)
+    };
+    let (doc, calls) = decode(&compact);
+    assert!(calls <= 14, "quote decode: {calls} allocator calls");
+    let (pretty_doc, pretty_calls) = decode(&pretty);
+    assert_eq!(pretty_doc, doc, "indentation changed the document");
+    assert_eq!(pretty_calls, calls, "indentation changed the allocator calls");
+    let (long_doc, long_calls) = decode(&long);
+    assert_ne!(long_doc, doc);
+    assert_eq!(long_calls, calls, "longer texts changed the allocator calls");
 }
 
 fn parsing_a_currency_or_an_amount_allocates_nothing() {
@@ -559,7 +592,7 @@ fn run_flat_cost(seed: u64, base_idle: usize, active_per_phase: usize) -> Result
 /// Runs the tests in order on this thread; an optional first non-flag
 /// argument filters them by name. Exits non-zero if any test panicked.
 fn main() {
-    let tests: [(&str, fn()); 11] = [
+    let tests: [(&str, fn()); 12] = [
         ("counting_allocator_sees_a_boxed_allocation", counting_allocator_sees_a_boxed_allocation),
         (
             "repeated_po_round_trips_are_allocation_steady",
@@ -571,6 +604,10 @@ fn main() {
         ),
         ("builtin_dispatch_allocations_stay_pinned", builtin_dispatch_allocations_stay_pinned),
         ("text_codec_allocations_stay_pinned", text_codec_allocations_stay_pinned),
+        (
+            "xml_decode_allocations_are_independent_of_layout_and_text_volume",
+            xml_decode_allocations_are_independent_of_layout_and_text_volume,
+        ),
         (
             "parsing_a_currency_or_an_amount_allocates_nothing",
             parsing_a_currency_or_an_amount_allocates_nothing,

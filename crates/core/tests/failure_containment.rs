@@ -442,6 +442,52 @@ fn truncated_binary_payload_feeds_the_poison_ladder() {
     assert_eq!(seller.breaker_state(BUYER), BreakerState::Open);
 }
 
+/// Sends `payload` once from a raw endpoint posing as the buyer's edge,
+/// as a failure notice when `notice` is set, and asserts that every pump
+/// of the seller returns `Ok` and that the payload ends as the seller's
+/// one decode failure and its one dead letter.
+fn assert_dead_letters_as_a_decode_failure(notice: bool, payload: Vec<u8>) {
+    use b2b_document::FormatId;
+    use b2b_network::{Bytes, EndpointId, ReliableEndpoint};
+
+    let mut net = SimNetwork::new(FaultConfig::reliable(), 35);
+    let mut seller = IntegrationEngine::new(SELLER, &mut net).unwrap();
+    seller.add_partner(TradingPartner::new(BUYER));
+    let buyer_ep = EndpointId::new(format!("ep:{BUYER}"));
+    let seller_ep = EndpointId::new(format!("ep:{SELLER}"));
+    let mut raw = ReliableEndpoint::new(buyer_ep, ReliableConfig::default(), &mut net).unwrap();
+    let payload = Bytes::from(payload);
+    if notice {
+        raw.send_notify(&mut net, &seller_ep, FormatId::ROSETTANET, payload).unwrap();
+    } else {
+        raw.send(&mut net, &seller_ep, FormatId::ROSETTANET, payload).unwrap();
+    }
+    for _ in 0..5 {
+        net.advance(10);
+        seller.pump(&mut net).unwrap();
+        raw.receive(&mut net).unwrap();
+    }
+    assert_eq!(seller.stats().decode_failures, 1);
+    let letters: Vec<_> = seller.dead_letters().iter().map(|l| &l.reason).collect();
+    assert!(matches!(letters[..], [DeadLetterReason::DecodeFailure(_)]), "{letters:?}");
+}
+
+/// A RosettaNet payload nested 100,000 elements deep is a decode failure
+/// like any other: the XML reader does not recurse per element, so it
+/// cannot overflow its stack.
+#[test]
+fn deeply_nested_xml_payload_dead_letters_as_a_decode_failure() {
+    let payload = format!("<Pip3A1Quote>{}", "<a>".repeat(100_000));
+    assert_dead_letters_as_a_decode_failure(false, payload.into_bytes());
+}
+
+/// A failure notice whose JSON body opens 100,000 arrays is refused at
+/// the recursion limit instead of overflowing the parser's stack.
+#[test]
+fn deeply_nested_failure_notice_dead_letters_as_a_decode_failure() {
+    assert_dead_letters_as_a_decode_failure(true, "[".repeat(100_000).into_bytes());
+}
+
 /// Two replies that miss their receipt deadline fail as two sends: each
 /// owning session fails, each counterparty session is notified, and each
 /// reply gets its own payload dead letter.

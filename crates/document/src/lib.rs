@@ -10,8 +10,7 @@
 //! The crate also implements the wire syntaxes from scratch. [`formats`]
 //! holds one walker per syntax family (X12 segments, XML elements, keyed
 //! lines), each driven by one field table per (format, kind), plus the
-//! binary codec and the [`formats::FormatRegistry`]; [`xml`] is the XML
-//! reader the XML walker parses with.
+//! binary codec and the [`formats::FormatRegistry`].
 //!
 //! Higher layers never parse wire syntax themselves; they speak documents.
 
@@ -27,7 +26,6 @@ pub mod path;
 pub mod schema;
 pub mod text;
 pub mod value;
-pub mod xml;
 
 pub use date::Date;
 pub use document::{DocKind, Document};

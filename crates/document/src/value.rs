@@ -83,7 +83,7 @@ impl FieldVec {
 
     /// Inserts or replaces a field, returning the previous value if any.
     pub fn insert(&mut self, key: Symbol, value: Value) -> Option<Value> {
-        // Codecs and compiled transforms mostly emit fields in canonical
+        // Codecs and transform programs mostly emit fields in canonical
         // order already, so the common insert is an append past the
         // current tail — no scan, no shift.
         if self.0.last().is_none_or(|(last, _)| *last < key) {

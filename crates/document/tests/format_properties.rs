@@ -1,101 +1,10 @@
-//! Property tests for the wire syntaxes: arbitrary XML trees survive the
-//! reader, generated X12 850s read back field for field and re-encode to
-//! the same bytes, and neither reader panics on garbage.
+//! Property tests for the X12 syntax: generated 850s read back field for
+//! field and re-encode to the same bytes, and the reader does not panic
+//! on garbage. The XML reader's properties are unit tests of its walker
+//! (`formats/xml.rs`), which reads an index the crate does not export.
 
-use b2b_document::xml::{parse_element, XmlElement, XmlNode};
 use b2b_document::{FormatId, FormatRegistry, Value};
 use proptest::prelude::*;
-
-// ---------------------------------------------------------------------
-// XML.
-
-fn xml_text() -> impl Strategy<Value = String> {
-    // Includes the characters that need escaping.
-    "[ -~]{1,20}".prop_map(|s| s.replace('\r', " "))
-}
-
-fn xml_name() -> impl Strategy<Value = String> {
-    "[A-Za-z][A-Za-z0-9_.-]{0,12}"
-}
-
-fn xml_tree() -> impl Strategy<Value = XmlElement> {
-    let leaf = (xml_name(), prop::option::of(xml_text())).prop_map(|(name, text)| {
-        let mut el = XmlElement::new(name);
-        if let Some(t) = text {
-            // The parser drops whitespace-only text nodes; keep them
-            // meaningful.
-            if !t.trim().is_empty() {
-                el.children.push(XmlNode::Text(t));
-            }
-        }
-        el
-    });
-    leaf.prop_recursive(3, 16, 4, |inner| {
-        (
-            xml_name(),
-            prop::collection::btree_map(xml_name(), xml_text(), 0..3),
-            prop::collection::vec(inner, 0..4),
-        )
-            .prop_map(|(name, attrs, children)| {
-                let mut el = XmlElement::new(name);
-                el.attrs = attrs;
-                for child in children {
-                    el.children.push(XmlNode::Element(child));
-                }
-                el
-            })
-    })
-}
-
-fn escape(text: &str, attr: bool) -> String {
-    let text = text.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;");
-    if attr {
-        text.replace('"', "&quot;")
-    } else {
-        text
-    }
-}
-
-/// Renders a tree as XML text, self-closing empty elements.
-fn render(el: &XmlElement, out: &mut String) {
-    out.push('<');
-    out.push_str(&el.name);
-    for (name, value) in &el.attrs {
-        out.push_str(&format!(" {name}=\"{}\"", escape(value, true)));
-    }
-    if el.children.is_empty() {
-        out.push_str("/>");
-        return;
-    }
-    out.push('>');
-    for child in &el.children {
-        match child {
-            XmlNode::Element(e) => render(e, out),
-            XmlNode::Text(t) => out.push_str(&escape(t, false)),
-        }
-    }
-    out.push_str("</");
-    out.push_str(&el.name);
-    out.push('>');
-}
-
-proptest! {
-    #[test]
-    fn xml_write_parse_roundtrip(el in xml_tree()) {
-        let mut text = String::new();
-        render(&el, &mut text);
-        let back = parse_element(&text).unwrap();
-        prop_assert_eq!(back, el);
-    }
-
-    #[test]
-    fn xml_parser_never_panics(input in ".{0,200}") {
-        let _ = parse_element(&input);
-    }
-}
-
-// ---------------------------------------------------------------------
-// X12.
 
 fn x12_element() -> impl Strategy<Value = String> {
     // Any printable characters except the delimiters; never empty, as an
