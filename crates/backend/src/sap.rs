@@ -6,7 +6,7 @@ use crate::error::{BackendError, Result};
 use crate::orderbook::{
     ack_lines, check_lines, field, required_field, OrderBook, OrderRecord, OrderState,
 };
-use b2b_document::{record, Date, DocKind, Document, FormatId, Value};
+use b2b_document::{record, Date, DocKind, Document, FormatId, Str, Value};
 use std::sync::Arc;
 
 /// SAP status codes (mirrors `b2b_document::formats` constants).
@@ -102,18 +102,16 @@ impl BackendApplication for SapSystem {
                 )?;
             let sndprn = field(stored, "EDI_DC40", "RCVPRN")
                 .and_then(|v| v.as_text("RCVPRN").ok())
-                .unwrap_or("SAPPRD")
-                .to_string();
+                .unwrap_or("SAPPRD");
             let rcvprn = field(stored, "EDI_DC40", "SNDPRN")
                 .and_then(|v| v.as_text("SNDPRN").ok())
-                .unwrap_or("PARTNER")
-                .to_string();
+                .unwrap_or("PARTNER");
             let body = record! {
                 "EDI_DC40" => record! {
                     "IDOCTYP" => Value::text("ORDRSP"),
                     "SNDPRN" => Value::text(sndprn),
                     "RCVPRN" => Value::text(rcvprn),
-                    "DOCNUM" => Value::text(format!("ordrsp-{:06}", *counter)),
+                    "DOCNUM" => Value::text(Str::from_fmt(format_args!("ordrsp-{:06}", *counter))),
                 },
                 "E1EDK01" => record! {
                     "BELNR" => Value::text(&rec.po_number),

@@ -179,26 +179,27 @@ fn builtin_dispatch_allocations_stay_pinned() {
     let (_, round_trip) = alloc_count::measure(|| pump_once(&formats, &transforms, &ctx, &wire));
     std::hint::black_box(back);
     assert_eq!(lookup.allocations, 0, "looking up a builtin conversion allocated");
-    assert!(inbound.allocations <= 10, "EDI 850 -> normalized: {inbound:?}");
-    assert!(outbound.allocations <= 24, "normalized -> EDI: {outbound:?}");
-    assert!(round_trip.allocations <= 63, "decode, both transforms, encode: {round_trip:?}");
+    assert!(inbound.allocations <= 4, "EDI 850 -> normalized: {inbound:?}");
+    assert!(outbound.allocations <= 9, "normalized -> EDI: {outbound:?}");
+    assert!(round_trip.allocations <= 25, "decode, both transforms, encode: {round_trip:?}");
 }
 
 fn text_codec_allocations_stay_pinned() {
     // Allocator calls of each text codec on its sample PO (7 units):
-    // `decode_bytes` asks for the document it builds plus the walker's
-    // token list (the XML walker's is its flat element index), and
+    // `decode_bytes` asks for the document's records and lists plus the
+    // walker's token list (the XML walker's is its flat element index) —
+    // a short text is inline and a long one a slice of the payload — and
     // `encode_into` a buffer grown by an earlier encode asks for nothing.
     use b2b_document::formats::{sample_oagis_po, sample_oracle_po, sample_rn_po, sample_sap_po};
     use b2b_network::Bytes;
 
     let formats = FormatRegistry::with_builtins();
     let pins = [
-        (sample_edi_po("4711", 7), 26, 0),
-        (sample_rn_po("4711", 7), 20, 0),
-        (sample_oagis_po("4711", 7), 20, 0),
-        (sample_sap_po("4711", 7), 25, 0),
-        (sample_oracle_po("4711", 7), 13, 0),
+        (sample_edi_po("4711", 7), 10, 0),
+        (sample_rn_po("4711", 7), 6, 0),
+        (sample_oagis_po("4711", 7), 7, 0),
+        (sample_sap_po("4711", 7), 11, 0),
+        (sample_oracle_po("4711", 7), 6, 0),
     ];
     for (doc, decode_pin, encode_pin) in pins {
         let wire = Bytes::from(formats.encode(&doc).expect("encode"));
@@ -219,9 +220,10 @@ fn text_codec_allocations_stay_pinned() {
 fn xml_decode_allocations_are_independent_of_layout_and_text_volume() {
     // The RosettaNet quote is the payload the hub decodes most (most of
     // an RFQ broadcast's routed documents). Its decode asks for the flat
-    // element index plus the document's records and owned texts: the
-    // same calls whether the payload is indented or its texts are long,
-    // as whitespace between tags is dropped and text is read in place.
+    // element index plus the document's records: the same calls whether
+    // the payload is indented or its texts are long, as whitespace
+    // between tags is dropped, a short text is inline and a long one a
+    // slice of the payload.
     use b2b_network::Bytes;
 
     let formats = FormatRegistry::with_builtins();
@@ -240,13 +242,54 @@ fn xml_decode_allocations_are_independent_of_layout_and_text_volume() {
         (doc, delta.allocations)
     };
     let (doc, calls) = decode(&compact);
-    assert!(calls <= 14, "quote decode: {calls} allocator calls");
+    assert!(calls <= 4, "quote decode: {calls} allocator calls");
     let (pretty_doc, pretty_calls) = decode(&pretty);
     assert_eq!(pretty_doc, doc, "indentation changed the document");
     assert_eq!(pretty_calls, calls, "indentation changed the allocator calls");
     let (long_doc, long_calls) = decode(&long);
     assert_ne!(long_doc, doc);
     assert_eq!(long_calls, calls, "longer texts changed the allocator calls");
+}
+
+fn short_texts_and_ids_allocate_nothing() {
+    // A text of up to `INLINE_CAP` bytes lives inside its value, and so
+    // do the ids and transform contexts made of such texts: creating and
+    // cloning one never calls the allocator.
+    use b2b_document::{CorrelationId, DocumentId, Value};
+    use b2b_network::EndpointId;
+
+    let cases: [(&str, &dyn Fn()); 5] = [
+        ("a 22-byte text", &|| {
+            let text = Value::text("GADGET-SUPPLY-CO-00042");
+            std::hint::black_box((text.clone(), text));
+        }),
+        ("a CorrelationId", &|| {
+            let id = CorrelationId::for_po_number("4500012345");
+            std::hint::black_box((id.clone(), id));
+        }),
+        ("an EndpointId", &|| {
+            let id = EndpointId::new("ep:Gadget Supply Co");
+            std::hint::black_box((id.clone(), id));
+        }),
+        ("a DocumentId::fresh", &|| {
+            let id = DocumentId::fresh("po");
+            std::hint::black_box((id.clone(), id));
+        }),
+        ("a TransformContext", &|| {
+            let ctx = TransformContext::new(
+                "ACME Manufacturing",
+                "Gadget Supply Co",
+                "000000042",
+                "i-42",
+            );
+            std::hint::black_box((ctx.clone(), ctx));
+        }),
+    ];
+    assert_eq!("GADGET-SUPPLY-CO-00042".len(), 22);
+    for (what, make_and_clone) in cases {
+        let ((), delta) = alloc_count::measure(make_and_clone);
+        assert_eq!(delta.allocations, 0, "creating and cloning {what} allocated: {delta:?}");
+    }
 }
 
 fn parsing_a_currency_or_an_amount_allocates_nothing() {
@@ -263,12 +306,13 @@ fn parsing_a_currency_or_an_amount_allocates_nothing() {
 }
 
 fn binary_decode_allocations_are_independent_of_text_payload() {
-    // The zero-copy contract of the binary codec: a cache-miss decode
-    // borrows every text node from the payload `Bytes`, so allocator
-    // traffic depends only on the document's *structure* — two documents
-    // with identical shape but wildly different string payloads must ask
-    // the allocator for exactly the same calls and bytes. A regression
-    // that reintroduces per-string-field copies breaks the equality.
+    // The zero-copy contract of the binary codec: a decode keeps every
+    // short text inline and borrows every long one from the payload
+    // `Bytes`, so allocator traffic depends only on the document's
+    // *structure* — two documents with identical shape but wildly
+    // different string payloads must ask the allocator for exactly the
+    // same calls and bytes. A regression that reintroduces per-string-
+    // field copies breaks the equality.
     use b2b_document::normalized::PoBuilder;
     use b2b_document::{
         CorrelationId, Currency, Date, DocKind, Document, DocumentId, Money, Value,
@@ -297,7 +341,7 @@ fn binary_decode_allocations_are_independent_of_text_payload() {
     assert!(long.len() > short.len() + 400, "the payloads really differ in text volume");
 
     // Warm once, then measure: the short and long decode must be
-    // allocation-identical, and every text node must borrow.
+    // allocation-identical, and no text node may own a heap copy.
     std::hint::black_box(formats.decode_bytes(&FormatId::BINARY, &short).expect("decode"));
     let (doc_short, delta_short) =
         alloc_count::measure(|| formats.decode_bytes(&FormatId::BINARY, &short).expect("decode"));
@@ -310,7 +354,7 @@ fn binary_decode_allocations_are_independent_of_text_payload() {
 
     fn all_text_borrowed(v: &Value) -> bool {
         match v {
-            Value::Text(s) => s.is_borrowed(),
+            Value::Text(s) => s.is_borrowed() || s.is_inline(),
             Value::List(items) => items.iter().all(all_text_borrowed),
             Value::Record(fields) => fields.iter().all(|(_, v)| all_text_borrowed(v)),
             _ => true,
@@ -592,7 +636,7 @@ fn run_flat_cost(seed: u64, base_idle: usize, active_per_phase: usize) -> Result
 /// Runs the tests in order on this thread; an optional first non-flag
 /// argument filters them by name. Exits non-zero if any test panicked.
 fn main() {
-    let tests: [(&str, fn()); 12] = [
+    let tests: [(&str, fn()); 13] = [
         ("counting_allocator_sees_a_boxed_allocation", counting_allocator_sees_a_boxed_allocation),
         (
             "repeated_po_round_trips_are_allocation_steady",
@@ -608,6 +652,7 @@ fn main() {
             "xml_decode_allocations_are_independent_of_layout_and_text_volume",
             xml_decode_allocations_are_independent_of_layout_and_text_volume,
         ),
+        ("short_texts_and_ids_allocate_nothing", short_texts_and_ids_allocate_nothing),
         (
             "parsing_a_currency_or_an_amount_allocates_nothing",
             parsing_a_currency_or_an_amount_allocates_nothing,

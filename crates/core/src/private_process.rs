@@ -176,15 +176,12 @@ pub fn record_quote_activity() -> Arc<dyn Activity> {
 /// (a real deployment would route to a human work list).
 pub fn approve_activity() -> Arc<dyn Activity> {
     Arc::new(|ctx: &mut ActivityContext<'_>| {
-        let po_number = ctx
-            .document("po")
-            .and_then(|po| {
-                po.get("header.po_number")
-                    .map_err(|e| e.to_string())
-                    .map(|v| v.as_text("po_number").map(str::to_string))
-            })?
-            .map_err(|e| e.to_string())?;
-        ctx.set_value("approved", b2b_document::Value::text(po_number));
+        let po_number = ctx.document("po").and_then(|po| {
+            let number = po.get("header.po_number").map_err(|e| e.to_string())?;
+            number.as_text("po_number").map_err(|e| e.to_string())?;
+            Ok(number.clone())
+        })?;
+        ctx.set_value("approved", po_number);
         Ok(())
     })
 }

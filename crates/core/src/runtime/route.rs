@@ -130,20 +130,40 @@ impl IntegrationEngine {
         Ok(())
     }
 
+    /// Rejects an inbound payload or failure notice that did not decode.
+    /// Malformed content is rejected at the edge — but kept: the raw
+    /// bytes go to the dead-letter queue for inspection and replay, never
+    /// silently dropped. The failure counts against the (authenticated)
+    /// sending partner's breaker, and the same checksum failing
+    /// repeatedly climbs the poison ladder up to partner quarantine
+    /// instead of being re-parsed forever.
+    fn reject_undecodable(
+        &mut self,
+        net: &mut SimNetwork,
+        envelope: Envelope,
+        reason: String,
+    ) -> Result<()> {
+        self.stats.decode_failures += 1;
+        let from = envelope.from.clone();
+        let checksum = envelope.checksum;
+        let now = net.now();
+        self.quarantine(DeadLetterReason::DecodeFailure(reason), envelope, now);
+        if let Ok(partner) = self.partners.name_of(&from).map(str::to_string) {
+            let tripped = self.health.record_failure(&partner, now);
+            let poisoned = self.health.record_poison(&partner, checksum, now);
+            if tripped || poisoned {
+                self.trip_partner(net, &partner)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Routes an inbound failure notification: the counterparty's half of
     /// the interaction failed, so ours terminates deterministically.
     pub(crate) fn handle_notify(&mut self, net: &mut SimNetwork, envelope: Envelope) -> Result<()> {
         let notice = match Edge::parse_notice(&envelope) {
             Ok(notice) => notice,
-            Err(e) => {
-                self.stats.decode_failures += 1;
-                self.quarantine(
-                    DeadLetterReason::DecodeFailure(e.to_string()),
-                    envelope,
-                    net.now(),
-                );
-                return Ok(());
-            }
+            Err(e) => return self.reject_undecodable(net, envelope, e.to_string()),
         };
         self.stats.notifications_received += 1;
         // Correlations starting with `*` are partner-level signals (e.g.
@@ -197,32 +217,7 @@ impl IntegrationEngine {
     pub(crate) fn route_inbound(&mut self, net: &mut SimNetwork, envelope: Envelope) -> Result<()> {
         let doc = match self.edge.decode(&envelope) {
             Ok(doc) => doc,
-            Err(e) => {
-                // Malformed content is rejected at the edge — but kept:
-                // the raw bytes go to the dead-letter queue for inspection
-                // and replay, never silently dropped.
-                self.stats.decode_failures += 1;
-                let from = envelope.from.clone();
-                let checksum = envelope.checksum;
-                self.quarantine(
-                    DeadLetterReason::DecodeFailure(e.to_string()),
-                    envelope,
-                    net.now(),
-                );
-                // Breaker input: a decode failure attributed to the
-                // (authenticated) sending partner; the same checksum
-                // failing repeatedly climbs the poison ladder up to
-                // partner quarantine instead of being re-parsed forever.
-                if let Ok(partner) = self.partners.name_of(&from).map(str::to_string) {
-                    let now = net.now();
-                    let tripped = self.health.record_failure(&partner, now);
-                    let poisoned = self.health.record_poison(&partner, checksum, now);
-                    if tripped || poisoned {
-                        self.trip_partner(net, &partner)?;
-                    }
-                }
-                return Ok(());
-            }
+            Err(e) => return self.reject_undecodable(net, envelope, e.to_string()),
         };
         self.stats.wire_received += 1;
         let correlation = doc.correlation().clone();

@@ -169,6 +169,9 @@ pub(crate) struct SessionTable {
     /// visit order matches the historical full-scan order (ascending
     /// index).
     pending_failed: BTreeSet<usize>,
+    /// `refresh_instances`' buffer of touched session indices, kept
+    /// between calls so a refresh allocates nothing.
+    touched_scratch: Vec<usize>,
 }
 
 impl SessionTable {
@@ -355,11 +358,15 @@ impl SessionTable {
     /// Folds a batch of touched instances back into the caches: each
     /// owning session is recomputed exactly once.
     pub fn refresh_instances(&mut self, wf: &WfEngine, touched: &[InstanceId]) {
-        let indices: BTreeSet<usize> =
-            touched.iter().filter_map(|id| self.index_of_instance(*id)).collect();
-        for index in indices {
+        let mut indices = std::mem::take(&mut self.touched_scratch);
+        indices.clear();
+        indices.extend(touched.iter().filter_map(|id| self.index_of_instance(*id)));
+        indices.sort_unstable();
+        indices.dedup();
+        for &index in &indices {
             self.refresh(index, wf);
         }
+        self.touched_scratch = indices;
     }
 
     /// Measured retained memory of the table: every slot vector, index,
@@ -390,7 +397,8 @@ impl SessionTable {
             + self.by_instance.capacity() * size_of::<u32>()
             + self.groups.capacity() * size_of::<Group>()
             + self.groups.iter().map(|g| g.members.capacity() * size_of::<u32>()).sum::<usize>()
-            + self.pending_failed.len() * size_of::<usize>();
+            + self.pending_failed.len() * size_of::<usize>()
+            + self.touched_scratch.capacity() * size_of::<usize>();
         crate::metrics::SessionMemory {
             sessions: self.sessions.len(),
             bytes,
@@ -445,9 +453,10 @@ fn compute_state(session: &Session, wf: &WfEngine) -> SessionState {
     if let Some(reason) = &session.failure {
         return SessionState::Failed(reason.clone());
     }
-    let mut instances = vec![session.public, session.binding];
-    instances.extend(session.private);
-    instances.extend(session.backend_binding);
+    let instances = [session.public, session.binding]
+        .into_iter()
+        .chain(session.private)
+        .chain(session.backend_binding);
     let mut all_complete = true;
     for id in instances {
         match wf.status(id) {

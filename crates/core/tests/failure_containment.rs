@@ -400,6 +400,45 @@ fn repeated_poison_escalates_to_partner_quarantine() {
     assert_eq!(seller.breaker_state(BUYER), BreakerState::HalfOpen);
 }
 
+/// Undecodable failure notices climb the same poison ladder as
+/// undecodable payloads: the third identical one quarantines the partner.
+#[test]
+fn repeated_undecodable_notices_escalate_to_partner_quarantine() {
+    use b2b_core::{BreakerState, PartnerPolicy};
+    use b2b_network::{Bytes, EndpointId, ReliableEndpoint};
+
+    let mut net = SimNetwork::new(FaultConfig::reliable(), 31);
+    let mut seller = IntegrationEngine::new(SELLER, &mut net).unwrap();
+    seller.add_partner(TradingPartner::new(BUYER));
+    let policy =
+        PartnerPolicy { poison_threshold: 3, open_ms: 10_000, ..PartnerPolicy::permissive() };
+    seller.set_partner_policy(policy);
+
+    let buyer_ep = EndpointId::new(format!("ep:{BUYER}"));
+    let seller_ep = EndpointId::new(format!("ep:{SELLER}"));
+    let mut raw = ReliableEndpoint::new(buyer_ep, ReliableConfig::default(), &mut net).unwrap();
+    let poison = b"this will never parse as a failure notice";
+    for round in 0..3 {
+        raw.send_notify(
+            &mut net,
+            &seller_ep,
+            b2b_document::FormatId::EDI_X12,
+            Bytes::from(poison.to_vec()),
+        )
+        .unwrap();
+        for _ in 0..5 {
+            net.advance(10);
+            seller.pump(&mut net).unwrap();
+            raw.receive(&mut net).unwrap();
+        }
+        assert_eq!(seller.stats().decode_failures, round + 1);
+    }
+
+    assert_eq!(seller.dead_letters().len(), 3, "every poison notice is kept for inspection");
+    assert_eq!(seller.health_stats().poison_trips, 1);
+    assert_eq!(seller.breaker_state(BUYER), BreakerState::Open);
+}
+
 /// A truncated binary payload climbs the same poison ladder as corrupt
 /// text: the decoder NACKs it (no panic on the cut-short length
 /// prefixes), each copy dead-letters, and the third identical copy

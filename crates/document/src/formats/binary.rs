@@ -24,9 +24,9 @@
 //! forward pass with every length bounds-checked against the remaining
 //! payload before it allocates, so truncated or corrupt payloads fail
 //! with a [`DocumentError::Parse`] (and feed the poison ladder) instead
-//! of panicking or over-allocating. When decoding from a shared
-//! [`Bytes`] payload, text nodes become zero-copy [`Str`] slices of the
-//! payload itself.
+//! of panicking or over-allocating. Texts and ids are [`Str`]s: inline
+//! when short, and when decoding from a shared [`Bytes`] payload, a long
+//! one is a zero-copy slice of the payload itself.
 
 use super::{FormatCodec, FormatId};
 use crate::document::{DocKind, Document};
@@ -166,8 +166,8 @@ impl BinaryCodec {
     }
 
     /// One decode body serving both entry points: `share` carries the
-    /// payload buffer when the caller owns a [`Bytes`], making every text
-    /// node a zero-copy slice; without it text is copied out.
+    /// payload buffer when the caller owns a [`Bytes`], making every long
+    /// text a zero-copy slice; without it a long text is copied out.
     fn decode_impl(&self, data: &[u8], share: Option<&Bytes>) -> Result<Document> {
         let mut cur = Cursor { data, pos: 0, share };
         let magic = cur.take(2, "magic")?;
@@ -181,8 +181,8 @@ impl BinaryCodec {
         let kind_byte = cur.u8("kind")?;
         let kind = tag_kind(kind_byte)
             .ok_or_else(|| cur.err_at(3, format!("unknown document kind tag {kind_byte}")))?;
-        let id = cur.str_owned("document id")?;
-        let correlation = cur.str_owned("correlation id")?;
+        let id = cur.str("document id")?;
+        let correlation = cur.str("correlation id")?;
         let body = cur.node(0)?;
         if cur.pos != data.len() {
             return Err(cur.err(format!("{} trailing bytes after document", data.len() - cur.pos)));
@@ -255,30 +255,22 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads a length-prefixed string as a borrowed `&str` (no copy).
-    fn str_ref(&mut self, what: &str) -> Result<(&'a str, usize)> {
+    fn str_ref(&mut self, what: &str) -> Result<&'a str> {
         let len = self.u32(what)? as usize;
         let start = self.pos;
         let bytes = self.take(len, what)?;
-        let text = std::str::from_utf8(bytes).map_err(|e| {
-            self.err_at(start + e.valid_up_to(), format!("{what} is not valid UTF-8"))
-        })?;
-        Ok((text, start))
+        std::str::from_utf8(bytes)
+            .map_err(|e| self.err_at(start + e.valid_up_to(), format!("{what} is not valid UTF-8")))
     }
 
-    fn str_owned(&mut self, what: &str) -> Result<String> {
-        self.str_ref(what).map(|(s, _)| s.to_string())
-    }
-
-    /// Reads a text node payload as a [`Str`] — zero-copy when decoding
-    /// from a shared buffer.
-    fn text(&mut self) -> Result<Str> {
-        let (text, start) = self.str_ref("text")?;
-        match self.share {
-            // `str_ref` validated bounds and UTF-8 on this exact range,
-            // so `Str::shared` cannot fail here.
-            Some(buf) => Str::shared(buf, start, text.len()),
-            None => Ok(Str::from(text)),
-        }
+    /// Reads a length-prefixed string as a [`Str`]: inline when short,
+    /// else a slice of the shared buffer when decoding from one.
+    fn str(&mut self, what: &str) -> Result<Str> {
+        let text = self.str_ref(what)?;
+        Ok(match self.share {
+            Some(buf) => Str::in_payload(buf, text),
+            None => Str::from(text),
+        })
     }
 
     fn node(&mut self, depth: u32) -> Result<Value> {
@@ -307,7 +299,7 @@ impl<'a> Cursor<'a> {
                         .map_err(|e| self.err(format!("invalid date: {e}")))?,
                 )
             }
-            TAG_TEXT => Value::Text(self.text()?),
+            TAG_TEXT => Value::Text(self.str("text")?),
             TAG_LIST => {
                 let count = self.u32("list count")? as usize;
                 // Each element is at least one tag byte, so a count larger
@@ -336,7 +328,7 @@ impl<'a> Cursor<'a> {
                 }
                 let mut fields = FieldVec::with_capacity(count);
                 for _ in 0..count {
-                    let (key, _) = self.str_ref("record key")?;
+                    let key = self.str_ref("record key")?;
                     let sym = intern(key);
                     let value = self.node(depth + 1)?;
                     fields.insert(sym, value);
@@ -444,16 +436,19 @@ mod tests {
     }
 
     #[test]
-    fn shared_decode_borrows_text_from_the_payload() {
-        let doc = sample_binary_po("4712", 2);
+    fn shared_decode_borrows_long_text_from_the_payload() {
+        let mut doc = sample_binary_po("4712", 2);
+        let long = "Acme Manufacturing, Procurement Department";
+        doc.set("header.seller", Value::text(long)).unwrap();
         let wire = Bytes::from(BinaryCodec.encode(&doc).unwrap());
         let back = BinaryCodec.decode_bytes(&wire).unwrap();
         assert_eq!(back.body(), doc.body());
-        let buyer = back.get("header.buyer").unwrap();
-        match buyer {
-            Value::Text(s) => assert!(s.is_borrowed(), "shared decode must not copy text"),
+        let text = |path: &str| match back.get(path).unwrap() {
+            Value::Text(s) => s.clone(),
             other => panic!("expected text, got {other:?}"),
-        }
+        };
+        assert!(text("header.seller").is_borrowed(), "shared decode must not copy text");
+        assert!(text("header.buyer").is_inline(), "a short text must not pin the payload");
     }
 
     #[test]

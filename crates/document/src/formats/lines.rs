@@ -9,6 +9,7 @@ use super::table::{
 use crate::document::Document;
 use crate::error::Result;
 use crate::value::FieldVec;
+use bytes::Bytes;
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -75,7 +76,11 @@ impl<'a> Lines<'a> {
     }
 }
 
-pub(crate) fn decode(format: &'static Format, text: &str) -> Result<Document> {
+pub(crate) fn decode(
+    format: &'static Format,
+    text: &str,
+    payload: Option<&Bytes>,
+) -> Result<Document> {
     let lines = Lines::parse(format, text)?;
     let root = Group { lines: &lines, record: None };
     let kind = match format.syntax {
@@ -110,7 +115,7 @@ pub(crate) fn decode(format: &'static Format, text: &str) -> Result<Document> {
             kind
         }
     };
-    table::read(format, kind, &root)
+    table::read(format, kind, &root, payload)
 }
 
 /// The payload's records, or one of them.

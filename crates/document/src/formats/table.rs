@@ -17,7 +17,9 @@ use crate::error::{DocumentError, Result};
 use crate::ids::{CorrelationId, DocumentId};
 use crate::intern::intern;
 use crate::money::{Currency, Money};
+use crate::text::Str;
 use crate::value::{ElementAt, FieldVec, Value};
+use bytes::Bytes;
 use std::borrow::Cow;
 use std::fmt;
 use std::io::Write as _;
@@ -194,11 +196,23 @@ impl FormatCodec for TableCodec {
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<Document> {
+        self.read(bytes, None)
+    }
+
+    /// Reads texts longer than [`INLINE_CAP`](crate::text::INLINE_CAP)
+    /// bytes in place, as slices of `bytes`.
+    fn decode_bytes(&self, bytes: &Bytes) -> Result<Document> {
+        self.read(bytes, Some(bytes))
+    }
+}
+
+impl TableCodec {
+    fn read(&self, bytes: &[u8], payload: Option<&Bytes>) -> Result<Document> {
         let text = std::str::from_utf8(bytes).map_err(|_| parse_err(self.0, "not UTF-8"))?;
         match self.0.syntax {
-            Syntax::X12 => x12::decode(self.0, text),
-            Syntax::Xml => xml::decode(self.0, text),
-            Syntax::Idoc(..) | Syntax::Rows => lines::decode(self.0, text),
+            Syntax::X12 => x12::decode(self.0, text, payload),
+            Syntax::Xml => xml::decode(self.0, text, payload),
+            Syntax::Idoc(..) | Syntax::Rows => lines::decode(self.0, text, payload),
         }
     }
 }
@@ -235,24 +249,28 @@ pub(crate) trait Source: Sized {
     fn missing(&self, node: &Node, position: usize, line: Option<usize>) -> String;
 }
 
-struct Reader {
+struct Reader<'p> {
     format: &'static Format,
     kind: &'static Kind,
+    /// The payload the walker parsed, when texts may borrow from it.
+    payload: Option<&'p Bytes>,
     currency: Option<Currency>,
     line: Option<usize>,
-    id: Option<String>,
-    correlation: Option<String>,
+    id: Option<Str>,
+    correlation: Option<Str>,
 }
 
 /// Reads a document of `kind` from the root group of a parsed payload,
-/// in table order.
+/// in table order. With `payload`, the buffer the walker parsed, a long
+/// text the walker read in place becomes a slice of it.
 pub(crate) fn read<S: Source>(
     format: &'static Format,
     kind: &'static Kind,
     root: &S,
+    payload: Option<&Bytes>,
 ) -> Result<Document> {
     let (currency, line, id, correlation) = (None, None, None, None);
-    let mut r = Reader { format, kind, currency, line, id, correlation };
+    let mut r = Reader { format, kind, payload, currency, line, id, correlation };
     let mut body = FieldVec::with_capacity(kind.body.len());
     r.fill(root, kind.body, &mut body)?;
     Ok(Document::with_id(
@@ -264,7 +282,7 @@ pub(crate) fn read<S: Source>(
     ))
 }
 
-impl Reader {
+impl Reader<'_> {
     fn err(&self, reason: impl Into<String>) -> DocumentError {
         parse_err(self.format, reason)
     }
@@ -359,25 +377,35 @@ impl Reader {
         src.text(node, position).ok_or_else(|| self.err(src.missing(node, position, self.line)))
     }
 
+    /// A text field's value: borrowed from the payload when it lies
+    /// there and is too long to keep inline.
+    fn text_value(&self, text: &str) -> Value {
+        Value::Text(match self.payload {
+            Some(payload) => Str::in_payload(payload, text),
+            None => Str::from(text),
+        })
+    }
+
     fn value(&mut self, text: &str, ty: Ty, name: &str) -> Result<Value> {
         let format = self.format;
         Ok(match ty {
-            Ty::Text | Ty::Selector => Value::text(text),
+            Ty::Text | Ty::Selector => self.text_value(text),
             Ty::Currency => {
                 self.currency = Some(Currency::parse(text)?);
-                Value::text(text)
+                self.text_value(text)
             }
             Ty::Id => {
-                self.id = Some(format!("{}{text}", self.kind.id));
-                Value::text(text)
+                self.id = Some(Str::from_fmt(format_args!("{}{text}", self.kind.id)));
+                self.text_value(text)
             }
             Ty::Key => {
                 // A kind's `Id` field, where it has one, makes the id.
                 if self.id.is_none() {
-                    self.id = Some(format!("{}{text}", self.kind.id));
+                    self.id = Some(Str::from_fmt(format_args!("{}{text}", self.kind.id)));
                 }
-                self.correlation = Some(format!("{}{text}", self.kind.correlation));
-                Value::text(text)
+                let correlation = Str::from_fmt(format_args!("{}{text}", self.kind.correlation));
+                self.correlation = Some(correlation);
+                self.text_value(text)
             }
             Ty::Int => Value::Int(parse_int(text, name, format)?),
             Ty::CompactDate => Value::Date(Date::parse_compact(text)?),
@@ -679,6 +707,44 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn decode_bytes_reads_long_texts_in_place_and_matches_decode() {
+        use crate::formats::{
+            sample_edi_po, sample_oagis_po, sample_oracle_po, sample_rn_po, sample_sap_po,
+        };
+        use crate::text::INLINE_CAP;
+
+        /// (texts longer than `INLINE_CAP` bytes, how many of them borrow).
+        fn long_texts(v: &Value) -> (usize, usize) {
+            match v {
+                Value::Text(s) if s.len() > INLINE_CAP => (1, usize::from(s.is_borrowed())),
+                Value::List(items) => items.iter().map(long_texts).fold((0, 0), add),
+                Value::Record(fields) => fields.values().map(long_texts).fold((0, 0), add),
+                _ => (0, 0),
+            }
+        }
+        fn add(a: (usize, usize), b: (usize, usize)) -> (usize, usize) {
+            (a.0 + b.0, a.1 + b.1)
+        }
+        let number = "4711-".repeat(10);
+        for doc in [
+            sample_edi_po(&number, 3),
+            sample_rn_po(&number, 3),
+            sample_oagis_po(&number, 3),
+            sample_sap_po(&number, 3),
+            sample_oracle_po(&number, 3),
+        ] {
+            let codec = TableCodec(FORMATS.iter().find(|f| &f.id == doc.format()).unwrap());
+            let wire = Bytes::from(codec.encode(&doc).unwrap());
+            let owned = codec.decode(&wire).unwrap();
+            let borrowed = codec.decode_bytes(&wire).unwrap();
+            assert_eq!(borrowed, owned, "{}", doc.format());
+            let (long, shared) = long_texts(borrowed.body());
+            assert!(long > 0 && shared == long, "{}: {shared} of {long} borrowed", doc.format());
+            assert_eq!(long_texts(owned.body()), (long, 0), "{}", doc.format());
         }
     }
 

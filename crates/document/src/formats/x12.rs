@@ -12,6 +12,7 @@ use super::table::{
 use crate::document::Document;
 use crate::error::{DocumentError, Result};
 use crate::value::FieldVec;
+use bytes::Bytes;
 use std::borrow::Cow;
 
 /// What an element may not hold: its reader splits segments and elements
@@ -122,7 +123,11 @@ fn message<'s, 'a>(format: &Format, segs: &'s [Segment<'a>]) -> Result<Message<'
     Ok(Message { sender, receiver, control, set, body })
 }
 
-pub(crate) fn decode(format: &'static Format, text: &str) -> Result<Document> {
+pub(crate) fn decode(
+    format: &'static Format,
+    text: &str,
+    payload: Option<&Bytes>,
+) -> Result<Document> {
     let segs = segments(format, text)?;
     let ic = message(format, &segs)?;
     let kind = format
@@ -130,7 +135,7 @@ pub(crate) fn decode(format: &'static Format, text: &str) -> Result<Document> {
         .iter()
         .find(|k| k.selector == ic.set)
         .ok_or_else(|| unsupported(format, format!("transaction set {}", ic.set)))?;
-    table::read(format, kind, &Group::Body(&ic))
+    table::read(format, kind, &Group::Body(&ic), payload)
 }
 
 /// A group as the table reads it: the transaction set's body, the

@@ -12,9 +12,14 @@ use super::table::{self, check_text, unsupported, Format, Kind, Node, Sink, Sour
 use crate::document::Document;
 use crate::error::{DocumentError, Result};
 use crate::value::FieldVec;
+use bytes::Bytes;
 use std::borrow::Cow;
 
-pub(crate) fn decode(format: &'static Format, text: &str) -> Result<Document> {
+pub(crate) fn decode(
+    format: &'static Format,
+    text: &str,
+    payload: Option<&Bytes>,
+) -> Result<Document> {
     let elements = parse(text)?;
     let root = elements[0].name;
     let kind = format
@@ -22,7 +27,7 @@ pub(crate) fn decode(format: &'static Format, text: &str) -> Result<Document> {
         .iter()
         .find(|k| k.selector == root)
         .ok_or_else(|| unsupported(format, format!("root element {root}")))?;
-    table::read(format, kind, &At { elements: &elements, at: 0 })
+    table::read(format, kind, &At { elements: &elements, at: 0 }, payload)
 }
 
 /// One element of a parsed payload. The index holds the elements in

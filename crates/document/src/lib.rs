@@ -13,6 +13,11 @@
 //! binary codec and the [`formats::FormatRegistry`].
 //!
 //! Higher layers never parse wire syntax themselves; they speak documents.
+//!
+//! `unsafe` is denied everywhere but [`Str::as_str`], the unchecked UTF-8
+//! view of an inline or shared text.
+
+#![deny(unsafe_code)]
 
 pub mod date;
 pub mod document;

@@ -252,8 +252,8 @@ pub enum Value {
     Int(i64),
     /// Exact monetary amount.
     Money(Money),
-    /// Free text (names, codes, identifiers) — owned or borrowed from a
-    /// shared wire payload; see [`Str`].
+    /// Free text (names, codes, identifiers) — inline, borrowed from a
+    /// shared wire payload, or owned; see [`Str`].
     Text(Str),
     /// Calendar date.
     Date(Date),
@@ -283,9 +283,9 @@ impl Value {
         Self::Record(FieldVec::new())
     }
 
-    /// Builds an owned text value.
-    pub fn text(s: impl Into<String>) -> Self {
-        Self::Text(Str::from(s.into()))
+    /// Builds a text value.
+    pub fn text(s: impl Into<Str>) -> Self {
+        Self::Text(s.into())
     }
 
     /// Extracts a bool or reports a type mismatch at `at`.

@@ -1,18 +1,20 @@
 //! Wire envelopes.
 
 use crate::clock::SimTime;
-use b2b_document::FormatId;
+use b2b_document::{FormatId, Str};
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Identifies a network endpoint (one enterprise's B2B gateway).
+/// Identifies a network endpoint (one enterprise's B2B gateway). A
+/// [`Str`], so a short name is kept inline and cloning it allocates
+/// nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct EndpointId(String);
+pub struct EndpointId(Str);
 
 impl EndpointId {
     /// Wraps an endpoint name.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Str>) -> Self {
         Self(name.into())
     }
 

@@ -5,19 +5,22 @@
 //! PIP instance ids. The binding knows these (it knows which agreement the
 //! message travels under), so it passes them alongside the document.
 
+use b2b_document::Str;
 use serde::{Deserialize, Serialize};
 
-/// Envelope-level values injected by `MappingRule::Context`.
+/// Envelope-level values injected by `MappingRule::Context`. Each is a
+/// [`Str`], so building, cloning and injecting a short one allocates
+/// nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransformContext {
     /// Wire-level sender identity.
-    pub sender: String,
+    pub sender: Str,
     /// Wire-level receiver identity.
-    pub receiver: String,
+    pub receiver: Str,
     /// Interchange / group control number.
-    pub control_number: String,
+    pub control_number: Str,
     /// Protocol instance id (PIP instance, BOD reference id).
-    pub instance_id: String,
+    pub instance_id: Str,
 }
 
 /// Which context value a `Context` rule injects.
@@ -37,15 +40,15 @@ impl TransformContext {
     /// Builds a context.
     pub fn new(sender: &str, receiver: &str, control_number: &str, instance_id: &str) -> Self {
         Self {
-            sender: sender.to_string(),
-            receiver: receiver.to_string(),
-            control_number: control_number.to_string(),
-            instance_id: instance_id.to_string(),
+            sender: sender.into(),
+            receiver: receiver.into(),
+            control_number: control_number.into(),
+            instance_id: instance_id.into(),
         }
     }
 
     /// Resolves a key.
-    pub fn get(&self, key: ContextKey) -> &str {
+    pub fn get(&self, key: ContextKey) -> &Str {
         match key {
             ContextKey::Sender => &self.sender,
             ContextKey::Receiver => &self.receiver,

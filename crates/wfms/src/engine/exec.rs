@@ -22,7 +22,7 @@ use super::{Activity, ActivityContext, RemoteSubRequest};
 use crate::error::{Result, WfError};
 use crate::history::{HistoryEvent, HistoryKind};
 use crate::model::{ChannelId, InstanceId, StepKind, WorkflowTypeId};
-use b2b_document::Document;
+use b2b_document::{Document, Str};
 use b2b_network::SimTime;
 use b2b_rules::{RuleError, RuleRegistry};
 use b2b_transform::{TransformContext, TransformRegistry};
@@ -317,12 +317,13 @@ fn execute_step(
                     } else {
                         (&**inst.source, &**inst.target)
                     };
-                    let tctx = TransformContext::new(
-                        sender,
-                        receiver,
-                        &format!("{:09}", inst.id.value()),
-                        &format!("i-{}", inst.id.value()),
-                    );
+                    let n = inst.id.value();
+                    let tctx = TransformContext {
+                        sender: sender.into(),
+                        receiver: receiver.into(),
+                        control_number: Str::from_fmt(format_args!("{n:09}")),
+                        instance_id: Str::from_fmt(format_args!("i-{n}")),
+                    };
                     ctx.env.transforms.transform(d, target_format, &tctx)
                 }
                 _ => {
