@@ -102,10 +102,11 @@ pub trait FormatCodec: Send + Sync {
     fn decode(&self, bytes: &[u8]) -> Result<Document>;
 
     /// Parses a shared payload buffer into a document. The default
-    /// delegates to [`decode`](Self::decode); codecs that can borrow from
-    /// the payload (the binary codec) override it so decoded text slices
-    /// reference `bytes` instead of copying — the caller keeps the buffer
-    /// alive for free because [`Bytes`] is reference-counted.
+    /// delegates to [`decode`](Self::decode). The binary and table codecs
+    /// override it and read texts longer than
+    /// [`INLINE_CAP`](crate::text::INLINE_CAP) bytes in place, as slices
+    /// of `bytes` that keep the whole buffer alive ([`Bytes`] is
+    /// reference-counted). Short texts are always inline.
     fn decode_bytes(&self, bytes: &Bytes) -> Result<Document> {
         self.decode(bytes)
     }
